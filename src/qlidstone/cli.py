@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 identity-suite failure (a machine-readable failure
 record is still emitted), 2 usage error.  Output is deterministic for a
 fixed configuration; rationals are rendered as "num/den" strings and floats
-with 17 significant digits.  Set QLIDSTONE_THREADS to allow the identity
-suite to fan out over a thread pool (default 1, serial).
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
@@ -101,12 +98,22 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _context(args) -> QContext:
     if getattr(args, "q", None) is not None:
-        return QContext.from_q(args.q, series_order=args.order_budget)
+        return QContext.from_q(args.q)
     if args.s is None:
         raise SystemExit2("one of --s or --q is required")
-    return QContext(args.s, series_order=args.order_budget)
+    return QContext(args.s)
 
 
 class SystemExit2(SystemExit):
@@ -200,12 +207,7 @@ def _cmd_identities(args) -> int:
     names = qpolys.registry_names() if args.all else [args.name]
     if not args.all and args.name not in qpolys.registry_names():
         raise SystemExit2(f"unknown identity {args.name!r}; known: {', '.join(qpolys.registry_names())}")
-    workers = _thread_budget()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda n: qpolys.check_identity(ctx, n, args.order), names))
-    else:
-        reports = [qpolys.check_identity(ctx, n, args.order) for n in names]
+    reports = [qpolys.check_identity(ctx, n, args.order) for n in names]
     ok = all(r.passed for r in reports)
     payload = {
         "command": "identities",
@@ -224,17 +226,6 @@ def _cmd_identities(args) -> int:
     }
     _emit(render_report(payload, args.format), args.output)
     return 0 if ok else 1
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("QLIDSTONE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit2(f"QLIDSTONE_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit2("QLIDSTONE_THREADS must be >= 1")
-    return n
 
 
 def _cmd_zeros(args) -> int:
@@ -348,26 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="base parameter s = q**(1/4), a rational in (0,1), e.g. 1/2")
             p.add_argument("--q", type=_parse_rational, default=None,
                            help="base q; accepted only when q is a perfect rational fourth power")
-            p.add_argument("--order-budget", type=int, default=64, help="series truncation budget")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p = sub.add_parser("numbers", help="number tables")
     p.add_argument("--kind", choices=sorted(_NUMBER_KIND), required=True)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_nonnegative_int, default=8)
     common(p)
     p.set_defaults(handler=_cmd_numbers)
 
     p = sub.add_parser("polys", help="polynomial family tables")
     p.add_argument("--family", choices=sorted(_FAMILY_KIND) + ["rho", "hermite", "monomial"],
                    required=True)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_nonnegative_int, default=8)
     common(p)
     p.set_defaults(handler=_cmd_polys)
 
     p = sub.add_parser("lidstone-basis", help="two-point interpolation bases")
     p.add_argument("--kind", choices=["A", "B", "M", "Mtilde"], required=True)
-    p.add_argument("--K", type=int, default=5)
+    p.add_argument("--K", type=_nonnegative_int, default=5)
     common(p)
     p.set_defaults(handler=_cmd_lidstone_basis)
 
@@ -375,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--all", action="store_true")
     g.add_argument("--name")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_nonnegative_int, default=8)
     common(p)
     p.set_defaults(handler=_cmd_identities)
 
@@ -388,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="two-point expansion of a function")
     p.add_argument("--kind", choices=["bernoulli", "euler"], required=True)
     p.add_argument("--fn", required=True, help="rho:n | mono:n | phi:n:a | stream:@file")
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=_nonnegative_int, required=True)
     common(p)
     p.set_defaults(handler=_cmd_expand)
 
@@ -396,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["ones", "alsalam-half"], default="alsalam-half")
     p.add_argument("--p", type=_parse_rational, required=True)
     p.add_argument("--coeffs", default=None, help="JSON file with the coefficients of f")
-    p.add_argument("--growth-order", type=int, default=None,
+    p.add_argument("--growth-order", type=_nonnegative_int, default=None,
                    help="also run the growth-bound statistic to this order")
     common(p, needs_ctx=False)
     p.set_defaults(handler=_cmd_guichard)
@@ -410,7 +400,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit:
         raise
-    except (ValueError, ZeroDivisionError, guichard.CapacityError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

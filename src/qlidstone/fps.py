@@ -19,13 +19,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .qcore import QContext, q_pochhammer
-from .symlaurent import SymPoly
-
-
-def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
+from .symlaurent import SymPoly, _coerce, special_poly
 
 
 class Series:
@@ -194,31 +188,10 @@ def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -
 
 
 @lru_cache(maxsize=None)
-def _eq_exp_cached(ctx: QContext, order: int) -> Series:
-    from .symlaurent import special_poly
-
-    s = ctx.s
-    q = ctx.q
-    out = []
-    for n in range(order):
-        psi = s ** (n * n) / q_pochhammer(q, q, n)
-        out.append(special_poly(ctx, "rho", n) * psi)
-    return Series(out)
-
-
-DEFAULT_POLY_ORDER = 24
-
-
-def eq_exponential_series(ctx: QContext, order: int = None) -> Series:
+def eq_exponential_series(ctx: QContext, order: int) -> Series:
     """The q-exponential as a series in w with rho-polynomial coefficients:
-    coefficient n is q**(n**2/4)/(q;q)_n * rho_n(x).
-
-    Polynomial-coefficient series default to a shorter truncation than the
-    scalar budget; every polynomial coefficient is itself that large.
-    """
-    if order is None:
-        order = min(ctx.series_order, DEFAULT_POLY_ORDER)
-    return _eq_exp_cached(ctx, order)
+    coefficient n is q**(n**2/4)/(q;q)_n * rho_n(x)."""
+    return Series([special_poly(ctx, "rho", n) * psi_weight(ctx, n) for n in range(order)])
 
 
 def psi_weight(ctx: QContext, n: int) -> Fraction:

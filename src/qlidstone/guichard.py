@@ -20,17 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qcore import q_binomial, q_factorial, q_number, q_pochhammer, safe_float
+from .qcore import IntegrityError, q_binomial, q_factorial, q_number, q_pochhammer, safe_float
 
 ZPoly = Tuple[Fraction, ...]
 
 
 class CapacityError(ValueError):
     """The delta sequence is too short for the requested degree."""
-
-
-class IntegrityError(RuntimeError):
-    """A construction-time verification failed."""
 
 
 @dataclass(frozen=True)

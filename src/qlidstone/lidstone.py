@@ -28,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 from .qcore import QContext, q_pochhammer, safe_float
 from .fps import psi_weight
-from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, special_poly
+from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, eval_float, special_poly
 from .qpolys import build_family
 from . import qspecial
 
@@ -70,9 +71,6 @@ class EntireFn:
                 acc = acc + special_poly(ctx, "rho", k) * fk
         return acc
 
-    def eval(self, ctx: QContext, x: float) -> float:
-        return _cheb_eval(_float_terms(ctx, self.stream), x)
-
 
 def _float_terms(ctx: QContext, stream) -> list:
     """Combined float Chebyshev coefficients of sum f_k rho_k.
@@ -91,17 +89,6 @@ def _float_terms(ctx: QContext, stream) -> list:
         for i, c in enumerate(scaled.coeffs):
             out[i] += safe_float(c)
     return out
-
-
-def _cheb_eval(coeffs: list, x: float) -> float:
-    total = coeffs[0]
-    if len(coeffs) > 1:
-        prev, cur = 2.0, 2.0 * x
-        total += coeffs[1] * cur
-        for k in range(2, len(coeffs)):
-            prev, cur = cur, 2.0 * x * cur - prev
-            total += coeffs[k] * cur
-    return total
 
 
 @dataclass(frozen=True)
@@ -178,14 +165,9 @@ def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
     return min(1.0, report.value)
 
 
-_CAP_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _cap_cached(q: float, kind: str):
-    key = (q, kind)
-    if key not in _CAP_CACHE:
-        _CAP_CACHE[key] = qspecial.smallest_positive_zero(kind, q)
-    return _CAP_CACHE[key]
+    return qspecial.smallest_positive_zero(kind, q)
 
 
 def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,
@@ -242,26 +224,11 @@ def residual_on_grid(ctx: QContext, f: EntireFn, recon: SymPoly, grid: Sequence)
     if not grid:
         return 0.0
     terms = _float_terms(ctx, f.stream)
-    recon_f = [safe_float(c) for c in recon.coeffs]
     worst = 0.0
     for x in grid:
         xf = float(x)
-        worst = max(worst, abs(_cheb_eval(terms, xf) - _cheb_eval(recon_f, xf)))
+        worst = max(worst, abs(eval_float(terms, xf) - eval_float(recon, xf)))
     return worst
-
-
-def residual(ctx: QContext, report: ExpansionReport, grid: Sequence) -> Number:
-    """Recompute the report residual on a caller-supplied grid (float mode)
-    or exactly (polynomial mode).  An empty grid yields 0 vacuously."""
-    if report.exact:
-        diff = report.reconstruction - report.fn.to_poly(ctx)
-        return max(abs(cc) for cc in diff.coeffs)
-    if not grid:
-        import warnings
-
-        warnings.warn("empty residual grid; returning 0 vacuously")
-        return 0.0
-    return residual_on_grid(ctx, report.fn, report.reconstruction, grid)
 
 
 # -- streams for the worked examples -------------------------------------------
@@ -336,7 +303,7 @@ def counterexample_report(ctx: QContext, kind: str, n_terms: int, K: int,
         + [abs(safe_float(v)) for v in report.data_at_eta]
     )
     terms = _float_terms(ctx, f.stream)
-    norm = max(abs(_cheb_eval(terms, float(x))) for x in grid)
+    norm = max(abs(eval_float(terms, float(x))) for x in grid)
     return CounterexampleReport(kind=kind, w=float(w), max_data=max_data,
                                 function_norm=norm, expansion=report)
 

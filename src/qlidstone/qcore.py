@@ -21,6 +21,11 @@ from typing import Tuple, Union
 Rational = Union[Fraction, int]
 
 
+class IntegrityError(RuntimeError):
+    """Two supposedly equivalent construction routes disagreed, or a
+    construction-time verification failed."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -29,31 +34,20 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QContext:
-    """Shared configuration: the base parameter and working precisions.
-
-    ``s`` is q**(1/4); all other constants are derived from it exactly.
+    """The base parameter ``s`` = q**(1/4); all other constants are derived
+    from it exactly.  Caches keyed on a context are therefore keyed on s.
     """
 
     s: Fraction
-    series_order: int = 64
-    float_tol: float = 1e-12
 
     def __post_init__(self):
         s = _as_fraction(self.s)
         if not (0 < s < 1):
             raise ValueError(f"s must lie in (0, 1), got {s}")
         object.__setattr__(self, "s", s)
-        if self.series_order < 1:
-            raise ValueError("series_order must be positive")
-        if self.float_tol <= 0:
-            raise ValueError("float_tol must be positive")
 
     @classmethod
-    def from_string(cls, text: str, **kw) -> "QContext":
-        return cls(Fraction(text), **kw)
-
-    @classmethod
-    def from_q(cls, q: Fraction, **kw) -> "QContext":
+    def from_q(cls, q: Fraction) -> "QContext":
         """Build a context from q itself; q must be a rational fourth power."""
         q = _as_fraction(q)
         if not (0 < q < 1):
@@ -62,7 +56,7 @@ class QContext:
         den = _iroot4(q.denominator)
         if num is None or den is None:
             raise ValueError(f"q = {q} is not the fourth power of a rational")
-        return cls(Fraction(num, den), **kw)
+        return cls(Fraction(num, den))
 
     @property
     def q(self) -> Fraction:
@@ -92,11 +86,8 @@ def _iroot4(n: int):
     """Exact integer fourth root of n, or None if n is not a fourth power."""
     if n < 0:
         return None
-    r = round(n ** 0.25)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** 4 == n:
-            return cand
-    return None
+    r = math.isqrt(math.isqrt(n))
+    return r if r ** 4 == n else None
 
 
 def q_number(n: int, base: Rational) -> Fraction:
@@ -173,11 +164,6 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
         value *= factor
         p *= base
     return value, n
-
-
-def float_log_q(x: float, q: float) -> float:
-    """log base q of x (handy for growth diagnostics)."""
-    return math.log(x) / math.log(q)
 
 
 def safe_float(x) -> float:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .qcore import QContext, q_factorial, q_pochhammer
+from .qcore import IntegrityError, QContext, q_factorial, q_pochhammer
 from .fps import (
     Series,
     eq_exponential_series,
@@ -35,10 +35,6 @@ from .symlaurent import SymPoly, eval_at, aw_derivative, q_translate, special_po
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 NUMBER_KINDS = ("beta_q", "suslov_Bq", "im_Bq", "suslov_Eq")
 BASIS_KINDS = ("A", "B", "M", "Mtilde")
-
-
-class IntegrityError(RuntimeError):
-    """Two supposedly equivalent construction routes disagreed."""
 
 
 @dataclass(frozen=True)

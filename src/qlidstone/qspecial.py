@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List, Tuple
 
 from .qcore import QContext, q_pochhammer_inf
 from .symlaurent import eval_float, special_poly
+
+SERIES_TOL = 1e-12  # relative size of the last term kept by the float series loops
 
 
 class ZeroSearchError(RuntimeError):
@@ -49,7 +52,6 @@ def eq_eval(ctx: QContext, x: float, w) -> float:
     if w == 0:
         return 1.0
     q = float(ctx.q)
-    tol = ctx.float_tol
     total = 1.0 + 0.0 * w
     wn = 1.0 + 0.0 * w
     for n in range(1, 400):
@@ -58,22 +60,18 @@ def eq_eval(ctx: QContext, x: float, w) -> float:
         rho = eval_float(special_poly(ctx, "rho", n), x)
         term = term_coeff * wn * rho
         total += term
-        if abs(term) < tol * max(1.0, abs(total)) and n > 4:
+        if abs(term) < SERIES_TOL * max(1.0, abs(total)) and n > 4:
             return total
     raise RuntimeError("q-exponential series did not converge")
 
 
-_QQ_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _qq_cached(q: float, n: int) -> float:
-    """(q; q)_n for floats, memoized per base."""
-    key = q
-    seq = _QQ_CACHE.setdefault(key, [1.0])
-    while len(seq) <= n:
-        m = len(seq)
-        seq.append(seq[-1] * (1.0 - q ** m))
-    return seq[n]
+    """(q; q)_n for floats, memoized."""
+    out = 1.0
+    for m in range(1, n + 1):
+        out *= 1.0 - q ** m
+    return out
 
 
 def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
@@ -83,7 +81,6 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
     node eta the dedicated scalar series converges for |w| < q**(-1/2).
     """
     q = float(ctx.q)
-    tol = ctx.float_tol
     if kind not in ("S", "C"):
         raise ValueError("kind must be 'S' or 'C'")
     if isinstance(x, str):
@@ -99,7 +96,7 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
             m = 2 * k + j
             term = (-1.0) ** k * _neg_poch(q, m) * (rq * w) ** m / _qq_cached(q, m)
             total += term
-            if k > 2 and abs(term) < tol * max(1.0, abs(total)):
+            if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
                 return total
         raise RuntimeError("basic trig series at eta did not converge")
     if abs(w) >= 1:
@@ -114,19 +111,19 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
             coeff = (-1.0) ** k * q ** (k * k) / _qq_cached(q, n)
         term = coeff * w ** n * eval_float(special_poly(ctx, "rho", n), x)
         total += term
-        if k > 2 and abs(term) < tol * max(1.0, abs(total)):
+        if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
             return total
     raise RuntimeError("basic trig series did not converge")
 
 
+@lru_cache(maxsize=None)
 def _neg_poch(q: float, m: int) -> float:
-    """(-q**(-1/2); q)_m for floats, memoized per base."""
-    seq = _QQ_CACHE.setdefault(("negpoch", q), [1.0])
+    """(-q**(-1/2); q)_m for floats, memoized."""
     rq = math.sqrt(q)
-    while len(seq) <= m:
-        k = len(seq) - 1
-        seq.append(seq[-1] * (1.0 + q ** k / rq))
-    return seq[m]
+    out = 1.0
+    for k in range(m):
+        out *= 1.0 + q ** k / rq
+    return out
 
 
 def jackson_bessel_j2(nu: float, z: float, q: float, tol: float = 1e-15) -> float:
@@ -175,26 +172,16 @@ def _eta_series_terms(kind: str, q: float) -> Callable[[float, int], float]:
 
     if kind == "Sq_eta":
         def term(w, k):
-            return q ** (k * k) * rq ** k * w ** (2 * k + 1) / _rq_qq(q, 2 * k + 1)
+            return q ** (k * k) * rq ** k * w ** (2 * k + 1) / _qq_cached(rq, 2 * k + 1)
     elif kind == "Cq_eta":
         def term(w, k):
-            return q ** (k * k) / rq ** k * w ** (2 * k) / _rq_qq(q, 2 * k)
+            return q ** (k * k) / rq ** k * w ** (2 * k) / _qq_cached(rq, 2 * k)
     elif kind == "Sinq":
         def term(w, k):
             return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / _qq_cached(q, 2 * k + 1)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return term
-
-
-def _rq_qq(q: float, m: int) -> float:
-    """(sqrt(q); sqrt(q))_m for floats, memoized."""
-    rq = math.sqrt(q)
-    seq = _QQ_CACHE.setdefault(("rq", q), [1.0])
-    while len(seq) <= m:
-        k = len(seq)
-        seq.append(seq[-1] * (1.0 - rq ** k))
-    return seq[m]
 
 
 def _eta_series_value(kind: str, q: float, w: float) -> float:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple, Union
 
-from .qcore import QContext, q_binomial, q_number, q_pochhammer
+from .qcore import QContext, q_binomial, q_number, q_pochhammer, safe_float
 
 PointLike = Union[str, Fraction, int]
 
@@ -27,7 +27,7 @@ _EK_AT_I = (2, 0, -2, 0)  # (z**k + z**-k) at z = i, indexed by k mod 4
 
 
 def _coerce(c):
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int):
         return Fraction(c)
     return c
 
@@ -66,12 +66,8 @@ class SymPoly:
             scale = Fraction(1, 2 ** n)
             for k in range(n // 2 + 1):
                 idx = n - 2 * k
-                term = a * comb(n, k) * scale
-                if idx == 0:
-                    # the central binomial term contributes to the constant once
-                    out[0] += term
-                else:
-                    out[idx] += term
+                # when idx == 0 the central binomial term lands on the constant once
+                out[idx] += a * comb(n, k) * scale
         return cls(out)
 
     # -- queries -----------------------------------------------------------
@@ -130,14 +126,9 @@ class SymPoly:
                 if cb == 0:
                     continue
                 term = ca * cb
-                if i == 0 or j == 0:
-                    out[i + j] += term
-                else:
-                    out[i + j] += term
-                    if i == j:
-                        out[0] += 2 * term
-                    else:
-                        out[abs(i - j)] += term
+                out[i + j] += term
+                if i and j:
+                    out[abs(i - j)] += 2 * term if i == j else term
         return SymPoly(out)
 
     __rmul__ = __mul__
@@ -320,11 +311,10 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike):
     return total
 
 
-def eval_float(p: SymPoly, x: float) -> float:
-    """Floating-point value of p at a real x via the Chebyshev recurrence."""
-    from .qcore import safe_float
-
-    cs = p.coeffs
+def eval_float(p: Union[SymPoly, Sequence], x: float) -> float:
+    """Floating-point value of p at a real x via the Chebyshev recurrence;
+    p is a SymPoly or a sequence of its coefficients (floats are used as is)."""
+    cs = p.coeffs if isinstance(p, SymPoly) else p
     total = safe_float(cs[0])
     if len(cs) > 1:
         prev, cur = 2.0, 2.0 * x
@@ -374,26 +364,14 @@ def _aw_once(ctx: QContext, p: SymPoly) -> SymPoly:
 # -- basis conversion -----------------------------------------------------------
 
 
-def _basis_member(ctx: QContext, target: str, n: int) -> SymPoly:
-    if target == "monomial":
-        return special_poly(ctx, "monomial", n)
-    if target == "rho":
-        return special_poly(ctx, "rho", n)
-    if target == "hermite":
-        return special_poly(ctx, "hermite", n)
-    raise ValueError(f"unknown basis {target!r}")
-
-
-def _leading_coeff(ctx: QContext, target: str, n: int) -> Fraction:
-    if target == "monomial":
-        return Fraction(1, 2 ** n) if n else Fraction(1)
-    # rho and hermite are monic in the symmetric-Laurent sense
-    return Fraction(1)
+_BASES = ("monomial", "rho", "hermite")
 
 
 def change_basis(ctx: QContext, p: SymPoly, target: str) -> Tuple[Fraction, ...]:
     """Coefficients (a_0, ..., a_d) with p = sum a_n basis_n, computed by
     exact back-substitution from the top degree."""
+    if target not in _BASES:
+        raise ValueError(f"unknown basis {target!r}")
     rem = p
     d = p.degree
     out = [Fraction(0)] * (d + 1)
@@ -401,9 +379,10 @@ def change_basis(ctx: QContext, p: SymPoly, target: str) -> Tuple[Fraction, ...]
         top = rem.coeffs[n] if rem.degree >= n else Fraction(0)
         if top == 0:
             continue
-        a = top / _leading_coeff(ctx, target, n)
+        member = special_poly(ctx, target, n)
+        a = top / member.coeffs[-1]
         out[n] = a
-        rem = rem - _basis_member(ctx, target, n) * a
+        rem = rem - member * a
     if not rem.is_constant():
         raise AssertionError("back-substitution left a non-constant remainder")
     out[0] = rem.coeffs[0]
@@ -412,11 +391,13 @@ def change_basis(ctx: QContext, p: SymPoly, target: str) -> Tuple[Fraction, ...]
 
 def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
     """Inverse of :func:`change_basis`: assemble sum a_n basis_n."""
+    if target not in _BASES:
+        raise ValueError(f"unknown basis {target!r}")
     out = SymPoly.zero()
     for n, a in enumerate(coeffs):
         a = _coerce(a)
         if a != 0:
-            out = out + _basis_member(ctx, target, n) * a
+            out = out + special_poly(ctx, target, n) * a
     return out
 
 

@@ -55,17 +55,6 @@ def test_identities_failure_exit_code(capsys, monkeypatch):
     assert doc["results"][0]["first_failure"]["n"] == 0
 
 
-def test_identities_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("QLIDSTONE_THREADS", "2")
-    code, out = run(capsys, "identities", "--all", "--s", "1/2", "--order", "3")
-    assert code == 0
-    assert json.loads(out)["pass"] is True
-    monkeypatch.setenv("QLIDSTONE_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        cli.main(["identities", "--all", "--s", "1/2", "--order", "3"])
-    capsys.readouterr()
-
-
 def test_zeros_json(capsys):
     code, out = run(capsys, "zeros", "--kind", "sq-eta", "--qfloat", "0.25")
     doc = json.loads(out)
@@ -119,6 +108,21 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["identities", "--name", "bogus", "--s", "1/2"])
     assert err.value.code == 2
     capsys.readouterr()
+    # a q far beyond the float range that is not a fourth power
+    assert cli.main(["numbers", "--kind", "beta", "--q", f"1/{10 ** 401}"]) == 2
+    assert "not the fourth power" in capsys.readouterr().err
+    for argv, flag in [
+        (["polys", "--family", "rho", "--order", "-1", "--s", "1/2"], "--order"),
+        (["numbers", "--kind", "beta", "--order", "-1", "--s", "1/2"], "--order"),
+        (["identities", "--all", "--order", "-1", "--s", "1/2"], "--order"),
+        (["lidstone-basis", "--kind", "A", "--K", "-1", "--s", "1/2"], "--K"),
+        (["expand", "--kind", "euler", "--fn", "rho:2", "--K", "-1", "--s", "1/2"], "--K"),
+        (["guichard", "--p", "4", "--growth-order", "-1"], "--growth-order"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_q_flag_fourth_power(capsys):

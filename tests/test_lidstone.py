@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from qlidstone.lidstone import (
     bernoulli_expansion,
     counterexample_report,
     euler_expansion,
-    residual,
+    residual_on_grid,
     rho_expand,
     trig_rho_stream,
 )
@@ -175,19 +174,16 @@ def test_stream_convergence_fast(ctx_half):
     assert rep.cap == 1.0  # the sine-node zero exceeds one for this base
 
 
-def test_residual_empty_grid_warns(ctx_half):
+def test_residual_empty_grid_is_zero(ctx_half):
     f = trig_rho_stream(ctx_half, "C", Fraction(3, 10), 12)
     rep = bernoulli_expansion(ctx_half, f, 6)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert residual(ctx_half, rep, []) == 0.0
-    assert caught
+    assert residual_on_grid(ctx_half, rep.fn, rep.reconstruction, []) == 0.0
 
 
 def test_residual_recompute_matches_report(ctx_half):
     f = trig_rho_stream(ctx_half, "C", Fraction(3, 10), 16)
     rep = bernoulli_expansion(ctx_half, f, 8)
-    assert residual(ctx_half, rep, DEFAULT_GRID) == rep.residual
+    assert residual_on_grid(ctx_half, rep.fn, rep.reconstruction, DEFAULT_GRID) == rep.residual
 
 
 def test_growth_metadata_note(ctx_half):

@@ -29,8 +29,12 @@ def test_context_derived_constants():
 def test_context_fourth_root_roundtrip():
     ctx = QContext(Fraction(3, 5))
     assert QContext.from_q(ctx.q).s == ctx.s
+    for s in (Fraction(1, 10 ** 40 + 7), Fraction(3 ** 80 - 1, 3 ** 80), Fraction(1, 10 ** 100)):
+        assert QContext.from_q(s ** 4).s == s
     with pytest.raises(ValueError):
         QContext.from_q(Fraction(1, 5))
+    with pytest.raises(ValueError):
+        QContext.from_q(Fraction(1, 10 ** 401))
     with pytest.raises(ValueError):
         QContext(Fraction(3, 2))
 
