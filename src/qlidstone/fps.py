@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .qcore import QContext, q_pochhammer
+from .qcore import QContext, psi_weight
 from .symlaurent import SymPoly, _coerce, special_poly
 
 
@@ -144,28 +144,15 @@ def scale_arg(a: Series, c) -> Series:
 
 
 def euler_factor_series(sign: int, base: Fraction, order: int) -> Series:
-    """Power series of (sign*w; base)_inf, exact through the given order.
-
-    Coefficient of w**n is (-sign)**n base**(n(n-1)/2) / (base; base)_n,
-    the solution of F(w) = (1 - sign*w) F(base*w) with F(0) = 1.
-    """
+    """Power series of (sign*w; base)_inf, exact through the given order:
+    :func:`pochhammer_series` with coefficient sign and power 1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    base = Fraction(base)
-    if not abs(base) < 1:
-        raise ValueError("|base| must be < 1")
-    out = [Fraction(1)]
-    c = Fraction(1)
-    bpow = Fraction(1)  # base**(n-1) at step n
-    for n in range(1, order):
-        c = c * (-sign) * bpow / (1 - base ** n)
-        bpow *= base
-        out.append(c)
-    return Series(out)
+    return pochhammer_series(sign, 1, base, order)
 
 
 def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -> Series:
-    """Power series of (coeff * w**power; base)_inf, exact.
+    """Power series of (coeff * w**power; base)_inf, exact, for |base| < 1.
 
     Term m of Euler's sum lands on w**(m*power) with value
     (-1)**m base**(m(m-1)/2) coeff**m / (base; base)_m.
@@ -174,8 +161,9 @@ def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -
         raise ValueError("power must be >= 1")
     coeff = Fraction(coeff)
     base = Fraction(base)
-    out = [Fraction(0)] * order
-    out[0] = Fraction(1)
+    if not abs(base) < 1:
+        raise ValueError("|base| must be < 1")
+    out = [Fraction(1)] + [Fraction(0)] * (order - 1)
     c = Fraction(1)
     bpow = Fraction(1)
     m = 1
@@ -192,9 +180,3 @@ def eq_exponential_series(ctx: QContext, order: int) -> Series:
     """The q-exponential as a series in w with rho-polynomial coefficients:
     coefficient n is q**(n**2/4)/(q;q)_n * rho_n(x)."""
     return Series([special_poly(ctx, "rho", n) * psi_weight(ctx, n) for n in range(order)])
-
-
-def psi_weight(ctx: QContext, n: int) -> Fraction:
-    """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
-    q-exponential series."""
-    return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)

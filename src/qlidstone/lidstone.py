@@ -28,12 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, q_pochhammer, safe_float
-from .fps import psi_weight
-from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, eval_float, special_poly
+from .qcore import QContext, psi_weight, q_pochhammer, safe_float
+from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, eval_float, poly_from_basis, special_poly
 from .qpolys import build_family
 from . import qspecial
 
@@ -65,11 +63,7 @@ class EntireFn:
                    polynomial=polynomial, **kw)
 
     def to_poly(self, ctx: QContext) -> SymPoly:
-        acc = SymPoly.zero()
-        for k, fk in enumerate(self.stream):
-            if fk != 0:
-                acc = acc + special_poly(ctx, "rho", k) * fk
-        return acc
+        return poly_from_basis(ctx, "rho", self.stream)
 
 
 def _float_terms(ctx: QContext, stream) -> list:
@@ -159,15 +153,10 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
 
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
     try:
-        report = _cap_cached(float(ctx.q), kind)
+        report = qspecial._first_zero_cached(float(ctx.q), kind)
     except qspecial.ZeroSearchError:
         return None
     return min(1.0, report.value)
-
-
-@lru_cache(maxsize=None)
-def _cap_cached(q: float, kind: str):
-    return qspecial.smallest_positive_zero(kind, q)
 
 
 def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,

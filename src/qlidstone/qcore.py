@@ -131,6 +131,12 @@ def q_binomial(n: int, k: int, base: Rational) -> Fraction:
     return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
 
 
+def psi_weight(ctx: QContext, n: int) -> Fraction:
+    """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
+    q-exponential series."""
+    return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)
+
+
 def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, int]:
     """Truncated infinite product (a; base)_inf with a certified tail bound.
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .qcore import IntegrityError, QContext, q_factorial, q_pochhammer
+from .qcore import IntegrityError, QContext, psi_weight, q_factorial, q_pochhammer
 from .fps import (
     Series,
     eq_exponential_series,
@@ -105,6 +105,11 @@ def build_family(ctx: QContext, kind: str, n_max: int) -> PolyFamilyTable:
 
 def _as_poly(c) -> SymPoly:
     return c if isinstance(c, SymPoly) else SymPoly.const(c)
+
+
+def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
+    """Cauchy product sum_k entries[n-k] coefs[k] for every n, as polynomials."""
+    return tuple(_as_poly(c) for c in (Series(entries) * Series(coefs)).coeffs)
 
 
 # -- numbers -------------------------------------------------------------------
@@ -304,32 +309,21 @@ def _check_connection_f1(ctx, n_max):
     q = ctx.q
     big = build_family(ctx, "suslov_B", n_max)
     beta = build_family(ctx, "new_beta", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            coef = (
-                q_pochhammer(-1 / ctx.sqrt_q, q, k)
-                / q_pochhammer(q, q, k)
-                * (-ctx.sqrt_q) ** k
-            )
-            rhs = rhs + big.entries[n - k] * coef
-        pairs.append((n, beta.entries[n], rhs))
-    return _report("connection_F1", n_max, pairs)
+    coefs = [
+        q_pochhammer(-1 / ctx.sqrt_q, q, k) / q_pochhammer(q, q, k) * (-ctx.sqrt_q) ** k
+        for k in range(n_max + 1)
+    ]
+    rhs = _convolve(big.entries, coefs)
+    return _report("connection_F1", n_max, zip(range(n_max + 1), beta.entries, rhs))
 
 
 def _check_connection_f2(ctx, n_max):
     q = ctx.q
     big = build_family(ctx, "suslov_B", n_max)
     beta = build_family(ctx, "new_beta", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            coef = q_pochhammer(-ctx.sqrt_q, q, k) / q_pochhammer(q, q, k)
-            rhs = rhs + beta.entries[n - k] * coef
-        pairs.append((n, big.entries[n], rhs))
-    return _report("connection_F2", n_max, pairs)
+    coefs = [q_pochhammer(-ctx.sqrt_q, q, k) / q_pochhammer(q, q, k) for k in range(n_max + 1)]
+    rhs = _convolve(beta.entries, coefs)
+    return _report("connection_F2", n_max, zip(range(n_max + 1), big.entries, rhs))
 
 
 def _check_reflection_b(ctx, n_max):
@@ -345,15 +339,9 @@ def _check_reflection_b(ctx, n_max):
 def _check_reflection_beta(ctx, n_max):
     p = ctx.sqrt_q
     beta = build_family(ctx, "new_beta", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        lhs = beta.entries[n].reflect()
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            coef = q_pochhammer(-1, p, k) / q_pochhammer(p, p, k)
-            rhs = rhs + beta.entries[n - k] * coef
-        rhs = rhs * Fraction(-1) ** n
-        pairs.append((n, lhs, rhs))
+    coefs = [q_pochhammer(-1, p, k) / q_pochhammer(p, p, k) for k in range(n_max + 1)]
+    conv = _convolve(beta.entries, coefs)
+    pairs = [(n, beta.entries[n].reflect(), conv[n] * Fraction(-1) ** n) for n in range(n_max + 1)]
     return _report("reflection_beta", n_max, pairs)
 
 
@@ -367,33 +355,20 @@ def _check_eq16(ctx, n_max):
     for k in range(n_max):
         c = s * p ** k
         phi.append(phi[-1] * SymPoly([1 + c * c, c]))
-    pairs = []
     q = ctx.q
-    for n in range(n_max + 1):
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            coef = betaq[n - k] / q_pochhammer(q, q, k)
-            rhs = rhs + phi[k] * coef
-        pairs.append((n, big.entries[n], rhs))
+    rhs = _convolve([f / q_pochhammer(q, q, k) for k, f in enumerate(phi)], betaq)
     note = (
         "stated with an extra (-1)**(n-k); the signless form is the one "
         "consistent with the value beta_n at the reflected node (detected erratum)"
     )
-    return _report("eq16", n_max, pairs, note=note)
+    return _report("eq16", n_max, zip(range(n_max + 1), big.entries, rhs), note=note)
 
 
 def _check_eq17(ctx, n_max):
     beta = build_family(ctx, "new_beta", n_max)
     betaq = build_numbers(ctx, "beta_q", n_max).values
-    q = ctx.q
-    pairs = []
-    for n in range(n_max + 1):
-        rhs = SymPoly.zero()
-        for k in range(n + 1):
-            coef = betaq[n - k] * ctx.s ** (k * k) / q_pochhammer(q, q, k)
-            rhs = rhs + special_poly(ctx, "rho", k) * coef
-        pairs.append((n, beta.entries[n], rhs))
-    return _report("eq17", n_max, pairs)
+    rhs = _convolve(eq_exponential_series(ctx, n_max + 1).coeffs, betaq)
+    return _report("eq17", n_max, zip(range(n_max + 1), beta.entries, rhs))
 
 
 def _check_eq18(ctx, n_max):
@@ -513,8 +488,6 @@ def _check_hermite_rep(ctx, n_max):
     pref = pochhammer_series(q, 2, q * q, order)
     lhs = pref * eq_exponential_series(ctx, order)
     pairs = []
-    from .fps import psi_weight
-
     for n in range(order):
         rhs = special_poly(ctx, "hermite", n) * psi_weight(ctx, n)
         pairs.append((n, _as_poly(lhs[n]), rhs))

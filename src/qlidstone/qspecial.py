@@ -194,7 +194,7 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
             return total
         if k > 2 and t == 0.0:
             return total
-    return total
+    raise RuntimeError(f"{kind} series at w = {w:.6g} did not converge in 400 terms")
 
 
 def sq_lower_bound(q: float) -> float:
@@ -205,8 +205,14 @@ def sq_lower_bound(q: float) -> float:
 
 def _scan_and_bisect(f: Callable[[float], float], lo: float, cap: float,
                      ratio: float, rel_width: float) -> Tuple[float, float, float]:
-    """First sign change of f on a geometric grid from lo, then bisection."""
+    """First sign change of f on a geometric grid from lo, then bisection.
+
+    f must be positive at lo: every series scanned here is positive just
+    right of 0, so a negative f(lo) means a zero lies below the scan start.
+    """
     a, fa = lo, f(lo)
+    if fa < 0:
+        raise ZeroSearchError(f"f(lo) = {fa:.6g} < 0 at the scan start lo = {lo:.6g}: a zero lies below it")
     x = lo
     while x < cap:
         x *= ratio
@@ -236,7 +242,7 @@ def _bisect(f, a, b, rel_width):
             a, fa = mid, fm
         else:
             b = mid
-    return a, b, 0.5 * (a + b)
+    raise ZeroSearchError(f"bisection left [{a:.6g}, {b:.6g}] wider than {rel_width:.3g} relative after 200 steps")
 
 
 def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> ZeroReport:
@@ -274,6 +280,14 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
         residual = abs(_eta_series_value(kind, q, mid))
         bound_check = True
     return ZeroReport(kind=kind, value=mid, bracket=(a, b), residual=residual, bound_check=bound_check)
+
+
+@lru_cache(maxsize=None)
+def _first_zero_cached(q: float, kind: str) -> ZeroReport:
+    """:func:`smallest_positive_zero` at its default width, memoized.  The
+    call goes through the module global so that a rebinding of that name
+    is seen."""
+    return smallest_positive_zero(kind, q)
 
 
 def _trig_eta_residual(kind: str, q: float, w: float) -> float:
@@ -346,22 +360,20 @@ def jackson_bessel_zeros(nu: float, q: float, count: int, rel_width: float = 1e-
 def _eta_series_sign_exact(ctx: QContext, kind: str, w: Fraction) -> int:
     """Certified sign of the prefactor-free eta-node series at rational w.
 
-    Terms are exact rationals; once the term ratio drops below one the
-    alternating tail is bounded by the first omitted term, so the sign of a
-    partial sum larger than that bound is rigorous.
+    Terms are exact rationals, each the previous one times the exact term
+    ratio; once that ratio drops below one the alternating tail is bounded
+    by the first omitted term, so the sign of a partial sum larger than that
+    bound is rigorous.
     """
     s = ctx.s
     q = ctx.q
     p = s * s
     w = Fraction(w)
-
-    def term(k: int) -> Fraction:
-        if kind == "Sq_eta":
-            m = 2 * k + 1
-            return s ** (4 * k * k + 2 * k) * w ** m / _pp_exact(p, m)
-        if kind == "Cq_eta":
-            m = 2 * k
-            return s ** (4 * k * k - 2 * k) * w ** m / _pp_exact(p, m)
+    if kind == "Sq_eta":
+        term = w / (1 - p)  # s**(4k**2+2k) w**(2k+1) / (p; p)_{2k+1} at k = 0
+    elif kind == "Cq_eta":
+        term = Fraction(1)  # s**(4k**2-2k) w**(2k) / (p; p)_{2k} at k = 0
+    else:
         raise ValueError(f"unknown kind {kind!r}")
 
     def ratio(k: int) -> Fraction:
@@ -370,32 +382,21 @@ def _eta_series_sign_exact(ctx: QContext, kind: str, w: Fraction) -> int:
         return q ** (2 * k) * p * w * w / ((1 - q ** k * p) * (1 - q ** (k + 1)))
 
     partial = Fraction(0)
-    k = 0
-    while True:
-        partial += (-1 if k % 2 else 1) * term(k)
+    for k in range(501):
+        partial += -term if k % 2 else term
         r = ratio(k)
-        if r < 1:
-            nxt = term(k + 1)
-            bound = nxt  # alternating, terms decreasing from here on
-            if abs(partial) > bound:
-                return 1 if partial > 0 else -1
-        k += 1
-        if k > 500:
-            raise RuntimeError("exact sign did not resolve; w may sit on the zero")
-
-
-def _pp_exact(p: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(1, m + 1):
-        out *= 1 - p ** j
-    return out
+        term *= r
+        # alternating, terms decreasing from here on: the next term bounds the tail
+        if r < 1 and abs(partial) > term:
+            return 1 if partial > 0 else -1
+    raise RuntimeError("exact sign did not resolve; w may sit on the zero")
 
 
 def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:
     """Rational approximation of the first positive zero of the eta-node
     sine ("Sq_eta") or cosine ("Cq_eta"), accurate to ~2**-steps of the
     float bracket width; used where double precision is not enough."""
-    report = smallest_positive_zero(kind, float(ctx.q))
+    report = _first_zero_cached(float(ctx.q), kind)
     lo = Fraction(report.bracket[0])
     hi = Fraction(report.bracket[1])
     # widen until the exact signs straddle (the float bracket can be off by ulps)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple, Union
 
-from .qcore import QContext, q_binomial, q_number, q_pochhammer, safe_float
+from .qcore import IntegrityError, QContext, psi_weight, q_number, q_pochhammer, safe_float
 
 PointLike = Union[str, Fraction, int]
 
@@ -189,7 +189,7 @@ class SymPoly:
 def _laurent_to_sym(lo: int, coeffs: Sequence[Fraction]) -> SymPoly:
     """Convert a plain Laurent polynomial sum coeffs[i] z**(lo+i) to SymPoly.
 
-    The input must be invariant under z -> 1/z; asserted exactly.
+    The input must be invariant under z -> 1/z; checked exactly.
     """
     hi = lo + len(coeffs) - 1
     d = max(abs(lo), abs(hi))
@@ -203,7 +203,7 @@ def _laurent_to_sym(lo: int, coeffs: Sequence[Fraction]) -> SymPoly:
         e = lo + i
         mirror = coeffs[(-e) - lo] if lo <= -e <= hi else Fraction(0)
         if c != mirror:
-            raise AssertionError("Laurent polynomial is not z <-> 1/z symmetric")
+            raise IntegrityError("Laurent polynomial is not z <-> 1/z symmetric")
     return SymPoly(out)
 
 
@@ -384,7 +384,7 @@ def change_basis(ctx: QContext, p: SymPoly, target: str) -> Tuple[Fraction, ...]
         out[n] = a
         rem = rem - member * a
     if not rem.is_constant():
-        raise AssertionError("back-substitution left a non-constant remainder")
+        raise IntegrityError("back-substitution left a non-constant remainder")
     out[0] = rem.coeffs[0]
     return tuple(out)
 
@@ -407,22 +407,16 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     """Translation operator E_q^y, exact for exactly evaluable y.
 
-    Defined on the q-Hermite basis by
-    E_q^y H_n = sum_m [n choose m]_q H_m g_{n-m}(y) q**((m**2-n**2)/4)
-    and extended to all polynomials by linearity.
+    Fixed by E_q^y E(x; w) = E(x; w) E(y; w) on the q-exponential
+    E(x; w) = sum_n psi_n rho_n(x) w**n, psi_n = q**(n**2/4)/(q;q)_n, which
+    on the rho basis reads
+    E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n * rho_k(x) rho_{n-k}(y)
+    and extends to all polynomials by linearity.
     """
-    h = change_basis(ctx, p, "hermite")
-    d = len(h) - 1
-    s = ctx.s
-    q = ctx.q
-    gvals = [eval_at(ctx, special_poly(ctx, "g", j), y) for j in range(d + 1)]
-    out_h = [Fraction(0)] * (d + 1)
-    for n in range(d + 1):
-        if h[n] == 0:
-            continue
-        for m in range(n + 1):
-            g = gvals[n - m]
-            if g == 0:
-                continue
-            out_h[m] += h[n] * q_binomial(n, m, q) * g * s ** (m * m - n * n)
-    return poly_from_basis(ctx, "hermite", out_h)
+    # with p = sum_n r_n rho_n: out_k = psi_k sum_j (r_{k+j}/psi_{k+j}) psi_j rho_j(y)
+    r = change_basis(ctx, p, "rho")
+    psi = [psi_weight(ctx, n) for n in range(len(r))]
+    u = [rn / pn for rn, pn in zip(r, psi)]
+    e = [pj * eval_at(ctx, special_poly(ctx, "rho", j), y) for j, pj in enumerate(psi)]
+    out = [psi[k] * sum(u[k + j] * e[j] for j in range(len(r) - k)) for k in range(len(r))]
+    return poly_from_basis(ctx, "rho", out)

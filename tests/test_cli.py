@@ -1,9 +1,13 @@
 import json
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 from qlidstone import cli
-from qlidstone.qpolys import IdentityReport
+from qlidstone.qcore import QContext
+from qlidstone.qpolys import IdentityReport, build_family, build_numbers
 
 
 def run(capsys, *argv):
@@ -158,3 +162,41 @@ def test_lidstone_basis_command(capsys):
     assert len(doc["entries"]) == 4
     # A_0 = x / eta: symmetric-Laurent coefficients (0, 1/(2 eta)) = (0, 2/5)
     assert doc["entries"][0]["coeffs"] == ["0/1", "2/5"]
+
+
+@contextmanager
+def _no_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_numbers_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "numbers", "--kind", "suslov-b", "--s", "9999/10000", "--order", "40")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    values = build_numbers(QContext(Fraction(9999, 10000)), "suslov_Bq", 40).values
+    with _no_int_digit_limit():
+        rows = [row for row in json.loads(out)["rows"] if len(str(abs(row[1]))) > 4300]
+        assert rows
+        for n, num, den in rows:
+            assert Fraction(num, den) == values[n]
+
+
+def test_polys_past_the_int_digit_limit(capsys):
+    code, out = run(capsys, "polys", "--family", "suslov-b", "--s", "9999/10000", "--order", "28")
+    assert code == 0
+    entries = build_family(QContext(Fraction(9999, 10000)), "suslov_B", 28).entries
+    with _no_int_digit_limit():
+        pairs = [
+            (text, c)
+            for entry, poly in zip(json.loads(out)["entries"], entries)
+            for text, c in zip(entry["coeffs"], poly.coeffs)
+        ]
+        assert any(len(text.split("/")[0].lstrip("-")) > 4300 for text, _ in pairs)
+        for text, c in pairs:
+            assert Fraction(text) == c

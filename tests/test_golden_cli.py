@@ -103,6 +103,13 @@ GOLDEN = [
      "2a998ab7d130f0692558bc6b5effe7b88ca12c30e73b006396c1de1d47bffd6f"),
     ("guichard --preset alsalam-half --p 2 --growth-order 12 --format text", 0,
      "d70e4cdc11e5af56a3b2deadeb777d0de2a6814d693b8baa413febfe985fe168"),
+    # the identity checks rebuilt on the q-exponential product and Series arithmetic
+    ("identities --all --s 17/29 --order 12", 0,
+     "5d54c26fbd6f6172ea453c3355375ea85c7b5486c585e29b60fd9ddf06d4c9cf"),
+    ("identities --name translation_E --s 2/3 --order 10 --format text", 0,
+     "66545b76727e58d8492922639764bd4962e574649565f29ecd43931d7d8acfb7"),
+    ("identities --name eq16 --s 5/7 --order 10", 0,
+     "bdf59aba504d8b7e7c0a8de7a26d9569dbfe729f761f2b366f7074f1611fc3e2"),
 ]
 
 

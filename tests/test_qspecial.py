@@ -2,11 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import eta_series_sign_termwise
 from qlidstone.qcore import QContext, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import eval_at
 from qlidstone.qspecial import (
+    ZeroSearchError,
+    _bisect,
     _eta_series_sign_exact,
     _eta_series_value,
     basic_trig,
@@ -161,3 +165,44 @@ def test_refine_zero_exact_agrees_with_float(ctx):
     eps = Fraction(1, 10 ** 15)
     assert _eta_series_sign_exact(ctx, "Sq_eta", w - eps) > 0
     assert _eta_series_sign_exact(ctx, "Sq_eta", w + eps) < 0
+
+
+# -- failing loudly ------------------------------------------------------------
+
+
+def test_scan_rejects_a_zero_below_its_start():
+    # at q = 0.999 the first cosine zero (~7.9e-4) lies below lo = 1e-3 q,
+    # where the series is already negative; the scan used to return the second zero
+    with pytest.raises(ZeroSearchError, match="below"):
+        smallest_positive_zero("Cq_eta", 0.999)
+    assert smallest_positive_zero("Cq_eta", 0.998).value > 0
+
+
+def test_bisect_raises_when_steps_run_out():
+    with pytest.raises(ZeroSearchError, match="200 steps"):
+        _bisect(lambda x: x - 1e-300, 0.0, 1.0, 1e-13)
+
+
+def test_eta_series_raises_when_terms_run_out():
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _eta_series_value("Sinq", 0.998, 1000.0)
+
+
+# -- the exact sign certificate -------------------------------------------------
+
+positive_w = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(4), max_denominator=10 ** 6)
+sign_ctx = st.sampled_from([QContext(Fraction(1, 2)), QContext(Fraction(3, 5))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sign_ctx, st.sampled_from(["Sq_eta", "Cq_eta"]), positive_w)
+def test_exact_sign_matches_termwise_oracle(ctx, kind, w):
+    assert _eta_series_sign_exact(ctx, kind, w) == eta_series_sign_termwise(ctx, kind, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sign_ctx, st.sampled_from(["Sq_eta", "Cq_eta"]), positive_w)
+def test_exact_sign_matches_float_series(ctx, kind, w):
+    value = _eta_series_value(kind, float(ctx.q), float(w))
+    assume(abs(value) > 1e-6)
+    assert _eta_series_sign_exact(ctx, kind, w) == (1 if value > 0 else -1)

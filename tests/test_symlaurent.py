@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlidstone.qcore import QContext, q_number
+from oracles import q_translate_hermite
+from qlidstone.qcore import IntegrityError, QContext, q_number
 from qlidstone.symlaurent import (
     SymPoly,
+    _laurent_to_sym,
     aw_derivative,
     change_basis,
     eval_at,
@@ -178,6 +180,23 @@ def test_translate_linearity(a, b, alpha, beta):
     lhs = q_translate(ctx, pa * alpha + pb * beta, "minus_eta")
     rhs = q_translate(ctx, pa, "minus_eta") * alpha + q_translate(ctx, pb, "minus_eta") * beta
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeff_lists,
+    st.sampled_from([Fraction(1, 2), Fraction(17, 29)]),
+    st.one_of(st.sampled_from(["zero", "eta", "minus_eta"]), small_fracs),
+)
+def test_translate_matches_hermite_oracle(coeffs, s, y):
+    ctx = QContext(s)
+    p = SymPoly(coeffs)
+    assert q_translate(ctx, p, y) == q_translate_hermite(ctx, p, y)
+
+
+def test_asymmetric_laurent_input_is_an_integrity_error():
+    with pytest.raises(IntegrityError):
+        _laurent_to_sym(0, [1, 1])
 
 
 def test_reflection():
