@@ -234,7 +234,7 @@ def _cmd_zeros(args) -> int:
         raise SystemExit2(f"--qfloat must lie in (0, 1), got {args.qfloat}")
     try:
         report = qspecial.smallest_positive_zero(kind, args.qfloat)
-    except qspecial.ZeroSearchError as exc:
+    except RuntimeError as exc:  # ZeroSearchError, or a float loop that ran out near q = 1
         raise SystemExit2(str(exc))
     payload = {"command": "zeros", "q": args.qfloat, "report": report}
     _emit(render_report(payload, args.format), args.output)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qcore import IntegrityError, q_binomial, q_factorial, q_number, q_pochhammer, safe_float
+from .qcore import IntegrityError, q_factorial, q_number, q_pochhammer, safe_float, translate_coeffs
 
 ZPoly = Tuple[Fraction, ...]
 
@@ -71,18 +71,14 @@ def _as_zpoly(h: Sequence) -> ZPoly:
 
 
 def dotplus_translate(h: Sequence, d: DeltaSeq) -> ZPoly:
-    """T applied to the polynomial with coefficients h (constant first)."""
+    """T applied to the polynomial with coefficients h (constant first),
+    as the weighted correlation with delta on the basis z**n / [n]_p!."""
     h = _as_zpoly(h)
     deg = len(h) - 1
     if deg > d.capacity:
         raise CapacityError(f"delta sequence holds {d.capacity + 1} terms, need {deg + 1}")
-    out = [Fraction(0)] * len(h)
-    for n, a in enumerate(h):
-        if a == 0:
-            continue
-        for k in range(n + 1):
-            out[n - k] += a * q_binomial(n, k, d.p) * d.delta[k]
-    return _trim(out)
+    weights = [1 / q_factorial(n, d.p) for n in range(deg + 1)]
+    return _trim(list(translate_coeffs(h, weights, d.delta)))
 
 
 def p_derivative(h: Sequence, p: Fraction, k: int = 1) -> ZPoly:
@@ -123,9 +119,10 @@ def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly,
     """
     numbers = bp_numbers(d, n_max)
     p = d.p
+    fact = [q_factorial(k, p) for k in range(n_max + 1)]
     polys = []
     for n in range(n_max + 1):
-        coeffs = [q_binomial(n, k, p) * numbers[n - k] for k in range(n + 1)]
+        coeffs = [fact[n] / (fact[k] * fact[n - k]) * numbers[n - k] for k in range(n + 1)]
         polys.append(_trim(coeffs))
     if verify:
         for n in range(1, n_max + 1):

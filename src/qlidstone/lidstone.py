@@ -2,10 +2,10 @@
 
 A function enters either as an exact polynomial or as a stream of
 rho-basis coefficients f_k (so truncations of the basic sine/cosine are
-representable).  Boundary data are produced by exact repeated application
-of the divided-difference operator followed by evaluation at the two nodes
-0 and eta.  The Bernoulli-type engine consumes even-order data at both
-nodes; the Euler-type engine odd data at 0 and even data at eta.
+representable).  Boundary data at the two nodes 0 and eta are read off
+the rho coefficients by the q-Taylor identity (see :func:`aw_boundary_data`).
+The Bernoulli-type engine consumes even-order data at both nodes; the
+Euler-type engine odd data at 0 and even data at eta.
 
 The assembled expansions are
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from .qcore import QContext, psi_weight, q_pochhammer, safe_float
-from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, eval_float, poly_from_basis, special_poly
+from .symlaurent import SymPoly, change_basis, eval_float, poly_from_basis, rho_translate, special_poly
 from .qpolys import build_family
 from . import qspecial
 
@@ -123,7 +123,9 @@ def rho_expand(ctx: QContext, f: EntireFn) -> Tuple[Tuple[Fraction, ...], float]
 
 
 def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
-    """Boundary data by repeated exact divided differences.
+    """Boundary data by the q-Taylor identity D^k f(y) = c**k [rho_k](E_q^y f) / psi_k,
+    c = ``ctx.aw_scale``, which D rho_n = c psi_{n-1}/psi_n rho_{n-1} gives.  E_q^0
+    is the identity, so the data at 0 are read off the stream itself.
 
     ``bernoulli``: (D^{2k}f(0), D^{2k}f(eta)) for k = 0..K.
     ``euler``:     (D^{2k+1}f(0), D^{2k}f(eta)) for k = 0..K.
@@ -132,23 +134,14 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
         raise ValueError("scheme must be 'bernoulli' or 'euler'")
     if K < 0:
         raise ValueError("K must be >= 0")
-    p = f.to_poly(ctx)
-    data0, data_eta = [], []
-    cur = p
-    order = 0
-    max_order = 2 * K + (1 if scheme == "euler" else 0)
-    while True:
-        if order % 2 == 0:
-            data_eta.append(eval_at(ctx, cur, "eta"))
-            if scheme == "bernoulli":
-                data0.append(eval_at(ctx, cur, "zero"))
-        elif scheme == "euler":
-            data0.append(eval_at(ctx, cur, "zero"))
-        if order == max_order:
-            break
-        cur = aw_derivative(ctx, cur) if not cur.is_zero() else cur
-        order += 1
-    return tuple(data0), tuple(data_eta)
+
+    def data(coeffs, k):  # orders past the end of the stream are exactly 0
+        return ctx.aw_scale ** k * coeffs[k] / psi_weight(ctx, k) if k < len(coeffs) else Fraction(0)
+
+    first = 0 if scheme == "bernoulli" else 1
+    at_eta = rho_translate(ctx, f.stream, "eta")
+    return (tuple(data(f.stream, 2 * k + first) for k in range(K + 1)),
+            tuple(data(at_eta, 2 * k) for k in range(K + 1)))
 
 
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -135,6 +135,16 @@ def psi_weight(ctx: QContext, n: int) -> Fraction:
     """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
     q-exponential series."""
     return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)
+
+
+def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence) -> Tuple[Fraction, ...]:
+    """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j: the coefficients of a
+    translate on a basis b_n whose generating function sum_n w_n b_n t**n the
+    translation multiplies by sum_n w_n v_n t**n; c are those of f."""
+    u = [c / w for c, w in zip(coeffs, weights)]
+    e = [w * v for w, v in zip(weights, values)]
+    n = len(u)
+    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0)) for k in range(n))
 
 
 def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, int]:

@@ -241,14 +241,17 @@ def hermite_from_bernoulli(ctx: QContext, n: int) -> SymPoly:
     """Rebuild H_n(x|q) from the Suslov Bernoulli family via
     H_n = 2 q**(-n**2/4) (q;q)_n sum_k q**(k**2+k/2) B_{n-2k} / (p; p)_{2k+1},
     p = sqrt(q).  Must equal the explicit Hermite polynomial exactly."""
+    return _hermite_from_bernoulli_table(ctx, n)[n]
+
+
+def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, ...]:
+    # the sum over k is one Cauchy product of B with w, w_{2k} = q**(k**2+k/2)/(p; p)_{2k+1}
     s, q = ctx.s, ctx.q
     p = s * s
-    fam = build_family(ctx, "suslov_B", n)
-    acc = SymPoly.zero()
-    for k in range(n // 2 + 1):
-        w = s ** (4 * k * k + 2 * k) / q_pochhammer(p, p, 2 * k + 1)
-        acc = acc + fam.entries[n - 2 * k] * w
-    return acc * (2 * s ** (-n * n) * q_pochhammer(q, q, n))
+    fam = build_family(ctx, "suslov_B", n_max)
+    w = [s ** (n * n + n) / q_pochhammer(p, p, n + 1) if n % 2 == 0 else 0 for n in range(n_max + 1)]
+    conv = _convolve(fam.entries, w)
+    return tuple(h * (2 * s ** (-n * n) * q_pochhammer(q, q, n)) for n, h in enumerate(conv))
 
 
 # -- identity registry ---------------------------------------------------------
@@ -372,10 +375,8 @@ def _check_eq17(ctx, n_max):
 
 
 def _check_eq18(ctx, n_max):
-    pairs = []
-    for n in range(n_max + 1):
-        pairs.append((n, special_poly(ctx, "hermite", n), hermite_from_bernoulli(ctx, n)))
-    return _report("eq18", n_max, pairs)
+    rebuilt = _hermite_from_bernoulli_table(ctx, n_max)
+    return _report("eq18", n_max, [(n, special_poly(ctx, "hermite", n), rebuilt[n]) for n in range(n_max + 1)])
 
 
 def _check_q_square(ctx, n_max):

@@ -188,7 +188,11 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
     term = _eta_series_terms(kind, q)
     total = 0.0
     for k in range(0, 400):
-        t = (-1.0) ** k * term(w, k)
+        try:
+            t = (-1.0) ** k * term(w, k)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ZeroSearchError(
+                f"{kind} series at q = {q:.6g}, w = {w:.6g} leaves the float range at term {k}") from exc
         total += t
         if k > 1 and abs(t) < 1e-17 * max(1e-300, abs(total)):
             return total
@@ -249,8 +253,9 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
     """Locate the first positive zero of the sine/cosine series at the eta
     node (kinds "Sq_eta", "Cq_eta") or of the q-sine built on E_q ("Sinq").
 
-    The scan starts at the positivity bound for "Sq_eta" and at a small
-    epsilon otherwise, runs at ratio 1.05 (re-checked at 1.01 so a single
+    The scan starts at the positivity bound for "Sq_eta", below the point
+    where the first term ratio of "Cq_eta" reaches 1, and at a small epsilon
+    for "Sinq"; it runs at ratio 1.05 (re-checked at 1.01 so a single
     coarse step cannot straddle two zeros), and is capped by the m = 3
     asymptotic estimate.
     """
@@ -259,7 +264,9 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
         lo = math.sqrt(sq_lower_bound(q)) * (1 - 1e-12)
         cap = hayman_zero_estimate(3, 0.5, q) / 2.0
     elif kind == "Cq_eta":
-        lo = 1e-3 * q
+        # below sqrt((1-p)(1-q)/p), p = sqrt(q), every term ratio is under 1 and the series positive
+        p = math.sqrt(q)
+        lo = min(1e-3 * q, math.sqrt((1 - p) * (1 - q) / p) * (1 - 1e-12))
         cap = hayman_zero_estimate(3, -0.5, q) / 2.0
     elif kind == "Sinq":
         lo = 1e-3

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple, Union
 
-from .qcore import IntegrityError, QContext, psi_weight, q_number, q_pochhammer, safe_float
+from .qcore import IntegrityError, QContext, psi_weight, q_number, q_pochhammer, safe_float, translate_coeffs
 
 PointLike = Union[str, Fraction, int]
 
@@ -186,46 +186,16 @@ class SymPoly:
 # -- special families ---------------------------------------------------------
 
 
-def _laurent_to_sym(lo: int, coeffs: Sequence[Fraction]) -> SymPoly:
-    """Convert a plain Laurent polynomial sum coeffs[i] z**(lo+i) to SymPoly.
-
-    The input must be invariant under z -> 1/z; checked exactly.
-    """
-    hi = lo + len(coeffs) - 1
-    d = max(abs(lo), abs(hi))
-    out = [Fraction(0)] * (d + 1)
-    for i, c in enumerate(coeffs):
-        e = lo + i
-        if e < 0:
-            continue
-        out[e] += c
-    for i, c in enumerate(coeffs):
-        e = lo + i
-        mirror = coeffs[(-e) - lo] if lo <= -e <= hi else Fraction(0)
-        if c != mirror:
-            raise IntegrityError("Laurent polynomial is not z <-> 1/z symmetric")
-    return SymPoly(out)
-
-
 @lru_cache(maxsize=None)
 def _rho_cached(s: Fraction, n: int) -> SymPoly:
-    if n == 0:
-        return SymPoly.const(1)
+    # rho_n = z**-n (1 + z**2) prod_{k=0}^{n-2} (1 + q**(2-n+2k) z**2); the outer
+    # exponents pair off as +-(n-2), so rho_n = rho_{n-2} (q**(n-2) + q**(2-n) + z**2 + z**-2)
+    if n < 2:
+        return SymPoly([1] if n == 0 else [0, 1])
     q = s ** 4
-    # (1 + z**2) * prod_{k=0}^{n-2} (1 + q**(2-n) q**(2k) z**2), then * z**-n.
-    poly = {0: Fraction(1), 2: Fraction(1)}
-    factor = q ** (2 - n)
-    for _ in range(n - 1):
-        new = {}
-        for e, c in poly.items():
-            new[e] = new.get(e, Fraction(0)) + c
-            new[e + 2] = new.get(e + 2, Fraction(0)) + c * factor
-        poly = new
-        factor *= q ** 2
-    lo = -n
-    hi = max(poly) - n
-    coeffs = [poly.get(e + n, Fraction(0)) for e in range(lo, hi + 1)]
-    return _laurent_to_sym(lo, coeffs)
+    for m in range(n % 2 + 2, n - 1, 2):  # fill the cache upward: a cold high n never recurses deeply
+        _rho_cached(s, m)
+    return _rho_cached(s, n - 2) * SymPoly([q ** (n - 2) + q ** (2 - n), 0, 1])
 
 
 @lru_cache(maxsize=None)
@@ -404,6 +374,13 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
 # -- q-translation ---------------------------------------------------------------
 
 
+def rho_translate(ctx: QContext, r: Sequence, y: PointLike) -> Tuple[Fraction, ...]:
+    """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product
+    formula below; exact for exactly evaluable y."""
+    psi = [psi_weight(ctx, n) for n in range(len(r))]
+    return translate_coeffs(r, psi, [eval_at(ctx, special_poly(ctx, "rho", j), y) for j in range(len(r))])
+
+
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     """Translation operator E_q^y, exact for exactly evaluable y.
 
@@ -413,10 +390,4 @@ def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n * rho_k(x) rho_{n-k}(y)
     and extends to all polynomials by linearity.
     """
-    # with p = sum_n r_n rho_n: out_k = psi_k sum_j (r_{k+j}/psi_{k+j}) psi_j rho_j(y)
-    r = change_basis(ctx, p, "rho")
-    psi = [psi_weight(ctx, n) for n in range(len(r))]
-    u = [rn / pn for rn, pn in zip(r, psi)]
-    e = [pj * eval_at(ctx, special_poly(ctx, "rho", j), y) for j, pj in enumerate(psi)]
-    out = [psi[k] * sum(u[k + j] * e[j] for j in range(len(r) - k)) for k in range(len(r))]
-    return poly_from_basis(ctx, "rho", out)
+    return poly_from_basis(ctx, "rho", rho_translate(ctx, change_basis(ctx, p, "rho"), y))

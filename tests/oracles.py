@@ -6,8 +6,8 @@ with them exactly.
 
 from fractions import Fraction
 
-from qlidstone.qcore import q_binomial
-from qlidstone.symlaurent import change_basis, eval_at, poly_from_basis, special_poly
+from qlidstone.qcore import IntegrityError, q_binomial
+from qlidstone.symlaurent import SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, special_poly
 
 
 def q_translate_hermite(ctx, p, y):
@@ -67,3 +67,56 @@ def eta_series_sign_termwise(ctx, kind, w):
             if abs(partial) > bound:
                 return 1 if partial > 0 else -1
     raise RuntimeError("exact sign did not resolve; w may sit on the zero")
+
+
+def rho_laurent_product(s, n):
+    """rho_n multiplied out as the plain Laurent polynomial
+    z**-n (1 + z**2) prod_{k=0}^{n-2} (1 + q**(2-n+2k) z**2), with its
+    z <-> 1/z symmetry checked exactly before folding."""
+    if n == 0:
+        return SymPoly.const(1)
+    q = s ** 4
+    poly = {0: Fraction(1), 2: Fraction(1)}
+    factor = q ** (2 - n)
+    for _ in range(n - 1):
+        new = {}
+        for e, c in poly.items():
+            new[e] = new.get(e, Fraction(0)) + c
+            new[e + 2] = new.get(e + 2, Fraction(0)) + c * factor
+        poly = new
+        factor *= q ** 2
+    out = [Fraction(0)] * (n + 1)
+    for e, c in poly.items():
+        if poly.get(2 * n - e, Fraction(0)) != c:
+            raise IntegrityError("Laurent polynomial is not z <-> 1/z symmetric")
+        if e >= n:
+            out[e - n] += c
+    return SymPoly(out)
+
+
+def aw_boundary_data_iterated(ctx, stream, K, scheme):
+    """Boundary data by applying the divided-difference operator 2K (+1)
+    times to the assembled polynomial and evaluating at both nodes."""
+    cur = poly_from_basis(ctx, "rho", stream)
+    data0, data_eta = [], []
+    max_order = 2 * K + (1 if scheme == "euler" else 0)
+    for order in range(max_order + 1):
+        if order % 2 == 0:
+            data_eta.append(eval_at(ctx, cur, "eta"))
+        if (order % 2 == 0) == (scheme == "bernoulli"):
+            data0.append(eval_at(ctx, cur, "zero"))
+        if not cur.is_zero():
+            cur = aw_derivative(ctx, cur)
+    return tuple(data0), tuple(data_eta)
+
+
+def dotplus_translate_binomial(h, d):
+    """T z**n = sum_k [n choose k]_p z**(n-k) delta_k, term by term, with
+    trailing zeros trimmed."""
+    out = [Fraction(0)] * len(h)
+    for n, a in enumerate(h):
+        for k in range(n + 1):
+            out[n - k] += a * q_binomial(n, k, d.p) * d.delta[k]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)

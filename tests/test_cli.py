@@ -129,6 +129,16 @@ def test_usage_errors_exit_2(capsys):
         assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_zeros_near_q_one_exit_2(capsys):
+    # the residual's product needs more than 100000 factors at q = 0.9999
+    with pytest.raises(SystemExit) as err:
+        cli.main(["zeros", "--kind", "sq-eta", "--qfloat", "0.9999"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tail bound did not converge" in captured.err
+
+
 def test_q_flag_fourth_power(capsys):
     code, out = run(capsys, "numbers", "--kind", "beta", "--q", "1/16", "--order", "2", "--format", "csv")
     assert code == 0

@@ -110,6 +110,14 @@ GOLDEN = [
      "66545b76727e58d8492922639764bd4962e574649565f29ecd43931d7d8acfb7"),
     ("identities --name eq16 --s 5/7 --order 10", 0,
      "bdf59aba504d8b7e7c0a8de7a26d9569dbfe729f761f2b366f7074f1611fc3e2"),
+    # one translation kernel: rho by its recurrence, boundary data by the q-Taylor identity,
+    # guichard's T as a weighted correlation
+    ("polys --family rho --s 17/29 --order 20", 0,
+     "f8cea9dd18721183331fc498695d2b2d5ffb76081c94774347858fbfebf7c45b"),
+    ("expand --kind bernoulli --fn stream:@coeffs.json --K 6 --s 11/23", 0,
+     "023a5275eaf0d4119526eac389dcdd0a4ae74c94b881c1081e7cd37df1624f59"),
+    ("guichard --preset ones --p 3 --coeffs coeffs.json", 0,
+     "ea4e24a229340f61d0b2c1ba2ba63fb1eb05457b230c84f9bcc2047c58c18fa5"),
 ]
 
 

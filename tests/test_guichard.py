@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dotplus_translate_binomial
 from qlidstone.qcore import q_factorial, q_number
 from qlidstone.fps import Series
 from qlidstone.qpolys import im_bernoulli_numbers
@@ -53,6 +54,14 @@ def test_translate_capacity_error():
     d = DeltaSeq.ones(Fraction(1, 4), 2)
     with pytest.raises(CapacityError):
         dotplus_translate([0, 0, 0, 1], d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(4)]),
+       st.lists(fracs, min_size=1, max_size=9), st.lists(fracs, min_size=8, max_size=8))
+def test_translate_matches_binomial_oracle(p, h, tail):
+    d = DeltaSeq.custom(p, [Fraction(1)] + tail)
+    assert dotplus_translate(h, d) == dotplus_translate_binomial(h, d)
 
 
 def test_p_derivative():

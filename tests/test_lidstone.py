@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import aw_boundary_data_iterated
 from qlidstone.qcore import QContext, q_factorial, q_pochhammer
 from qlidstone.lidstone import (
     DEFAULT_GRID,
@@ -98,6 +100,17 @@ def test_even_function_has_zero_odd_data(ctx_half):
     f = trig_rho_stream(ctx_half, "E_even", Fraction(1, 4), 12)
     od0, _ = aw_boundary_data(ctx_half, f, 3, "euler")
     assert all(v == 0 for v in od0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(17, 29)]),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=50), min_size=1, max_size=12),
+       st.integers(0, 7), st.sampled_from(["bernoulli", "euler"]))
+def test_boundary_data_match_iterated_oracle(s, stream, K, scheme):
+    ctx = QContext(s)
+    got = aw_boundary_data(ctx, EntireFn.from_stream(stream), K, scheme)
+    assert got == aw_boundary_data_iterated(ctx, stream, K, scheme)
+    assert all(isinstance(v, Fraction) for v in got[0] + got[1])  # rendered as "num/den", also past the stream
 
 
 # -- expansions -------------------------------------------------------------------

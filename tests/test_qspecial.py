@@ -11,6 +11,7 @@ from qlidstone.symlaurent import eval_at
 from qlidstone.qspecial import (
     ZeroSearchError,
     _bisect,
+    _scan_and_bisect,
     _eta_series_sign_exact,
     _eta_series_value,
     basic_trig,
@@ -171,11 +172,20 @@ def test_refine_zero_exact_agrees_with_float(ctx):
 
 
 def test_scan_rejects_a_zero_below_its_start():
-    # at q = 0.999 the first cosine zero (~7.9e-4) lies below lo = 1e-3 q,
-    # where the series is already negative; the scan used to return the second zero
+    # at q = 0.999 the first cosine zero (~7.9e-4) lies below 1e-3 q, where
+    # the series is already negative; a scan from there would find the second zero
     with pytest.raises(ZeroSearchError, match="below"):
-        smallest_positive_zero("Cq_eta", 0.999)
+        _scan_and_bisect(lambda w: _eta_series_value("Cq_eta", 0.999, w), 1e-3 * 0.999, 1.0, 1.05, 1e-13)
     assert smallest_positive_zero("Cq_eta", 0.998).value > 0
+    # the scan start derived from q sits below that zero
+    assert smallest_positive_zero("Cq_eta", 0.999).value == pytest.approx(7.8559e-4, rel=1e-4)
+    assert smallest_positive_zero("Cq_eta", 0.9995).value == pytest.approx(3.9275e-4, rel=1e-4)
+
+
+@pytest.mark.parametrize("kind,q,w", [("Cq_eta", 0.999, 0.5), ("Sq_eta", 0.99, 10.0)])
+def test_eta_series_outside_the_float_range_is_a_search_error(kind, q, w):
+    with pytest.raises(ZeroSearchError, match=f"{kind} series at q = {q:.6g}, w = {w:.6g}"):
+        _eta_series_value(kind, q, w)
 
 
 def test_bisect_raises_when_steps_run_out():

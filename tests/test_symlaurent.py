@@ -1,13 +1,13 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import q_translate_hermite
-from qlidstone.qcore import IntegrityError, QContext, q_number
+from oracles import q_translate_hermite, rho_laurent_product
+from qlidstone.qcore import QContext, q_number
 from qlidstone.symlaurent import (
     SymPoly,
-    _laurent_to_sym,
     aw_derivative,
     change_basis,
     eval_at,
@@ -194,9 +194,23 @@ def test_translate_matches_hermite_oracle(coeffs, s, y):
     assert q_translate(ctx, p, y) == q_translate_hermite(ctx, p, y)
 
 
-def test_asymmetric_laurent_input_is_an_integrity_error():
-    with pytest.raises(IntegrityError):
-        _laurent_to_sym(0, [1, 1])
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29), Fraction(9, 10)]), st.integers(0, 30))
+def test_rho_matches_laurent_product_oracle(s, n):
+    assert special_poly(QContext(s), "rho", n) == rho_laurent_product(s, n)
+
+
+def test_cold_rho_does_not_recurse_deeply():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)  # a recursion on n would need n/2 = 40 levels
+    try:
+        rho = special_poly(QContext(Fraction(1, 3)), "rho", 80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rho.degree == 80 and rho.coeffs[-1] == 1
 
 
 def test_reflection():
