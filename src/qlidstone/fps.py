@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .qcore import QContext, psi_weight
+from .qcore import QContext, psi_weight, psi_weights  # psi_weight: still importable from here
 from .symlaurent import SymPoly, _coerce, special_poly
 
 
@@ -179,4 +179,4 @@ def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -
 def eq_exponential_series(ctx: QContext, order: int) -> Series:
     """The q-exponential as a series in w with rho-polynomial coefficients:
     coefficient n is q**(n**2/4)/(q;q)_n * rho_n(x)."""
-    return Series([special_poly(ctx, "rho", n) * psi_weight(ctx, n) for n in range(order)])
+    return Series([special_poly(ctx, "rho", n) * psi for n, psi in enumerate(psi_weights(ctx, order))])

@@ -17,6 +17,11 @@ with c = 2 q**(1/4)/(1-q), the eigenvalue scale of the operator on the
 q-exponential.  With that scale both expansions reproduce polynomials
 exactly at K = ceil(deg/2), which is the property the test suite pins.
 
+Every family has the generating function G(w) E(x; w) with a scalar
+series G (:func:`qpolys.family_multiplier`), so its entry n is
+sum_j G_{n-j} psi_j rho_j.  The reconstruction is therefore collected as
+rho coefficients and assembled once; no family table is built.
+
 For entire functions given as streams the reports carry a growth statistic
 tau (the n-th root of |f_n| normalized by the q-exponential coefficients)
 and the convergence cap min(1, first positive zero of the sine/cosine at
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, psi_weight, q_pochhammer, safe_float
+from .qcore import QContext, psi_weights, q_pochhammer, safe_float
 from .symlaurent import SymPoly, change_basis, eval_float, poly_from_basis, rho_translate, special_poly
-from .qpolys import build_family
+from .qpolys import family_multiplier
 from . import qspecial
 
 Number = Union[Fraction, float]
@@ -111,10 +116,10 @@ def rho_expand(ctx: QContext, f: EntireFn) -> Tuple[Tuple[Fraction, ...], float]
     if f.polynomial:
         return stream, 0.0
     stats = []
-    for n, fn in enumerate(stream):
+    for n, (fn, psi) in enumerate(zip(stream, psi_weights(ctx, len(stream)))):
         if n == 0 or fn == 0:
             continue
-        cn = abs(safe_float(fn / psi_weight(ctx, n)))
+        cn = abs(safe_float(fn / psi))
         if cn > 0:
             stats.append(cn ** (1.0 / n))
     if not stats:
@@ -135,8 +140,10 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
     if K < 0:
         raise ValueError("K must be >= 0")
 
+    psi = psi_weights(ctx, 2 * K + 2)
+
     def data(coeffs, k):  # orders past the end of the stream are exactly 0
-        return ctx.aw_scale ** k * coeffs[k] / psi_weight(ctx, k) if k < len(coeffs) else Fraction(0)
+        return ctx.aw_scale ** k * coeffs[k] / psi[k] if k < len(coeffs) else Fraction(0)
 
     first = 0 if scheme == "bernoulli" else 1
     at_eta = rho_translate(ctx, f.stream, "eta")
@@ -156,14 +163,12 @@ def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,
                         grid: Sequence = DEFAULT_GRID) -> ExpansionReport:
     """Two-point expansion over the odd Bernoulli-family polynomials."""
     data0, data_eta = aw_boundary_data(ctx, f, K, "bernoulli")
-    big = build_family(ctx, "suslov_B", 2 * K + 1)
-    beta = build_family(ctx, "new_beta", 2 * K + 1)
     c = ctx.aw_scale
-    recon = SymPoly.zero()
+    terms = []
     for k in range(K + 1):
         weight = 2 * c ** (-2 * k)
-        term = big.entries[2 * k + 1] * (weight * data_eta[k]) - beta.entries[2 * k + 1] * (weight * data0[k])
-        recon = recon + term
+        terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
+    recon = _family_combination(ctx, terms, 2 * K + 2)
     return _finish_report(ctx, f, "bernoulli", K, data0, data_eta, recon, grid, "Sq_eta")
 
 
@@ -171,14 +176,30 @@ def euler_expansion(ctx: QContext, f: EntireFn, K: int,
                     grid: Sequence = DEFAULT_GRID) -> ExpansionReport:
     """Two-point expansion over the Euler families (odd data at zero)."""
     data0, data_eta = aw_boundary_data(ctx, f, K, "euler")
-    tilde = build_family(ctx, "new_E", 2 * K + 1)
-    se = build_family(ctx, "suslov_E", 2 * K)
     c = ctx.aw_scale
-    recon = SymPoly.zero()
+    terms = []
     for k in range(K + 1):
-        recon = recon + tilde.entries[2 * k + 1] * (c ** (-2 * k - 1) * data0[k])
-        recon = recon + se.entries[2 * k] * (2 * c ** (-2 * k) * data_eta[k])
+        terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
+                  ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
+    recon = _family_combination(ctx, terms, 2 * K + 2)
     return _finish_report(ctx, f, "euler", K, data0, data_eta, recon, grid, "Cq_eta")
+
+
+def _family_combination(ctx: QContext, terms, order: int) -> SymPoly:
+    """sum of a * (family ``kind`` entry n) over the terms (kind, n, a), n < order.
+
+    Family entry n is sum_j G_{n-j} psi_j rho_j with G = :func:`family_multiplier`,
+    so the terms collect into rho coefficients and one polynomial is assembled.
+    """
+    r = [Fraction(0)] * order
+    for kind, n, a in terms:
+        if a == 0:
+            continue
+        g = family_multiplier(ctx.s, kind, order)
+        for j in range(n + 1):
+            if g[n - j] != 0:
+                r[j] += a * g[n - j]
+    return poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, order))])
 
 
 def _finish_report(ctx, f, kind, K, data0, data_eta, recon, grid, cap_kind):
@@ -241,11 +262,9 @@ def trig_rho_stream(ctx: QContext, kind: str, w: Fraction, n_terms: int) -> Enti
             out[m] = Fraction(-1) ** n * q ** (n * n) * w ** m / q_pochhammer(q, q, m)
             n += 1
     elif kind == "E_even":
-        n = 0
-        while 2 * n < n_terms:
-            m = 2 * n
-            out[m] = psi_weight(ctx, m) * w ** m
-            n += 1
+        psi = psi_weights(ctx, n_terms)
+        for m in range(0, n_terms, 2):
+            out[m] = psi[m] * w ** m
     else:
         raise ValueError(f"unknown stream kind {kind!r}")
     return EntireFn.from_stream(out)

@@ -137,6 +137,17 @@ def psi_weight(ctx: QContext, n: int) -> Fraction:
     return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)
 
 
+def psi_weights(ctx: QContext, n: int) -> list:
+    """[psi_0, ..., psi_{n-1}] by the running product psi_k = psi_{k-1} s**(2k-1) / (1 - q**k)."""
+    s, q = ctx.s, ctx.q
+    out = [Fraction(1)]
+    qk = Fraction(1)
+    for k in range(1, n):
+        qk *= q
+        out.append(out[-1] * s ** (2 * k - 1) / (1 - qk))
+    return out[:n]
+
+
 def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence) -> Tuple[Fraction, ...]:
     """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j: the coefficients of a
     translate on a basis b_n whose generating function sum_n w_n b_n t**n the
@@ -145,6 +156,9 @@ def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence) -> T
     e = [w * v for w, v in zip(weights, values)]
     n = len(u)
     return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0)) for k in range(n))
+
+
+_MAX_FACTORS = 1_000_000
 
 
 def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, int]:
@@ -160,17 +174,27 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
     if a == 0.0:
         return 1.0, 0
     absa = abs(a)
-    n = 1
-    # Tail bound: sum_{k>=n} |a| b**k / (1 - |a| b**k) <= |a| b**n / ((1-b)(1 - |a| b**n))
-    # valid once |a| base**n < 1.
     b = abs(base)
-    while True:
+
+    def tail_ok(n):
+        # sum_{k>=n} |a| b**k / (1 - |a| b**k) <= |a| b**n / ((1-b)(1 - |a| b**n)), valid once |a| b**n < 1
         head = absa * b ** n
-        if head < 1 and head / ((1 - b) * (1 - head)) < tol:
-            break
+        return head < 1 and head / ((1 - b) * (1 - head)) < tol
+
+    # the bound is below tol exactly when |a| b**n < t = tol (1-b) / (1 + tol (1-b)); start
+    # from the n that logarithms give and step to the least n >= 1 that passes
+    try:
+        t = 1 / (1 + 1 / (tol * (1 - b)))
+        n = math.ceil((math.log(t) - math.log(absa)) / math.log(b))
+    except (ValueError, ZeroDivisionError, OverflowError):  # b = 0, tol <= 0 or a not finite
+        n = 1
+    n = min(max(n, 1), _MAX_FACTORS)
+    while not tail_ok(n):
         n += 1
-        if n > 100_000:
+        if n > _MAX_FACTORS:
             raise RuntimeError("tail bound did not converge")
+    while n > 1 and tail_ok(n - 1):
+        n -= 1
     value = 1.0
     p = 1.0
     for _ in range(n):

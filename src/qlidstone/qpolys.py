@@ -71,6 +71,22 @@ def _qw2_series(s: Fraction, order: int) -> Series:
     return pochhammer_series(q, 2, q * q, order)  # (q w**2; q**2)_inf
 
 
+@lru_cache(maxsize=None)
+def family_multiplier(s: Fraction, kind: str, order: int) -> Series:
+    """The scalar series G with family generating function G(w) E(x; w), so
+    family entry n is sum_j G_{n-j} psi_j rho_j on the rho basis."""
+    _, minus, diff_over_w, summ = _denominator_parts(s, order)
+    if kind == "suslov_B":
+        return _qw2_series(s, order) / diff_over_w
+    if kind == "new_beta":
+        return minus / diff_over_w
+    if kind == "suslov_E":
+        return _qw2_series(s, order) / summ
+    if kind == "new_E":
+        return (minus * 2) / summ
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
 def eta_exponential_series(ctx: QContext, order: int) -> Series:
     """Scalar series of the q-exponential at the node eta:
     (-w; sqrt q)_inf / (q w**2; q**2)_inf."""
@@ -116,13 +132,6 @@ def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _beta_number_series(s: Fraction, order: int) -> Series:
-    """(w; sqrt q)_inf / ([(-w; sqrt q)_inf - (w; sqrt q)_inf]/w)."""
-    _, minus, diff_over_w, _ = _denominator_parts(s, order)
-    return minus / diff_over_w
-
-
-@lru_cache(maxsize=None)
 def _suslov_e_number_series(s: Fraction, order: int) -> Series:
     _, minus, _, summ = _denominator_parts(s, order)
     return minus / summ
@@ -139,12 +148,12 @@ def build_numbers(ctx: QContext, kind: str, n_max: int) -> NumberTable:
     if kind == "beta_q":
         fam = build_family(ctx, "new_beta", n_max)
         vals = tuple(eval_at(ctx, p, "zero") for p in fam.entries)
-        direct = _beta_number_series(ctx.s, n_max + 1)
+        direct = family_multiplier(ctx.s, "new_beta", n_max + 1)
         if tuple(direct.coeffs) != vals:
             raise IntegrityError("beta numbers: family evaluation disagrees with the scalar series")
         return NumberTable(kind=kind, values=vals)
     if kind == "suslov_Bq":
-        return NumberTable(kind, tuple(_beta_number_series(ctx.s, n_max + 1).coeffs))
+        return NumberTable(kind, tuple(family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs))
     if kind == "suslov_Eq":
         return NumberTable(kind, tuple(_suslov_e_number_series(ctx.s, n_max + 1).coeffs))
     if kind == "im_Bq":

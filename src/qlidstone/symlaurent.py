@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple, Union
 
-from .qcore import IntegrityError, QContext, psi_weight, q_number, q_pochhammer, safe_float, translate_coeffs
+from .qcore import IntegrityError, QContext, psi_weights, q_number, q_pochhammer, safe_float, translate_coeffs
 
 PointLike = Union[str, Fraction, int]
 
@@ -281,6 +281,25 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike):
     return total
 
 
+def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
+    """[rho_0(y), ..., rho_{n-1}(y)] by rho_j(y) = rho_{j-2}(y) (q**(j-2) + q**(2-j) + 4y**2 - 2),
+    the recurrence of :func:`special_poly` at z + 1/z = 2y; ``y`` as in :func:`eval_at`."""
+    if isinstance(y, str):
+        if y not in ("zero", "eta", "minus_eta"):
+            raise ValueError(f"unknown special point {y!r}")
+        two_y = Fraction(0) if y == "zero" else ctx.s + 1 / ctx.s
+        if y == "minus_eta":
+            two_y = -two_y
+    else:
+        two_y = 2 * Fraction(y)
+    q = ctx.q
+    shift = two_y * two_y - 2
+    out = [Fraction(1), two_y][:n]
+    for j in range(2, n):
+        out.append(out[j - 2] * (q ** (j - 2) + q ** (2 - j) + shift))
+    return out
+
+
 def eval_float(p: Union[SymPoly, Sequence], x: float) -> float:
     """Floating-point value of p at a real x via the Chebyshev recurrence;
     p is a SymPoly or a sequence of its coefficients (floats are used as is)."""
@@ -377,8 +396,7 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
 def rho_translate(ctx: QContext, r: Sequence, y: PointLike) -> Tuple[Fraction, ...]:
     """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product
     formula below; exact for exactly evaluable y."""
-    psi = [psi_weight(ctx, n) for n in range(len(r))]
-    return translate_coeffs(r, psi, [eval_at(ctx, special_poly(ctx, "rho", j), y) for j in range(len(r))])
+    return translate_coeffs(r, psi_weights(ctx, len(r)), rho_values(ctx, y, len(r)))
 
 
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:

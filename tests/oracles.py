@@ -7,6 +7,7 @@ with them exactly.
 from fractions import Fraction
 
 from qlidstone.qcore import IntegrityError, q_binomial
+from qlidstone.qpolys import build_family
 from qlidstone.symlaurent import SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, special_poly
 
 
@@ -120,3 +121,42 @@ def dotplus_translate_binomial(h, d):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def expansion_reconstruction_families(ctx, kind, K, data0, data_eta):
+    """The two-point expansion summed polynomial by polynomial over full
+    family tables built by ``build_family``."""
+    c = ctx.aw_scale
+    recon = SymPoly.zero()
+    if kind == "bernoulli":
+        big = build_family(ctx, "suslov_B", 2 * K + 1)
+        beta = build_family(ctx, "new_beta", 2 * K + 1)
+        for k in range(K + 1):
+            weight = 2 * c ** (-2 * k)
+            term = big.entries[2 * k + 1] * (weight * data_eta[k]) - beta.entries[2 * k + 1] * (weight * data0[k])
+            recon = recon + term
+        return recon
+    if kind == "euler":
+        tilde = build_family(ctx, "new_E", 2 * K + 1)
+        se = build_family(ctx, "suslov_E", 2 * K)
+        for k in range(K + 1):
+            recon = recon + tilde.entries[2 * k + 1] * (c ** (-2 * k - 1) * data0[k])
+            recon = recon + se.entries[2 * k] * (2 * c ** (-2 * k) * data_eta[k])
+        return recon
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def pochhammer_tail_ok(a, base, tol, n):
+    """|a| b**n < 1 and |a| b**n / ((1-b)(1 - |a| b**n)) < tol, b = |base|."""
+    b = abs(base)
+    head = abs(a) * b ** n
+    return head < 1 and head / ((1 - b) * (1 - head)) < tol
+
+
+def pochhammer_inf_factors_linear(a, base, tol):
+    """Least n >= 1 passing :func:`pochhammer_tail_ok`, found by counting up
+    from 1; None past 100000."""
+    for n in range(1, 100_001):
+        if pochhammer_tail_ok(a, base, tol, n):
+            return n
+    return None

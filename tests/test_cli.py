@@ -130,13 +130,22 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_zeros_near_q_one_exit_2(capsys):
-    # the residual's product needs more than 100000 factors at q = 0.9999
+    # the residual's product needs more than 1000000 factors at q = 0.99999
     with pytest.raises(SystemExit) as err:
-        cli.main(["zeros", "--kind", "sq-eta", "--qfloat", "0.9999"])
+        cli.main(["zeros", "--kind", "sq-eta", "--qfloat", "0.99999"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tail bound did not converge" in captured.err
+
+
+def test_zeros_sq_eta_at_q_0_9999(capsys):
+    # the residual's product takes about 2.2e5 factors here
+    code, out = run(capsys, "zeros", "--kind", "sq-eta", "--qfloat", "0.9999")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["value"] == pytest.approx(1.5708356029741515e-4, rel=1e-12)
+    assert report["residual"] < 1e-12
 
 
 def test_q_flag_fourth_power(capsys):

@@ -118,6 +118,11 @@ GOLDEN = [
      "023a5275eaf0d4119526eac389dcdd0a4ae74c94b881c1081e7cd37df1624f59"),
     ("guichard --preset ones --p 3 --coeffs coeffs.json", 0,
      "ea4e24a229340f61d0b2c1ba2ba63fb1eb05457b230c84f9bcc2047c58c18fa5"),
+    # the expansions assembled on the rho basis from scalar multiplier series
+    ("expand --kind bernoulli --fn stream:@coeffs.json --K 12 --s 19/28 --format text", 0,
+     "d3c2f788c49751f56ab4f538fd7dfe261681ca5820352149e2d9b33f3c7dd029"),
+    ("expand --kind euler --fn phi:6:2/3 --K 4 --s 17/29", 0,
+     "0f6f9a734747f9776c4decc7d6184c64e2ecde086886df798fd21c5a6f3253e4"),
 ]
 
 

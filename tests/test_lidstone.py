@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import aw_boundary_data_iterated
+from oracles import aw_boundary_data_iterated, expansion_reconstruction_families
 from qlidstone.qcore import QContext, q_factorial, q_pochhammer
 from qlidstone.lidstone import (
     DEFAULT_GRID,
@@ -221,3 +221,22 @@ def test_counterexample_small():
     assert rep.max_data < 1e-10
     assert rep.function_norm > 1e-2
     assert "warning" in rep.expansion.status
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)]),
+       st.sampled_from(["bernoulli", "euler"]),
+       st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=20),
+                min_size=1, max_size=16),
+       st.booleans(),
+       st.integers(0, 8))
+def test_reconstruction_matches_family_table_oracle(s, kind, coeffs, as_poly, K):
+    ctx = QContext(s)
+    if as_poly:  # a random polynomial, entered through its rho coefficients
+        f = EntireFn.from_poly(ctx, SymPoly(coeffs))
+    else:
+        f = EntireFn.from_stream(coeffs)
+    engine = bernoulli_expansion if kind == "bernoulli" else euler_expansion
+    report = engine(ctx, f, K, grid=())
+    want = expansion_reconstruction_families(ctx, kind, K, report.data_at_zero, report.data_at_eta)
+    assert report.reconstruction == want

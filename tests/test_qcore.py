@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import pochhammer_inf_factors_linear, pochhammer_tail_ok
 from qlidstone.qcore import (
     QContext,
+    psi_weight,
+    psi_weights,
     q_binomial,
     q_factorial,
     q_number,
@@ -115,6 +118,36 @@ def test_pochhammer_inf_trivial_and_oracle():
     # the tail bound controls the log of the product, so stability under
     # refinement is relative
     assert abs(v_neg - v_neg2) < 1e-12 * v_neg
+
+
+@pytest.mark.parametrize("base", [0.0, 0.1, -0.5, 0.9, -0.99, 0.999])
+def test_pochhammer_inf_factor_count_matches_linear_search(base):
+    for a in (-3.7, -0.45, 1e-9, 0.3, 0.77, 2.6, 1234.5):
+        for tol in (0.5, 1e-6, 1e-12, 1e-15, 1e-300):
+            want = pochhammer_inf_factors_linear(a, base, tol)
+            try:
+                _, n = q_pochhammer_inf(a, base, tol)
+            except RuntimeError:
+                n = None
+            if want is not None:
+                assert n == want, (a, base, tol)
+            elif n is not None:  # past the linear search's reach: still the least count
+                assert n > 100_000
+                assert pochhammer_tail_ok(a, base, tol, n) and not pochhammer_tail_ok(a, base, tol, n - 1)
+
+
+def test_pochhammer_inf_gives_up_past_its_factor_cap():
+    with pytest.raises(RuntimeError, match="tail bound did not converge"):
+        q_pochhammer_inf(0.5, 0.99999, 1e-300)
+    with pytest.raises(RuntimeError, match="tail bound did not converge"):
+        q_pochhammer_inf(0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)])
+def test_psi_weights_match_psi_weight(s):
+    ctx = QContext(s)
+    assert psi_weights(ctx, 0) == []
+    assert psi_weights(ctx, 25) == [psi_weight(ctx, n) for n in range(25)]
 
 
 def test_pochhammer_inf_pole():

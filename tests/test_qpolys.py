@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from qlidstone.qcore import q_number, q_pochhammer
+from qlidstone.qcore import QContext, psi_weights, q_number, q_pochhammer
 from qlidstone.qpolys import (
     FAMILY_KINDS,
     build_family,
+    family_multiplier,
     build_numbers,
     check_identity,
     hermite_from_bernoulli,
@@ -13,7 +14,7 @@ from qlidstone.qpolys import (
     lidstone_basis,
     registry_names,
 )
-from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, special_poly
+from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, poly_from_basis, special_poly
 
 # -- families -------------------------------------------------------------
 
@@ -23,6 +24,23 @@ def test_family_degrees(ctx):
         table = build_family(ctx, kind, 6)
         for n, p in enumerate(table.entries):
             assert p.degree == n, (kind, n)
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(17, 29)])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_family_entries_from_the_multiplier(s, kind):
+    # entry n of the family G(w) E(x; w) is sum_j G_{n-j} psi_j rho_j
+    ctx = QContext(s)
+    g = family_multiplier(s, kind, 13)
+    psi = psi_weights(ctx, 13)
+    table = build_family(ctx, kind, 12)
+    for n in range(13):
+        assert poly_from_basis(ctx, "rho", [g[n - j] * psi[j] for j in range(n + 1)]) == table.entries[n], n
+
+
+def test_family_multiplier_unknown_kind_raises():
+    with pytest.raises(ValueError):
+        family_multiplier(Fraction(1, 2), "suslov_Q", 4)
 
 
 def test_new_beta_low_entries(ctx):

@@ -14,6 +14,7 @@ from qlidstone.symlaurent import (
     eval_float,
     poly_from_basis,
     q_translate,
+    rho_values,
     special_poly,
 )
 
@@ -218,3 +219,18 @@ def test_reflection():
     r = p.reflect()
     assert r.coeffs == (Fraction(1), Fraction(-2), Fraction(3))
     assert r.reflect() == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)]),
+       st.one_of(st.sampled_from(["zero", "eta", "minus_eta"]),
+                 st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=50)),
+       st.integers(0, 20))
+def test_rho_values_match_eval_at(s, y, n):
+    ctx = QContext(s)
+    assert rho_values(ctx, y, n) == [eval_at(ctx, special_poly(ctx, "rho", j), y) for j in range(n)]
+
+
+def test_rho_values_unknown_point_raises(ctx_half):
+    with pytest.raises(ValueError):
+        rho_values(ctx_half, "one", 3)
