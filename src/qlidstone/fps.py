@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .qcore import QContext, psi_weight, psi_weights  # psi_weight: still importable from here
+from .qcore import QContext, psi_weights
 from .symlaurent import SymPoly, _coerce, special_poly
 
 

@@ -74,19 +74,25 @@ class EntireFn:
 def _float_terms(ctx: QContext, stream) -> list:
     """Combined float Chebyshev coefficients of sum f_k rho_k.
 
-    Each basis polynomial is scaled by its (possibly tiny) coefficient
-    before leaving exact arithmetic: the basis values alone can overflow
-    the float range at high degree.
+    Each basis coefficient is scaled by its (possibly tiny) f_k before
+    leaving exact arithmetic: the basis values alone can overflow the float
+    range at high degree.  The product is rounded by one integer division of
+    the unreduced numerator by the unreduced denominator, which CPython
+    rounds correctly, so it equals the float of the reduced product.
     """
     out = [0.0]
     for k, fk in enumerate(stream):
         if fk == 0:
             continue
-        scaled = special_poly(ctx, "rho", k) * fk
-        if len(scaled.coeffs) > len(out):
-            out.extend([0.0] * (len(scaled.coeffs) - len(out)))
-        for i, c in enumerate(scaled.coeffs):
-            out[i] += safe_float(c)
+        coeffs = special_poly(ctx, "rho", k).coeffs
+        if len(coeffs) > len(out):
+            out.extend([0.0] * (len(coeffs) - len(out)))
+        fn, fd = fk.numerator, fk.denominator
+        for i, c in enumerate(coeffs):
+            try:
+                out[i] += (c.numerator * fn) / (c.denominator * fd)
+            except OverflowError:  # past the float range: saturate
+                out[i] += safe_float(c * fk)
     return out
 
 
@@ -141,14 +147,17 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
         raise ValueError("K must be >= 0")
 
     psi = psi_weights(ctx, 2 * K + 2)
+    n = len(f.stream)
 
-    def data(coeffs, k):  # orders past the end of the stream are exactly 0
-        return ctx.aw_scale ** k * coeffs[k] / psi[k] if k < len(coeffs) else Fraction(0)
+    def data(k, v):
+        return ctx.aw_scale ** k * v / psi[k]
 
     first = 0 if scheme == "bernoulli" else 1
-    at_eta = rho_translate(ctx, f.stream, "eta")
-    return (tuple(data(f.stream, 2 * k + first) for k in range(K + 1)),
-            tuple(data(at_eta, 2 * k) for k in range(K + 1)))
+    # E_q^eta f only at the even orders read; orders past the end of the stream are exactly 0
+    eta_orders = range(0, min(2 * K + 1, n), 2)
+    at_eta = rho_translate(ctx, f.stream, "eta", eta_orders)
+    return (tuple(data(k, f.stream[k]) if k < n else Fraction(0) for k in range(first, 2 * K + 2, 2)),
+            tuple(data(k, v) for k, v in zip(eta_orders, at_eta)) + (Fraction(0),) * (K + 1 - len(at_eta)))
 
 
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -133,7 +133,8 @@ def q_binomial(n: int, k: int, base: Rational) -> Fraction:
 
 def psi_weight(ctx: QContext, n: int) -> Fraction:
     """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
-    q-exponential series."""
+    q-exponential series, by its closed form: the reference that
+    :func:`psi_weights` is tested against."""
     return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)
 
 
@@ -148,14 +149,17 @@ def psi_weights(ctx: QContext, n: int) -> list:
     return out[:n]
 
 
-def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence) -> Tuple[Fraction, ...]:
+def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence,
+                     orders: Optional[Sequence[int]] = None) -> Tuple[Fraction, ...]:
     """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j: the coefficients of a
     translate on a basis b_n whose generating function sum_n w_n b_n t**n the
-    translation multiplies by sum_n w_n v_n t**n; c are those of f."""
+    translation multiplies by sum_n w_n v_n t**n; c are those of f.  Gives
+    out_k for each k < len(coeffs) in ``orders``, or for every k by default."""
     u = [c / w for c, w in zip(coeffs, weights)]
     e = [w * v for w, v in zip(weights, values)]
     n = len(u)
-    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0)) for k in range(n))
+    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0))
+                 for k in (range(n) if orders is None else orders))
 
 
 _MAX_FACTORS = 1_000_000

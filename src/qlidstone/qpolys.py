@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .qcore import IntegrityError, QContext, psi_weight, q_factorial, q_pochhammer
+from .qcore import IntegrityError, QContext, psi_weights, q_factorial, q_pochhammer
 from .fps import (
     Series,
     eq_exponential_series,
@@ -497,9 +497,10 @@ def _check_hermite_rep(ctx, n_max):
     q = ctx.q
     pref = pochhammer_series(q, 2, q * q, order)
     lhs = pref * eq_exponential_series(ctx, order)
+    psi = psi_weights(ctx, order)
     pairs = []
     for n in range(order):
-        rhs = special_poly(ctx, "hermite", n) * psi_weight(ctx, n)
+        rhs = special_poly(ctx, "hermite", n) * psi[n]
         pairs.append((n, _as_poly(lhs[n]), rhs))
     note = "prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at degree 2"
     return _report("hermite_rep", n_max, pairs, note=note)

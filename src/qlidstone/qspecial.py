@@ -9,6 +9,14 @@ multiplied out, so the root loop works on a plain alternating series whose
 partial sums carry a certified tail bound -- the same series also drives an
 exact rational bisection used when a zero is needed to far more than double
 precision.
+
+Each bisection step needs the certified sign of that series at a rational
+point.  It is first sought by midpoint-radius ball arithmetic (as in Arb):
+terms and partial sums are integers scaled by 2**BALL_BITS with a radius
+in ulps, and the term ratio is an unreduced integer pair.  Where the balls
+cannot decide, and for w <= 0, the exact ``Fraction`` sum decides.  Both
+certify the sign of the whole series, so the refined zero does not depend
+on which one answered.
 """
 
 from __future__ import annotations
@@ -17,12 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .qcore import QContext, q_pochhammer_inf
 from .symlaurent import eval_float, special_poly
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series loops
+BALL_BITS = 256  # fixed-point bits of the ball sign certifier used by refine_zero_exact
 
 
 class ZeroSearchError(RuntimeError):
@@ -399,6 +408,61 @@ def _eta_series_sign_exact(ctx: QContext, kind: str, w: Fraction) -> int:
     raise RuntimeError("exact sign did not resolve; w may sit on the zero")
 
 
+def _eta_series_sign_ball(ctx: QContext, kind: str, w: Fraction) -> Optional[int]:
+    """The sign of the prefactor-free eta-node series at rational w > 0 by
+    midpoint-radius ball arithmetic, or None where the balls cannot decide.
+
+    The term a_k and the partial sum are carried as integers T and S scaled
+    by 2**BALL_BITS, with radii e_T and e_S in ulps: |a_k 2**BALL_BITS - T| <= e_T.
+    The term ratio a_{k+1}/a_k = num/den is an unreduced pair of integers
+    built from running powers of the numerator and denominator of q.  The
+    floored product T num // den is off by less than one ulp, so
+    e_T' = ceil(e_T num/den) + 1, and each partial sum adds its term's
+    radius to e_S.  The decision rule is that of :func:`_eta_series_sign_exact`,
+    applied to the balls: once the ratio is below one, a partial sum whose
+    ball clears the next term's ball has the sign of the series.
+    """
+    bits = BALL_BITS
+    pn, pd = ctx.s.numerator ** 2, ctx.s.denominator ** 2
+    qn, qd = pn * pn, pd * pd
+    wn2, wd2 = w.numerator ** 2, w.denominator ** 2
+    # with a = qn**k, b = qd**k the ratio at k is a**2 c / (wd**2 (b u1 - a v1) (b u2 - a v2))
+    if kind == "Sq_eta":  # q**(2k+1) p w**2 / ((1 - q**(k+1)) (1 - q**(k+1) p)), a_0 = w/(1-p)
+        term, err = (w.numerator * pd << bits) // (w.denominator * (pd - pn)), 1
+        c, u1, v1, u2, v2 = qn * pn * qd * wn2, qd, qn, qd * pd, qn * pn
+    elif kind == "Cq_eta":  # q**(2k) p w**2 / ((1 - q**k p) (1 - q**(k+1))), a_0 = 1
+        term, err = 1 << bits, 0
+        c, u1, v1, u2, v2 = pn * qd * wn2, pd, pn, qd, qn
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    partial = partial_err = 0
+    a = b = 1
+    for k in range(501):
+        partial += -term if k % 2 else term
+        partial_err += err
+        num = a * a * c
+        den = wd2 * (b * u1 - a * v1) * (b * u2 - a * v2)
+        term, err = term * num // den, -(-err * num // den) + 1
+        a *= qn
+        b *= qd
+        if num < den:
+            if abs(partial) - partial_err > term + err:
+                return 1 if partial > 0 else -1
+            if abs(partial) + term + err <= partial_err:  # no later partial sum can clear its radius
+                return None
+    return None
+
+
+def _eta_series_sign(ctx: QContext, kind: str, w) -> int:
+    """Certified sign of the prefactor-free eta-node series at rational w:
+    the ball certifier, with the exact one where the balls cannot decide
+    and for w <= 0.  Both certify the sign of the whole series, so they
+    agree wherever both answer."""
+    w = Fraction(w)
+    sign = _eta_series_sign_ball(ctx, kind, w) if w > 0 else None
+    return _eta_series_sign_exact(ctx, kind, w) if sign is None else sign
+
+
 def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:
     """Rational approximation of the first positive zero of the eta-node
     sine ("Sq_eta") or cosine ("Cq_eta"), accurate to ~2**-steps of the
@@ -408,13 +472,13 @@ def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:
     hi = Fraction(report.bracket[1])
     # widen until the exact signs straddle (the float bracket can be off by ulps)
     width = (hi - lo) if hi > lo else Fraction(1, 10 ** 12)
-    while _eta_series_sign_exact(ctx, kind, lo) <= 0:
+    while _eta_series_sign(ctx, kind, lo) <= 0:
         lo -= width
-    while _eta_series_sign_exact(ctx, kind, hi) >= 0:
+    while _eta_series_sign(ctx, kind, hi) >= 0:
         hi += width
     for _ in range(steps):
         mid = (lo + hi) / 2
-        sign = _eta_series_sign_exact(ctx, kind, mid)
+        sign = _eta_series_sign(ctx, kind, mid)
         if sign > 0:
             lo = mid
         elif sign < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .qcore import IntegrityError, QContext, psi_weights, q_number, q_pochhammer, safe_float, translate_coeffs
 
@@ -393,10 +393,12 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
 # -- q-translation ---------------------------------------------------------------
 
 
-def rho_translate(ctx: QContext, r: Sequence, y: PointLike) -> Tuple[Fraction, ...]:
+def rho_translate(ctx: QContext, r: Sequence, y: PointLike,
+                  orders: Optional[Sequence[int]] = None) -> Tuple[Fraction, ...]:
     """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product
-    formula below; exact for exactly evaluable y."""
-    return translate_coeffs(r, psi_weights(ctx, len(r)), rho_values(ctx, y, len(r)))
+    formula below; exact for exactly evaluable y.  Only the coefficients
+    at ``orders`` (each below len(r)) when given, else all of them."""
+    return translate_coeffs(r, psi_weights(ctx, len(r)), rho_values(ctx, y, len(r)), orders)
 
 
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:

@@ -6,7 +6,7 @@ with them exactly.
 
 from fractions import Fraction
 
-from qlidstone.qcore import IntegrityError, q_binomial
+from qlidstone.qcore import IntegrityError, q_binomial, safe_float
 from qlidstone.qpolys import build_family
 from qlidstone.symlaurent import SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, special_poly
 
@@ -160,3 +160,19 @@ def pochhammer_inf_factors_linear(a, base, tol):
         if pochhammer_tail_ok(a, base, tol, n):
             return n
     return None
+
+
+def float_terms_scaled(ctx, stream):
+    """Combined float Chebyshev coefficients of sum f_k rho_k, each basis
+    polynomial scaled by f_k as a SymPoly and every reduced product rounded
+    by ``safe_float``."""
+    out = [0.0]
+    for k, fk in enumerate(stream):
+        if fk == 0:
+            continue
+        scaled = special_poly(ctx, "rho", k) * fk
+        if len(scaled.coeffs) > len(out):
+            out.extend([0.0] * (len(scaled.coeffs) - len(out)))
+        for i, c in enumerate(scaled.coeffs):
+            out[i] += safe_float(c)
+    return out

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlidstone.qcore import QContext
+from qlidstone.qcore import QContext, psi_weight
 from qlidstone.fps import (
     Series,
     eq_exponential_series,
     euler_factor_series,
     parity_part,
     pochhammer_series,
-    psi_weight,
     scale_arg,
 )
 from qlidstone.symlaurent import SymPoly, eval_at, special_poly

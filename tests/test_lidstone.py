@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import aw_boundary_data_iterated, expansion_reconstruction_families
+from oracles import aw_boundary_data_iterated, expansion_reconstruction_families, float_terms_scaled
 from qlidstone.qcore import QContext, q_factorial, q_pochhammer
 from qlidstone.lidstone import (
     DEFAULT_GRID,
     EntireFn,
+    _float_terms,
     aw_boundary_data,
     bernoulli_expansion,
     counterexample_report,
@@ -111,6 +112,53 @@ def test_boundary_data_match_iterated_oracle(s, stream, K, scheme):
     got = aw_boundary_data(ctx, EntireFn.from_stream(stream), K, scheme)
     assert got == aw_boundary_data_iterated(ctx, stream, K, scheme)
     assert all(isinstance(v, Fraction) for v in got[0] + got[1])  # rendered as "num/den", also past the stream
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5)]),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=50), min_size=24, max_size=32),
+       st.integers(0, 3), st.sampled_from(["bernoulli", "euler"]))
+def test_boundary_data_of_long_streams_match_iterated_oracle(s, stream, K, scheme):
+    # E_q^eta f at order 2k reads every f_n with n >= 2k, so a translate of a
+    # stream cut after the orders used would differ only here
+    ctx = QContext(s)
+    assert aw_boundary_data(ctx, EntireFn.from_stream(stream), K, scheme) == \
+        aw_boundary_data_iterated(ctx, stream, K, scheme)
+
+
+# -- float terms ----------------------------------------------------------------------
+
+# rationals from 10**-400 to 10**400 in size, so products leave the float range both ways
+wide_fractions = st.builds(lambda m, d, e: Fraction(m, d) * Fraction(10) ** e,
+                           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(-400, 400))
+
+
+def _hex(xs):
+    return [x.hex() for x in xs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(17, 29), Fraction(19, 20)]),
+       st.lists(wide_fractions, min_size=1, max_size=24))
+def test_float_terms_match_scaled_oracle(s, stream):
+    ctx = QContext(s)
+    assert _hex(_float_terms(ctx, stream)) == _hex(float_terms_scaled(ctx, stream))
+
+
+@pytest.mark.parametrize("stream", [
+    [0, Fraction(10) ** 400],  # the division overflows: saturates to inf
+    [0, -Fraction(10) ** 400, 0, Fraction(1, 3)],
+    [Fraction(1, 10 ** 400), -Fraction(1, 10 ** 400)],  # underflows to +0.0 and -0.0
+])
+def test_float_terms_out_of_range_match_scaled_oracle(ctx_half, stream):
+    stream = [Fraction(c) for c in stream]
+    assert _hex(_float_terms(ctx_half, stream)) == _hex(float_terms_scaled(ctx_half, stream))
+
+
+def test_float_terms_of_trig_stream_match_scaled_oracle():
+    ctx = QContext(Fraction(19, 20))
+    f = trig_rho_stream(ctx, "S", Fraction(7, 5), 40)
+    assert _hex(_float_terms(ctx, f.stream)) == _hex(float_terms_scaled(ctx, f.stream))
 
 
 # -- expansions -------------------------------------------------------------------

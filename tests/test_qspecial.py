@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import eta_series_sign_termwise
+from qlidstone import qspecial
 from qlidstone.qcore import QContext, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import eval_at
@@ -12,6 +15,8 @@ from qlidstone.qspecial import (
     ZeroSearchError,
     _bisect,
     _scan_and_bisect,
+    _eta_series_sign,
+    _eta_series_sign_ball,
     _eta_series_sign_exact,
     _eta_series_value,
     basic_trig,
@@ -216,3 +221,84 @@ def test_exact_sign_matches_float_series(ctx, kind, w):
     value = _eta_series_value(kind, float(ctx.q), float(w))
     assume(abs(value) > 1e-6)
     assert _eta_series_sign_exact(ctx, kind, w) == (1 if value > 0 else -1)
+
+
+# -- the ball sign certificate --------------------------------------------------
+
+ball_s = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(9, 10), max_denominator=30)
+kinds = st.sampled_from(["Sq_eta", "Cq_eta"])
+
+
+@lru_cache(maxsize=None)
+def _refined_zero(s, kind):
+    return refine_zero_exact(QContext(s), kind, steps=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_s, kinds, positive_w)
+def test_ball_sign_matches_exact_sign(s, kind, w):
+    ctx = QContext(s)
+    ball = _eta_series_sign_ball(ctx, kind, w)
+    assert ball is None or ball == _eta_series_sign_exact(ctx, kind, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ball_s, kinds, st.integers(-2 ** 100, 2 ** 100))
+def test_ball_sign_matches_exact_sign_next_to_a_zero(s, kind, offset):
+    ctx = QContext(s)
+    w = _refined_zero(s, kind) + Fraction(offset, 2 ** 200)  # within 2**-100 of the zero
+    ball = _eta_series_sign_ball(ctx, kind, w)
+    assert ball is None or ball == _eta_series_sign_exact(ctx, kind, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Fraction(3, 5), Fraction(19, 20)]), kinds, st.sampled_from([8, 12, 16, 24]),
+       st.integers(-2 ** 16, 2 ** 16), st.integers(4, 36))
+def test_low_precision_ball_sign_matches_exact_sign(s, kind, bits, offset, shift):
+    # at a few bits the radii decide whether the ball may answer next to a zero
+    ctx = QContext(s)
+    w = _refined_zero(s, kind) + Fraction(offset, 2 ** (bits + shift))
+    with mock.patch.object(qspecial, "BALL_BITS", bits):
+        ball = _eta_series_sign_ball(ctx, kind, w)
+    assert ball is None or ball == _eta_series_sign_exact(ctx, kind, w)
+
+
+@pytest.mark.parametrize("kind", ["Sq_eta", "Cq_eta"])
+def test_ball_sign_decides_across_a_refined_zero(kind):
+    s = Fraction(19, 20)
+    ctx = QContext(s)
+    z = _refined_zero(s, kind)
+    eps = Fraction(1, 2 ** 100)
+    assert _eta_series_sign_ball(ctx, kind, z - eps) == 1
+    assert _eta_series_sign_ball(ctx, kind, z + eps) == -1
+
+
+def test_low_precision_ball_falls_back_to_the_exact_sign(monkeypatch):
+    ctx = QContext(Fraction(3, 5))
+    want = refine_zero_exact(ctx, "Sq_eta", steps=40)
+    exact_calls = []
+    exact = qspecial._eta_series_sign_exact
+    monkeypatch.setattr(qspecial, "_eta_series_sign_exact", lambda *a: exact_calls.append(a) or exact(*a))
+    monkeypatch.setattr(qspecial, "BALL_BITS", 4)
+    near = want + Fraction(1, 2 ** 60)
+    assert _eta_series_sign_ball(ctx, "Sq_eta", near) is None
+    assert _eta_series_sign(ctx, "Sq_eta", near) == exact(ctx, "Sq_eta", near) == -1
+    assert exact_calls
+    # every bisection step falls back and takes the same branch
+    del exact_calls[:]
+    assert refine_zero_exact(ctx, "Sq_eta", steps=40) == want
+    assert len(exact_calls) >= 40
+
+
+@pytest.mark.parametrize("w", [Fraction(-1, 3), Fraction(-7, 5)])
+def test_sign_at_negative_w_is_the_exact_sign(ctx, w):
+    assert _eta_series_sign(ctx, "Cq_eta", w) == _eta_series_sign_exact(ctx, "Cq_eta", w) \
+        == _eta_series_sign(ctx, "Cq_eta", -w)  # an even series
+    assert _eta_series_sign(ctx, "Sq_eta", w) == _eta_series_sign_exact(ctx, "Sq_eta", w) \
+        == -_eta_series_sign(ctx, "Sq_eta", -w)  # an odd one
+
+
+def test_sign_at_zero_w_is_the_exact_sign(ctx):
+    assert _eta_series_sign(ctx, "Cq_eta", Fraction(0)) == 1
+    with pytest.raises(RuntimeError, match="did not resolve"):  # the sine series vanishes there
+        _eta_series_sign(ctx, "Sq_eta", Fraction(0))
