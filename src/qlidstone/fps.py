@@ -19,7 +19,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from .qcore import QContext, psi_weights
-from .symlaurent import SymPoly, _coerce, special_poly
+from .symlaurent import SymPoly, lincomb, special_poly
+
+
+def _coerce(c):
+    if isinstance(c, int):
+        return Fraction(c)
+    return c
 
 
 class Series:
@@ -79,18 +85,7 @@ class Series:
             other = _coerce(other)
             return Series([c * other for c in self.coeffs])
         n = min(self.order, other.order)
-        out = []
-        for k in range(n):
-            acc = None
-            for i in range(k + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[k - i]
-                if a == 0 or b == 0:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            out.append(Fraction(0) if acc is None else acc)
-        return Series(out)
+        return Series([_dot(zip(self.coeffs[:k + 1], other.coeffs[k::-1])) for k in range(n)])
 
     __rmul__ = __mul__
 
@@ -109,19 +104,36 @@ class Series:
         out = []
         for k in range(n):
             acc = self.coeffs[k]
-            for j in range(k):
-                b = other.coeffs[k - j]
-                if b == 0 or out[j] == 0:
-                    continue
-                acc = acc - out[j] * b
+            if k:
+                acc = acc - _dot(zip(out, other.coeffs[k:0:-1]))
             out.append(acc * inv)
         return Series(out)
 
     def shift_down(self) -> "Series":
         """Divide by w; the constant term must vanish."""
-        if self.coeffs[0] != 0:
+        if self.coeffs[0]:
             raise ValueError("constant term is nonzero, cannot cancel w")
         return Series(self.coeffs[1:])
+
+
+def _dot(pairs):
+    """sum of a * b over pairs of Fractions and SymPolys; Fraction(0) when
+    every product is zero.  The polynomial-times-scalar terms are summed by
+    :func:`lincomb` over one denominator and reduced once."""
+    acc = None
+    scaled = []
+    for a, b in pairs:
+        if not a or not b:  # a zero Fraction or SymPoly
+            continue
+        if isinstance(a, SymPoly) is not isinstance(b, SymPoly):
+            scaled.append((a, b) if isinstance(a, SymPoly) else (b, a))
+            continue
+        term = a * b
+        acc = term if acc is None else acc + term
+    if scaled:
+        poly = lincomb(scaled)
+        acc = poly if acc is None else acc + poly
+    return Fraction(0) if acc is None else acc
 
 
 def parity_part(a: Series, which: str) -> Series:

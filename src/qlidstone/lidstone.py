@@ -31,11 +31,11 @@ eta): data-only diagnostics, never a gate on the computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, psi_weights, q_pochhammer, safe_float
+from .qcore import QContext, float_quotient, psi_weights, q_pochhammers, safe_float
 from .symlaurent import SymPoly, change_basis, eval_float, poly_from_basis, rho_translate, special_poly
 from .qpolys import family_multiplier
 from . import qspecial
@@ -77,22 +77,20 @@ def _float_terms(ctx: QContext, stream) -> list:
     Each basis coefficient is scaled by its (possibly tiny) f_k before
     leaving exact arithmetic: the basis values alone can overflow the float
     range at high degree.  The product is rounded by one integer division of
-    the unreduced numerator by the unreduced denominator, which CPython
-    rounds correctly, so it equals the float of the reduced product.
+    the unreduced numerator by the unreduced denominator
+    (:func:`qcore.float_quotient`), so it equals the float of the reduced
+    product.
     """
     out = [0.0]
     for k, fk in enumerate(stream):
         if fk == 0:
             continue
-        coeffs = special_poly(ctx, "rho", k).coeffs
-        if len(coeffs) > len(out):
-            out.extend([0.0] * (len(coeffs) - len(out)))
-        fn, fd = fk.numerator, fk.denominator
-        for i, c in enumerate(coeffs):
-            try:
-                out[i] += (c.numerator * fn) / (c.denominator * fd)
-            except OverflowError:  # past the float range: saturate
-                out[i] += safe_float(c * fk)
+        rho = special_poly(ctx, "rho", k)
+        if len(rho.nums) > len(out):
+            out.extend([0.0] * (len(rho.nums) - len(out)))
+        fn, fd = fk.numerator, rho.den * fk.denominator
+        for i, c in enumerate(rho.nums):
+            out[i] += float_quotient(c * fn, fd)
     return out
 
 
@@ -217,7 +215,7 @@ def _finish_report(ctx, f, kind, K, data0, data_eta, recon, grid, cap_kind):
     exact = f.polynomial
     if exact:
         diff = recon - f.to_poly(ctx)
-        res: Number = max((abs(cc) for cc in diff.coeffs))
+        res: Number = Fraction(max(abs(n) for n in diff.nums), diff.den)
     else:
         res = residual_on_grid(ctx, f, recon, grid)
     status = "ok"
@@ -235,7 +233,11 @@ def _finish_report(ctx, f, kind, K, data0, data_eta, recon, grid, cap_kind):
 def residual_on_grid(ctx: QContext, f: EntireFn, recon: SymPoly, grid: Sequence) -> float:
     if not grid:
         return 0.0
-    terms = _float_terms(ctx, f.stream)
+    return _grid_residual(_float_terms(ctx, f.stream), recon, grid)
+
+
+def _grid_residual(terms: list, recon: SymPoly, grid: Sequence) -> float:
+    """max over the grid of |f - recon|, f given by its float Chebyshev terms."""
     worst = 0.0
     for x in grid:
         xf = float(x)
@@ -258,17 +260,18 @@ def trig_rho_stream(ctx: QContext, kind: str, w: Fraction, n_terms: int) -> Enti
     w = Fraction(w)
     s, q = ctx.s, ctx.q
     out = [Fraction(0)] * n_terms
+    qq = q_pochhammers(q, q, max(n_terms - 1, 0))
     if kind == "S":
         n = 0
         while 2 * n + 1 < n_terms:
             m = 2 * n + 1
-            out[m] = Fraction(-1) ** n * s * q ** (n * n + n) * w ** m / q_pochhammer(q, q, m)
+            out[m] = Fraction(-1) ** n * s * q ** (n * n + n) * w ** m / qq[m]
             n += 1
     elif kind == "C":
         n = 0
         while 2 * n < n_terms:
             m = 2 * n
-            out[m] = Fraction(-1) ** n * q ** (n * n) * w ** m / q_pochhammer(q, q, m)
+            out[m] = Fraction(-1) ** n * q ** (n * n) * w ** m / qq[m]
             n += 1
     elif kind == "E_even":
         psi = psi_weights(ctx, n_terms)
@@ -301,18 +304,21 @@ def counterexample_report(ctx: QContext, kind: str, n_terms: int, K: int,
     if kind == "bernoulli":
         w = qspecial.refine_zero_exact(ctx, "Sq_eta", steps=120)
         f = trig_rho_stream(ctx, "S", w, n_terms)
-        report = bernoulli_expansion(ctx, f, K, grid)
+        engine = bernoulli_expansion
     elif kind == "euler":
         w = qspecial.refine_zero_exact(ctx, "Cq_eta", steps=120)
         f = trig_rho_stream(ctx, "C", w, n_terms)
-        report = euler_expansion(ctx, f, K, grid)
+        engine = euler_expansion
     else:
         raise ValueError("kind must be 'bernoulli' or 'euler'")
+    # the expansion runs on no grid; its residual and the norm share one set of float terms
+    terms = _float_terms(ctx, f.stream)
+    report = engine(ctx, f, K, grid=())
+    report = replace(report, residual=_grid_residual(terms, report.reconstruction, grid))
     max_data = max(
         [abs(safe_float(v)) for v in report.data_at_zero]
         + [abs(safe_float(v)) for v in report.data_at_eta]
     )
-    terms = _float_terms(ctx, f.stream)
     norm = max(abs(eval_float(terms, float(x))) for x in grid)
     return CounterexampleReport(kind=kind, w=float(w), max_data=max_data,
                                 function_norm=norm, expansion=report)

@@ -124,6 +124,21 @@ def q_pochhammer(a: Rational, base: Rational, n: int) -> Fraction:
     return out
 
 
+def q_pochhammers(a: Rational, base: Rational, n: int) -> list:
+    """[(a; base)_0, ..., (a; base)_n] by one running product; :func:`q_pochhammer`
+    is the closed form it is tested against."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a = _as_fraction(a)
+    base = _as_fraction(base)
+    out = [Fraction(1)]
+    p = Fraction(1)
+    for _ in range(n):
+        out.append(out[-1] * (1 - a * p))
+        p *= base
+    return out
+
+
 def q_binomial(n: int, k: int, base: Rational) -> Fraction:
     """Gaussian binomial [n choose k] at the given base."""
     if not (0 <= k <= n):
@@ -208,6 +223,16 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
         value *= factor
         p *= base
     return value, n
+
+
+def float_quotient(n: int, d: int) -> float:
+    """n/d rounded once: CPython rounds int true division correctly, so this
+    equals ``safe_float(Fraction(n, d))`` whether or not n/d is reduced, and
+    past the float range it saturates the same way."""
+    try:
+        return n / d
+    except OverflowError:
+        return safe_float(Fraction(n, d))
 
 
 def safe_float(x) -> float:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .qcore import IntegrityError, QContext, psi_weights, q_factorial, q_pochhammer
+from .qcore import IntegrityError, QContext, psi_weights, q_factorial, q_pochhammers
 from .fps import (
     Series,
     eq_exponential_series,
@@ -170,9 +170,10 @@ def im_bernoulli_numbers(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     """
     q = Fraction(q)
     order = n_max + 1
+    poch = q_pochhammers(-1, q, order)
     denom = []
     for n in range(1, order + 1):
-        denom.append(q_pochhammer(-1, q, n) / (Fraction(2 ** n) * q_factorial(n, q)))
+        denom.append(poch[n] / (Fraction(2 ** n) * q_factorial(n, q)))
     quotient = Series.one(order) / Series(denom)
     return tuple(quotient[n] * q_factorial(n, q) for n in range(order))
 
@@ -258,9 +259,11 @@ def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, .
     s, q = ctx.s, ctx.q
     p = s * s
     fam = build_family(ctx, "suslov_B", n_max)
-    w = [s ** (n * n + n) / q_pochhammer(p, p, n + 1) if n % 2 == 0 else 0 for n in range(n_max + 1)]
+    pp = q_pochhammers(p, p, n_max + 1)
+    qq = q_pochhammers(q, q, n_max)
+    w = [s ** (n * n + n) / pp[n + 1] if n % 2 == 0 else 0 for n in range(n_max + 1)]
     conv = _convolve(fam.entries, w)
-    return tuple(h * (2 * s ** (-n * n) * q_pochhammer(q, q, n)) for n, h in enumerate(conv))
+    return tuple(h * (2 * s ** (-n * n) * qq[n]) for n, h in enumerate(conv))
 
 
 # -- identity registry ---------------------------------------------------------
@@ -321,10 +324,8 @@ def _check_connection_f1(ctx, n_max):
     q = ctx.q
     big = build_family(ctx, "suslov_B", n_max)
     beta = build_family(ctx, "new_beta", n_max)
-    coefs = [
-        q_pochhammer(-1 / ctx.sqrt_q, q, k) / q_pochhammer(q, q, k) * (-ctx.sqrt_q) ** k
-        for k in range(n_max + 1)
-    ]
+    num, qq = q_pochhammers(-1 / ctx.sqrt_q, q, n_max), q_pochhammers(q, q, n_max)
+    coefs = [num[k] / qq[k] * (-ctx.sqrt_q) ** k for k in range(n_max + 1)]
     rhs = _convolve(big.entries, coefs)
     return _report("connection_F1", n_max, zip(range(n_max + 1), beta.entries, rhs))
 
@@ -333,7 +334,8 @@ def _check_connection_f2(ctx, n_max):
     q = ctx.q
     big = build_family(ctx, "suslov_B", n_max)
     beta = build_family(ctx, "new_beta", n_max)
-    coefs = [q_pochhammer(-ctx.sqrt_q, q, k) / q_pochhammer(q, q, k) for k in range(n_max + 1)]
+    num, qq = q_pochhammers(-ctx.sqrt_q, q, n_max), q_pochhammers(q, q, n_max)
+    coefs = [num[k] / qq[k] for k in range(n_max + 1)]
     rhs = _convolve(beta.entries, coefs)
     return _report("connection_F2", n_max, zip(range(n_max + 1), big.entries, rhs))
 
@@ -351,7 +353,8 @@ def _check_reflection_b(ctx, n_max):
 def _check_reflection_beta(ctx, n_max):
     p = ctx.sqrt_q
     beta = build_family(ctx, "new_beta", n_max)
-    coefs = [q_pochhammer(-1, p, k) / q_pochhammer(p, p, k) for k in range(n_max + 1)]
+    num, pp = q_pochhammers(-1, p, n_max), q_pochhammers(p, p, n_max)
+    coefs = [num[k] / pp[k] for k in range(n_max + 1)]
     conv = _convolve(beta.entries, coefs)
     pairs = [(n, beta.entries[n].reflect(), conv[n] * Fraction(-1) ** n) for n in range(n_max + 1)]
     return _report("reflection_beta", n_max, pairs)
@@ -367,8 +370,8 @@ def _check_eq16(ctx, n_max):
     for k in range(n_max):
         c = s * p ** k
         phi.append(phi[-1] * SymPoly([1 + c * c, c]))
-    q = ctx.q
-    rhs = _convolve([f / q_pochhammer(q, q, k) for k, f in enumerate(phi)], betaq)
+    qq = q_pochhammers(ctx.q, ctx.q, n_max)
+    rhs = _convolve([f / qq[k] for k, f in enumerate(phi)], betaq)
     note = (
         "stated with an extra (-1)**(n-k); the signless form is the one "
         "consistent with the value beta_n at the reflected node (detected erratum)"
@@ -396,9 +399,10 @@ def _check_q_square(ctx, n_max):
     suslov = build_numbers(ctx, "suslov_Bq", n_max).values
     beta = build_numbers(ctx, "beta_q", n_max).values
     imb = im_bernoulli_numbers(r, n_max)
+    rr = q_pochhammers(r, r, n_max)
     pairs = []
     for n in range(n_max + 1):
-        rhs = imb[n] * Fraction(2) ** (n - 1) * (1 - r) / q_pochhammer(r, r, n)
+        rhs = imb[n] * Fraction(2) ** (n - 1) * (1 - r) / rr[n]
         pairs.append((n, suslov[n], rhs))
         pairs.append((n, beta[n], rhs))
     return _report("q_square_relation", n_max, pairs)

@@ -16,40 +16,70 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Optional, Sequence, Tuple, Union
+from math import comb, gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .qcore import IntegrityError, QContext, psi_weights, q_number, q_pochhammer, safe_float, translate_coeffs
+from .qcore import (IntegrityError, QContext, float_quotient, psi_weights, q_pochhammers, safe_float,
+                    translate_coeffs)
 
 PointLike = Union[str, Fraction, int]
 
 _EK_AT_I = (2, 0, -2, 0)  # (z**k + z**-k) at z = i, indexed by k mod 4
 
 
-def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
+def _over_common_den(values: Iterable) -> Tuple[List[int], int]:
+    """Integers n_i and the least positive L with values[i] == n_i / L, for
+    ints and Fractions."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class SymPoly:
-    """Immutable symmetric-Laurent polynomial; arithmetic is exact."""
+    """Immutable symmetric-Laurent polynomial; arithmetic is exact.
 
-    __slots__ = ("coeffs",)
+    The coefficients are stored as integer numerators ``nums`` over one
+    positive denominator ``den``, in canonical form: gcd(den, *nums) == 1,
+    no trailing zero numerator, and zero as ((0,), 1).  Equal polynomials
+    therefore have equal stores, and every operation works on the integers
+    and reduces its result once.
+    """
 
-    def __init__(self, coeffs: Sequence):
-        cs = [_coerce(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coeffs: Iterable):
+        nums, den = _over_common_den(coeffs)
+        # over the least common denominator of reduced fractions the gcd is already 1
+        while len(nums) > 1 and nums[-1] == 0:
+            nums.pop()
+        self.nums = tuple(nums) if nums else (0,)
+        self.den = den
+
+    @classmethod
+    def _canonical(cls, nums: List[int], den: int, bound: Optional[int] = None) -> "SymPoly":
+        """sum nums[i]/den e_i (den > 0) in canonical form.  ``bound``, when
+        given, is a number with gcd(bound, *nums) == gcd(den, *nums)."""
+        while len(nums) > 1 and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den if bound is None else bound, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        return cls._of(tuple(nums), den)
+
+    @classmethod
+    def _of(cls, nums: Tuple[int, ...], den: int) -> "SymPoly":
+        """A SymPoly on a store already in canonical form."""
+        p = object.__new__(cls)
+        p.nums = nums
+        p.den = den
+        return p
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "SymPoly":
-        return cls([0])
+        return cls._of((0,), 1)
 
     @classmethod
     def const(cls, c) -> "SymPoly":
@@ -58,52 +88,74 @@ class SymPoly:
     @classmethod
     def from_monomial(cls, mono: Sequence) -> "SymPoly":
         """Build from monomial coefficients (a_0, ..., a_d) of sum a_n x**n."""
-        out = [Fraction(0)] * len(mono)
-        for n, a in enumerate(mono):
-            a = _coerce(a)
-            if a == 0:
+        a, den = _over_common_den(mono)
+        if not a:
+            return cls.zero()
+        d = len(a) - 1
+        # x**n = 2**-n sum_k C(n, k) z**(n-2k); everything over den * 2**d
+        out = [0] * (d + 1)
+        for n, an in enumerate(a):
+            if an == 0:
                 continue
-            scale = Fraction(1, 2 ** n)
+            an <<= d - n
             for k in range(n // 2 + 1):
-                idx = n - 2 * k
-                # when idx == 0 the central binomial term lands on the constant once
-                out[idx] += a * comb(n, k) * scale
-        return cls(out)
+                # when n - 2k == 0 the central binomial term lands on the constant once
+                out[n - 2 * k] += an * comb(n, k)
+        return cls._canonical(out, den << d)
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on each access."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        return self.nums == (0,)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.nums) == 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, SymPoly):
             other = SymPoly.const(other)
-        a, b = self.coeffs, other.coeffs
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        if g != da:
+            b = [x * (da // g) for x in b]
+        if g != db:
+            a = [x * (db // g) for x in a]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return SymPoly(out)
+        # the sum over lcm(da, db) can only share factors of g with its numerators (Knuth 4.5.1)
+        return SymPoly._canonical(out, da // g * db, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly([-c for c in self.coeffs])
+        return SymPoly._of(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, SymPoly):
@@ -114,11 +166,14 @@ class SymPoly:
         return SymPoly.const(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, SymPoly):
-            other = _coerce(other)
-            return SymPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return SymPoly.zero()
+        a, b = self.nums, other.nums
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
@@ -129,23 +184,42 @@ class SymPoly:
                 out[i + j] += term
                 if i and j:
                     out[abs(i - j)] += 2 * term if i == j else term
-        return SymPoly(out)
+        # out is the Laurent product's coefficient list, whose content is the product of the
+        # contents (Gauss); each content is prime to its own denominator
+        g = gcd(self.den, *b) * gcd(other.den, *a)
+        if g != 1:
+            out = [n // g for n in out]
+        return SymPoly._of(tuple(out), self.den * other.den // g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = _coerce(scalar)
-        return SymPoly([c / scalar for c in self.coeffs])
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        n, d = scalar.numerator, scalar.denominator
+        if n == 0:
+            raise ZeroDivisionError("SymPoly division by zero")
+        return self._scaled(d, n) if n > 0 else self._scaled(-d, -n)
+
+    def _scaled(self, n: int, d: int) -> "SymPoly":
+        """self * n/d for coprime n and d > 0."""
+        if n == 0:
+            return SymPoly.zero()
+        g1 = gcd(self.den, n)
+        g2 = gcd(d, *self.nums)
+        n //= g1
+        nums = self.nums if g2 == 1 else [x // g2 for x in self.nums]
+        return SymPoly._of(tuple(x * n for x in nums), self.den // g1 * (d // g2))
 
     def __eq__(self, other):
         if isinstance(other, SymPoly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.coeffs[0] == other
+            return self.den == other.denominator and self.nums == (other.numerator,)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"SymPoly({list(self.coeffs)!r})"
@@ -154,25 +228,25 @@ class SymPoly:
 
     def reflect(self) -> "SymPoly":
         """x -> -x, i.e. z -> -z: flips the sign of odd-index coefficients."""
-        return SymPoly([(-c if k % 2 else c) for k, c in enumerate(self.coeffs)])
+        return SymPoly._of(tuple(-n if k % 2 else n for k, n in enumerate(self.nums)), self.den)
 
-    def to_monomial(self) -> Tuple:
+    def to_monomial(self) -> Tuple[Fraction, ...]:
         """Monomial coefficients (a_0, ..., a_d) of the same polynomial."""
         d = self.degree
         # E_k = monomial form of z**k + z**-k: E_0 = 2, E_1 = 2x,
         # E_{k+1} = 2x E_k - E_{k-1}.  The constant basis element here is 1.
-        out = [Fraction(0)] * (d + 1)
-        out[0] += self.coeffs[0]
+        out = [0] * (d + 1)
+        out[0] += self.nums[0]
         if d >= 1:
-            prev = [Fraction(2)]            # E_0
-            cur = [Fraction(0), Fraction(2)]  # E_1
+            prev = [2]     # E_0
+            cur = [0, 2]   # E_1
             for k in range(1, d + 1):
-                ck = self.coeffs[k]
+                ck = self.nums[k]
                 if ck != 0:
                     for i, e in enumerate(cur):
                         out[i] += ck * e
                 if k < d:
-                    nxt = [Fraction(0)] * (len(cur) + 1)
+                    nxt = [0] * (len(cur) + 1)
                     for i, e in enumerate(cur):
                         nxt[i + 1] += 2 * e
                     for i, e in enumerate(prev):
@@ -180,7 +254,22 @@ class SymPoly:
                     prev, cur = cur, nxt
         while len(out) > 1 and out[-1] == 0:
             out.pop()
-        return tuple(out)
+        return tuple(Fraction(n, self.den) for n in out)
+
+
+def lincomb(terms) -> SymPoly:
+    """sum of a * p over the pairs (p, a) of SymPolys and rationals, over one
+    common denominator and reduced once."""
+    terms = [(p, a) for p, a in terms if a and p]
+    if not terms:
+        return SymPoly.zero()
+    den = lcm(*(p.den * a.denominator for p, a in terms))
+    out = [0] * max(len(p.nums) for p, _ in terms)
+    for p, a in terms:
+        m = a.numerator * (den // (p.den * a.denominator))
+        for i, n in enumerate(p.nums):
+            out[i] += n * m
+    return SymPoly._canonical(out, den)
 
 
 # -- special families ---------------------------------------------------------
@@ -202,9 +291,9 @@ def _rho_cached(s: Fraction, n: int) -> SymPoly:
 def _hermite_cached(s: Fraction, n: int) -> SymPoly:
     q = s ** 4
     out = [Fraction(0)] * (n + 1)
-    qqn = q_pochhammer(q, q, n)
+    qq = q_pochhammers(q, q, n)
     for k in range(n // 2 + 1):
-        c = qqn / (q_pochhammer(q, q, k) * q_pochhammer(q, q, n - k))
+        c = qq[n] / (qq[k] * qq[n - k])
         idx = n - 2 * k
         out[idx] += c  # when idx == 0 (n even) the middle term is counted once
     return SymPoly(out)
@@ -244,41 +333,43 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
 # -- evaluation ----------------------------------------------------------------
 
 
-def eval_at(ctx: QContext, p: SymPoly, pt: PointLike):
+def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
     """Exact value of p at a special point.
 
     ``pt`` is one of "zero", "eta", "minus_eta", or a rational x-value.
+    The sum runs on the integer numerators and is reduced once.
     """
-    cs = p.coeffs
+    nums, d = p.nums, p.degree
     if isinstance(pt, str):
         if pt == "zero":
-            total = cs[0]
-            for k in range(1, len(cs)):
-                ek = _EK_AT_I[k % 4]
-                if ek:
-                    total += cs[k] * ek
-            return total
-        if pt in ("eta", "minus_eta"):
-            s = ctx.s
-            total = cs[0]
-            sk = Fraction(1)
-            for k in range(1, len(cs)):
-                sk *= s
-                ek = sk + 1 / sk
-                if pt == "minus_eta" and k % 2:
-                    ek = -ek
-                total += cs[k] * ek
-            return total
-        raise ValueError(f"unknown special point {pt!r}")
-    v = Fraction(pt)
-    total = cs[0]
-    if len(cs) > 1:
-        prev, cur = Fraction(2), 2 * v
-        total += cs[1] * cur
-        for k in range(2, len(cs)):
-            prev, cur = cur, 2 * v * cur - prev
-            total += cs[k] * cur
-    return total
+            return Fraction(nums[0] + sum(n * _EK_AT_I[k % 4] for k, n in enumerate(nums) if k), p.den)
+        if pt not in ("eta", "minus_eta"):
+            raise ValueError(f"unknown special point {pt!r}")
+        # z = +-s: z**k + z**-k = (u**k + v**k) / step**k with u = sn**2, v = sd**2, step = +-sn sd
+        sn, sd = ctx.s.numerator, ctx.s.denominator
+        u, v, step = sn * sn, sd * sd, (-sn if pt == "minus_eta" else sn) * sd
+        terms = [nums[0]]
+        uk = vk = 1
+        for k in range(1, d + 1):
+            uk *= u
+            vk *= v
+            terms.append(nums[k] * (uk + vk))
+    else:
+        # z + 1/z = 2a/b: z**k + z**-k = T_k / b**k with T_0 = 2, T_1 = 2a,
+        # T_k = 2a T_{k-1} - b**2 T_{k-2}
+        x = Fraction(pt)
+        a, step = x.numerator, x.denominator
+        terms = [nums[0]]
+        prev, cur = 2, 2 * a
+        for k in range(1, d + 1):
+            if k > 1:
+                prev, cur = cur, 2 * a * cur - step * step * prev
+            terms.append(nums[k] * cur)
+    # sum_k terms[k] / step**k, over step**d by Horner
+    total = 0
+    for c in terms:
+        total = total * step + c
+    return Fraction(total, p.den * step ** d)
 
 
 def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
@@ -302,15 +393,19 @@ def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
 
 def eval_float(p: Union[SymPoly, Sequence], x: float) -> float:
     """Floating-point value of p at a real x via the Chebyshev recurrence;
-    p is a SymPoly or a sequence of its coefficients (floats are used as is)."""
-    cs = p.coeffs if isinstance(p, SymPoly) else p
-    total = safe_float(cs[0])
+    p is a SymPoly or a sequence of its coefficients (floats are used as is).
+    Each SymPoly coefficient is rounded once from its numerator and ``den``."""
+    if isinstance(p, SymPoly):
+        cs = [float_quotient(n, p.den) for n in p.nums]
+    else:
+        cs = [safe_float(c) for c in p]
+    total = cs[0]
     if len(cs) > 1:
         prev, cur = 2.0, 2.0 * x
-        total += safe_float(cs[1]) * cur
+        total += cs[1] * cur
         for k in range(2, len(cs)):
             prev, cur = cur, 2.0 * x * cur - prev
-            total += safe_float(cs[k]) * cur
+            total += cs[k] * cur
     return total
 
 
@@ -331,23 +426,24 @@ def _aw_once(ctx: QContext, p: SymPoly) -> SymPoly:
     d = p.degree
     if d == 0:
         return SymPoly.zero()
-    q = ctx.q
-    out = [Fraction(0)] * d
-    s2 = ctx.s ** 2
+    # element m scales by 2 q**((1-m)/2) [m]_q = 2 P_m / t**(m-1) with t = (sn sd)**2 and
+    # P_m = sum_{k<m} sn**(4k) sd**(4(m-1-k)), P_{m+1} = P_m sd**4 + sn**(4m); over t**(d-1)
+    sn, sd = ctx.s.numerator, ctx.s.denominator
+    a, b, t = sn ** 4, sd ** 4, (sn * sd) ** 2
+    tpow = [1]
+    for _ in range(d - 1):
+        tpow.append(tpow[-1] * t)
+    factor = []  # factor[m - 1] for basis element m
+    pm, am = 1, a
     for m in range(1, d + 1):
-        cm = p.coeffs[m]
-        if cm == 0:
-            continue
-        # 2 q**((1-m)/2) [m]_q, with q**((1-m)/2) = s**(2-2m)
-        factor = cm * 2 * s2 ** (1 - m) * q_number(m, q)
-        # spread over e_{m-1}, e_{m-3}, ...; odd m ends on the constant (once)
-        i = m - 1
-        while i > 0:
-            out[i] += factor
-            i -= 2
-        if m % 2 == 1:
-            out[0] += factor
-    return SymPoly(out)
+        factor.append(2 * p.nums[m] * pm * tpow[d - m])
+        pm, am = pm * b + am, am * a
+    # element m spreads over e_{m-1}, e_{m-3}, ...; odd m ends on the constant (once),
+    # so out[i] = factor of m = i + 1 plus out[i + 2]
+    out = [0] * (d + 2)
+    for i in range(d - 1, -1, -1):
+        out[i] = factor[i] + out[i + 2]
+    return SymPoly._canonical(out[:d], p.den * tpow[-1])
 
 
 # -- basis conversion -----------------------------------------------------------
@@ -361,20 +457,27 @@ def change_basis(ctx: QContext, p: SymPoly, target: str) -> Tuple[Fraction, ...]
     exact back-substitution from the top degree."""
     if target not in _BASES:
         raise ValueError(f"unknown basis {target!r}")
-    rem = p
+    # the remainder rem/den; step n takes its coefficient n off the top
+    rem, den = list(p.nums), p.den
     d = p.degree
     out = [Fraction(0)] * (d + 1)
     for n in range(d, 0, -1):
-        top = rem.coeffs[n] if rem.degree >= n else Fraction(0)
+        top = rem.pop()
         if top == 0:
             continue
         member = special_poly(ctx, target, n)
-        a = top / member.coeffs[-1]
-        out[n] = a
-        rem = rem - member * a
-    if not rem.is_constant():
-        raise IntegrityError("back-substitution left a non-constant remainder")
-    out[0] = rem.coeffs[0]
+        lead = member.nums[-1]
+        if member.degree != n or lead <= 0:
+            raise IntegrityError(f"basis {target!r} member {n} does not have degree {n} and a positive top")
+        out[n] = Fraction(top * member.den, den * lead)
+        # rem - out[n] * member, over den * lead: the top coefficient cancels exactly
+        rem = [r * lead - m * top for r, m in zip(rem, member.nums)]
+        den *= lead
+        g = gcd(den, *rem)
+        if g != 1:
+            rem = [r // g for r in rem]
+            den //= g
+    out[0] = Fraction(rem[0], den)
     return tuple(out)
 
 
@@ -382,12 +485,7 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
     """Inverse of :func:`change_basis`: assemble sum a_n basis_n."""
     if target not in _BASES:
         raise ValueError(f"unknown basis {target!r}")
-    out = SymPoly.zero()
-    for n, a in enumerate(coeffs):
-        a = _coerce(a)
-        if a != 0:
-            out = out + special_poly(ctx, target, n) * a
-    return out
+    return lincomb((special_poly(ctx, target, n), a) for n, a in enumerate(coeffs) if a)
 
 
 # -- q-translation ---------------------------------------------------------------

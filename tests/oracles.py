@@ -5,8 +5,10 @@ with them exactly.
 """
 
 from fractions import Fraction
+from math import comb
+from typing import Sequence, Tuple
 
-from qlidstone.qcore import IntegrityError, q_binomial, safe_float
+from qlidstone.qcore import IntegrityError, q_binomial, q_number, q_pochhammer, safe_float
 from qlidstone.qpolys import build_family
 from qlidstone.symlaurent import SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, special_poly
 
@@ -176,3 +178,260 @@ def float_terms_scaled(ctx, stream):
         for i, c in enumerate(scaled.coeffs):
             out[i] += safe_float(c)
     return out
+
+
+def _coerce(c):
+    if isinstance(c, int):
+        return Fraction(c)
+    return c
+
+
+class FractionSymPoly:
+    """The symmetric-Laurent polynomial with one reduced Fraction per
+    coefficient, every operation normalising coefficient by coefficient:
+    the store that ``qlidstone.symlaurent.FractionSymPoly`` replaced."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence):
+        cs = [_coerce(c) for c in coeffs]
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        if not cs:
+            cs = [Fraction(0)]
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    # -- construction -----------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "FractionSymPoly":
+        return cls([0])
+
+    @classmethod
+    def const(cls, c) -> "FractionSymPoly":
+        return cls([c])
+
+    @classmethod
+    def from_monomial(cls, mono: Sequence) -> "FractionSymPoly":
+        """Build from monomial coefficients (a_0, ..., a_d) of sum a_n x**n."""
+        out = [Fraction(0)] * len(mono)
+        for n, a in enumerate(mono):
+            a = _coerce(a)
+            if a == 0:
+                continue
+            scale = Fraction(1, 2 ** n)
+            for k in range(n // 2 + 1):
+                idx = n - 2 * k
+                # when idx == 0 the central binomial term lands on the constant once
+                out[idx] += a * comb(n, k) * scale
+        return cls(out)
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) == 1
+
+    def constant_value(self):
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        return self.coeffs[0]
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, FractionSymPoly):
+            other = FractionSymPoly.const(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionSymPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionSymPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        if not isinstance(other, FractionSymPoly):
+            other = FractionSymPoly.const(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return FractionSymPoly.const(other) + (-self)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionSymPoly):
+            other = _coerce(other)
+            return FractionSymPoly([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(b):
+                if cb == 0:
+                    continue
+                term = ca * cb
+                out[i + j] += term
+                if i and j:
+                    out[abs(i - j)] += 2 * term if i == j else term
+        return FractionSymPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        scalar = _coerce(scalar)
+        return FractionSymPoly([c / scalar for c in self.coeffs])
+
+    def __eq__(self, other):
+        if isinstance(other, FractionSymPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.coeffs[0] == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"FractionSymPoly({list(self.coeffs)!r})"
+
+    # -- transforms ----------------------------------------------------------
+
+    def reflect(self) -> "FractionSymPoly":
+        """x -> -x, i.e. z -> -z: flips the sign of odd-index coefficients."""
+        return FractionSymPoly([(-c if k % 2 else c) for k, c in enumerate(self.coeffs)])
+
+    def to_monomial(self) -> Tuple:
+        """Monomial coefficients (a_0, ..., a_d) of the same polynomial."""
+        d = self.degree
+        # E_k = monomial form of z**k + z**-k: E_0 = 2, E_1 = 2x,
+        # E_{k+1} = 2x E_k - E_{k-1}.  The constant basis element here is 1.
+        out = [Fraction(0)] * (d + 1)
+        out[0] += self.coeffs[0]
+        if d >= 1:
+            prev = [Fraction(2)]            # E_0
+            cur = [Fraction(0), Fraction(2)]  # E_1
+            for k in range(1, d + 1):
+                ck = self.coeffs[k]
+                if ck != 0:
+                    for i, e in enumerate(cur):
+                        out[i] += ck * e
+                if k < d:
+                    nxt = [Fraction(0)] * (len(cur) + 1)
+                    for i, e in enumerate(cur):
+                        nxt[i + 1] += 2 * e
+                    for i, e in enumerate(prev):
+                        nxt[i] -= e
+                    prev, cur = cur, nxt
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+
+def fraction_special_poly(ctx, family, n):
+    """``monomial``, ``rho`` and ``hermite`` members as FractionSymPolys:
+    x**n, rho_n by its recurrence and H_n(x|q) by its q-binomial sum."""
+    if family == "monomial":
+        return FractionSymPoly.from_monomial([0] * n + [1])
+    q = ctx.q
+    if family == "rho":
+        out = FractionSymPoly([1] if n % 2 == 0 else [0, 1])
+        for m in range(n % 2 + 2, n + 1, 2):
+            out = out * FractionSymPoly([q ** (m - 2) + q ** (2 - m), 0, 1])
+        return out
+    if family == "hermite":
+        out = [Fraction(0)] * (n + 1)
+        qqn = q_pochhammer(q, q, n)
+        for k in range(n // 2 + 1):
+            out[n - 2 * k] += qqn / (q_pochhammer(q, q, k) * q_pochhammer(q, q, n - k))
+        return FractionSymPoly(out)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def fraction_eval_at(ctx, p, pt):
+    """Value of a FractionSymPoly at "zero", "eta", "minus_eta" or a rational x,
+    one Fraction operation per coefficient."""
+    cs = p.coeffs
+    if isinstance(pt, str):
+        if pt == "zero":
+            total = cs[0]
+            for k in range(1, len(cs)):
+                ek = (2, 0, -2, 0)[k % 4]
+                if ek:
+                    total += cs[k] * ek
+            return total
+        if pt in ("eta", "minus_eta"):
+            s = ctx.s
+            total = cs[0]
+            sk = Fraction(1)
+            for k in range(1, len(cs)):
+                sk *= s
+                ek = sk + 1 / sk
+                if pt == "minus_eta" and k % 2:
+                    ek = -ek
+                total += cs[k] * ek
+            return total
+        raise ValueError(f"unknown special point {pt!r}")
+    v = Fraction(pt)
+    total = cs[0]
+    if len(cs) > 1:
+        prev, cur = Fraction(2), 2 * v
+        total += cs[1] * cur
+        for k in range(2, len(cs)):
+            prev, cur = cur, 2 * v * cur - prev
+            total += cs[k] * cur
+    return total
+
+
+def fraction_aw_derivative(ctx, p):
+    """The divided-difference operator once on a FractionSymPoly: basis element
+    m scaled by 2 q**((1-m)/2) [m]_q and spread over e_{m-1}, e_{m-3}, ..."""
+    d = p.degree
+    if d == 0:
+        return FractionSymPoly.zero()
+    q = ctx.q
+    out = [Fraction(0)] * d
+    s2 = ctx.s ** 2
+    for m in range(1, d + 1):
+        cm = p.coeffs[m]
+        if cm == 0:
+            continue
+        factor = cm * 2 * s2 ** (1 - m) * q_number(m, q)
+        i = m - 1
+        while i > 0:
+            out[i] += factor
+            i -= 2
+        if m % 2 == 1:
+            out[0] += factor
+    return FractionSymPoly(out)
+
+
+def fraction_change_basis(ctx, p, target):
+    """Coefficients of a FractionSymPoly on the ``target`` basis by
+    back-substitution from the top degree."""
+    rem = p
+    d = p.degree
+    out = [Fraction(0)] * (d + 1)
+    for n in range(d, 0, -1):
+        top = rem.coeffs[n] if rem.degree >= n else Fraction(0)
+        if top == 0:
+            continue
+        member = fraction_special_poly(ctx, target, n)
+        a = top / member.coeffs[-1]
+        out[n] = a
+        rem = rem - member * a
+    if not rem.is_constant():
+        raise IntegrityError("back-substitution left a non-constant remainder")
+    out[0] = rem.coeffs[0]
+    return tuple(out)

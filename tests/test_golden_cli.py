@@ -123,6 +123,13 @@ GOLDEN = [
      "d3c2f788c49751f56ab4f538fd7dfe261681ca5820352149e2d9b33f3c7dd029"),
     ("expand --kind euler --fn phi:6:2/3 --K 4 --s 17/29", 0,
      "0f6f9a734747f9776c4decc7d6184c64e2ecde086886df798fd21c5a6f3253e4"),
+    # SymPoly on integer numerators over one denominator
+    ("identities --all --s 17/29 --order 16", 0,
+     "42d6198a3260a5a120032ad25a6891be331565dd4b9f5dfbf108dd726b10b3c0"),
+    ("polys --family hermite --s 19/28 --order 20 --format csv", 0,
+     "834b929db3b490b3e9cabbd054bb6b10b306e05af8a520c7807f59faa8d0345b"),
+    ("lidstone-basis --kind Mtilde --K 6 --s 9/23", 0,
+     "1bdb59d8f62b29b8393801594ef4424ffc1b7eec92d0502d6f8f331806604fb9"),
 ]
 
 

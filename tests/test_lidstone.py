@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import aw_boundary_data_iterated, expansion_reconstruction_families, float_terms_scaled
+from qlidstone import lidstone
 from qlidstone.qcore import QContext, q_factorial, q_pochhammer
 from qlidstone.lidstone import (
     DEFAULT_GRID,
@@ -260,6 +261,22 @@ def test_growth_metadata_note(ctx_half):
     f_edge = EntireFn.from_stream([1, 1], growth_order=2 * lnq_inv, growth_type=0.1)
     assert "admissible" in growth_condition_note(ctx_half, f_edge)
     assert "no declared" in growth_condition_note(ctx_half, EntireFn.from_stream([1]))
+
+
+def test_counterexample_report_builds_the_float_terms_once(monkeypatch):
+    calls = []
+
+    def counted(ctx, stream):
+        calls.append(len(stream))
+        return float_terms(ctx, stream)
+
+    float_terms = lidstone._float_terms
+    monkeypatch.setattr(lidstone, "_float_terms", counted)
+    ctx = QContext(Fraction(19, 20))
+    rep = counterexample_report(ctx, "bernoulli", n_terms=30, K=2)
+    assert calls == [30]
+    # the shared terms give the residual that the expansion on the grid reports
+    assert rep.expansion.residual == bernoulli_expansion(ctx, rep.expansion.fn, 2).residual
 
 
 def test_counterexample_small():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import q_translate_hermite, rho_laurent_product
-from qlidstone.qcore import QContext, q_number
+from qlidstone.qcore import QContext, psi_weights, q_number
 from qlidstone.symlaurent import (
     SymPoly,
     aw_derivative,
@@ -121,6 +121,18 @@ def test_rho_ladder(ctx):
         lhs = aw_derivative(ctx, special_poly(ctx, "rho", n))
         rhs = special_poly(ctx, "rho", n - 1) * (2 * s2 ** (1 - n) * q_number(n, q))
         assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_fracs, min_size=1, max_size=9),
+       st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)]))
+def test_ladder_on_random_rho_combinations(r, s):
+    # D sum_n r_n rho_n = sum_n c r_{n+1} psi_n / psi_{n+1} rho_n, c = aw_scale
+    ctx = QContext(s)
+    psi = psi_weights(ctx, len(r))
+    lhs = aw_derivative(ctx, poly_from_basis(ctx, "rho", r))
+    rhs = poly_from_basis(ctx, "rho", [ctx.aw_scale * r[n + 1] * psi[n] / psi[n + 1] for n in range(len(r) - 1)])
+    assert lhs == rhs
 
 
 def test_derivative_representation_independent(ctx_half):
