@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .qcore import QContext
 from .symlaurent import SymPoly, special_poly
@@ -233,7 +234,7 @@ def _cmd_zeros(args) -> int:
     if not 0.0 < args.qfloat < 1.0:
         raise SystemExit2(f"--qfloat must lie in (0, 1), got {args.qfloat}")
     try:
-        report = qspecial.smallest_positive_zero(kind, args.qfloat)
+        report = qspecial.first_zero(kind, args.qfloat)
     except RuntimeError as exc:  # ZeroSearchError, or a float loop that ran out near q = 1
         raise SystemExit2(str(exc))
     payload = {"command": "zeros", "q": args.qfloat, "report": report}
@@ -325,7 +326,10 @@ def _cmd_guichard(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    :func:`main` call in the process; parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="qlidstone",
         description="Exact q-series polynomial tables, identity suites, zero "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .qcore import IntegrityError, q_factorial, q_number, q_pochhammer, safe_float, translate_coeffs
+from .qcore import IntegrityError, q_factorials, q_number, q_pochhammers, safe_float, translate_coeffs
 
 ZPoly = Tuple[Fraction, ...]
 
@@ -48,7 +48,7 @@ class DeltaSeq:
     @classmethod
     def alsalam_half(cls, p: Fraction, n_max: int) -> "DeltaSeq":
         p = Fraction(p)
-        return cls(p, tuple(q_pochhammer(-1, p, k) / 2 ** k for k in range(n_max + 1)),
+        return cls(p, tuple(c / 2 ** k for k, c in enumerate(q_pochhammers(-1, p, n_max))),
                    "alsalam_half")
 
     @classmethod
@@ -77,7 +77,7 @@ def dotplus_translate(h: Sequence, d: DeltaSeq) -> ZPoly:
     deg = len(h) - 1
     if deg > d.capacity:
         raise CapacityError(f"delta sequence holds {d.capacity + 1} terms, need {deg + 1}")
-    weights = [1 / q_factorial(n, d.p) for n in range(deg + 1)]
+    weights = [1 / f for f in q_factorials(deg, d.p)]
     return _trim(list(translate_coeffs(h, weights, d.delta)))
 
 
@@ -97,8 +97,8 @@ def bp_numbers(d: DeltaSeq, n_max: int) -> Tuple[Fraction, ...]:
     and b_k = B_k/[k]_p!, b_0 = 1/d_1 and sum_{j<k} b_j d_{k-j} = 0."""
     if n_max + 1 > d.capacity:
         raise CapacityError(f"delta sequence holds {d.capacity + 1} terms, need {n_max + 2}")
-    p = d.p
-    dk = [d.delta[k] / q_factorial(k, p) for k in range(n_max + 2)]
+    fact = q_factorials(n_max + 1, d.p)
+    dk = [d.delta[k] / fact[k] for k in range(n_max + 2)]
     if dk[1] == 0:
         raise ZeroDivisionError("delta_1 = 0 makes the number recurrence singular")
     b = [Fraction(1) / dk[1]]
@@ -107,7 +107,7 @@ def bp_numbers(d: DeltaSeq, n_max: int) -> Tuple[Fraction, ...]:
         for j in range(k - 1):
             acc += b[j] * dk[k - j]
         b.append(-acc / dk[1])
-    return tuple(b[n] * q_factorial(n, p) for n in range(n_max + 1))
+    return tuple(b[n] * fact[n] for n in range(n_max + 1))
 
 
 def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly, ...]:
@@ -119,7 +119,7 @@ def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly,
     """
     numbers = bp_numbers(d, n_max)
     p = d.p
-    fact = [q_factorial(k, p) for k in range(n_max + 1)]
+    fact = q_factorials(n_max, p)
     polys = []
     for n in range(n_max + 1):
         coeffs = [fact[n] / (fact[k] * fact[n - k]) * numbers[n - k] for k in range(n + 1)]
@@ -191,16 +191,14 @@ def growth_bound_check(q: Fraction, n_max: int, xi1: float = None) -> GrowthRepo
     bound says r_n stays below a constant; empirically the sup sits at
     small n and the odd entries vanish."""
     from .qpolys import im_bernoulli_numbers
-    from .qspecial import smallest_positive_zero
+    from .qspecial import first_zero
 
     q = Fraction(q)
     if xi1 is None:
-        xi1 = smallest_positive_zero("Sinq", float(q)).value
+        xi1 = first_zero("Sinq", float(q)).value
     numbers = im_bernoulli_numbers(q, n_max)
-    ratios = []
-    for n in range(n_max + 1):
-        rn = abs(safe_float(numbers[n] / q_factorial(n, q))) * (2.0 * xi1) ** n
-        ratios.append(rn)
+    fact = q_factorials(n_max, q)
+    ratios = [abs(safe_float(b / f)) * (2.0 * xi1) ** n for n, (b, f) in enumerate(zip(numbers, fact))]
     sup = max(ratios)
     return GrowthReport(q=float(q), xi1=xi1, n_max=n_max, ratios=tuple(ratios),
                         sup=sup, argmax=ratios.index(sup))

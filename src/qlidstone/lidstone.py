@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .qcore import QContext, float_quotient, psi_weights, q_pochhammers, safe_float
 from .symlaurent import SymPoly, change_basis, eval_float, poly_from_basis, rho_translate, special_poly
-from .qpolys import family_multiplier
+from .qpolys import family_combination
 from . import qspecial
 
 Number = Union[Fraction, float]
@@ -160,7 +160,7 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
 
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
     try:
-        report = qspecial._first_zero_cached(float(ctx.q), kind)
+        report = qspecial.first_zero(kind, float(ctx.q))
     except qspecial.ZeroSearchError:
         return None
     return min(1.0, report.value)
@@ -175,7 +175,7 @@ def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,
     for k in range(K + 1):
         weight = 2 * c ** (-2 * k)
         terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
-    recon = _family_combination(ctx, terms, 2 * K + 2)
+    recon = family_combination(ctx, terms, 2 * K + 2)
     return _finish_report(ctx, f, "bernoulli", K, data0, data_eta, recon, grid, "Sq_eta")
 
 
@@ -188,25 +188,8 @@ def euler_expansion(ctx: QContext, f: EntireFn, K: int,
     for k in range(K + 1):
         terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
                   ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
-    recon = _family_combination(ctx, terms, 2 * K + 2)
+    recon = family_combination(ctx, terms, 2 * K + 2)
     return _finish_report(ctx, f, "euler", K, data0, data_eta, recon, grid, "Cq_eta")
-
-
-def _family_combination(ctx: QContext, terms, order: int) -> SymPoly:
-    """sum of a * (family ``kind`` entry n) over the terms (kind, n, a), n < order.
-
-    Family entry n is sum_j G_{n-j} psi_j rho_j with G = :func:`family_multiplier`,
-    so the terms collect into rho coefficients and one polynomial is assembled.
-    """
-    r = [Fraction(0)] * order
-    for kind, n, a in terms:
-        if a == 0:
-            continue
-        g = family_multiplier(ctx.s, kind, order)
-        for j in range(n + 1):
-            if g[n - j] != 0:
-                r[j] += a * g[n - j]
-    return poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, order))])
 
 
 def _finish_report(ctx, f, kind, K, data0, data_eta, recon, grid, cap_kind):

@@ -110,6 +110,23 @@ def q_factorial(n: int, base: Rational) -> Fraction:
     return out
 
 
+def q_factorials(n: int, base: Rational) -> list:
+    """[[0]!, ..., [n]!] by one running product, [k] itself by the running sum
+    1 + base + ... + base**(k-1); base 1 gives the ordinary factorials.
+    :func:`q_factorial` is the closed form it is tested against."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    base = _as_fraction(base)
+    out = [Fraction(1)]
+    qk = Fraction(0)
+    p = Fraction(1)
+    for _ in range(n):
+        qk += p
+        p *= base
+        out.append(out[-1] * qk)
+    return out
+
+
 def q_pochhammer(a: Rational, base: Rational, n: int) -> Fraction:
     """(a; base)_n = prod_{k=0}^{n-1} (1 - a*base**k)."""
     if n < 0:

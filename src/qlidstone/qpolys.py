@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .qcore import IntegrityError, QContext, psi_weights, q_factorial, q_pochhammers
+from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers
 from .fps import (
     Series,
     eq_exponential_series,
@@ -30,7 +30,7 @@ from .fps import (
     pochhammer_series,
     scale_arg,
 )
-from .symlaurent import SymPoly, eval_at, aw_derivative, q_translate, special_poly
+from .symlaurent import SymPoly, eval_at, aw_derivative, poly_from_basis, q_translate, special_poly
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 NUMBER_KINDS = ("beta_q", "suslov_Bq", "im_Bq", "suslov_Eq")
@@ -92,6 +92,23 @@ def eta_exponential_series(ctx: QContext, order: int) -> Series:
     (-w; sqrt q)_inf / (q w**2; q**2)_inf."""
     plus, _, _, _ = _denominator_parts(ctx.s, order)
     return plus / _qw2_series(ctx.s, order)
+
+
+def family_combination(ctx: QContext, terms, order: int) -> SymPoly:
+    """sum of a * (family ``kind`` entry n) over the terms (kind, n, a), n < order.
+
+    Family entry n is sum_j G_{n-j} psi_j rho_j with G = :func:`family_multiplier`,
+    so the terms collect into rho coefficients and one polynomial is assembled.
+    """
+    r = [Fraction(0)] * order
+    for kind, n, a in terms:
+        if a == 0:
+            continue
+        g = family_multiplier(ctx.s, kind, order)
+        for j in range(n + 1):
+            if g[n - j] != 0:
+                r[j] += a * g[n - j]
+    return poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, order))])
 
 
 # -- families ----------------------------------------------------------------
@@ -171,11 +188,10 @@ def im_bernoulli_numbers(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     q = Fraction(q)
     order = n_max + 1
     poch = q_pochhammers(-1, q, order)
-    denom = []
-    for n in range(1, order + 1):
-        denom.append(poch[n] / (Fraction(2 ** n) * q_factorial(n, q)))
+    fact = q_factorials(order, q)
+    denom = [poch[n] / (Fraction(2 ** n) * fact[n]) for n in range(1, order + 1)]
     quotient = Series.one(order) / Series(denom)
-    return tuple(quotient[n] * q_factorial(n, q) for n in range(order))
+    return tuple(quotient[n] * fact[n] for n in range(order))
 
 
 # -- the two-point interpolation bases -------------------------------------------
@@ -213,38 +229,28 @@ def _div_odd(num: Series, diff_over_w: Series) -> Series:
 
 
 def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
-    """Interpolation-basis polynomials, built two ways and cross-checked.
+    """Interpolation-basis polynomials k = 0..k_max, scaled family entries
+    with c the ladder scale 2 q**(1/4)/(1-q):
 
-    Route one scales the family tables: A_k = 2 c**(-2k) B_{2k+1}-type with
-    c the ladder scale 2 q**(1/4)/(1-q); route two extracts coefficients of
-    the defining quotient series directly.  A mismatch raises
-    IntegrityError carrying the first differing index.
+    A_k = 2 c**(-2k) suslov_B_{2k+1}      B_k = 2 c**(-2k) new_beta_{2k+1}
+    M_k = c**(-2k-1) new_E_{2k+1}         Mtilde_k = 2 c**(-2k) suslov_E_{2k}
+
+    Each is assembled from :func:`family_multiplier` on the rho basis, as the
+    expansions are; the tests pin it against the family tables and against
+    the defining quotient series.
     """
     if kind not in BASIS_KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
     c = ctx.aw_scale
     order = 2 * k_max + 2
     if kind == "M":
-        fam = build_family(ctx, "new_E", 2 * k_max + 1)
-        scaled = tuple(fam.entries[2 * k + 1] * c ** (-2 * k - 1) for k in range(k_max + 1))
-        direct_series = _lidstone_quotients(ctx, kind, order)
-        direct = tuple(_as_poly(direct_series[2 * k + 1]) * c ** (-2 * k - 1) for k in range(k_max + 1))
+        terms = [("new_E", 2 * k + 1, c ** (-2 * k - 1)) for k in range(k_max + 1)]
+    elif kind == "Mtilde":
+        terms = [("suslov_E", 2 * k, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
     else:
-        if kind == "A":
-            fam = build_family(ctx, "suslov_B", 2 * k_max + 1)
-            scaled = tuple(fam.entries[2 * k + 1] * (2 * c ** (-2 * k)) for k in range(k_max + 1))
-        elif kind == "B":
-            fam = build_family(ctx, "new_beta", 2 * k_max + 1)
-            scaled = tuple(fam.entries[2 * k + 1] * (2 * c ** (-2 * k)) for k in range(k_max + 1))
-        else:  # Mtilde
-            fam = build_family(ctx, "suslov_E", 2 * k_max)
-            scaled = tuple(fam.entries[2 * k] * (2 * c ** (-2 * k)) for k in range(k_max + 1))
-        direct_series = _lidstone_quotients(ctx, kind, order)
-        direct = tuple(_as_poly(direct_series[2 * k]) * c ** (-2 * k) for k in range(k_max + 1))
-    for k, (p1, p2) in enumerate(zip(scaled, direct)):
-        if p1 != p2:
-            raise IntegrityError(f"basis {kind}: construction routes differ first at index {k}")
-    return scaled
+        family = "suslov_B" if kind == "A" else "new_beta"
+        terms = [(family, 2 * k + 1, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
+    return tuple(family_combination(ctx, [term], order) for term in terms)
 
 
 def hermite_from_bernoulli(ctx: QContext, n: int) -> SymPoly:

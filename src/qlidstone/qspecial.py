@@ -299,10 +299,11 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
 
 
 @lru_cache(maxsize=None)
-def _first_zero_cached(q: float, kind: str) -> ZeroReport:
-    """:func:`smallest_positive_zero` at its default width, memoized.  The
-    call goes through the module global so that a rebinding of that name
-    is seen."""
+def first_zero(kind: str, q: float) -> ZeroReport:
+    """:func:`smallest_positive_zero` at its default width, memoized per
+    (kind, q); a search that raises is not cached, so it raises again on the
+    next call.  The call goes through the module global so that a rebinding
+    of that name is seen."""
     return smallest_positive_zero(kind, q)
 
 
@@ -467,7 +468,7 @@ def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:
     """Rational approximation of the first positive zero of the eta-node
     sine ("Sq_eta") or cosine ("Cq_eta"), accurate to ~2**-steps of the
     float bracket width; used where double precision is not enough."""
-    report = _first_zero_cached(float(ctx.q), kind)
+    report = first_zero(kind, float(ctx.q))
     lo = Fraction(report.bracket[0])
     hi = Fraction(report.bracket[1])
     # widen until the exact signs straddle (the float bracket can be off by ulps)

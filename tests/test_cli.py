@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +222,47 @@ def test_polys_past_the_int_digit_limit(capsys):
         assert any(len(text.split("/")[0].lstrip("-")) > 4300 for text, _ in pairs)
         for text, c in pairs:
             assert Fraction(text) == c
+
+
+# -- the parser and the float zeros shared across main calls ---------------------
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(["1", "0", "1/4"]))
+    requests = [
+        ["numbers", "--kind", "beta", "--s", "1/2", "--order", "bogus"],  # usage error first
+        ["numbers", "--kind", "suslov-e", "--s", "3/5", "--order", "5", "--format", "csv"],
+        ["lidstone-basis", "--kind", "B", "--K", "2", "--s", "2/5", "--format", "text"],
+        ["guichard", "--preset", "ones", "--p", "2", "--coeffs", str(path)],
+    ]
+    shared = [_outcome(capsys, argv) for argv in requests]
+    assert shared[0][0] == 2 and "argument --order" in shared[0][2]
+    assert [code for code, _, _ in shared[1:]] == [0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in requests]
+    assert shared == fresh
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import qlidstone.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_zero_search_failure_is_not_memoized(capsys):
+    for _ in range(2):
+        code, out, err = _outcome(capsys, ["zeros", "--kind", "sq-eta", "--qfloat", "0.99999"])
+        assert (code, out) == (2, "")
+        assert "tail bound did not converge" in err

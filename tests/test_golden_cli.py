@@ -130,6 +130,15 @@ GOLDEN = [
      "834b929db3b490b3e9cabbd054bb6b10b306e05af8a520c7807f59faa8d0345b"),
     ("lidstone-basis --kind Mtilde --K 6 --s 9/23", 0,
      "1bdb59d8f62b29b8393801594ef4424ffc1b7eec92d0502d6f8f331806604fb9"),
+    # q-factorials from one running product (base 1 included), memoized float zeros
+    ("guichard --preset ones --p 1 --coeffs coeffs.json", 0,
+     "272204a6c1b791366df4faee193083957fb6534a519cac4297c43accf8538916"),
+    ("guichard --preset alsalam-half --p 3/2 --coeffs coeffs.json --growth-order 18", 0,
+     "ef40ca89fc3ab22239d4aaeb32b653aff0c8d7a32838a525f7c4f4bbc52b56fa"),
+    ("numbers --kind im --s 2/5 --order 14 --format text", 0,
+     "d471c69ac3e50634815bb9414aecf8387917183dc910c62fb9113c4d42fa202b"),
+    ("zeros --kind cq-eta --qfloat 0.4 --format text", 0,
+     "64f8c2898a09159857bea05ee46fed43914bd0529410af3436dc5a91dca14f30"),
 ]
 
 
@@ -150,6 +159,18 @@ def test_golden_output(line, code, digest, tmp_path, monkeypatch, capsys):
     got_code, out = _run(shlex.split(line), capsys)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_output_warm(tmp_path, monkeypatch, capsys):
+    # a warm session reuses the parser, the memoized zeros and the family caches;
+    # the second run of each command must still print the pinned bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coeffs.json").write_text(json.dumps(COEFFS_JSON))
+    (tmp_path / "f.json").write_text(json.dumps(F_JSON))
+    for line, code, digest in GOLDEN:
+        for run in ("first", "second"):
+            got_code, out = _run(shlex.split(line), capsys)
+            assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), (line, run)
 
 
 def test_readme_examples_are_golden():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qlidstone.qcore import (
     psi_weights,
     q_binomial,
     q_factorial,
+    q_factorials,
     q_number,
     q_pochhammer,
     q_pochhammer_inf,
@@ -57,6 +59,18 @@ def test_q_factorial():
     q = Fraction(1, 4)
     assert q_factorial(2, q) == 1 + q
     assert q_factorial(3, Fraction(1, 16)) == Fraction(17, 16) * Fraction(273, 256)
+
+
+@pytest.mark.parametrize("base", [Fraction(1, 2), 3, Fraction(3, 2), 1, Fraction(-1, 3)])
+def test_q_factorials_match_closed_form(base):
+    full = q_factorials(30, base)
+    assert full == [q_factorial(k, base) for k in range(31)]
+    for n in range(30):
+        assert q_factorials(n, base) == full[:n + 1]
+    if base == 1:
+        assert full == [math.factorial(k) for k in range(31)]
+    with pytest.raises(ValueError):
+        q_factorials(-1, base)
 
 
 def test_q_pochhammer_small():

@@ -4,6 +4,8 @@ import pytest
 
 from qlidstone.qcore import QContext, psi_weights, q_number, q_pochhammer
 from qlidstone.qpolys import (
+    BASIS_KINDS,
+    _lidstone_quotients,
     FAMILY_KINDS,
     build_family,
     family_multiplier,
@@ -112,6 +114,40 @@ def test_basis_second_derivative_ladders(ctx_half):
         basis = lidstone_basis(ctx, kind, 4)
         for k in range(1, 5):
             assert aw_derivative(ctx, basis[k], 2) == basis[k - 1], (kind, k)
+
+
+# basis kind -> (family, index offset, scale exponent, factor): basis k is
+# factor * c**(-2k - exponent) * (family entry 2k + offset), and it is
+# c**(-2k - exponent) * (quotient coefficient 2k + exponent)
+_BASIS_FROM_FAMILY = {
+    "A": ("suslov_B", 1, 0, 2),
+    "B": ("new_beta", 1, 0, 2),
+    "M": ("new_E", 1, 1, 1),
+    "Mtilde": ("suslov_E", 0, 0, 2),
+}
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(9, 23)])
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_basis_pins_both_construction_routes(kind, s):
+    # route one scales the family tables; route two reads the coefficients of
+    # the defining quotient series, whose A and B numerators have w cancelled
+    ctx = QContext(s)
+    c = ctx.aw_scale
+    k_max = 6
+    family, offset, exponent, factor = _BASIS_FROM_FAMILY[kind]
+    table = build_family(ctx, family, 2 * k_max + 1).entries
+    quotient = _lidstone_quotients(ctx, kind, 2 * k_max + 2)
+    basis = lidstone_basis(ctx, kind, k_max)
+    assert len(basis) == k_max + 1
+    for k, b in enumerate(basis):
+        scale = c ** (-2 * k - exponent)
+        assert b == table[2 * k + offset] * (factor * scale), (kind, k, "family")
+        coeff = quotient[2 * k + exponent]
+        coeff = coeff if isinstance(coeff, SymPoly) else SymPoly.const(coeff)
+        assert b == coeff * scale, (kind, k, "quotient")
+    for K in range(k_max):
+        assert lidstone_basis(ctx, kind, K) == basis[:K + 1]
 
 
 def test_basis_scaled_vs_family(ctx_half):
