@@ -242,6 +242,19 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
+def _read_coeffs(path: str) -> list:
+    """The coefficients in a JSON file holding one array of numbers or "num/den"
+    strings; a file that cannot be read or holds anything else exits 2."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, list):
+            raise ValueError(f"expected a JSON array of coefficients, got {type(doc).__name__}")
+        return [Fraction(str(c)) for c in doc]
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        raise SystemExit2(f"bad coefficient file {path!r}: {exc}")
+
+
 def _parse_fn(ctx: QContext, spec: str) -> lidstone.EntireFn:
     """Tiny input grammar: rho:n | mono:n | phi:n:a | stream:@file."""
     parts = spec.split(":")
@@ -255,10 +268,8 @@ def _parse_fn(ctx: QContext, spec: str) -> lidstone.EntireFn:
                 ctx, special_poly(ctx, "phi", int(parts[1]), Fraction(parts[2]))
             )
         if parts[0] == "stream" and len(parts) == 2 and parts[1].startswith("@"):
-            with open(parts[1][1:]) as fh:
-                coeffs = json.load(fh)
-            return lidstone.EntireFn.from_stream([Fraction(str(c)) for c in coeffs])
-    except (ValueError, OSError) as exc:
+            return lidstone.EntireFn.from_stream(_read_coeffs(parts[1][1:]))
+    except ValueError as exc:
         raise SystemExit2(f"bad function spec {spec!r}: {exc}")
     raise SystemExit2(f"bad function spec {spec!r}; use rho:n, mono:n, phi:n:a, or stream:@file")
 
@@ -298,8 +309,7 @@ def _cmd_guichard(args) -> int:
     if p == 1 and args.preset == "alsalam-half":
         raise SystemExit2("p = 1 reduces alsalam-half to the classical case; use preset ones")
     if args.coeffs:
-        with open(args.coeffs) as fh:
-            f = [Fraction(str(c)) for c in json.load(fh)]
+        f = _read_coeffs(args.coeffs)
     else:
         f = [Fraction(0), Fraction(1)]  # default demo: f(z) = z
     maker = guichard.DeltaSeq.ones if args.preset == "ones" else guichard.DeltaSeq.alsalam_half

@@ -190,15 +190,13 @@ def growth_bound_check(q: Fraction, n_max: int, xi1: float = None) -> GrowthRepo
     the first positive zero of the q-sine built on E_q.  The underlying
     bound says r_n stays below a constant; empirically the sup sits at
     small n and the odd entries vanish."""
-    from .qpolys import im_bernoulli_numbers
+    from .qpolys import im_bernoulli_quotients
     from .qspecial import first_zero
 
     q = Fraction(q)
     if xi1 is None:
         xi1 = first_zero("Sinq", float(q)).value
-    numbers = im_bernoulli_numbers(q, n_max)
-    fact = q_factorials(n_max, q)
-    ratios = [abs(safe_float(b / f)) * (2.0 * xi1) ** n for n, (b, f) in enumerate(zip(numbers, fact))]
+    ratios = [abs(safe_float(b)) * (2.0 * xi1) ** n for n, b in enumerate(im_bernoulli_quotients(q, n_max))]
     sup = max(ratios)
     return GrowthReport(q=float(q), xi1=xi1, n_max=n_max, ratios=tuple(ratios),
                         sup=sup, argmax=ratios.index(sup))

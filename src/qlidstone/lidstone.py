@@ -25,19 +25,22 @@ rho coefficients and assembled once; no family table is built.
 For entire functions given as streams the reports carry a growth statistic
 tau (the n-th root of |f_n| normalized by the q-exponential coefficients)
 and the convergence cap min(1, first positive zero of the sine/cosine at
-eta): data-only diagnostics, never a gate on the computation.
+eta): data-only diagnostics, never a gate on the computation.  Their
+residual is max |f - recon| on a grid, summed in floats from the exact
+rho-basis difference f_j/psi_j - r_j.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from itertools import zip_longest
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, float_quotient, psi_weights, q_pochhammers, safe_float
-from .symlaurent import SymPoly, change_basis, eval_float, poly_from_basis, rho_translate, special_poly
-from .qpolys import family_combination
+from .qcore import QContext, psi_weights, q_pochhammers, safe_float
+from .symlaurent import SymPoly, change_basis, poly_from_basis, rho_translate
+from .qpolys import family_rho
 from . import qspecial
 
 Number = Union[Fraction, float]
@@ -71,29 +74,6 @@ class EntireFn:
         return poly_from_basis(ctx, "rho", self.stream)
 
 
-def _float_terms(ctx: QContext, stream) -> list:
-    """Combined float Chebyshev coefficients of sum f_k rho_k.
-
-    Each basis coefficient is scaled by its (possibly tiny) f_k before
-    leaving exact arithmetic: the basis values alone can overflow the float
-    range at high degree.  The product is rounded by one integer division of
-    the unreduced numerator by the unreduced denominator
-    (:func:`qcore.float_quotient`), so it equals the float of the reduced
-    product.
-    """
-    out = [0.0]
-    for k, fk in enumerate(stream):
-        if fk == 0:
-            continue
-        rho = special_poly(ctx, "rho", k)
-        if len(rho.nums) > len(out):
-            out.extend([0.0] * (len(rho.nums) - len(out)))
-        fn, fd = fk.numerator, rho.den * fk.denominator
-        for i, c in enumerate(rho.nums):
-            out[i] += float_quotient(c * fn, fd)
-    return out
-
-
 @dataclass(frozen=True)
 class ExpansionReport:
     kind: str
@@ -110,25 +90,21 @@ class ExpansionReport:
 
 
 def rho_expand(ctx: QContext, f: EntireFn) -> Tuple[Tuple[Fraction, ...], float]:
-    """The rho coefficient stream together with the growth statistic tau.
+    """The rho coefficient stream together with the growth statistic tau
+    (see :func:`_growth_tau`); a terminating (polynomial) stream has tau 0."""
+    return f.stream, 0.0 if f.polynomial else _growth_tau(_over_psi(ctx, f.stream))
 
-    tau_n = |f_n / psi_n|**(1/n) with psi_n the q-exponential coefficient;
-    the estimate is the maximum over a trailing window of width 10.  A
-    terminating (polynomial) stream has tau 0.
-    """
-    stream = f.stream
-    if f.polynomial:
-        return stream, 0.0
-    stats = []
-    for n, (fn, psi) in enumerate(zip(stream, psi_weights(ctx, len(stream)))):
-        if n == 0 or fn == 0:
-            continue
-        cn = abs(safe_float(fn / psi))
-        if cn > 0:
-            stats.append(cn ** (1.0 / n))
-    if not stats:
-        return stream, 0.0
-    return stream, max(stats[-10:])
+
+def _over_psi(ctx: QContext, coeffs: Sequence) -> List[Fraction]:
+    """c_j / psi_j, psi_j the q-exponential coefficient q**(j**2/4)/(q;q)_j."""
+    return [c / psi for c, psi in zip(coeffs, psi_weights(ctx, len(coeffs)))]
+
+
+def _growth_tau(quotients: Sequence[Fraction]) -> float:
+    """tau = max of |f_n / psi_n|**(1/n) over a trailing window of width 10
+    (0 for a stream with no nonzero term past f_0), read off the quotients f_n / psi_n."""
+    stats = [cn ** (1.0 / n) for n, cn in enumerate(abs(safe_float(c)) for c in quotients) if n and cn > 0]
+    return max(stats[-10:], default=0.0)
 
 
 def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
@@ -175,8 +151,8 @@ def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,
     for k in range(K + 1):
         weight = 2 * c ** (-2 * k)
         terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
-    recon = family_combination(ctx, terms, 2 * K + 2)
-    return _finish_report(ctx, f, "bernoulli", K, data0, data_eta, recon, grid, "Sq_eta")
+    r = family_rho(ctx, terms, 2 * K + 2)
+    return _finish_report(ctx, f, "bernoulli", K, data0, data_eta, r, grid, "Sq_eta")
 
 
 def euler_expansion(ctx: QContext, f: EntireFn, K: int,
@@ -188,19 +164,24 @@ def euler_expansion(ctx: QContext, f: EntireFn, K: int,
     for k in range(K + 1):
         terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
                   ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
-    recon = family_combination(ctx, terms, 2 * K + 2)
-    return _finish_report(ctx, f, "euler", K, data0, data_eta, recon, grid, "Cq_eta")
+    r = family_rho(ctx, terms, 2 * K + 2)
+    return _finish_report(ctx, f, "euler", K, data0, data_eta, r, grid, "Cq_eta")
 
 
-def _finish_report(ctx, f, kind, K, data0, data_eta, recon, grid, cap_kind):
-    _, tau = rho_expand(ctx, f)
+def _finish_report(ctx, f, kind, K, data0, data_eta, r, grid, cap_kind):
+    """The report on the reconstruction sum_j r_j psi_j rho_j of f.  A stream's
+    quotients f_j / psi_j give both tau and, less r_j, the residual."""
+    recon = poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, len(r)))])
     cap = _zero_cap(ctx, cap_kind)
     exact = f.polynomial
     if exact:
+        tau = 0.0
         diff = recon - f.to_poly(ctx)
         res: Number = Fraction(max(abs(n) for n in diff.nums), diff.den)
     else:
-        res = residual_on_grid(ctx, f, recon, grid)
+        quotients = _over_psi(ctx, f.stream)
+        tau = _growth_tau(quotients)
+        res = _grid_sup(ctx, quotients, r, grid)
     status = "ok"
     if not f.polynomial and cap is not None and tau >= cap * (1 - 1e-9):
         status = "warning: growth statistic tau reaches the convergence cap; the expansion may not converge"
@@ -214,18 +195,18 @@ def _finish_report(ctx, f, kind, K, data0, data_eta, recon, grid, cap_kind):
 
 
 def residual_on_grid(ctx: QContext, f: EntireFn, recon: SymPoly, grid: Sequence) -> float:
-    if not grid:
-        return 0.0
-    return _grid_residual(_float_terms(ctx, f.stream), recon, grid)
+    """max over the grid of |f - recon| for any polynomial ``recon``, from the
+    exact difference of the two on the rho basis (see :func:`_grid_sup`)."""
+    return _grid_sup(ctx, _over_psi(ctx, f.stream), _over_psi(ctx, change_basis(ctx, recon, "rho")), grid)
 
 
-def _grid_residual(terms: list, recon: SymPoly, grid: Sequence) -> float:
-    """max over the grid of |f - recon|, f given by its float Chebyshev terms."""
-    worst = 0.0
-    for x in grid:
-        xf = float(x)
-        worst = max(worst, abs(eval_float(terms, xf) - eval_float(recon, xf)))
-    return worst
+def _grid_sup(ctx: QContext, quotients: Sequence, r: Sequence, grid: Sequence) -> float:
+    """max over the grid of |sum_j v_j psi_j rho_j(x)|, v_j = float(f_j/psi_j - r_j)
+    (the shorter list padded with zeros): f minus the reconstruction sum_j r_j psi_j rho_j.
+    The difference is exact, so a reproduced stream reports 0.0."""
+    v = [safe_float(c - rj) for c, rj in zip_longest(quotients, r, fillvalue=0)]
+    return max((abs(math.fsum(vj * uj for vj, uj in zip(v, qspecial.psi_rho_values(ctx, float(x), len(v)))))
+                for x in grid), default=0.0)
 
 
 # -- streams for the worked examples -------------------------------------------
@@ -294,15 +275,12 @@ def counterexample_report(ctx: QContext, kind: str, n_terms: int, K: int,
         engine = euler_expansion
     else:
         raise ValueError("kind must be 'bernoulli' or 'euler'")
-    # the expansion runs on no grid; its residual and the norm share one set of float terms
-    terms = _float_terms(ctx, f.stream)
-    report = engine(ctx, f, K, grid=())
-    report = replace(report, residual=_grid_residual(terms, report.reconstruction, grid))
+    report = engine(ctx, f, K, grid)
     max_data = max(
         [abs(safe_float(v)) for v in report.data_at_zero]
         + [abs(safe_float(v)) for v in report.data_at_eta]
     )
-    norm = max(abs(eval_float(terms, float(x))) for x in grid)
+    norm = _grid_sup(ctx, _over_psi(ctx, f.stream), (), grid)
     return CounterexampleReport(kind=kind, w=float(w), max_data=max_data,
                                 function_norm=norm, expansion=report)
 

@@ -242,16 +242,6 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
     return value, n
 
 
-def float_quotient(n: int, d: int) -> float:
-    """n/d rounded once: CPython rounds int true division correctly, so this
-    equals ``safe_float(Fraction(n, d))`` whether or not n/d is reduced, and
-    past the float range it saturates the same way."""
-    try:
-        return n / d
-    except OverflowError:
-        return safe_float(Fraction(n, d))
-
-
 def safe_float(x) -> float:
     """Fraction/int/float to float without the OverflowError that plain
     float() raises when numerator or denominator exceed the float range;

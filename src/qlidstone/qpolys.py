@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers
 from .fps import (
@@ -94,11 +94,12 @@ def eta_exponential_series(ctx: QContext, order: int) -> Series:
     return plus / _qw2_series(ctx.s, order)
 
 
-def family_combination(ctx: QContext, terms, order: int) -> SymPoly:
-    """sum of a * (family ``kind`` entry n) over the terms (kind, n, a), n < order.
+def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
+    """r_0..r_{order-1} with sum of a * (family ``kind`` entry n) over the terms
+    (kind, n, a), n < order, equal to sum_j r_j psi_j rho_j.
 
     Family entry n is sum_j G_{n-j} psi_j rho_j with G = :func:`family_multiplier`,
-    so the terms collect into rho coefficients and one polynomial is assembled.
+    so r_j = sum over the terms of a G_{n-j}.
     """
     r = [Fraction(0)] * order
     for kind, n, a in terms:
@@ -108,7 +109,7 @@ def family_combination(ctx: QContext, terms, order: int) -> SymPoly:
         for j in range(n + 1):
             if g[n - j] != 0:
                 r[j] += a * g[n - j]
-    return poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, order))])
+    return r
 
 
 # -- families ----------------------------------------------------------------
@@ -179,7 +180,12 @@ def build_numbers(ctx: QContext, kind: str, n_max: int) -> NumberTable:
 
 
 def im_bernoulli_numbers(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
-    """Numbers B_n(q) generated by y / (e_q(y/2) E_q(y/2) - 1), scaled by [n]_q!.
+    """Numbers B_n(q) = [n]_q! times entry n of :func:`im_bernoulli_quotients`."""
+    return tuple(b * f for b, f in zip(im_bernoulli_quotients(q, n_max), q_factorials(n_max, q)))
+
+
+def im_bernoulli_quotients(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
+    """B_n(q)/[n]_q! for n = 0..n_max: the coefficients of y / (e_q(y/2) E_q(y/2) - 1).
 
     Needs only integer powers of q, so any rational base works.  The
     denominator expands as sum_{n>=1} (-1; q)_n y**n / (2**n [n]_q!); one
@@ -190,8 +196,7 @@ def im_bernoulli_numbers(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     poch = q_pochhammers(-1, q, order)
     fact = q_factorials(order, q)
     denom = [poch[n] / (Fraction(2 ** n) * fact[n]) for n in range(1, order + 1)]
-    quotient = Series.one(order) / Series(denom)
-    return tuple(quotient[n] * fact[n] for n in range(order))
+    return (Series.one(order) / Series(denom)).coeffs
 
 
 # -- the two-point interpolation bases -------------------------------------------
@@ -235,7 +240,7 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     A_k = 2 c**(-2k) suslov_B_{2k+1}      B_k = 2 c**(-2k) new_beta_{2k+1}
     M_k = c**(-2k-1) new_E_{2k+1}         Mtilde_k = 2 c**(-2k) suslov_E_{2k}
 
-    Each is assembled from :func:`family_multiplier` on the rho basis, as the
+    Each is assembled once on the rho basis from :func:`family_rho`, as the
     expansions are; the tests pin it against the family tables and against
     the defining quotient series.
     """
@@ -250,7 +255,9 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     else:
         family = "suslov_B" if kind == "A" else "new_beta"
         terms = [(family, 2 * k + 1, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
-    return tuple(family_combination(ctx, [term], order) for term in terms)
+    psi = psi_weights(ctx, order)
+    return tuple(poly_from_basis(ctx, "rho", [rj * p for rj, p in zip(family_rho(ctx, [term], order), psi)])
+                 for term in terms)
 
 
 def hermite_from_bernoulli(ctx: QContext, n: int) -> SymPoly:

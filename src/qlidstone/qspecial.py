@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from itertools import count, islice
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .qcore import QContext, q_pochhammer_inf
-from .symlaurent import eval_float, special_poly
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series loops
 BALL_BITS = 256  # fixed-point bits of the ball sign certifier used by refine_zero_exact
@@ -50,8 +50,37 @@ class ZeroReport:
 # -- series evaluation -----------------------------------------------------
 
 
+def psi_rho_values(ctx: QContext, x: float, n: int) -> List[float]:
+    """[u_0, ..., u_{n-1}], u_j = psi_j rho_j(x) at real x, psi_j = q**(j**2/4)/(q;q)_j.
+
+    The rho recurrence with psi folded in: u_0 = 1, u_1 = 2x s/(1-q) and
+    u_j = u_{j-2} (a_j + b_j x**2) with a_j = q (1-q**(j-2))**2 / ((1-q**j)(1-q**(j-1)))
+    and b_j = 4 q**(j-1) / ((1-q**j)(1-q**(j-1))), both rounded once from
+    exact integer quotients.  Every factor is nonnegative, so nothing cancels,
+    and u_j stays in the float range where rho_j(x) alone overflows.
+    """
+    return list(islice(_psi_rho_terms(ctx, x), n))
+
+
+def _psi_rho_terms(ctx: QContext, x: float) -> Iterator[float]:
+    """u_0, u_1, ... of :func:`psi_rho_values`, computed as they are read."""
+    # with q = Q/D and e_k = D**k - Q**k: a_j = Q D**2 e_{j-2}**2 / (e_j e_{j-1}), b_j = 4 Q**(j-1) D**j / (e_j e_{j-1})
+    Q, D = ctx.s.numerator ** 4, ctx.s.denominator ** 4
+    xx = x * x
+    u = [1.0, 2.0 * x * float(ctx.s / (1 - ctx.q))]
+    yield from u
+    qk, dk, e0, e1 = Q, D, 0, D - Q  # Q**(j-1), D**(j-1), e_{j-2}, e_{j-1}
+    for j in count(2):
+        ej = dk * D - qk * Q
+        den = ej * e1
+        u[j % 2] *= Q * D * D * e0 ** 2 / den + 4 * qk * dk * D / den * xx
+        yield u[j % 2]
+        qk, dk, e0, e1 = qk * Q, dk * D, e1, ej
+
+
 def eq_eval(ctx: QContext, x: float, w) -> float:
-    """The q-exponential at real x, |w| < 1, by its rho-basis series.
+    """The q-exponential at real x, |w| < 1, by its rho-basis series
+    sum_n u_n w**n, u_n from :func:`psi_rho_values`.
 
     ``w`` may be complex (used to split into the basic cosine and sine);
     the return type follows the type of ``w``.
@@ -60,14 +89,11 @@ def eq_eval(ctx: QContext, x: float, w) -> float:
         raise ValueError(f"series requires |w| < 1, got |w| = {abs(w)}")
     if w == 0:
         return 1.0
-    q = float(ctx.q)
     total = 1.0 + 0.0 * w
     wn = 1.0 + 0.0 * w
-    for n in range(1, 400):
-        term_coeff = q ** (n * n / 4.0) / _qq_cached(q, n)
+    for n, u in zip(range(1, 400), islice(_psi_rho_terms(ctx, x), 1, None)):
         wn *= w
-        rho = eval_float(special_poly(ctx, "rho", n), x)
-        term = term_coeff * wn * rho
+        term = u * wn
         total += term
         if abs(term) < SERIES_TOL * max(1.0, abs(total)) and n > 4:
             return total
@@ -110,15 +136,14 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
         raise RuntimeError("basic trig series at eta did not converge")
     if abs(w) >= 1:
         raise ValueError("series requires |w| < 1 away from eta")
+    # sum_k (-1)^k u_n w**n over n = 2k + 1 (sine) or n = 2k (cosine)
+    j = 1 if kind == "S" else 0
     total = 0.0
-    for k in range(0, 300):
-        if kind == "S":
-            n = 2 * k + 1
-            coeff = (-1.0) ** k * q ** (k * k + k + 0.25) / _qq_cached(q, n)
-        else:
-            n = 2 * k
-            coeff = (-1.0) ** k * q ** (k * k) / _qq_cached(q, n)
-        term = coeff * w ** n * eval_float(special_poly(ctx, "rho", n), x)
+    for n, u in zip(range(600), _psi_rho_terms(ctx, x)):
+        if n % 2 != j:
+            continue
+        k = n // 2
+        term = (-1.0) ** k * u * w ** n
         total += term
         if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
             return total

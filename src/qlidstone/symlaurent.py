@@ -19,8 +19,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .qcore import (IntegrityError, QContext, float_quotient, psi_weights, q_pochhammers, safe_float,
-                    translate_coeffs)
+from .qcore import IntegrityError, QContext, psi_weights, q_pochhammers, translate_coeffs
 
 PointLike = Union[str, Fraction, int]
 
@@ -389,24 +388,6 @@ def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
     for j in range(2, n):
         out.append(out[j - 2] * (q ** (j - 2) + q ** (2 - j) + shift))
     return out
-
-
-def eval_float(p: Union[SymPoly, Sequence], x: float) -> float:
-    """Floating-point value of p at a real x via the Chebyshev recurrence;
-    p is a SymPoly or a sequence of its coefficients (floats are used as is).
-    Each SymPoly coefficient is rounded once from its numerator and ``den``."""
-    if isinstance(p, SymPoly):
-        cs = [float_quotient(n, p.den) for n in p.nums]
-    else:
-        cs = [safe_float(c) for c in p]
-    total = cs[0]
-    if len(cs) > 1:
-        prev, cur = 2.0, 2.0 * x
-        total += cs[1] * cur
-        for k in range(2, len(cs)):
-            prev, cur = cur, 2.0 * x * cur - prev
-            total += cs[k] * cur
-    return total
 
 
 # -- the divided-difference operator -------------------------------------------

@@ -8,9 +8,10 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.qcore import IntegrityError, q_binomial, q_number, q_pochhammer, safe_float
+from qlidstone.qcore import IntegrityError, q_binomial, q_number, q_pochhammer
 from qlidstone.qpolys import build_family
-from qlidstone.symlaurent import SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, special_poly
+from qlidstone.symlaurent import (SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, rho_values,
+                                  special_poly)
 
 
 def q_translate_hermite(ctx, p, y):
@@ -164,20 +165,15 @@ def pochhammer_inf_factors_linear(a, base, tol):
     return None
 
 
-def float_terms_scaled(ctx, stream):
-    """Combined float Chebyshev coefficients of sum f_k rho_k, each basis
-    polynomial scaled by f_k as a SymPoly and every reduced product rounded
-    by ``safe_float``."""
-    out = [0.0]
-    for k, fk in enumerate(stream):
-        if fk == 0:
-            continue
-        scaled = special_poly(ctx, "rho", k) * fk
-        if len(scaled.coeffs) > len(out):
-            out.extend([0.0] * (len(scaled.coeffs) - len(out)))
-        for i, c in enumerate(scaled.coeffs):
-            out[i] += safe_float(c)
-    return out
+def exact_grid_residual(ctx, stream, recon, grid):
+    """max over the grid of |f - recon| as an exact rational: sum_j d_j rho_j(x)
+    with d_j = f_j - r_j psi_j, r_j psi_j the rho coefficients of ``recon``
+    by back-substitution and rho_j(x) by its recurrence."""
+    c = change_basis(ctx, recon, "rho")
+    n = max(len(stream), len(c))
+    d = [(stream[j] if j < len(stream) else 0) - (c[j] if j < len(c) else 0) for j in range(n)]
+    return max((abs(sum((dj * rj for dj, rj in zip(d, rho_values(ctx, x, n))), Fraction(0))) for x in grid),
+               default=Fraction(0))
 
 
 def _coerce(c):

@@ -104,7 +104,7 @@ def test_guichard_solve(capsys, tmp_path):
     assert len(doc["g"]) == 4
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert cli.main(["numbers", "--kind", "beta", "--s", "7/3"]) == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as err:
@@ -130,6 +130,18 @@ def test_usage_errors_exit_2(capsys):
             cli.main(argv)
         assert err.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+    # coefficient files must hold one JSON array; the message names the file
+    for name, text in [("scalar.json", "5"), ("string.json", '"12"'), ("object.json", '{"a": 1}'),
+                       ("broken.json", "[1,"), ("entry.json", '["1/0"]'), ("missing.json", None)]:
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        for argv in (["expand", "--kind", "euler", "--fn", f"stream:@{path}", "--K", "1", "--s", "1/2"],
+                     ["guichard", "--p", "4", "--coeffs", str(path)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2, (name, argv[0])
+            assert str(path) in capsys.readouterr().err
 
 
 def test_zeros_near_q_one_exit_2(capsys):

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import aw_boundary_data_iterated, expansion_reconstruction_families, float_terms_scaled
-from qlidstone import lidstone
-from qlidstone.qcore import QContext, q_factorial, q_pochhammer
+from oracles import aw_boundary_data_iterated, exact_grid_residual, expansion_reconstruction_families
+from qlidstone.qcore import QContext, psi_weights, q_factorial, q_pochhammer, safe_float
+from qlidstone.qspecial import psi_rho_values
 from qlidstone.lidstone import (
     DEFAULT_GRID,
     EntireFn,
-    _float_terms,
     aw_boundary_data,
     bernoulli_expansion,
     counterexample_report,
@@ -18,7 +17,7 @@ from qlidstone.lidstone import (
     rho_expand,
     trig_rho_stream,
 )
-from qlidstone.symlaurent import SymPoly, eval_at, special_poly
+from qlidstone.symlaurent import SymPoly, change_basis, eval_at, special_poly
 
 
 # -- streams and the growth statistic ----------------------------------------
@@ -127,41 +126,6 @@ def test_boundary_data_of_long_streams_match_iterated_oracle(s, stream, K, schem
         aw_boundary_data_iterated(ctx, stream, K, scheme)
 
 
-# -- float terms ----------------------------------------------------------------------
-
-# rationals from 10**-400 to 10**400 in size, so products leave the float range both ways
-wide_fractions = st.builds(lambda m, d, e: Fraction(m, d) * Fraction(10) ** e,
-                           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(-400, 400))
-
-
-def _hex(xs):
-    return [x.hex() for x in xs]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([Fraction(1, 2), Fraction(17, 29), Fraction(19, 20)]),
-       st.lists(wide_fractions, min_size=1, max_size=24))
-def test_float_terms_match_scaled_oracle(s, stream):
-    ctx = QContext(s)
-    assert _hex(_float_terms(ctx, stream)) == _hex(float_terms_scaled(ctx, stream))
-
-
-@pytest.mark.parametrize("stream", [
-    [0, Fraction(10) ** 400],  # the division overflows: saturates to inf
-    [0, -Fraction(10) ** 400, 0, Fraction(1, 3)],
-    [Fraction(1, 10 ** 400), -Fraction(1, 10 ** 400)],  # underflows to +0.0 and -0.0
-])
-def test_float_terms_out_of_range_match_scaled_oracle(ctx_half, stream):
-    stream = [Fraction(c) for c in stream]
-    assert _hex(_float_terms(ctx_half, stream)) == _hex(float_terms_scaled(ctx_half, stream))
-
-
-def test_float_terms_of_trig_stream_match_scaled_oracle():
-    ctx = QContext(Fraction(19, 20))
-    f = trig_rho_stream(ctx, "S", Fraction(7, 5), 40)
-    assert _hex(_float_terms(ctx, f.stream)) == _hex(float_terms_scaled(ctx, f.stream))
-
-
 # -- expansions -------------------------------------------------------------------
 
 
@@ -248,6 +212,39 @@ def test_residual_recompute_matches_report(ctx_half):
     assert residual_on_grid(ctx_half, rep.fn, rep.reconstruction, DEFAULT_GRID) == rep.residual
 
 
+def test_reproduced_stream_reports_zero_residual(ctx_half):
+    # the README example: K = 10 reproduces the 11-term stream exactly, so f - recon is 0 on the rho basis
+    coeffs = ["1", "0", "-1/2", "0", "1/24", "0", "-1/720", "0", "1/40320", "0", "-1/3628800"]
+    rep = euler_expansion(ctx_half, EntireFn.from_stream([Fraction(c) for c in coeffs]), 10)
+    assert not rep.exact
+    assert isinstance(rep.residual, float) and rep.residual.hex() == (0.0).hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29), Fraction(19, 20)]),
+       st.sampled_from(["C", "S", "E_even"]),
+       st.fractions(min_value=Fraction(1, 10), max_value=Fraction(3, 2), max_denominator=20),
+       st.integers(0, 8), st.integers(1, 30), st.sampled_from([bernoulli_expansion, euler_expansion]))
+def test_stream_residual_matches_exact_rho_difference(s, kind, w, K, n_terms, engine):
+    # per grid point |f - recon| = |sum_j v_j u_j(x)|, v_j = float(d_j / psi_j), u_j = psi_j rho_j(x):
+    # within 4 n ulps of sum_j |v_j u_j| of the exact rational sum_j d_j rho_j(x)
+    ctx = QContext(s)
+    f = trig_rho_stream(ctx, kind, w, n_terms)
+    rep = engine(ctx, f, K)
+    c = change_basis(ctx, rep.reconstruction, "rho")
+    n = max(len(f.stream), len(c))
+    pad = lambda xs: list(xs) + [0] * (n - len(xs))
+    v = [safe_float((fj - cj) / psi) for fj, cj, psi in zip(pad(f.stream), pad(c), psi_weights(ctx, n))]
+    values = []
+    for x in DEFAULT_GRID:
+        new = residual_on_grid(ctx, f, rep.reconstruction, [x])
+        exact = exact_grid_residual(ctx, f.stream, rep.reconstruction, [x])
+        scale = sum(abs(vj * uj) for vj, uj in zip(v, psi_rho_values(ctx, float(x), n)))
+        assert abs(Fraction(new) - exact) <= 4 * n * 2 ** -53 * scale, x
+        values.append(new)
+    assert rep.residual == max(values)
+
+
 def test_growth_metadata_note(ctx_half):
     import math
 
@@ -261,22 +258,6 @@ def test_growth_metadata_note(ctx_half):
     f_edge = EntireFn.from_stream([1, 1], growth_order=2 * lnq_inv, growth_type=0.1)
     assert "admissible" in growth_condition_note(ctx_half, f_edge)
     assert "no declared" in growth_condition_note(ctx_half, EntireFn.from_stream([1]))
-
-
-def test_counterexample_report_builds_the_float_terms_once(monkeypatch):
-    calls = []
-
-    def counted(ctx, stream):
-        calls.append(len(stream))
-        return float_terms(ctx, stream)
-
-    float_terms = lidstone._float_terms
-    monkeypatch.setattr(lidstone, "_float_terms", counted)
-    ctx = QContext(Fraction(19, 20))
-    rep = counterexample_report(ctx, "bernoulli", n_terms=30, K=2)
-    assert calls == [30]
-    # the shared terms give the residual that the expansion on the grid reports
-    assert rep.expansion.residual == bernoulli_expansion(ctx, rep.expansion.fn, 2).residual
 
 
 def test_counterexample_small():

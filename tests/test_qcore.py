@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import pochhammer_inf_factors_linear, pochhammer_tail_ok
 from qlidstone.qcore import (
     QContext,
-    float_quotient,
     psi_weight,
     psi_weights,
     q_binomial,
@@ -188,13 +187,3 @@ def test_q_pochhammers_match_q_pochhammer(a, base):
     assert q_pochhammers(a, base, 20) == [q_pochhammer(a, base, n) for n in range(21)]
     with pytest.raises(ValueError):
         q_pochhammers(a, base, -1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(-400, 400), st.integers(1, 10 ** 30))
-def test_float_quotient_of_unreduced_pairs_is_safe_float(m, d, e, k):
-    # m/d * 10**e, also as the unreduced pair (m k)/(d k): one correctly rounded float either way
-    n, d = (m * 10 ** e, d) if e >= 0 else (m, d * 10 ** -e)
-    want = safe_float(Fraction(n, d))
-    assert float_quotient(n, d).hex() == want.hex()
-    assert float_quotient(n * k, d * k).hex() == want.hex()

@@ -1,16 +1,18 @@
+import ast
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import eta_series_sign_termwise
 from qlidstone import qspecial
-from qlidstone.qcore import QContext, q_pochhammer_inf
+from qlidstone.qcore import QContext, psi_weights, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
-from qlidstone.symlaurent import eval_at
+from qlidstone.symlaurent import eval_at, rho_values
 from qlidstone.qspecial import (
     ZeroSearchError,
     _bisect,
@@ -25,6 +27,7 @@ from qlidstone.qspecial import (
     jackson_bessel_j2,
     jackson_bessel_zeros,
     positive_zeros,
+    psi_rho_values,
     refine_zero_exact,
     smallest_positive_zero,
     sq_lower_bound,
@@ -44,15 +47,16 @@ def test_eq_eval_trivials(ctx):
 
 
 def test_eq_eval_eta_product_form(ctx):
-    w = 0.3
-    q = float(ctx.q)
-    lhs = eq_eval(ctx, float(ctx.eta), w)
-    num, _ = q_pochhammer_inf(-w, math.sqrt(q))
-    den, _ = q_pochhammer_inf(q * w * w, q * q)
-    assert lhs == pytest.approx(num / den, rel=1e-10)
-    num2, _ = q_pochhammer_inf(-w, q)
-    den2, _ = q_pochhammer_inf(math.sqrt(q) * w, q)
-    assert lhs == pytest.approx(num2 / den2, rel=1e-10)
+    # s = 19/20, w = 0.9 needs about 130 terms
+    for ctx, w in [(ctx, 0.3), (QContext(Fraction(19, 20)), 0.9)]:
+        q = float(ctx.q)
+        lhs = eq_eval(ctx, float(ctx.eta), w)
+        num, _ = q_pochhammer_inf(-w, math.sqrt(q))
+        den, _ = q_pochhammer_inf(q * w * w, q * q)
+        assert lhs == pytest.approx(num / den, rel=1e-10)
+        num2, _ = q_pochhammer_inf(-w, q)
+        den2, _ = q_pochhammer_inf(math.sqrt(q) * w, q)
+        assert lhs == pytest.approx(num2 / den2, rel=1e-10)
 
 
 def test_eq_eval_matches_exact_partial_sum(ctx):
@@ -62,6 +66,34 @@ def test_eq_eval_matches_exact_partial_sum(ctx):
     e = eq_exponential_series(ctx, 21)
     exact = sum((eval_at(ctx, e[n], x) * w ** n for n in range(21)), Fraction(0))
     assert eq_eval(ctx, 0.4, 0.2) == pytest.approx(float(exact), abs=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29), Fraction(19, 20)]),
+       st.fractions(min_value=-1, max_value=1, max_denominator=100), st.integers(0, 60))
+@example(Fraction(19, 20), Fraction(1, 1000), 8)  # q**0 + q**0 + 4x**2 - 2 would cancel here
+def test_psi_rho_values_match_exact(s, x, n):
+    # every factor of the recurrence is nonnegative: a few ulps per step, relative to u_j itself
+    ctx = QContext(s)
+    got = psi_rho_values(ctx, float(x), n)
+    assert len(got) == n
+    for j, (u, want) in enumerate(zip(got, (p * r for p, r in zip(psi_weights(ctx, n), rho_values(ctx, x, n))))):
+        if abs(want) > 2 ** -1000:  # below that, u_j leaves the normal float range
+            assert abs(Fraction(u) - want) <= 4 * (j + 1) * 2 ** -53 * abs(want), j
+        else:
+            assert abs(u) < 2 ** -999, j
+
+
+def test_qspecial_imports_nothing_from_symlaurent():
+    # the float evaluators stay off the exact polynomials
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "qlidstone" / "qspecial.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert imported and not [name for name in imported if "symlaurent" in name]
 
 
 def test_basic_trig_at_zero_argument(ctx):

@@ -11,7 +11,6 @@ from qlidstone.symlaurent import (
     aw_derivative,
     change_basis,
     eval_at,
-    eval_float,
     poly_from_basis,
     q_translate,
     rho_values,
@@ -91,12 +90,6 @@ def test_eval_matches_monomial_horner(coeffs, v):
     for c in reversed(p.to_monomial()):
         horner = horner * v + c
     assert eval_at(ctx, p, v) == horner
-
-
-def test_eval_float_close_to_exact(ctx_half):
-    p = special_poly(ctx_half, "hermite", 5)
-    x = Fraction(3, 10)
-    assert eval_float(p, 0.3) == pytest.approx(float(eval_at(ctx_half, p, x)), abs=1e-12)
 
 
 # -- the divided-difference operator ------------------------------------------

@@ -21,7 +21,6 @@ from qlidstone.symlaurent import (
     aw_derivative,
     change_basis,
     eval_at,
-    eval_float,
     lincomb,
     poly_from_basis,
 )
@@ -145,14 +144,3 @@ def test_lincomb_matches_repeated_addition(pairs):
     for a, c in pairs:
         want = want + FractionSymPoly(a) * c
     same(lincomb((SymPoly(a), c) for a, c in pairs), want)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.builds(lambda m, d, e: Fraction(m, d) * Fraction(10) ** e,
-                          st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(-400, 400)),
-                min_size=1, max_size=8),
-       st.floats(min_value=-1.5, max_value=1.5))
-def test_eval_float_matches_reduced_coefficients(a, x):
-    # each coefficient rounded from nums[i] / den equals the float of the reduced Fraction
-    p = SymPoly(a)
-    assert eval_float(p, x).hex() == eval_float(p.coeffs, x).hex()
