@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .qcore import QContext, psi_weights, q_pochhammers, safe_float
@@ -205,7 +205,8 @@ def _grid_sup(ctx: QContext, quotients: Sequence, r: Sequence, grid: Sequence) -
     (the shorter list padded with zeros): f minus the reconstruction sum_j r_j psi_j rho_j.
     The difference is exact, so a reproduced stream reports 0.0."""
     v = [safe_float(c - rj) for c, rj in zip_longest(quotients, r, fillvalue=0)]
-    return max((abs(math.fsum(vj * uj for vj, uj in zip(v, qspecial.psi_rho_values(ctx, float(x), len(v)))))
+    steps = list(islice(qspecial.psi_rho_steps(ctx), max(len(v) - 2, 0)))
+    return max((abs(math.fsum(vj * uj for vj, uj in zip(v, qspecial.psi_rho_terms(ctx, float(x), steps))))
                 for x in grid), default=0.0)
 
 

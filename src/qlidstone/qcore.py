@@ -16,7 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from itertools import islice
+from operator import mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -171,14 +174,45 @@ def psi_weight(ctx: QContext, n: int) -> Fraction:
 
 
 def psi_weights(ctx: QContext, n: int) -> list:
-    """[psi_0, ..., psi_{n-1}] by the running product psi_k = psi_{k-1} s**(2k-1) / (1 - q**k)."""
-    s, q = ctx.s, ctx.q
-    out = [Fraction(1)]
-    qk = Fraction(1)
-    for k in range(1, n):
-        qk *= q
-        out.append(out[-1] * s ** (2 * k - 1) / (1 - qk))
-    return out[:n]
+    """[psi_0, ..., psi_{n-1}], sliced from one table per s (see :func:`_psi_stream`)."""
+    return table_prefix(_psi_table(ctx.s), n)
+
+
+@lru_cache(maxsize=None)
+def _psi_table(s: Fraction):
+    return [], _psi_stream(s)
+
+
+def table_prefix(table, n: int) -> list:
+    """A fresh list of the first n entries of a memoized ``(entries, stream)`` table,
+    first extending the entries from the stream as far as n."""
+    entries, stream = table
+    if len(entries) < n:
+        entries.extend(islice(stream, n - len(entries)))
+    return entries[:n]
+
+
+def _psi_stream(s: Fraction) -> Iterator[Fraction]:
+    """psi_0, psi_1, ... in closed integer form: with s = sn/sd,
+    psi_k = sn**(k**2) sd**(k**2+2k) / P_k, P_k = prod_{i<=k} (sd**(4i) - sn**(4i)).
+    Each factor of P_k is prime to sn and to sd, so the quotient is already reduced."""
+    sn, sd = s.numerator, s.denominator
+    a, b, t = sn ** 4, sd ** 4, (sn * sd) ** 2
+    num = den = ai = bi = 1
+    step = sn * sd ** 3  # sn**(2k-1) sd**(2k+1) at k = 1
+    yield Fraction(1)
+    while True:
+        ai, bi = ai * a, bi * b
+        num, den, step = num * step, den * (bi - ai), step * t
+        yield Fraction(num, den)
+
+
+def over_common_den(values: Iterable) -> Tuple[List[int], int]:
+    """Integers n_i and the least positive L with values[i] == n_i / L, for
+    ints and Fractions."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence,
@@ -186,12 +220,16 @@ def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence,
     """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j: the coefficients of a
     translate on a basis b_n whose generating function sum_n w_n b_n t**n the
     translation multiplies by sum_n w_n v_n t**n; c are those of f.  Gives
-    out_k for each k < len(coeffs) in ``orders``, or for every k by default."""
-    u = [c / w for c, w in zip(coeffs, weights)]
-    e = [w * v for w, v in zip(weights, values)]
-    n = len(u)
-    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0))
-                 for k in (range(n) if orders is None else orders))
+    out_k for each k < len(coeffs) in ``orders``, or for every k by default.
+
+    u_j = c_j/w_j and e_j = w_j v_j are each put over one common denominator,
+    so every out_k is one integer dot product, reduced once."""
+    u, du = over_common_den(Fraction(c) / w for c, w in zip(coeffs, weights))
+    e, de = over_common_den(w * v for w, v in zip(weights, values))
+    if len(e) < len(u):
+        raise ValueError(f"{len(u)} coefficients need as many weights and values, got {len(e)}")
+    return tuple(Fraction(weights[k].numerator * sum(map(mul, u[k:], e)), weights[k].denominator * du * de)
+                 for k in (range(len(u)) if orders is None else orders))
 
 
 _MAX_FACTORS = 1_000_000

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers
@@ -99,17 +100,23 @@ def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
     (kind, n, a), n < order, equal to sum_j r_j psi_j rho_j.
 
     Family entry n is sum_j G_{n-j} psi_j rho_j with G = :func:`family_multiplier`,
-    so r_j = sum over the terms of a G_{n-j}.
+    so r_j = sum over the terms of a G_{n-j}: each r_j is summed on integer
+    numerators over one common denominator and reduced once.
     """
-    r = [Fraction(0)] * order
+    parts = [[] for _ in range(order)]  # (numerator, denominator) of each product a G_{n-j}
     for kind, n, a in terms:
         if a == 0:
             continue
         g = family_multiplier(ctx.s, kind, order)
         for j in range(n + 1):
-            if g[n - j] != 0:
-                r[j] += a * g[n - j]
-    return r
+            gv = g[n - j]
+            if gv != 0:
+                parts[j].append((a.numerator * gv.numerator, a.denominator * gv.denominator))
+    out = []
+    for products in parts:
+        den = lcm(*(d for _, d in products))
+        out.append(Fraction(sum(x * (den // d) for x, d in products), den))
+    return out
 
 
 # -- families ----------------------------------------------------------------
@@ -184,6 +191,7 @@ def im_bernoulli_numbers(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     return tuple(b * f for b, f in zip(im_bernoulli_quotients(q, n_max), q_factorials(n_max, q)))
 
 
+@lru_cache(maxsize=None)
 def im_bernoulli_quotients(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     """B_n(q)/[n]_q! for n = 0..n_max: the coefficients of y / (e_q(y/2) E_q(y/2) - 1).
 

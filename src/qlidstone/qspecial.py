@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
-from typing import Callable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .qcore import QContext, q_pochhammer_inf
 
@@ -59,23 +59,31 @@ def psi_rho_values(ctx: QContext, x: float, n: int) -> List[float]:
     exact integer quotients.  Every factor is nonnegative, so nothing cancels,
     and u_j stays in the float range where rho_j(x) alone overflows.
     """
-    return list(islice(_psi_rho_terms(ctx, x), n))
+    return list(islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), n))
 
 
-def _psi_rho_terms(ctx: QContext, x: float) -> Iterator[float]:
-    """u_0, u_1, ... of :func:`psi_rho_values`, computed as they are read."""
+def psi_rho_steps(ctx: QContext) -> Iterator[Tuple[float, float]]:
+    """(a_j, b_j) of :func:`psi_rho_values` for j = 2, 3, ..., computed as they are read;
+    they depend on s alone, so one list of them serves every x."""
     # with q = Q/D and e_k = D**k - Q**k: a_j = Q D**2 e_{j-2}**2 / (e_j e_{j-1}), b_j = 4 Q**(j-1) D**j / (e_j e_{j-1})
     Q, D = ctx.s.numerator ** 4, ctx.s.denominator ** 4
+    qk, dk, e0, e1 = Q, D, 0, D - Q  # Q**(j-1), D**(j-1), e_{j-2}, e_{j-1}
+    while True:
+        ej = dk * D - qk * Q
+        den = ej * e1
+        yield Q * D * D * e0 ** 2 / den, 4 * qk * dk * D / den
+        qk, dk, e0, e1 = qk * Q, dk * D, e1, ej
+
+
+def psi_rho_terms(ctx: QContext, x: float, steps: Iterable[Tuple[float, float]]) -> Iterator[float]:
+    """u_0, u_1, ... of :func:`psi_rho_values` at x, from the (a_j, b_j) of
+    :func:`psi_rho_steps`; ends where ``steps`` ends."""
     xx = x * x
     u = [1.0, 2.0 * x * float(ctx.s / (1 - ctx.q))]
     yield from u
-    qk, dk, e0, e1 = Q, D, 0, D - Q  # Q**(j-1), D**(j-1), e_{j-2}, e_{j-1}
-    for j in count(2):
-        ej = dk * D - qk * Q
-        den = ej * e1
-        u[j % 2] *= Q * D * D * e0 ** 2 / den + 4 * qk * dk * D / den * xx
+    for j, (a, b) in enumerate(steps, 2):
+        u[j % 2] *= a + b * xx
         yield u[j % 2]
-        qk, dk, e0, e1 = qk * Q, dk * D, e1, ej
 
 
 def eq_eval(ctx: QContext, x: float, w) -> float:
@@ -91,7 +99,7 @@ def eq_eval(ctx: QContext, x: float, w) -> float:
         return 1.0
     total = 1.0 + 0.0 * w
     wn = 1.0 + 0.0 * w
-    for n, u in zip(range(1, 400), islice(_psi_rho_terms(ctx, x), 1, None)):
+    for n, u in zip(range(1, 400), islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), 1, None)):
         wn *= w
         term = u * wn
         total += term
@@ -139,7 +147,7 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
     # sum_k (-1)^k u_n w**n over n = 2k + 1 (sine) or n = 2k (cosine)
     j = 1 if kind == "S" else 0
     total = 0.0
-    for n, u in zip(range(600), _psi_rho_terms(ctx, x)):
+    for n, u in zip(range(600), psi_rho_terms(ctx, x, psi_rho_steps(ctx))):
         if n % 2 != j:
             continue
         k = n // 2

@@ -16,22 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import IntegrityError, QContext, psi_weights, q_pochhammers, translate_coeffs
+from .qcore import (IntegrityError, QContext, over_common_den, psi_weights, q_pochhammers, table_prefix,
+                    translate_coeffs)
 
 PointLike = Union[str, Fraction, int]
 
 _EK_AT_I = (2, 0, -2, 0)  # (z**k + z**-k) at z = i, indexed by k mod 4
-
-
-def _over_common_den(values: Iterable) -> Tuple[List[int], int]:
-    """Integers n_i and the least positive L with values[i] == n_i / L, for
-    ints and Fractions."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class SymPoly:
@@ -47,7 +41,7 @@ class SymPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable):
-        nums, den = _over_common_den(coeffs)
+        nums, den = over_common_den(coeffs)
         # over the least common denominator of reduced fractions the gcd is already 1
         while len(nums) > 1 and nums[-1] == 0:
             nums.pop()
@@ -87,7 +81,7 @@ class SymPoly:
     @classmethod
     def from_monomial(cls, mono: Sequence) -> "SymPoly":
         """Build from monomial coefficients (a_0, ..., a_d) of sum a_n x**n."""
-        a, den = _over_common_den(mono)
+        a, den = over_common_den(mono)
         if not a:
             return cls.zero()
         d = len(a) - 1
@@ -372,22 +366,42 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
 
 
 def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
-    """[rho_0(y), ..., rho_{n-1}(y)] by rho_j(y) = rho_{j-2}(y) (q**(j-2) + q**(2-j) + 4y**2 - 2),
-    the recurrence of :func:`special_poly` at z + 1/z = 2y; ``y`` as in :func:`eval_at`."""
+    """[rho_0(y), ..., rho_{n-1}(y)] by the recurrence of :func:`_rho_stream`; ``y`` as in
+    :func:`eval_at`.  The values at eta are sliced from one table per s that grows as
+    longer prefixes are asked for; rho_j(-eta) = (-1)**j rho_j(eta) and rho_j(0) = 0 for j > 0."""
     if isinstance(y, str):
-        if y not in ("zero", "eta", "minus_eta"):
+        if y == "zero":
+            return [Fraction(1)] + [Fraction(0)] * (n - 1) if n else []
+        if y not in ("eta", "minus_eta"):
             raise ValueError(f"unknown special point {y!r}")
-        two_y = Fraction(0) if y == "zero" else ctx.s + 1 / ctx.s
-        if y == "minus_eta":
-            two_y = -two_y
-    else:
-        two_y = 2 * Fraction(y)
-    q = ctx.q
-    shift = two_y * two_y - 2
-    out = [Fraction(1), two_y][:n]
-    for j in range(2, n):
-        out.append(out[j - 2] * (q ** (j - 2) + q ** (2 - j) + shift))
-    return out
+        values = table_prefix(_rho_eta_table(ctx.s), n)
+        return values if y == "eta" else [-v if j % 2 else v for j, v in enumerate(values)]
+    return list(islice(_rho_stream(ctx.s, 2 * Fraction(y)), n))
+
+
+@lru_cache(maxsize=None)
+def _rho_eta_table(s: Fraction):
+    return [], _rho_stream(s, s + 1 / s)
+
+
+def _rho_stream(s: Fraction, two_y: Fraction) -> Iterator[Fraction]:
+    """rho_0(y), rho_1(y), ... by rho_j(y) = rho_{j-2}(y) (q**(j-2) + q**(2-j) + 4y**2 - 2),
+    the recurrence of :func:`special_poly` at z + 1/z = 2y, on integer numerators: with
+    s = sn/sd, t = sn sd and 2y = a/b, the factor at j = m + 2 is
+    (b**2 (sn**(8m) + sd**(8m)) + (a**2 - 2b**2) t**(4m)) / (b**2 t**(4m)).
+    Each value is reduced once."""
+    a, b = two_y.numerator, two_y.denominator
+    sn, sd = s.numerator, s.denominator
+    bb, shift = b * b, a * a - 2 * b * b
+    sn8, sd8, t4 = sn ** 8, sd ** 8, (sn * sd) ** 4
+    yield Fraction(1)
+    yield two_y
+    (n0, d0), (n1, d1) = (1, 1), (a, b)  # rho_{j-2} and rho_{j-1} as numerator, denominator
+    p8 = d8 = t4m = 1  # sn**(8m), sd**(8m), t**(4m)
+    while True:
+        (n0, d0), (n1, d1) = (n1, d1), (n0 * (bb * (p8 + d8) + shift * t4m), d0 * bb * t4m)
+        yield Fraction(n1, d1)
+        p8, d8, t4m = p8 * sn8, d8 * sd8, t4m * t4
 
 
 # -- the divided-difference operator -------------------------------------------

@@ -114,6 +114,16 @@ def aw_boundary_data_iterated(ctx, stream, K, scheme):
     return tuple(data0), tuple(data_eta)
 
 
+def translate_coeffs_fraction(coeffs, weights, values, orders=None):
+    """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j with one reduced Fraction
+    product and sum per term: the correlation kernel before it ran on integers."""
+    u = [c / w for c, w in zip(coeffs, weights)]
+    e = [w * v for w, v in zip(weights, values)]
+    n = len(u)
+    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0))
+                 for k in (range(n) if orders is None else orders))
+
+
 def dotplus_translate_binomial(h, d):
     """T z**n = sum_k [n choose k]_p z**(n-k) delta_k, term by term, with
     trailing zeros trimmed."""

@@ -145,6 +145,14 @@ GOLDEN = [
      "d471c69ac3e50634815bb9414aecf8387917183dc910c62fb9113c4d42fa202b"),
     ("zeros --kind cq-eta --qfloat 0.4 --format text", 0,
      "64f8c2898a09159857bea05ee46fed43914bd0529410af3436dc5a91dca14f30"),
+    # translations on integers: one integer correlation kernel, closed-form psi and rho tables
+    ("identities --name translation_E --s 9/31 --order 16", 0,
+     "44d9d292bcaa08e35b3cd8bf9aba666dfd72fe4196e33e833d460b87fc66b871"),
+    # reproduces its stream exactly: residual 0.0 from the exact rho-basis difference
+    ("expand --kind euler --fn stream:@coeffs.json --K 8 --s 13/27", 0,
+     "af0dd5c2b477a1e0eb993fa77251eaed14464683aa380abb62336b0156f67375"),
+    ("guichard --preset alsalam-half --p 5 --coeffs coeffs.json --growth-order 20", 0,
+     "4cf3f9416e8c90a605b701f11136c4e983d882a9671f47aa6e546012feb00ff4"),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pochhammer_inf_factors_linear, pochhammer_tail_ok
+from oracles import pochhammer_inf_factors_linear, pochhammer_tail_ok, translate_coeffs_fraction
 from qlidstone.qcore import (
     QContext,
     psi_weight,
@@ -17,6 +17,7 @@ from qlidstone.qcore import (
     q_pochhammer_inf,
     q_pochhammers,
     safe_float,
+    translate_coeffs,
 )
 
 rationals_01 = st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10))
@@ -158,11 +159,49 @@ def test_pochhammer_inf_gives_up_past_its_factor_cap():
         q_pochhammer_inf(0.5, 0.5, 0.0)
 
 
-@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)])
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(17, 29), Fraction(9, 10), Fraction(1, 31)])
 def test_psi_weights_match_psi_weight(s):
+    # the table at s grows as longer prefixes are asked for; every prefix is exact
     ctx = QContext(s)
-    assert psi_weights(ctx, 0) == []
-    assert psi_weights(ctx, 25) == [psi_weight(ctx, n) for n in range(25)]
+    want = [psi_weight(ctx, n) for n in range(41)]
+    for n in (0, 7, 3, 41, 20, 1):
+        assert psi_weights(ctx, n) == want[:n]
+
+
+def test_psi_weights_returns_a_copy():
+    ctx = QContext(Fraction(7, 11))
+    table = psi_weights(ctx, 6)
+    want = list(table)
+    table[0] = Fraction(99)
+    table.append(Fraction(1))
+    assert psi_weights(ctx, 6) == want
+
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+maybe_zero = st.one_of(st.just(Fraction(0)), fracs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_translate_coeffs_matches_fraction_oracle(data):
+    n = data.draw(st.integers(0, 9), label="n")
+    extra = data.draw(st.integers(0, 3), label="extra weights")
+    c = data.draw(st.lists(maybe_zero, min_size=n, max_size=n), label="c")
+    if data.draw(st.booleans(), label="guichard weights"):
+        p = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 5), Fraction(4)]), label="p")
+        w = [1 / f for f in q_factorials(n + extra, p)]
+    else:
+        w = data.draw(st.lists(fracs.filter(bool), min_size=n + extra, max_size=n + extra), label="w")
+    v = data.draw(st.lists(maybe_zero, min_size=len(w), max_size=len(w) + 2), label="v")
+    orders = data.draw(st.none() | st.lists(st.integers(0, max(n - 1, 0)), max_size=n), label="orders")
+    if not n:
+        orders = None if orders is None else []
+    assert translate_coeffs(c, w, v, orders) == translate_coeffs_fraction(c, w, v, orders)
+
+
+def test_translate_coeffs_needs_a_value_per_coefficient():
+    with pytest.raises(ValueError):
+        translate_coeffs([Fraction(1)] * 4, [Fraction(1)] * 4, [Fraction(1)] * 3, [3])
 
 
 def test_pochhammer_inf_pole():

@@ -226,14 +226,25 @@ def test_reflection():
     assert r.reflect() == p
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)]),
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(17, 29), Fraction(9, 10), Fraction(1, 31)]),
        st.one_of(st.sampled_from(["zero", "eta", "minus_eta"]),
                  st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=50)),
        st.integers(0, 20))
 def test_rho_values_match_eval_at(s, y, n):
     ctx = QContext(s)
     assert rho_values(ctx, y, n) == [eval_at(ctx, special_poly(ctx, "rho", j), y) for j in range(n)]
+
+
+@pytest.mark.parametrize("y", ["zero", "eta", "minus_eta", Fraction(-7, 5)])
+def test_rho_values_returns_a_copy(y):
+    ctx = QContext(Fraction(5, 13))
+    table = rho_values(ctx, y, 6)
+    want = list(table)
+    table[1] = Fraction(99)
+    table.append(Fraction(1))
+    assert rho_values(ctx, y, 6) == want
+    assert rho_values(ctx, y, 9)[:6] == want
 
 
 def test_rho_values_unknown_point_raises(ctx_half):
