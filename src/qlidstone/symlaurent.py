@@ -20,8 +20,8 @@ from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import (IntegrityError, QContext, over_common_den, psi_weights, q_pochhammers, table_prefix,
-                    translate_coeffs)
+from .qcore import (IntegrityError, QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers,
+                    table_prefix, translate_coeffs)
 
 PointLike = Union[str, Fraction, int]
 
@@ -298,7 +298,6 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
     ``monomial``: x**n.  ``rho``: the divided-difference ladder basis.
     ``hermite``: continuous q-Hermite H_n(x|q).  ``phi``: the shifted
     product (a e^{i theta}, a e^{-i theta}; q)_n, requires ``a``.
-    ``g``: q**(n**2/4) * rho_n, the translation kernel.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -308,8 +307,6 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
         return _rho_cached(ctx.s, n)
     if family == "hermite":
         return _hermite_cached(ctx.s, n)
-    if family == "g":
-        return _rho_cached(ctx.s, n) * (ctx.s ** (n * n))
     if family == "phi":
         if a is None:
             raise ValueError("family 'phi' requires the parameter a")
@@ -488,19 +485,46 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
 
 def rho_translate(ctx: QContext, r: Sequence, y: PointLike,
                   orders: Optional[Sequence[int]] = None) -> Tuple[Fraction, ...]:
-    """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product
-    formula below; exact for exactly evaluable y.  Only the coefficients
+    """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product formula of
+    :func:`q_translate` on the rho basis, E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n
+    rho_k(x) rho_{n-k}(y); exact for exactly evaluable y.  Only the coefficients
     at ``orders`` (each below len(r)) when given, else all of them."""
     return translate_coeffs(r, psi_weights(ctx, len(r)), rho_values(ctx, y, len(r)), orders)
+
+
+def translate_weights(ctx: QContext, y: PointLike, n: int) -> list:
+    """[w_0, ..., w_{n-1}], w_k = psi_k rho_k(y) / c**k with c = ``ctx.aw_scale``; ``y`` as in
+    :func:`eval_at`.  At eta they are sliced from one table per s, at -eta read off it."""
+    if y in ("eta", "minus_eta"):
+        weights = table_prefix(_eta_weight_table(ctx.s), n)
+        return weights if y == "eta" else [-w if k % 2 else w for k, w in enumerate(weights)]
+    return list(_weight_stream(ctx.s, rho_values(ctx, y, n)))
+
+
+@lru_cache(maxsize=None)
+def _eta_weight_table(s: Fraction):
+    return [], _weight_stream(s, _rho_stream(s, s + 1 / s))
+
+
+def _weight_stream(s: Fraction, rhos: Iterable[Fraction]) -> Iterator[Fraction]:
+    inv_c = (1 - s ** 4) / (2 * s)
+    return (psi * rho * inv_c ** k for k, (psi, rho) in enumerate(zip(_psi_stream(s), rhos)))
 
 
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     """Translation operator E_q^y, exact for exactly evaluable y.
 
-    Fixed by E_q^y E(x; w) = E(x; w) E(y; w) on the q-exponential
-    E(x; w) = sum_n psi_n rho_n(x) w**n, psi_n = q**(n**2/4)/(q;q)_n, which
-    on the rho basis reads
-    E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n * rho_k(x) rho_{n-k}(y)
-    and extends to all polynomials by linearity.
+    Fixed by E_q^y E(x; w) = E(x; w) E(y; w) on the q-exponential E(x; w) =
+    sum_n psi_n rho_n(x) w**n, psi_n = q**(n**2/4)/(q;q)_n, and extended by linearity.
+    D rho_n = c psi_{n-1}/psi_n rho_{n-1} (c = ``ctx.aw_scale``) gives D E(x; w) = c w E(x; w),
+    so the q-Taylor series sum_k psi_k rho_k(y) c**-k D**k (Ismail and Stanton, J. Approx.
+    Theory 123, 2003) multiplies E(x; w) by E(y; w): it is E_q^y, and stops at k = deg p.
     """
-    return poly_from_basis(ctx, "rho", rho_translate(ctx, change_basis(ctx, p, "rho"), y))
+    if y == "zero":
+        return p
+    terms = []
+    for k, w in enumerate(translate_weights(ctx, y, p.degree + 1)):
+        if k:
+            p = _aw_once(ctx, p)
+        terms.append((p, w))
+    return lincomb(terms)

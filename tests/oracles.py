@@ -10,19 +10,19 @@ from typing import Sequence, Tuple
 
 from qlidstone.qcore import IntegrityError, q_binomial, q_number, q_pochhammer
 from qlidstone.qpolys import build_family
-from qlidstone.symlaurent import (SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, rho_values,
-                                  special_poly)
+from qlidstone.symlaurent import (SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, rho_translate,
+                                  rho_values, special_poly)
 
 
 def q_translate_hermite(ctx, p, y):
     """E_q^y on the q-Hermite basis:
     E_q^y H_n = sum_m [n choose m]_q H_m g_{n-m}(y) q**((m**2-n**2)/4),
-    extended to all polynomials by linearity."""
+    g_j = q**(j**2/4) rho_j, extended to all polynomials by linearity."""
     h = change_basis(ctx, p, "hermite")
     d = len(h) - 1
     s = ctx.s
     q = ctx.q
-    gvals = [eval_at(ctx, special_poly(ctx, "g", j), y) for j in range(d + 1)]
+    gvals = [eval_at(ctx, special_poly(ctx, "rho", j), y) * s ** (j * j) for j in range(d + 1)]
     out_h = [Fraction(0)] * (d + 1)
     for n in range(d + 1):
         if h[n] == 0:
@@ -33,6 +33,14 @@ def q_translate_hermite(ctx, p, y):
                 continue
             out_h[m] += h[n] * q_binomial(n, m, q) * g * s ** (m * m - n * n)
     return poly_from_basis(ctx, "hermite", out_h)
+
+
+def q_translate_rho(ctx, p, y):
+    """E_q^y through the rho basis: the rho coefficients of p by back-substitution,
+    translated by the product formula
+    E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n * rho_k(x) rho_{n-k}(y),
+    and assembled back into a polynomial."""
+    return poly_from_basis(ctx, "rho", rho_translate(ctx, change_basis(ctx, p, "rho"), y))
 
 
 def eta_series_sign_termwise(ctx, kind, w):

@@ -153,6 +153,9 @@ GOLDEN = [
      "af0dd5c2b477a1e0eb993fa77251eaed14464683aa380abb62336b0156f67375"),
     ("guichard --preset alsalam-half --p 5 --coeffs coeffs.json --growth-order 20", 0,
      "4cf3f9416e8c90a605b701f11136c4e983d882a9671f47aa6e546012feb00ff4"),
+    # translation by the q-Taylor series of the divided difference, at a benchmark height
+    ("identities --all --s 5/17 --order 16", 0,
+     "3fc746664d7509175e3600b92629677b7cc622c416b8986f8e83385694727ad7"),
 ]
 
 

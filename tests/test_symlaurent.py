@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import q_translate_hermite, rho_laurent_product
-from qlidstone.qcore import QContext, psi_weights, q_number
+from oracles import q_translate_hermite, q_translate_rho, rho_laurent_product
+from qlidstone.qcore import QContext, psi_weight, psi_weights, q_number
+from qlidstone.qpolys import build_family
 from qlidstone.symlaurent import (
     SymPoly,
+    _eta_weight_table,
     aw_derivative,
     change_basis,
     eval_at,
@@ -15,6 +17,7 @@ from qlidstone.symlaurent import (
     q_translate,
     rho_values,
     special_poly,
+    translate_weights,
 )
 
 small_fracs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3))
@@ -59,10 +62,10 @@ def test_special_polys(ctx_half):
     a = Fraction(1, 3)
     phi1 = special_poly(ctx, "phi", 1, a)
     assert phi1.to_monomial() == (1 + a * a, -2 * a)
-    g3 = special_poly(ctx, "g", 3)
-    assert g3 == special_poly(ctx, "rho", 3) * ctx.s ** 9
     with pytest.raises(ValueError):
         special_poly(ctx, "phi", 2)
+    with pytest.raises(ValueError):
+        special_poly(ctx, "g", 3)  # q**(n**2/4) rho_n is no longer a family
 
 
 def test_rho_vanishes_at_zero(ctx):
@@ -190,14 +193,67 @@ def test_translate_linearity(a, b, alpha, beta):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    coeff_lists,
-    st.sampled_from([Fraction(1, 2), Fraction(17, 29)]),
+    st.lists(small_fracs, min_size=1, max_size=21),
+    st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(17, 29), Fraction(9, 10), Fraction(19, 20)]),
     st.one_of(st.sampled_from(["zero", "eta", "minus_eta"]), small_fracs),
 )
 def test_translate_matches_hermite_oracle(coeffs, s, y):
+    # the q-Taylor series against the product formula on the rho and on the q-Hermite basis
     ctx = QContext(s)
     p = SymPoly(coeffs)
-    assert q_translate(ctx, p, y) == q_translate_hermite(ctx, p, y)
+    got = q_translate(ctx, p, y)
+    assert got == q_translate_rho(ctx, p, y)
+    assert got == q_translate_hermite(ctx, p, y)
+
+
+@pytest.mark.parametrize("s", [Fraction(5, 17), Fraction(23, 29)])
+def test_translate_matches_rho_oracle_on_suslov_families(s):
+    ctx = QContext(s)
+    for family in ("suslov_B", "suslov_E"):
+        for n, p in enumerate(build_family(ctx, family, 16).entries):
+            for y in ("eta", "minus_eta", Fraction(-4, 3)):
+                assert q_translate(ctx, p, y) == q_translate_rho(ctx, p, y), (family, n, y)
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(17, 29), Fraction(1, 31)])
+def test_translate_weights_closed_form(s):
+    ctx = QContext(s)
+    for y in ("zero", "eta", "minus_eta", Fraction(-7, 5)):
+        want = [psi_weight(ctx, k) * eval_at(ctx, special_poly(ctx, "rho", k), y) / ctx.aw_scale ** k
+                for k in range(14)]
+        assert translate_weights(ctx, y, 14) == want, y
+
+
+def test_translate_weights_returns_a_copy():
+    ctx = QContext(Fraction(6, 13))
+    p = SymPoly([Fraction(1, 3), 2, Fraction(-1, 7), 5, 1])
+    want = {y: q_translate(ctx, p, y) for y in ("eta", "minus_eta")}
+    for y in ("eta", "minus_eta"):
+        weights = translate_weights(ctx, y, 5)
+        weights[1] = Fraction(99)
+        weights.append(Fraction(1))
+    assert {y: q_translate(ctx, p, y) for y in want} == want
+
+
+def test_translate_weights_cache_is_keyed_on_s_alone():
+    ctx = QContext(Fraction(8, 33))
+    before = _eta_weight_table.cache_info().currsize
+    translate_weights(ctx, "zero", 6)
+    q_translate(ctx, SymPoly([1, 2, 3]), "zero")
+    assert _eta_weight_table.cache_info().currsize == before
+    translate_weights(ctx, "minus_eta", 6)
+    assert _eta_weight_table.cache_info().currsize == before + 1
+    translate_weights(ctx, "eta", 9)
+    q_translate(ctx, SymPoly([1, 2, 3]), "minus_eta")
+    translate_weights(ctx, Fraction(5, 3), 4)
+    assert _eta_weight_table.cache_info().currsize == before + 1
+
+
+def test_translate_unknown_point_raises(ctx_half):
+    with pytest.raises(ValueError):
+        translate_weights(ctx_half, "one", 3)
+    with pytest.raises(ValueError):
+        q_translate(ctx_half, SymPoly([1, 2]), "one")
 
 
 @settings(max_examples=40, deadline=None)
