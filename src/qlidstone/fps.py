@@ -15,11 +15,10 @@ polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .qcore import QContext, psi_weights
-from .symlaurent import SymPoly, lincomb, special_poly
+from .qcore import QContext
+from .symlaurent import SymPoly, lincomb, psi_rho_polys
 
 
 def _coerce(c):
@@ -187,8 +186,8 @@ def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -
     return Series(out)
 
 
-@lru_cache(maxsize=None)
 def eq_exponential_series(ctx: QContext, order: int) -> Series:
     """The q-exponential as a series in w with rho-polynomial coefficients:
-    coefficient n is q**(n**2/4)/(q;q)_n * rho_n(x)."""
-    return Series([special_poly(ctx, "rho", n) * psi for n, psi in enumerate(psi_weights(ctx, order))])
+    coefficient n is psi_n rho_n(x), psi_n = q**(n**2/4)/(q;q)_n, sliced from the
+    per-s table of :func:`symlaurent.psi_rho_polys`."""
+    return Series(psi_rho_polys(ctx, order))

@@ -2,10 +2,13 @@
 
 A function enters either as an exact polynomial or as a stream of
 rho-basis coefficients f_k (so truncations of the basic sine/cosine are
-representable).  Boundary data at the two nodes 0 and eta are read off
-the rho coefficients by the q-Taylor identity (see :func:`aw_boundary_data`).
-The Bernoulli-type engine consumes even-order data at both nodes; the
-Euler-type engine odd data at 0 and even data at eta.
+representable).  Every expansion works on the quotients u_j = f_j / psi_j,
+formed once; for the basic sine and cosine their heights stay small while
+those of psi_j grow to thousands of bits.
+Boundary data at the two nodes 0 and eta are read off them by the q-Taylor
+identity (see :func:`aw_boundary_data`).  The Bernoulli-type engine consumes
+even-order data at both nodes; the Euler-type engine odd data at 0 and even
+data at eta.
 
 The assembled expansions are
 
@@ -20,14 +23,17 @@ exactly at K = ceil(deg/2), which is the property the test suite pins.
 Every family has the generating function G(w) E(x; w) with a scalar
 series G (:func:`qpolys.family_multiplier`), so its entry n is
 sum_j G_{n-j} psi_j rho_j.  The reconstruction is therefore collected as
-rho coefficients and assembled once; no family table is built.
+coefficients r_j of psi_j rho_j and summed once against the per-s table of
+those polynomials (:func:`symlaurent.psi_rho_sum`); no family table is
+built, and no r_j psi_j is formed.
 
 For entire functions given as streams the reports carry a growth statistic
 tau (the n-th root of |f_n| normalized by the q-exponential coefficients)
 and the convergence cap min(1, first positive zero of the sine/cosine at
 eta): data-only diagnostics, never a gate on the computation.  Their
 residual is max |f - recon| on a grid, summed in floats from the exact
-rho-basis difference f_j/psi_j - r_j.
+difference u_j - r_j; that of a polynomial is exact, read off
+sum_j (u_j - r_j) psi_j rho_j.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from fractions import Fraction
 from itertools import islice, zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, psi_weights, q_pochhammers, safe_float
-from .symlaurent import SymPoly, change_basis, poly_from_basis, rho_translate
+from .qcore import QContext, correlate, over_common_den, psi_weights, q_pochhammers, safe_float
+from .symlaurent import SymPoly, change_basis, poly_from_basis, psi_rho_at_eta, psi_rho_sum
 from .qpolys import family_rho
 from . import qspecial
 
@@ -107,10 +113,15 @@ def _growth_tau(quotients: Sequence[Fraction]) -> float:
     return max(stats[-10:], default=0.0)
 
 
-def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
-    """Boundary data by the q-Taylor identity D^k f(y) = c**k [rho_k](E_q^y f) / psi_k,
-    c = ``ctx.aw_scale``, which D rho_n = c psi_{n-1}/psi_n rho_{n-1} gives.  E_q^0
-    is the identity, so the data at 0 are read off the stream itself.
+def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
+                     quotients: Optional[Sequence[Fraction]] = None):
+    """Boundary data by the q-Taylor identity (Ismail and Stanton, J. Approx. Theory
+    123, 2003) D^k f(y) = c**k sum_j u_{k+j} psi_j rho_j(y), u_j = f_j / psi_j and
+    c = ``ctx.aw_scale``, which D rho_n = c psi_{n-1}/psi_n rho_{n-1} gives.  Only
+    rho_0 is nonzero at 0, so D^k f(0) = c**k u_k; at eta every datum is one integer
+    correlation of the u_j, over one denominator, with the per-s table of
+    :func:`symlaurent.psi_rho_at_eta`.  ``quotients`` are the u_j when the caller
+    has formed them already.
 
     ``bernoulli``: (D^{2k}f(0), D^{2k}f(eta)) for k = 0..K.
     ``euler``:     (D^{2k+1}f(0), D^{2k}f(eta)) for k = 0..K.
@@ -119,19 +130,16 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
         raise ValueError("scheme must be 'bernoulli' or 'euler'")
     if K < 0:
         raise ValueError("K must be >= 0")
-
-    psi = psi_weights(ctx, 2 * K + 2)
-    n = len(f.stream)
-
-    def data(k, v):
-        return ctx.aw_scale ** k * v / psi[k]
-
+    u = _over_psi(ctx, f.stream) if quotients is None else quotients
+    n = len(u)
+    c = ctx.aw_scale
     first = 0 if scheme == "bernoulli" else 1
-    # E_q^eta f only at the even orders read; orders past the end of the stream are exactly 0
-    eta_orders = range(0, min(2 * K + 1, n), 2)
-    at_eta = rho_translate(ctx, f.stream, "eta", eta_orders)
-    return (tuple(data(k, f.stream[k]) if k < n else Fraction(0) for k in range(first, 2 * K + 2, 2)),
-            tuple(data(k, v) for k, v in zip(eta_orders, at_eta)) + (Fraction(0),) * (K + 1 - len(at_eta)))
+    at_zero = tuple(c ** k * u[k] if k < n else Fraction(0) for k in range(first, 2 * K + 2, 2))
+    # orders past the end of the stream are exactly 0
+    nums, du = over_common_den(u)
+    e, de = psi_rho_at_eta(ctx, n)
+    at_eta = correlate(nums, e, du * de, ((k, c ** k) for k in range(0, min(2 * K + 1, n), 2)))
+    return at_zero, at_eta + (Fraction(0),) * (K + 1 - len(at_eta))
 
 
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
@@ -145,41 +153,40 @@ def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
 def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,
                         grid: Sequence = DEFAULT_GRID) -> ExpansionReport:
     """Two-point expansion over the odd Bernoulli-family polynomials."""
-    data0, data_eta = aw_boundary_data(ctx, f, K, "bernoulli")
-    c = ctx.aw_scale
-    terms = []
-    for k in range(K + 1):
-        weight = 2 * c ** (-2 * k)
-        terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
-    r = family_rho(ctx, terms, 2 * K + 2)
-    return _finish_report(ctx, f, "bernoulli", K, data0, data_eta, r, grid, "Sq_eta")
+    return _expansion(ctx, f, _over_psi(ctx, f.stream), "bernoulli", K, grid)
 
 
 def euler_expansion(ctx: QContext, f: EntireFn, K: int,
                     grid: Sequence = DEFAULT_GRID) -> ExpansionReport:
     """Two-point expansion over the Euler families (odd data at zero)."""
-    data0, data_eta = aw_boundary_data(ctx, f, K, "euler")
+    return _expansion(ctx, f, _over_psi(ctx, f.stream), "euler", K, grid)
+
+
+def _expansion(ctx: QContext, f: EntireFn, quotients: List[Fraction], kind: str, K: int,
+               grid: Sequence) -> ExpansionReport:
+    """The ``kind`` expansion of f, whose quotients f_j / psi_j are given.  The
+    reconstruction sum_j r_j psi_j rho_j is summed by :func:`symlaurent.psi_rho_sum`;
+    the quotients give tau and, less r_j, the residual."""
+    data0, data_eta = aw_boundary_data(ctx, f, K, kind, quotients)
     c = ctx.aw_scale
     terms = []
     for k in range(K + 1):
-        terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
-                  ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
+        if kind == "bernoulli":
+            weight = 2 * c ** (-2 * k)
+            terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
+        else:
+            terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
+                      ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
     r = family_rho(ctx, terms, 2 * K + 2)
-    return _finish_report(ctx, f, "euler", K, data0, data_eta, r, grid, "Cq_eta")
-
-
-def _finish_report(ctx, f, kind, K, data0, data_eta, r, grid, cap_kind):
-    """The report on the reconstruction sum_j r_j psi_j rho_j of f.  A stream's
-    quotients f_j / psi_j give both tau and, less r_j, the residual."""
-    recon = poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, len(r)))])
-    cap = _zero_cap(ctx, cap_kind)
+    recon = psi_rho_sum(ctx, r)
+    cap = _zero_cap(ctx, "Sq_eta" if kind == "bernoulli" else "Cq_eta")
     exact = f.polynomial
     if exact:
         tau = 0.0
-        diff = recon - f.to_poly(ctx)
+        # f - recon = sum_j (u_j - r_j) psi_j rho_j, exactly
+        diff = psi_rho_sum(ctx, [uj - rj for uj, rj in zip_longest(quotients, r, fillvalue=0)])
         res: Number = Fraction(max(abs(n) for n in diff.nums), diff.den)
     else:
-        quotients = _over_psi(ctx, f.stream)
         tau = _growth_tau(quotients)
         res = _grid_sup(ctx, quotients, r, grid)
     status = "ok"
@@ -269,19 +276,18 @@ def counterexample_report(ctx: QContext, kind: str, n_terms: int, K: int,
     if kind == "bernoulli":
         w = qspecial.refine_zero_exact(ctx, "Sq_eta", steps=120)
         f = trig_rho_stream(ctx, "S", w, n_terms)
-        engine = bernoulli_expansion
     elif kind == "euler":
         w = qspecial.refine_zero_exact(ctx, "Cq_eta", steps=120)
         f = trig_rho_stream(ctx, "C", w, n_terms)
-        engine = euler_expansion
     else:
         raise ValueError("kind must be 'bernoulli' or 'euler'")
-    report = engine(ctx, f, K, grid)
+    quotients = _over_psi(ctx, f.stream)
+    report = _expansion(ctx, f, quotients, kind, K, grid)
     max_data = max(
         [abs(safe_float(v)) for v in report.data_at_zero]
         + [abs(safe_float(v)) for v in report.data_at_eta]
     )
-    norm = _grid_sup(ctx, _over_psi(ctx, f.stream), (), grid)
+    norm = _grid_sup(ctx, quotients, (), grid)
     return CounterexampleReport(kind=kind, w=float(w), max_data=max_data,
                                 function_norm=norm, expansion=report)
 

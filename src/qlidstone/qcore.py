@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import mul
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -215,21 +215,25 @@ def over_common_den(values: Iterable) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence,
-                     orders: Optional[Sequence[int]] = None) -> Tuple[Fraction, ...]:
-    """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j: the coefficients of a
-    translate on a basis b_n whose generating function sum_n w_n b_n t**n the
-    translation multiplies by sum_n w_n v_n t**n; c are those of f.  Gives
-    out_k for each k < len(coeffs) in ``orders``, or for every k by default.
+def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence) -> Tuple[Fraction, ...]:
+    """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j for every k < len(coeffs): the coefficients
+    of a translate on a basis b_n whose generating function sum_n w_n b_n t**n the
+    translation multiplies by sum_n w_n v_n t**n; c are those of f.
 
-    u_j = c_j/w_j and e_j = w_j v_j are each put over one common denominator,
-    so every out_k is one integer dot product, reduced once."""
+    u_j = c_j/w_j and e_j = w_j v_j are each put over one common denominator
+    and correlated by :func:`correlate`."""
     u, du = over_common_den(Fraction(c) / w for c, w in zip(coeffs, weights))
     e, de = over_common_den(w * v for w, v in zip(weights, values))
     if len(e) < len(u):
         raise ValueError(f"{len(u)} coefficients need as many weights and values, got {len(e)}")
-    return tuple(Fraction(weights[k].numerator * sum(map(mul, u[k:], e)), weights[k].denominator * du * de)
-                 for k in (range(len(u)) if orders is None else orders))
+    return correlate(u, e, du * de, enumerate(weights[:len(u)]))
+
+
+def correlate(u: Sequence[int], e: Sequence[int], den: int,
+              scales: Iterable[Tuple[int, Rational]]) -> Tuple[Fraction, ...]:
+    """a sum_j u_{k+j} e_j / den for each pair (k, a) of ``scales``: every entry is one
+    integer dot product, reduced once."""
+    return tuple(Fraction(a.numerator * sum(map(mul, u[k:], e)), a.denominator * den) for k, a in scales)
 
 
 _MAX_FACTORS = 1_000_000

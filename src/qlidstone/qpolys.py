@@ -31,7 +31,7 @@ from .fps import (
     pochhammer_series,
     scale_arg,
 )
-from .symlaurent import SymPoly, eval_at, aw_derivative, poly_from_basis, q_translate, special_poly
+from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_sum, q_translate, special_poly
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 NUMBER_KINDS = ("beta_q", "suslov_Bq", "im_Bq", "suslov_Eq")
@@ -54,8 +54,7 @@ class NumberTable:
 # -- scalar building blocks ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _denominator_parts(s: Fraction, order: int):
+def _factor_parts(s: Fraction, order: int):
     """(plus, minus, diff_over_w, summ) for the (+-w; sqrt q)_inf factors,
     each carrying exactly ``order`` coefficients."""
     p = s * s
@@ -64,6 +63,9 @@ def _denominator_parts(s: Fraction, order: int):
     diff_over_w = (plus - minus).shift_down()
     summ = (plus + minus).truncate(order)
     return plus.truncate(order), minus.truncate(order), diff_over_w, summ
+
+
+_denominator_parts = lru_cache(maxsize=None)(_factor_parts)
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +78,8 @@ def _qw2_series(s: Fraction, order: int) -> Series:
 def family_multiplier(s: Fraction, kind: str, order: int) -> Series:
     """The scalar series G with family generating function G(w) E(x; w), so
     family entry n is sum_j G_{n-j} psi_j rho_j on the rho basis."""
-    _, minus, diff_over_w, summ = _denominator_parts(s, order)
+    # G is all that an expansion keeps of the factors, so they are not memoized here
+    _, minus, diff_over_w, summ = _factor_parts(s, order)
     if kind == "suslov_B":
         return _qw2_series(s, order) / diff_over_w
     if kind == "new_beta":
@@ -248,9 +251,9 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     A_k = 2 c**(-2k) suslov_B_{2k+1}      B_k = 2 c**(-2k) new_beta_{2k+1}
     M_k = c**(-2k-1) new_E_{2k+1}         Mtilde_k = 2 c**(-2k) suslov_E_{2k}
 
-    Each is assembled once on the rho basis from :func:`family_rho`, as the
-    expansions are; the tests pin it against the family tables and against
-    the defining quotient series.
+    Each is summed as sum_j r_j psi_j rho_j, r_j from :func:`family_rho`, by
+    :func:`symlaurent.psi_rho_sum`, as the expansions are; the tests pin it
+    against the family tables and against the defining quotient series.
     """
     if kind not in BASIS_KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
@@ -263,9 +266,7 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     else:
         family = "suslov_B" if kind == "A" else "new_beta"
         terms = [(family, 2 * k + 1, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
-    psi = psi_weights(ctx, order)
-    return tuple(poly_from_basis(ctx, "rho", [rj * p for rj, p in zip(family_rho(ctx, [term], order), psi)])
-                 for term in terms)
+    return tuple(psi_rho_sum(ctx, family_rho(ctx, [term], order)) for term in terms)
 
 
 def hermite_from_bernoulli(ctx: QContext, n: int) -> SymPoly:

@@ -18,10 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .qcore import (IntegrityError, QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers,
-                    table_prefix, translate_coeffs)
+                    table_prefix)
 
 PointLike = Union[str, Fraction, int]
 
@@ -320,6 +321,46 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
     raise ValueError(f"unknown family {family!r}")
 
 
+def psi_rho_polys(ctx: QContext, n: int) -> List[SymPoly]:
+    """[psi_0 rho_0, ..., psi_{n-1} rho_{n-1}], the coefficients of the q-exponential
+    E(x; w) = sum_j psi_j rho_j(x) w**j (see :func:`psi_rho_poly`)."""
+    return [psi_rho_poly(ctx, j) for j in range(n)]
+
+
+def psi_rho_sum(ctx: QContext, coeffs: Sequence) -> SymPoly:
+    """sum_j a_j psi_j rho_j for coeffs a_j, over one common denominator and reduced once;
+    only the psi_j rho_j with a_j != 0 are built."""
+    return lincomb((psi_rho_poly(ctx, j), a) for j, a in enumerate(coeffs) if a)
+
+
+def psi_rho_poly(ctx: QContext, j: int) -> SymPoly:
+    """psi_j rho_j, psi_j = q**(j**2/4)/(q;q)_j, from one table per s that holds the even
+    and the odd j apart, each extended only as far as asked.  The recurrence of
+    :func:`special_poly` with psi folded in gives P_j = P_{j-2} times the multiplier
+    (psi_j/psi_{j-2}) (q**(j-2) + q**(2-j) + z**2 + z**-2): with s = sn/sd, a = sn**4,
+    b = sd**4 and m = j - 2 it is the integer polynomial
+    sn**4 sd**8 (a**(2m) + b**(2m) + (a b)**m (z**2 + z**-2)) over (b**(m+1) - a**(m+1)) (b**(m+2) - a**(m+2))."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    chain = _psi_rho_table(ctx.s)[j % 2]
+    if len(chain) <= j // 2:
+        sn, sd = ctx.s.numerator, ctx.s.denominator
+        a, b = sn ** 4, sd ** 4
+        lead = a * sd ** 8
+        for i in range(2 * len(chain) + j % 2, j + 1, 2):
+            am, bm = a ** (i - 2), b ** (i - 2)
+            step = SymPoly._canonical([lead * (am * am + bm * bm), 0, lead * am * bm],
+                                      (bm * b - am * a) * (bm * b * b - am * a * a))
+            chain.append(chain[-1] * step)
+    return chain[j // 2]
+
+
+@lru_cache(maxsize=None)
+def _psi_rho_table(s: Fraction) -> Tuple[List[SymPoly], List[SymPoly]]:
+    # P_0 = 1 and P_1 = psi_1 rho_1 = s/(1-q) (z + 1/z)
+    return [SymPoly._of((1,), 1)], [SymPoly([0, s / (1 - s ** 4)])]
+
+
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -364,21 +405,31 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
 
 def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
     """[rho_0(y), ..., rho_{n-1}(y)] by the recurrence of :func:`_rho_stream`; ``y`` as in
-    :func:`eval_at`.  The values at eta are sliced from one table per s that grows as
-    longer prefixes are asked for; rho_j(-eta) = (-1)**j rho_j(eta) and rho_j(0) = 0 for j > 0."""
+    :func:`eval_at`.  rho_j(-eta) = (-1)**j rho_j(eta) and rho_j(0) = 0 for j > 0."""
     if isinstance(y, str):
         if y == "zero":
             return [Fraction(1)] + [Fraction(0)] * (n - 1) if n else []
         if y not in ("eta", "minus_eta"):
             raise ValueError(f"unknown special point {y!r}")
-        values = table_prefix(_rho_eta_table(ctx.s), n)
+        values = list(islice(_rho_stream(ctx.s, ctx.s + 1 / ctx.s), n))
         return values if y == "eta" else [-v if j % 2 else v for j, v in enumerate(values)]
     return list(islice(_rho_stream(ctx.s, 2 * Fraction(y)), n))
 
 
+def psi_rho_at_eta(ctx: QContext, n: int) -> Tuple[List[int], int]:
+    """Integers e_j and one denominator D with psi_j rho_j(eta) = e_j / D for j < n.  They
+    are sliced from one table per s, kept over the least common denominator of the
+    longest prefix asked for so far; a longer prefix rebuilds it."""
+    table = _psi_rho_eta_table(ctx.s)
+    if len(table[0]) < n:
+        table[:] = over_common_den(map(mul, psi_weights(ctx, n), rho_values(ctx, "eta", n)))
+    nums, den = table
+    return nums[:n], den
+
+
 @lru_cache(maxsize=None)
-def _rho_eta_table(s: Fraction):
-    return [], _rho_stream(s, s + 1 / s)
+def _psi_rho_eta_table(s: Fraction) -> list:
+    return [[], 1]
 
 
 def _rho_stream(s: Fraction, two_y: Fraction) -> Iterator[Fraction]:
@@ -481,15 +532,6 @@ def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
 
 
 # -- q-translation ---------------------------------------------------------------
-
-
-def rho_translate(ctx: QContext, r: Sequence, y: PointLike,
-                  orders: Optional[Sequence[int]] = None) -> Tuple[Fraction, ...]:
-    """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product formula of
-    :func:`q_translate` on the rho basis, E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n
-    rho_k(x) rho_{n-k}(y); exact for exactly evaluable y.  Only the coefficients
-    at ``orders`` (each below len(r)) when given, else all of them."""
-    return translate_coeffs(r, psi_weights(ctx, len(r)), rho_values(ctx, y, len(r)), orders)
 
 
 def translate_weights(ctx: QContext, y: PointLike, n: int) -> list:

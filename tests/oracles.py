@@ -8,10 +8,10 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.qcore import IntegrityError, q_binomial, q_number, q_pochhammer
-from qlidstone.qpolys import build_family
-from qlidstone.symlaurent import (SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, rho_translate,
-                                  rho_values, special_poly)
+from qlidstone.qcore import IntegrityError, psi_weights, q_binomial, q_number, q_pochhammer, translate_coeffs
+from qlidstone.qpolys import build_family, family_rho
+from qlidstone.symlaurent import (SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, rho_values,
+                                  special_poly)
 
 
 def q_translate_hermite(ctx, p, y):
@@ -33,6 +33,12 @@ def q_translate_hermite(ctx, p, y):
                 continue
             out_h[m] += h[n] * q_binomial(n, m, q) * g * s ** (m * m - n * n)
     return poly_from_basis(ctx, "hermite", out_h)
+
+
+def rho_translate(ctx, r, y):
+    """Rho coefficients of E_q^y f for f = sum_n r_n rho_n, by the product formula
+    E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n rho_k(x) rho_{n-k}(y) on the rho basis."""
+    return translate_coeffs(r, psi_weights(ctx, len(r)), rho_values(ctx, y, len(r)))
 
 
 def q_translate_rho(ctx, p, y):
@@ -122,14 +128,60 @@ def aw_boundary_data_iterated(ctx, stream, K, scheme):
     return tuple(data0), tuple(data_eta)
 
 
-def translate_coeffs_fraction(coeffs, weights, values, orders=None):
+def aw_boundary_data_translated(ctx, stream, K, scheme):
+    """Boundary data read off the translate: D^k f(0) = c**k f_k / psi_k and
+    D^k f(eta) = c**k [rho_k](E_q^eta f) / psi_k, E_q^eta f by :func:`rho_translate`
+    in full, c = ``ctx.aw_scale``."""
+    c = ctx.aw_scale
+    n = len(stream)
+    psi = psi_weights(ctx, n)
+    at_eta = rho_translate(ctx, stream, "eta")
+    first = 0 if scheme == "bernoulli" else 1
+    return (tuple(c ** k * stream[k] / psi[k] if k < n else Fraction(0) for k in range(first, 2 * K + 2, 2)),
+            tuple(c ** k * at_eta[k] / psi[k] if k < n else Fraction(0) for k in range(0, 2 * K + 1, 2)))
+
+
+def rho_over_psi_poly(ctx, r):
+    """sum_j r_j psi_j rho_j, the products r_j psi_j formed first and assembled on the rho basis."""
+    return poly_from_basis(ctx, "rho", [rj * psi for rj, psi in zip(r, psi_weights(ctx, len(r)))])
+
+
+def expansion_reconstruction_rho(ctx, kind, K, data0, data_eta):
+    """The two-point expansion as rho-over-psi coefficients r_j by :func:`family_rho`,
+    assembled by :func:`rho_over_psi_poly`."""
+    c = ctx.aw_scale
+    terms = []
+    for k in range(K + 1):
+        if kind == "bernoulli":
+            weight = 2 * c ** (-2 * k)
+            terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
+        else:
+            terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
+                      ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
+    return rho_over_psi_poly(ctx, family_rho(ctx, terms, 2 * K + 2))
+
+
+def lidstone_basis_rho(ctx, kind, k_max):
+    """The interpolation bases as scaled family entries, each one's rho-over-psi
+    coefficients by :func:`family_rho`, assembled by :func:`rho_over_psi_poly`."""
+    c = ctx.aw_scale
+    if kind == "M":
+        terms = [("new_E", 2 * k + 1, c ** (-2 * k - 1)) for k in range(k_max + 1)]
+    elif kind == "Mtilde":
+        terms = [("suslov_E", 2 * k, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
+    else:
+        family = "suslov_B" if kind == "A" else "new_beta"
+        terms = [(family, 2 * k + 1, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
+    return tuple(rho_over_psi_poly(ctx, family_rho(ctx, [term], 2 * k_max + 2)) for term in terms)
+
+
+def translate_coeffs_fraction(coeffs, weights, values):
     """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j with one reduced Fraction
     product and sum per term: the correlation kernel before it ran on integers."""
     u = [c / w for c, w in zip(coeffs, weights)]
     e = [w * v for w, v in zip(weights, values)]
     n = len(u)
-    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0))
-                 for k in (range(n) if orders is None else orders))
+    return tuple(weights[k] * sum((u[k + j] * e[j] for j in range(n - k)), Fraction(0)) for k in range(n))
 
 
 def dotplus_translate_binomial(h, d):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlidstone.qcore import QContext, psi_weight
+from qlidstone.qcore import QContext, psi_weight, psi_weights
 from qlidstone.fps import (
     Series,
     eq_exponential_series,
@@ -131,6 +131,14 @@ def test_eq_exponential_low_coeffs(ctx_half):
     assert e[0] == SymPoly.const(1)
     expect1 = special_poly(ctx, "rho", 1) * (ctx.s / (1 - ctx.q))
     assert e[1] == expect1
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(13, 27), Fraction(24, 25)])
+def test_eq_exponential_series_is_rho_times_psi(s):
+    ctx = QContext(s)
+    want = tuple(special_poly(ctx, "rho", n) * psi for n, psi in enumerate(psi_weights(ctx, 20)))
+    for order in range(1, 21):
+        assert eq_exponential_series(ctx, order).coeffs == want[:order], order
 
 
 def test_eq_exponential_at_zero_is_one(ctx):

@@ -156,6 +156,15 @@ GOLDEN = [
     # translation by the q-Taylor series of the divided difference, at a benchmark height
     ("identities --all --s 5/17 --order 16", 0,
      "3fc746664d7509175e3600b92629677b7cc622c416b8986f8e83385694727ad7"),
+    # expansions from the quotients f_j/psi_j against per-s psi_j rho_j tables
+    ("expand --kind bernoulli --fn stream:@coeffs.json --K 8 --s 13/27", 0,
+     "dc057f4f8b32f4c478a08335625ccf47bc4b548db852630970b4cb9504ec9fa9"),
+    ("expand --kind bernoulli --fn stream:@coeffs.json --K 10 --s 3/5 --format text", 0,
+     "39fb3e42c8f809bfb63900cbc63baa46b5870086b036c1f0d9b82cbaa1a53eab"),
+    ("lidstone-basis --kind M --K 6 --s 13/27", 0,
+     "799089625cbe7a2204886633d2356cf527af898b823a62356417725f7fc1ab7a"),
+    ("lidstone-basis --kind M --K 6 --s 1/2 --format csv", 0,
+     "2df83b88ea62a3c4d632870fa016c4104dfd7e397f509fd8d10c98511f13539b"),
 ]
 
 

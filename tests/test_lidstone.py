@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import aw_boundary_data_iterated, exact_grid_residual, expansion_reconstruction_families
+from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, exact_grid_residual,
+                     expansion_reconstruction_families, expansion_reconstruction_rho)
 from qlidstone.qcore import QContext, psi_weights, q_factorial, q_pochhammer, safe_float
 from qlidstone.qspecial import psi_rho_values
 from qlidstone.lidstone import (
@@ -124,6 +125,42 @@ def test_boundary_data_of_long_streams_match_iterated_oracle(s, stream, K, schem
     ctx = QContext(s)
     assert aw_boundary_data(ctx, EntireFn.from_stream(stream), K, scheme) == \
         aw_boundary_data_iterated(ctx, stream, K, scheme)
+
+
+BOUNDARY_S = [Fraction(1, 17), Fraction(3, 5), Fraction(24, 25)]
+
+
+@pytest.mark.parametrize("s", BOUNDARY_S)
+@pytest.mark.parametrize("scheme", ["bernoulli", "euler"])
+def test_boundary_data_match_the_translate_route(s, scheme):
+    # every K = 0..14 against streams of length 0..40, shorter than 2K + 2 included; the
+    # data at K are the first K + 1 of those at K = 14.  The quotients f_j / psi_j are
+    # small rationals, as those of the basic sine and cosine are.
+    ctx = QContext(s)
+    stream = [Fraction((-1) ** j * (2 * j + 1), 3 * j + 7) * psi for j, psi in enumerate(psi_weights(ctx, 40))]
+    for n in (0, 1, 2, 3, 4, 7, 10, 15, 16, 17, 22, 28, 29, 30, 31, 39, 40):
+        want0, want_eta = aw_boundary_data_translated(ctx, stream[:n], 14, scheme)
+        f = EntireFn.from_stream(stream[:n])
+        for K in range(15):
+            assert aw_boundary_data(ctx, f, K, scheme) == (want0[:K + 1], want_eta[:K + 1]), (n, K)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(BOUNDARY_S),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=50), max_size=40),
+       st.integers(0, 14), st.sampled_from(["bernoulli", "euler"]))
+def test_boundary_data_match_both_old_routes(s, stream, K, scheme):
+    ctx = QContext(s)
+    got = aw_boundary_data(ctx, EntireFn.from_stream(stream), K, scheme)
+    assert got == aw_boundary_data_translated(ctx, stream, K, scheme)
+    assert got == aw_boundary_data_iterated(ctx, stream, K, scheme)
+
+
+def test_boundary_data_take_the_quotients_they_are_given(ctx_half):
+    f = trig_rho_stream(ctx_half, "C", Fraction(1, 3), 14)
+    quotients = [c / psi for c, psi in zip(f.stream, psi_weights(ctx_half, 14))]
+    for scheme in ("bernoulli", "euler"):
+        assert aw_boundary_data(ctx_half, f, 6, scheme, quotients) == aw_boundary_data(ctx_half, f, 6, scheme)
 
 
 # -- expansions -------------------------------------------------------------------
@@ -286,3 +323,23 @@ def test_reconstruction_matches_family_table_oracle(s, kind, coeffs, as_poly, K)
     report = engine(ctx, f, K, grid=())
     want = expansion_reconstruction_families(ctx, kind, K, report.data_at_zero, report.data_at_eta)
     assert report.reconstruction == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([Fraction(1, 17), Fraction(13, 27), Fraction(24, 25)]),
+       st.sampled_from(["bernoulli", "euler"]),
+       st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=20), max_size=30),
+       st.booleans(),
+       st.integers(0, 12))
+def test_reconstruction_matches_the_rho_basis_assembly(s, kind, coeffs, polynomial, K):
+    # sum_j r_j psi_j rho_j over the psi_j rho_j table equals the r_j psi_j assembled on the rho basis;
+    # a terminating stream's exact residual equals max |f - recon| from the assembled f
+    ctx = QContext(s)
+    f = EntireFn.from_stream(coeffs, polynomial=polynomial)
+    engine = bernoulli_expansion if kind == "bernoulli" else euler_expansion
+    report = engine(ctx, f, K, grid=DEFAULT_GRID[::5])
+    assert report.reconstruction == expansion_reconstruction_rho(ctx, kind, K, report.data_at_zero,
+                                                                 report.data_at_eta)
+    if polynomial:
+        diff = report.reconstruction - f.to_poly(ctx)
+        assert report.residual == Fraction(max(abs(n) for n in diff.nums), diff.den)

@@ -193,15 +193,12 @@ def test_translate_coeffs_matches_fraction_oracle(data):
     else:
         w = data.draw(st.lists(fracs.filter(bool), min_size=n + extra, max_size=n + extra), label="w")
     v = data.draw(st.lists(maybe_zero, min_size=len(w), max_size=len(w) + 2), label="v")
-    orders = data.draw(st.none() | st.lists(st.integers(0, max(n - 1, 0)), max_size=n), label="orders")
-    if not n:
-        orders = None if orders is None else []
-    assert translate_coeffs(c, w, v, orders) == translate_coeffs_fraction(c, w, v, orders)
+    assert translate_coeffs(c, w, v) == translate_coeffs_fraction(c, w, v)
 
 
 def test_translate_coeffs_needs_a_value_per_coefficient():
     with pytest.raises(ValueError):
-        translate_coeffs([Fraction(1)] * 4, [Fraction(1)] * 4, [Fraction(1)] * 3, [3])
+        translate_coeffs([Fraction(1)] * 4, [Fraction(1)] * 4, [Fraction(1)] * 3)
 
 
 def test_pochhammer_inf_pole():

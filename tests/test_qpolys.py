@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import lidstone_basis_rho
 from qlidstone.qcore import QContext, psi_weights, q_number, q_pochhammer
 from qlidstone.qpolys import (
     BASIS_KINDS,
@@ -38,6 +39,13 @@ def test_family_entries_from_the_multiplier(s, kind):
     table = build_family(ctx, kind, 12)
     for n in range(13):
         assert poly_from_basis(ctx, "rho", [g[n - j] * psi[j] for j in range(n + 1)]) == table.entries[n], n
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(13, 27)])
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_lidstone_basis_matches_the_rho_basis_assembly(s, kind):
+    ctx = QContext(s)
+    assert lidstone_basis(ctx, kind, 6) == lidstone_basis_rho(ctx, kind, 6)
 
 
 def test_family_multiplier_unknown_kind_raises():

@@ -7,13 +7,20 @@ from hypothesis import given, settings, strategies as st
 from oracles import q_translate_hermite, q_translate_rho, rho_laurent_product
 from qlidstone.qcore import QContext, psi_weight, psi_weights, q_number
 from qlidstone.qpolys import build_family
+from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import (
     SymPoly,
     _eta_weight_table,
+    _psi_rho_eta_table,
+    _psi_rho_table,
     aw_derivative,
     change_basis,
     eval_at,
     poly_from_basis,
+    psi_rho_at_eta,
+    psi_rho_poly,
+    psi_rho_polys,
+    psi_rho_sum,
     q_translate,
     rho_values,
     special_poly,
@@ -306,3 +313,72 @@ def test_rho_values_returns_a_copy(y):
 def test_rho_values_unknown_point_raises(ctx_half):
     with pytest.raises(ValueError):
         rho_values(ctx_half, "one", 3)
+
+
+# -- the psi_j rho_j tables ------------------------------------------------------------
+
+
+def _psi_rho_prefixes(ctx, sizes):
+    # each prefix of both tables, the eta values as Fractions (the common denominator
+    # is that of the longest prefix built so far)
+    out = []
+    for n in sizes:
+        nums, den = psi_rho_at_eta(ctx, n)
+        out.append((psi_rho_polys(ctx, n), [Fraction(e, den) for e in nums]))
+    return out
+
+
+def test_psi_rho_tables_agree_in_rising_and_falling_order():
+    ctx = QContext(Fraction(5, 23))
+    sizes = [0, 1, 2, 5, 9, 16, 23]
+    _psi_rho_table.cache_clear()
+    _psi_rho_eta_table.cache_clear()
+    rising = _psi_rho_prefixes(ctx, sizes)
+    _psi_rho_table.cache_clear()
+    _psi_rho_eta_table.cache_clear()
+    psi_rho_poly(ctx, 14)  # one parity ahead of the other
+    falling = _psi_rho_prefixes(ctx, sizes[::-1])[::-1]
+    assert rising == falling
+    polys, at_eta = rising[-1]
+    assert polys == [special_poly(ctx, "rho", j) * psi_weight(ctx, j) for j in range(23)]
+    assert at_eta == [psi_weight(ctx, j) * eval_at(ctx, special_poly(ctx, "rho", j), "eta") for j in range(23)]
+
+
+def test_psi_rho_tables_return_copies():
+    ctx = QContext(Fraction(6, 19))
+    want_polys, want_eta, want_series = psi_rho_polys(ctx, 8), psi_rho_at_eta(ctx, 8), eq_exponential_series(ctx, 8)
+    polys = psi_rho_polys(ctx, 8)
+    polys[0] = SymPoly.zero()
+    polys.append(SymPoly.const(1))
+    nums, _ = psi_rho_at_eta(ctx, 8)
+    nums[0] = 99
+    nums.append(1)
+    assert psi_rho_polys(ctx, 8) == want_polys
+    assert psi_rho_polys(ctx, 11)[:8] == want_polys
+    assert psi_rho_at_eta(ctx, 8) == want_eta
+    assert eq_exponential_series(ctx, 8) == want_series
+
+
+def test_psi_rho_tables_are_keyed_on_s_alone():
+    ctx = QContext(Fraction(8, 35))
+    before = _psi_rho_table.cache_info().currsize, _psi_rho_eta_table.cache_info().currsize
+    for n in (4, 11, 2):
+        psi_rho_polys(ctx, n)
+        eq_exponential_series(ctx, n + 1)
+        psi_rho_at_eta(ctx, n + 3)
+    assert (_psi_rho_table.cache_info().currsize, _psi_rho_eta_table.cache_info().currsize) == \
+        (before[0] + 1, before[1] + 1)
+
+
+def test_psi_rho_poly_negative_index_raises(ctx_half):
+    with pytest.raises(ValueError):
+        psi_rho_poly(ctx_half, -1)
+
+
+def test_psi_rho_sum_skips_zero_coefficients():
+    ctx = QContext(Fraction(7, 29))
+    _psi_rho_table.cache_clear()
+    coeffs = [0, Fraction(1, 3), 0, Fraction(-2, 5), 0, 0, 0, Fraction(4, 9)]
+    got = psi_rho_sum(ctx, coeffs)
+    assert [len(chain) for chain in _psi_rho_table(ctx.s)] == [1, 4]  # only the odd j were built
+    assert got == poly_from_basis(ctx, "rho", [a * psi_weight(ctx, j) for j, a in enumerate(coeffs)])
