@@ -16,7 +16,7 @@ floating point lives in the zero finders and residual grids.
 
 from .qcore import QContext, q_binomial, q_factorial, q_number, q_pochhammer, q_pochhammer_inf
 from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, q_translate, special_poly
-from .fps import Series, eq_exponential_series, euler_factor_series, parity_part, scale_arg
+from .fps import Series, eq_exponential_series, euler_factor_series, scale_arg
 from . import qpolys, qspecial, lidstone, guichard
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "change_basis",
     "eq_exponential_series",
     "euler_factor_series",
-    "parity_part",
     "scale_arg",
     "qpolys",
     "qspecial",

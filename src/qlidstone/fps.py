@@ -135,14 +135,6 @@ def _dot(pairs):
     return Fraction(0) if acc is None else acc
 
 
-def parity_part(a: Series, which: str) -> Series:
-    """Zero out the coefficients of the complementary parity."""
-    if which not in ("even", "odd"):
-        raise ValueError("which must be 'even' or 'odd'")
-    keep = 0 if which == "even" else 1
-    return Series([c if k % 2 == keep else 0 * c for k, c in enumerate(a.coeffs)])
-
-
 def scale_arg(a: Series, c) -> Series:
     """w -> c*w, i.e. a_k -> c**k a_k."""
     c = _coerce(c)

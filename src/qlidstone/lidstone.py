@@ -45,7 +45,7 @@ from itertools import islice, zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .qcore import QContext, correlate, over_common_den, psi_weights, q_pochhammers, safe_float
-from .symlaurent import SymPoly, change_basis, poly_from_basis, psi_rho_at_eta, psi_rho_sum
+from .symlaurent import SymPoly, change_basis, psi_rho_at_eta, psi_rho_sum
 from .qpolys import family_rho
 from . import qspecial
 
@@ -69,7 +69,7 @@ class EntireFn:
 
     @classmethod
     def from_poly(cls, ctx: QContext, p: SymPoly) -> "EntireFn":
-        return cls(stream=change_basis(ctx, p, "rho"), polynomial=True)
+        return cls(stream=change_basis(ctx, p), polynomial=True)
 
     @classmethod
     def from_stream(cls, coeffs: Sequence, polynomial: bool = False, **kw) -> "EntireFn":
@@ -77,7 +77,7 @@ class EntireFn:
                    polynomial=polynomial, **kw)
 
     def to_poly(self, ctx: QContext) -> SymPoly:
-        return poly_from_basis(ctx, "rho", self.stream)
+        return psi_rho_sum(ctx, _over_psi(ctx, self.stream))
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _expansion(ctx: QContext, f: EntireFn, quotients: List[Fraction], kind: str,
 def residual_on_grid(ctx: QContext, f: EntireFn, recon: SymPoly, grid: Sequence) -> float:
     """max over the grid of |f - recon| for any polynomial ``recon``, from the
     exact difference of the two on the rho basis (see :func:`_grid_sup`)."""
-    return _grid_sup(ctx, _over_psi(ctx, f.stream), _over_psi(ctx, change_basis(ctx, recon, "rho")), grid)
+    return _grid_sup(ctx, _over_psi(ctx, f.stream), _over_psi(ctx, change_basis(ctx, recon)), grid)
 
 
 def _grid_sup(ctx: QContext, quotients: Sequence, r: Sequence, grid: Sequence) -> float:

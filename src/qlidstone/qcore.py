@@ -166,13 +166,6 @@ def q_binomial(n: int, k: int, base: Rational) -> Fraction:
     return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
 
 
-def psi_weight(ctx: QContext, n: int) -> Fraction:
-    """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
-    q-exponential series, by its closed form: the reference that
-    :func:`psi_weights` is tested against."""
-    return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)
-
-
 def psi_weights(ctx: QContext, n: int) -> list:
     """[psi_0, ..., psi_{n-1}], sliced from one table per s (see :func:`_psi_stream`)."""
     return table_prefix(_psi_table(ctx.s), n)

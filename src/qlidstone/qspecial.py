@@ -11,12 +11,14 @@ exact rational bisection used when a zero is needed to far more than double
 precision.
 
 Each bisection step needs the certified sign of that series at a rational
-point.  It is first sought by midpoint-radius ball arithmetic (as in Arb):
-terms and partial sums are integers scaled by 2**BALL_BITS with a radius
-in ulps, and the term ratio is an unreduced integer pair.  Where the balls
-cannot decide, and for w <= 0, the exact ``Fraction`` sum decides.  Both
-certify the sign of the whole series, so the refined zero does not depend
-on which one answered.
+point, found by midpoint-radius ball arithmetic (as in Arb): terms and
+partial sums are integers scaled by 2**bits with a radius in ulps, and the
+term ratio is an unreduced integer pair.  It starts at BALL_BITS and, where
+the balls cannot decide, doubles the precision (F. Johansson,
+arXiv:1611.02831) up to BALL_BITS_CAP, past which it raises.  A w < 0 takes
+its sign from -w, the sine series being odd in w and the cosine series even.
+A decided ball gives the sign of the whole series, so the refined zero does
+not depend on the precision that answered.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 from .qcore import QContext, q_pochhammer_inf
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series loops
-BALL_BITS = 256  # fixed-point bits of the ball sign certifier used by refine_zero_exact
+BALL_BITS = 256  # fixed-point bits at which the ball sign certifier of refine_zero_exact starts
+BALL_BITS_CAP = 1 << 16  # the precision past which it gives up
 
 
 class ZeroSearchError(RuntimeError):
@@ -407,56 +410,21 @@ def jackson_bessel_zeros(nu: float, q: float, count: int, rel_width: float = 1e-
 # -- exact rational refinement ------------------------------------------------
 
 
-def _eta_series_sign_exact(ctx: QContext, kind: str, w: Fraction) -> int:
-    """Certified sign of the prefactor-free eta-node series at rational w.
-
-    Terms are exact rationals, each the previous one times the exact term
-    ratio; once that ratio drops below one the alternating tail is bounded
-    by the first omitted term, so the sign of a partial sum larger than that
-    bound is rigorous.
-    """
-    s = ctx.s
-    q = ctx.q
-    p = s * s
-    w = Fraction(w)
-    if kind == "Sq_eta":
-        term = w / (1 - p)  # s**(4k**2+2k) w**(2k+1) / (p; p)_{2k+1} at k = 0
-    elif kind == "Cq_eta":
-        term = Fraction(1)  # s**(4k**2-2k) w**(2k) / (p; p)_{2k} at k = 0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
-    def ratio(k: int) -> Fraction:
-        if kind == "Sq_eta":
-            return q ** (2 * k) * q * p * w * w / ((1 - q ** (k + 1)) * (1 - q ** (k + 1) * p))
-        return q ** (2 * k) * p * w * w / ((1 - q ** k * p) * (1 - q ** (k + 1)))
-
-    partial = Fraction(0)
-    for k in range(501):
-        partial += -term if k % 2 else term
-        r = ratio(k)
-        term *= r
-        # alternating, terms decreasing from here on: the next term bounds the tail
-        if r < 1 and abs(partial) > term:
-            return 1 if partial > 0 else -1
-    raise RuntimeError("exact sign did not resolve; w may sit on the zero")
-
-
-def _eta_series_sign_ball(ctx: QContext, kind: str, w: Fraction) -> Optional[int]:
-    """The sign of the prefactor-free eta-node series at rational w > 0 by
-    midpoint-radius ball arithmetic, or None where the balls cannot decide.
+def _eta_series_sign_ball(ctx: QContext, kind: str, w: Fraction, bits: int) -> Optional[int]:
+    """The sign of the prefactor-free eta-node series at rational w >= 0 by
+    midpoint-radius ball arithmetic at ``bits`` bits, or None where the balls
+    cannot decide.
 
     The term a_k and the partial sum are carried as integers T and S scaled
-    by 2**BALL_BITS, with radii e_T and e_S in ulps: |a_k 2**BALL_BITS - T| <= e_T.
+    by 2**bits, with radii e_T and e_S in ulps: |a_k 2**bits - T| <= e_T.
     The term ratio a_{k+1}/a_k = num/den is an unreduced pair of integers
     built from running powers of the numerator and denominator of q.  The
     floored product T num // den is off by less than one ulp, so
     e_T' = ceil(e_T num/den) + 1, and each partial sum adds its term's
-    radius to e_S.  The decision rule is that of :func:`_eta_series_sign_exact`,
-    applied to the balls: once the ratio is below one, a partial sum whose
-    ball clears the next term's ball has the sign of the series.
+    radius to e_S.  The series alternates, and once the ratio is below one
+    its terms decrease, so the next term bounds the tail: a partial sum
+    whose ball clears the next term's ball has the sign of the series.
     """
-    bits = BALL_BITS
     pn, pd = ctx.s.numerator ** 2, ctx.s.denominator ** 2
     qn, qd = pn * pn, pd * pd
     wn2, wd2 = w.numerator ** 2, w.denominator ** 2
@@ -488,13 +456,20 @@ def _eta_series_sign_ball(ctx: QContext, kind: str, w: Fraction) -> Optional[int
 
 
 def _eta_series_sign(ctx: QContext, kind: str, w) -> int:
-    """Certified sign of the prefactor-free eta-node series at rational w:
-    the ball certifier, with the exact one where the balls cannot decide
-    and for w <= 0.  Both certify the sign of the whole series, so they
-    agree wherever both answer."""
+    """Certified sign of the prefactor-free eta-node series at rational w: the
+    ball certifier from BALL_BITS, its precision doubled until the balls decide.
+    The sine series is odd in w and the cosine series even, so w < 0 is read off -w."""
     w = Fraction(w)
-    sign = _eta_series_sign_ball(ctx, kind, w) if w > 0 else None
-    return _eta_series_sign_exact(ctx, kind, w) if sign is None else sign
+    if w.numerator < 0:
+        sign = _eta_series_sign(ctx, kind, Fraction(-w.numerator, w.denominator))
+        return -sign if kind == "Sq_eta" else sign
+    bits = BALL_BITS
+    while bits <= BALL_BITS_CAP:
+        sign = _eta_series_sign_ball(ctx, kind, w, bits)
+        if sign is not None:
+            return sign
+        bits *= 2
+    raise RuntimeError(f"{kind} sign at w = {w} did not resolve at {BALL_BITS_CAP} bits; w may sit on the zero")
 
 
 def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:

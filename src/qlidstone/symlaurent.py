@@ -21,12 +21,9 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import (IntegrityError, QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers,
-                    table_prefix)
+from .qcore import QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers, table_prefix
 
 PointLike = Union[str, Fraction, int]
-
-_EK_AT_I = (2, 0, -2, 0)  # (z**k + z**-k) at z = i, indexed by k mod 4
 
 
 class SymPoly:
@@ -373,7 +370,7 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
     nums, d = p.nums, p.degree
     if isinstance(pt, str):
         if pt == "zero":
-            return Fraction(nums[0] + sum(n * _EK_AT_I[k % 4] for k, n in enumerate(nums) if k), p.den)
+            return Fraction(_at_zero(nums), p.den)
         if pt not in ("eta", "minus_eta"):
             raise ValueError(f"unknown special point {pt!r}")
         # z = +-s: z**k + z**-k = (u**k + v**k) / step**k with u = sn**2, v = sd**2, step = +-sn sd
@@ -401,6 +398,12 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
     for c in terms:
         total = total * step + c
     return Fraction(total, p.den * step ** d)
+
+
+def _at_zero(nums: Sequence[int]) -> int:
+    """sum_k nums[k] e_k at x = 0, i.e. z = i, where e_k = z**k + z**-k is 2, 0, -2, 0 by k mod 4
+    (and e_0 = 1)."""
+    return nums[0] + 2 * (sum(nums[4::4]) - sum(nums[2::4]))
 
 
 def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
@@ -459,76 +462,57 @@ def aw_derivative(ctx: QContext, p: SymPoly, k: int = 1) -> SymPoly:
     """Apply the Askey-Wilson divided-difference operator k times."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = p
-    for _ in range(k):
-        out = _aw_once(ctx, out)
-    return out
+    return next(islice(_aw_chain(ctx, p), k, None), SymPoly.zero())
 
 
-def _aw_once(ctx: QContext, p: SymPoly) -> SymPoly:
+def _aw_chain(ctx: QContext, p: SymPoly) -> Iterator[SymPoly]:
+    """p, D p, ..., D**d p for p of degree d; D**(d+1) p is 0."""
+    yield p
     d = p.degree
     if d == 0:
-        return SymPoly.zero()
+        return
     # element m scales by 2 q**((1-m)/2) [m]_q = 2 P_m / t**(m-1) with t = (sn sd)**2 and
-    # P_m = sum_{k<m} sn**(4k) sd**(4(m-1-k)), P_{m+1} = P_m sd**4 + sn**(4m); over t**(d-1)
+    # P_m = sum_{k<m} sn**(4k) sd**(4(m-1-k)), P_{m+1} = P_m sd**4 + sn**(4m)
     sn, sd = ctx.s.numerator, ctx.s.denominator
     a, b, t = sn ** 4, sd ** 4, (sn * sd) ** 2
-    tpow = [1]
+    two_p, tpow, am = [0, 2], [1], a  # 2 P_m, t**m and a**m
     for _ in range(d - 1):
+        two_p.append(two_p[-1] * b + 2 * am)
         tpow.append(tpow[-1] * t)
-    factor = []  # factor[m - 1] for basis element m
-    pm, am = 1, a
-    for m in range(1, d + 1):
-        factor.append(2 * p.nums[m] * pm * tpow[d - m])
-        pm, am = pm * b + am, am * a
-    # element m spreads over e_{m-1}, e_{m-3}, ...; odd m ends on the constant (once),
-    # so out[i] = factor of m = i + 1 plus out[i + 2]
-    out = [0] * (d + 2)
-    for i in range(d - 1, -1, -1):
-        out[i] = factor[i] + out[i + 2]
-    return SymPoly._canonical(out[:d], p.den * tpow[-1])
+        am *= a
+    while d:
+        # over t**(d-1), element m spreads over e_{m-1}, e_{m-3}, ...; odd m ends on the
+        # constant (once), so out[i] = (the scaled element m = i + 1) + out[i + 2]
+        nums = p.nums
+        out = [0] * (d + 2)
+        for i in range(d - 1, -1, -1):
+            out[i] = nums[i + 1] * two_p[i + 1] * tpow[d - 1 - i] + out[i + 2]
+        p = SymPoly._canonical(out[:d], p.den * tpow[d - 1])
+        yield p
+        d -= 1
 
 
 # -- basis conversion -----------------------------------------------------------
 
 
-_BASES = ("monomial", "rho", "hermite")
-
-
-def change_basis(ctx: QContext, p: SymPoly, target: str) -> Tuple[Fraction, ...]:
-    """Coefficients (a_0, ..., a_d) with p = sum a_n basis_n, computed by
-    exact back-substitution from the top degree."""
-    if target not in _BASES:
-        raise ValueError(f"unknown basis {target!r}")
-    # the remainder rem/den; step n takes its coefficient n off the top
-    rem, den = list(p.nums), p.den
-    d = p.degree
-    out = [Fraction(0)] * (d + 1)
-    for n in range(d, 0, -1):
-        top = rem.pop()
-        if top == 0:
-            continue
-        member = special_poly(ctx, target, n)
-        lead = member.nums[-1]
-        if member.degree != n or lead <= 0:
-            raise IntegrityError(f"basis {target!r} member {n} does not have degree {n} and a positive top")
-        out[n] = Fraction(top * member.den, den * lead)
-        # rem - out[n] * member, over den * lead: the top coefficient cancels exactly
-        rem = [r * lead - m * top for r, m in zip(rem, member.nums)]
-        den *= lead
-        g = gcd(den, *rem)
-        if g != 1:
-            rem = [r // g for r in rem]
-            den //= g
-    out[0] = Fraction(rem[0], den)
+def change_basis(ctx: QContext, p: SymPoly) -> Tuple[Fraction, ...]:
+    """Rho coefficients (r_0, ..., r_d) with p = sum r_k rho_k, by the q-Taylor identity
+    at 0: D rho_n = c psi_{n-1}/psi_n rho_{n-1} (c = ``ctx.aw_scale``) and rho_k(0) = 0 for
+    k > 0 give r_k = psi_k c**-k [D^k p](0), read off the D chain of :func:`q_translate`.
+    With s = sn/sd, a = sn**4 and b = sd**4, psi_k c**-k is the integer pair
+    (sn sd)**(k**2-k) (b-a)**k over 2**k prod_{i<=k} (b**i - a**i), kept as running
+    products; each r_k is reduced once."""
+    sn, sd = ctx.s.numerator, ctx.s.denominator
+    a, b, t = sn ** 4, sd ** 4, (sn * sd) ** 2
+    out = []
+    num = den = ai = bi = 1
+    step = b - a  # (sn sd)**(2k-2) (b - a) at k = 1
+    for k, dk in enumerate(_aw_chain(ctx, p)):
+        if k:
+            ai, bi = ai * a, bi * b
+            num, den, step = num * step, 2 * den * (bi - ai), step * t
+        out.append(Fraction(num * _at_zero(dk.nums), den * dk.den))
     return tuple(out)
-
-
-def poly_from_basis(ctx: QContext, target: str, coeffs: Sequence) -> SymPoly:
-    """Inverse of :func:`change_basis`: assemble sum a_n basis_n."""
-    if target not in _BASES:
-        raise ValueError(f"unknown basis {target!r}")
-    return lincomb((special_poly(ctx, target, n), a) for n, a in enumerate(coeffs) if a)
 
 
 # -- q-translation ---------------------------------------------------------------
@@ -564,9 +548,4 @@ def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     """
     if y == "zero":
         return p
-    terms = []
-    for k, w in enumerate(translate_weights(ctx, y, p.degree + 1)):
-        if k:
-            p = _aw_once(ctx, p)
-        terms.append((p, w))
-    return lincomb(terms)
+    return lincomb(zip(_aw_chain(ctx, p), translate_weights(ctx, y, p.degree + 1)))

@@ -5,20 +5,37 @@ with them exactly.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple
 
 from qlidstone.qcore import IntegrityError, psi_weights, q_binomial, q_number, q_pochhammer, translate_coeffs
 from qlidstone.qpolys import build_family, family_rho
-from qlidstone.symlaurent import (SymPoly, aw_derivative, change_basis, eval_at, poly_from_basis, rho_values,
-                                  special_poly)
+from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, rho_values, special_poly
+
+
+def psi_weight(ctx, n):
+    """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
+    q-exponential series, by its closed form."""
+    return ctx.s ** (n * n) / q_pochhammer(ctx.q, ctx.q, n)
+
+
+def change_basis_to(ctx, p, target):
+    """Coefficients of the SymPoly p on the ``monomial``, ``rho`` or ``hermite``
+    basis, by :func:`fraction_change_basis`."""
+    return fraction_change_basis(ctx, FractionSymPoly(p.coeffs), target)
+
+
+def poly_from_basis(ctx, target, coeffs):
+    """sum a_n basis_n over the ``target`` family of ``special_poly``."""
+    return lincomb((special_poly(ctx, target, n), Fraction(a)) for n, a in enumerate(coeffs) if a)
 
 
 def q_translate_hermite(ctx, p, y):
     """E_q^y on the q-Hermite basis:
     E_q^y H_n = sum_m [n choose m]_q H_m g_{n-m}(y) q**((m**2-n**2)/4),
     g_j = q**(j**2/4) rho_j, extended to all polynomials by linearity."""
-    h = change_basis(ctx, p, "hermite")
+    h = change_basis_to(ctx, p, "hermite")
     d = len(h) - 1
     s = ctx.s
     q = ctx.q
@@ -46,7 +63,7 @@ def q_translate_rho(ctx, p, y):
     translated by the product formula
     E_q^y rho_n = sum_k psi_k psi_{n-k} / psi_n * rho_k(x) rho_{n-k}(y),
     and assembled back into a polynomial."""
-    return poly_from_basis(ctx, "rho", rho_translate(ctx, change_basis(ctx, p, "rho"), y))
+    return poly_from_basis(ctx, "rho", rho_translate(ctx, change_basis_to(ctx, p, "rho"), y))
 
 
 def eta_series_sign_termwise(ctx, kind, w):
@@ -84,6 +101,41 @@ def eta_series_sign_termwise(ctx, kind, w):
             bound = term(k + 1)  # alternating, terms decreasing from here on
             if abs(partial) > bound:
                 return 1 if partial > 0 else -1
+    raise RuntimeError("exact sign did not resolve; w may sit on the zero")
+
+
+def eta_series_sign_exact(ctx, kind, w):
+    """Certified sign of the prefactor-free eta-node series at rational w.
+
+    Terms are exact rationals, each the previous one times the exact term
+    ratio; once that ratio drops below one the alternating tail is bounded
+    by the first omitted term, so the sign of a partial sum larger than that
+    bound is rigorous.
+    """
+    s = ctx.s
+    q = ctx.q
+    p = s * s
+    w = Fraction(w)
+    if kind == "Sq_eta":
+        term = w / (1 - p)  # s**(4k**2+2k) w**(2k+1) / (p; p)_{2k+1} at k = 0
+    elif kind == "Cq_eta":
+        term = Fraction(1)  # s**(4k**2-2k) w**(2k) / (p; p)_{2k} at k = 0
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+
+    def ratio(k):
+        if kind == "Sq_eta":
+            return q ** (2 * k) * q * p * w * w / ((1 - q ** (k + 1)) * (1 - q ** (k + 1) * p))
+        return q ** (2 * k) * p * w * w / ((1 - q ** k * p) * (1 - q ** (k + 1)))
+
+    partial = Fraction(0)
+    for k in range(501):
+        partial += -term if k % 2 else term
+        r = ratio(k)
+        term *= r
+        # alternating, terms decreasing from here on: the next term bounds the tail
+        if r < 1 and abs(partial) > term:
+            return 1 if partial > 0 else -1
     raise RuntimeError("exact sign did not resolve; w may sit on the zero")
 
 
@@ -239,7 +291,7 @@ def exact_grid_residual(ctx, stream, recon, grid):
     """max over the grid of |f - recon| as an exact rational: sum_j d_j rho_j(x)
     with d_j = f_j - r_j psi_j, r_j psi_j the rho coefficients of ``recon``
     by back-substitution and rho_j(x) by its recurrence."""
-    c = change_basis(ctx, recon, "rho")
+    c = change_basis_to(ctx, recon, "rho")
     n = max(len(stream), len(c))
     d = [(stream[j] if j < len(stream) else 0) - (c[j] if j < len(c) else 0) for j in range(n)]
     return max((abs(sum((dj * rj for dj, rj in zip(d, rho_values(ctx, x, n))), Fraction(0))) for x in grid),
@@ -405,6 +457,7 @@ class FractionSymPoly:
         return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def fraction_special_poly(ctx, family, n):
     """``monomial``, ``rho`` and ``hermite`` members as FractionSymPolys:
     x**n, rho_n by its recurrence and H_n(x|q) by its q-binomial sum."""

@@ -165,6 +165,11 @@ GOLDEN = [
      "799089625cbe7a2204886633d2356cf527af898b823a62356417725f7fc1ab7a"),
     ("lidstone-basis --kind M --K 6 --s 1/2 --format csv", 0,
      "2df83b88ea62a3c4d632870fa016c4104dfd7e397f509fd8d10c98511f13539b"),
+    # rho coefficients of a polynomial by the q-Taylor identity, at higher degree
+    ("expand --kind bernoulli --fn phi:12:1/3 --K 6 --s 9/10 --format csv", 0,
+     "0cca18278a810917e4adb3384cf74690f6469efcc577ae00cef4308a94140836"),
+    ("expand --kind euler --fn mono:15 --K 8 --s 1/31 --format text", 0,
+     "17f648ff3427facf112bf47573e933d2e800637a0192415cc1cd0cef79d88408"),
 ]
 
 

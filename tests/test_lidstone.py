@@ -268,7 +268,7 @@ def test_stream_residual_matches_exact_rho_difference(s, kind, w, K, n_terms, en
     ctx = QContext(s)
     f = trig_rho_stream(ctx, kind, w, n_terms)
     rep = engine(ctx, f, K)
-    c = change_basis(ctx, rep.reconstruction, "rho")
+    c = change_basis(ctx, rep.reconstruction)
     n = max(len(f.stream), len(c))
     pad = lambda xs: list(xs) + [0] * (n - len(xs))
     v = [safe_float((fj - cj) / psi) for fj, cj, psi in zip(pad(f.stream), pad(c), psi_weights(ctx, n))]

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pochhammer_inf_factors_linear, pochhammer_tail_ok, translate_coeffs_fraction
+from oracles import pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weight, translate_coeffs_fraction
 from qlidstone.qcore import (
     QContext,
-    psi_weight,
     psi_weights,
     q_binomial,
     q_factorial,

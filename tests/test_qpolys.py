@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import lidstone_basis_rho
+from oracles import lidstone_basis_rho, poly_from_basis
 from qlidstone.qcore import QContext, psi_weights, q_number, q_pochhammer
 from qlidstone.qpolys import (
     BASIS_KINDS,
@@ -17,7 +17,7 @@ from qlidstone.qpolys import (
     lidstone_basis,
     registry_names,
 )
-from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, poly_from_basis, special_poly
+from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, special_poly
 
 # -- families -------------------------------------------------------------
 

@@ -3,12 +3,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import eta_series_sign_termwise
+from oracles import eta_series_sign_exact, eta_series_sign_termwise
 from qlidstone import qspecial
 from qlidstone.qcore import QContext, psi_weights, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
@@ -19,7 +18,6 @@ from qlidstone.qspecial import (
     _scan_and_bisect,
     _eta_series_sign,
     _eta_series_sign_ball,
-    _eta_series_sign_exact,
     _eta_series_value,
     basic_trig,
     eq_eval,
@@ -201,8 +199,8 @@ def test_refine_zero_exact_agrees_with_float(ctx):
     assert abs(float(w) - rep.value) < 1e-11 * rep.value
     # the exact sign flips across the refined value
     eps = Fraction(1, 10 ** 15)
-    assert _eta_series_sign_exact(ctx, "Sq_eta", w - eps) > 0
-    assert _eta_series_sign_exact(ctx, "Sq_eta", w + eps) < 0
+    assert eta_series_sign_exact(ctx, "Sq_eta", w - eps) > 0
+    assert eta_series_sign_exact(ctx, "Sq_eta", w + eps) < 0
 
 
 # -- failing loudly ------------------------------------------------------------
@@ -244,7 +242,7 @@ sign_ctx = st.sampled_from([QContext(Fraction(1, 2)), QContext(Fraction(3, 5))])
 @settings(max_examples=40, deadline=None)
 @given(sign_ctx, st.sampled_from(["Sq_eta", "Cq_eta"]), positive_w)
 def test_exact_sign_matches_termwise_oracle(ctx, kind, w):
-    assert _eta_series_sign_exact(ctx, kind, w) == eta_series_sign_termwise(ctx, kind, w)
+    assert eta_series_sign_exact(ctx, kind, w) == eta_series_sign_termwise(ctx, kind, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +250,7 @@ def test_exact_sign_matches_termwise_oracle(ctx, kind, w):
 def test_exact_sign_matches_float_series(ctx, kind, w):
     value = _eta_series_value(kind, float(ctx.q), float(w))
     assume(abs(value) > 1e-6)
-    assert _eta_series_sign_exact(ctx, kind, w) == (1 if value > 0 else -1)
+    assert eta_series_sign_exact(ctx, kind, w) == (1 if value > 0 else -1)
 
 
 # -- the ball sign certificate --------------------------------------------------
@@ -270,8 +268,8 @@ def _refined_zero(s, kind):
 @given(ball_s, kinds, positive_w)
 def test_ball_sign_matches_exact_sign(s, kind, w):
     ctx = QContext(s)
-    ball = _eta_series_sign_ball(ctx, kind, w)
-    assert ball is None or ball == _eta_series_sign_exact(ctx, kind, w)
+    ball = _eta_series_sign_ball(ctx, kind, w, qspecial.BALL_BITS)
+    assert ball is None or ball == eta_series_sign_exact(ctx, kind, w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -279,8 +277,8 @@ def test_ball_sign_matches_exact_sign(s, kind, w):
 def test_ball_sign_matches_exact_sign_next_to_a_zero(s, kind, offset):
     ctx = QContext(s)
     w = _refined_zero(s, kind) + Fraction(offset, 2 ** 200)  # within 2**-100 of the zero
-    ball = _eta_series_sign_ball(ctx, kind, w)
-    assert ball is None or ball == _eta_series_sign_exact(ctx, kind, w)
+    ball = _eta_series_sign_ball(ctx, kind, w, qspecial.BALL_BITS)
+    assert ball is None or ball == eta_series_sign_exact(ctx, kind, w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,9 +288,8 @@ def test_low_precision_ball_sign_matches_exact_sign(s, kind, bits, offset, shift
     # at a few bits the radii decide whether the ball may answer next to a zero
     ctx = QContext(s)
     w = _refined_zero(s, kind) + Fraction(offset, 2 ** (bits + shift))
-    with mock.patch.object(qspecial, "BALL_BITS", bits):
-        ball = _eta_series_sign_ball(ctx, kind, w)
-    assert ball is None or ball == _eta_series_sign_exact(ctx, kind, w)
+    ball = _eta_series_sign_ball(ctx, kind, w, bits)
+    assert ball is None or ball == eta_series_sign_exact(ctx, kind, w)
 
 
 @pytest.mark.parametrize("kind", ["Sq_eta", "Cq_eta"])
@@ -301,33 +298,61 @@ def test_ball_sign_decides_across_a_refined_zero(kind):
     ctx = QContext(s)
     z = _refined_zero(s, kind)
     eps = Fraction(1, 2 ** 100)
-    assert _eta_series_sign_ball(ctx, kind, z - eps) == 1
-    assert _eta_series_sign_ball(ctx, kind, z + eps) == -1
+    assert _eta_series_sign_ball(ctx, kind, z - eps, qspecial.BALL_BITS) == 1
+    assert _eta_series_sign_ball(ctx, kind, z + eps, qspecial.BALL_BITS) == -1
 
 
-def test_low_precision_ball_falls_back_to_the_exact_sign(monkeypatch):
-    ctx = QContext(Fraction(3, 5))
-    want = refine_zero_exact(ctx, "Sq_eta", steps=40)
-    exact_calls = []
-    exact = qspecial._eta_series_sign_exact
-    monkeypatch.setattr(qspecial, "_eta_series_sign_exact", lambda *a: exact_calls.append(a) or exact(*a))
+@pytest.mark.parametrize("s", [Fraction(3, 5), Fraction(19, 20)])
+@pytest.mark.parametrize("kind", ["Sq_eta", "Cq_eta"])
+def test_low_precision_start_doubles_to_the_same_refined_zero(monkeypatch, s, kind):
+    # from 4 bits the certifier doubles its precision until the balls decide; every
+    # decided sign is the true sign, so the refined zero is the one found at BALL_BITS
+    ctx = QContext(s)
+    want = refine_zero_exact(ctx, kind, steps=120)
+    tried = []
+    ball = qspecial._eta_series_sign_ball
+    monkeypatch.setattr(qspecial, "_eta_series_sign_ball", lambda *a: tried.append(a[3]) or ball(*a))
     monkeypatch.setattr(qspecial, "BALL_BITS", 4)
-    near = want + Fraction(1, 2 ** 60)
-    assert _eta_series_sign_ball(ctx, "Sq_eta", near) is None
-    assert _eta_series_sign(ctx, "Sq_eta", near) == exact(ctx, "Sq_eta", near) == -1
-    assert exact_calls
-    # every bisection step falls back and takes the same branch
-    del exact_calls[:]
-    assert refine_zero_exact(ctx, "Sq_eta", steps=40) == want
-    assert len(exact_calls) >= 40
+    assert refine_zero_exact(ctx, kind, steps=120) == want
+    assert set(tried) <= {4 << i for i in range(16)} and 8 in tried
 
 
-@pytest.mark.parametrize("w", [Fraction(-1, 3), Fraction(-7, 5)])
+def test_sign_gives_up_past_the_precision_cap(monkeypatch):
+    ctx = QContext(Fraction(3, 5))
+    tried = []
+    ball = qspecial._eta_series_sign_ball
+    monkeypatch.setattr(qspecial, "_eta_series_sign_ball", lambda *a: tried.append(a[3]) or ball(*a))
+    with pytest.raises(RuntimeError, match="did not resolve"):  # the sine series vanishes at 0
+        _eta_series_sign(ctx, "Sq_eta", Fraction(0))
+    assert tried == [qspecial.BALL_BITS << i for i in range(len(tried))]
+    assert tried[-1] == qspecial.BALL_BITS_CAP
+
+
+@pytest.mark.parametrize("w", [Fraction(-1, 3), Fraction(-7, 5), Fraction(-33, 10)])
 def test_sign_at_negative_w_is_the_exact_sign(ctx, w):
-    assert _eta_series_sign(ctx, "Cq_eta", w) == _eta_series_sign_exact(ctx, "Cq_eta", w) \
+    assert _eta_series_sign(ctx, "Cq_eta", w) == eta_series_sign_exact(ctx, "Cq_eta", w) \
         == _eta_series_sign(ctx, "Cq_eta", -w)  # an even series
-    assert _eta_series_sign(ctx, "Sq_eta", w) == _eta_series_sign_exact(ctx, "Sq_eta", w) \
+    assert _eta_series_sign(ctx, "Sq_eta", w) == eta_series_sign_exact(ctx, "Sq_eta", w) \
         == -_eta_series_sign(ctx, "Sq_eta", -w)  # an odd one
+
+
+@settings(max_examples=30, deadline=None)
+@given(sign_ctx, kinds, positive_w)
+def test_sign_at_negative_w_matches_exact_oracle(ctx, kind, w):
+    assert _eta_series_sign(ctx, kind, -w) == eta_series_sign_exact(ctx, kind, -w)
+
+
+@pytest.mark.parametrize("w", [Fraction(5, 3), Fraction(-5, 3), Fraction(0), 2])
+def test_sign_path_does_no_fraction_arithmetic(monkeypatch, ctx, w):
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__pow__", "__neg__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a))
+    _eta_series_sign(ctx, "Cq_eta", w)
+    if w:
+        _eta_series_sign(ctx, "Sq_eta", w)
+    assert calls == []
 
 
 def test_sign_at_zero_w_is_the_exact_sign(ctx):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import q_translate_hermite, q_translate_rho, rho_laurent_product
-from qlidstone.qcore import QContext, psi_weight, psi_weights, q_number
+from oracles import (FractionSymPoly, fraction_change_basis, poly_from_basis, psi_weight, q_translate_hermite,
+                     q_translate_rho, rho_laurent_product)
+from qlidstone.qcore import QContext, psi_weights, q_number
 from qlidstone.qpolys import build_family
 from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import (
@@ -16,7 +17,6 @@ from qlidstone.symlaurent import (
     aw_derivative,
     change_basis,
     eval_at,
-    poly_from_basis,
     psi_rho_at_eta,
     psi_rho_poly,
     psi_rho_polys,
@@ -161,20 +161,42 @@ def test_change_basis_examples(ctx_half):
     ctx = ctx_half
     x2 = special_poly(ctx, "monomial", 2)
     # rho_2 = 4x^2 exactly, so x^2 = rho_2 / 4 with no constant term
-    assert change_basis(ctx, x2, "rho") == (0, 0, Fraction(1, 4))
+    assert change_basis(ctx, x2) == (0, 0, Fraction(1, 4))
     rho3 = special_poly(ctx, "rho", 3)
-    assert change_basis(ctx, rho3, "rho") == (0, 0, 0, 1)
+    assert change_basis(ctx, rho3) == (0, 0, 0, 1)
+    assert change_basis(ctx, SymPoly.zero()) == (0,)
     h2 = special_poly(ctx, "hermite", 2)
-    assert change_basis(ctx, h2, "monomial") == (ctx.q - 1, 0, 4)
+    assert h2.to_monomial() == (ctx.q - 1, 0, 4)
 
 
 @settings(max_examples=30, deadline=None)
-@given(coeff_lists, st.sampled_from(["monomial", "rho", "hermite"]))
-def test_change_basis_roundtrip(coeffs, target):
+@given(coeff_lists)
+def test_change_basis_roundtrip(coeffs):
     ctx = QContext(Fraction(1, 2))
     p = SymPoly(coeffs)
-    back = poly_from_basis(ctx, target, change_basis(ctx, p, target))
-    assert back == p
+    assert poly_from_basis(ctx, "rho", change_basis(ctx, p)) == p
+    assert SymPoly.from_monomial(p.to_monomial()) == p
+
+
+taylor_bases = st.sampled_from([Fraction(1, 7), Fraction(1, 2), Fraction(17, 29), Fraction(9, 10), Fraction(1, 31)])
+degree_0_to_20 = st.tuples(st.lists(small_fracs, max_size=20), small_fracs.filter(bool)).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(taylor_bases, degree_0_to_20)
+def test_change_basis_matches_back_substitution(s, coeffs):
+    # degrees 0-20: r_k = psi_k c**-k [D^k p](0) against back-substitution from the top degree
+    ctx = QContext(s)
+    got = change_basis(ctx, SymPoly(coeffs))
+    assert got == fraction_change_basis(ctx, FractionSymPoly(coeffs), "rho")
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_change_basis_of_suslov_E_matches_back_substitution():
+    ctx = QContext(Fraction(5, 17))
+    for n, entry in enumerate(build_family(ctx, "suslov_E", 16).entries):
+        assert change_basis(ctx, entry) == fraction_change_basis(ctx, FractionSymPoly(entry.coeffs), "rho"), n
+
 
 
 # -- translation ------------------------------------------------------------------
