@@ -9,17 +9,22 @@ bit for bit instead of to a tolerance.
 
 Floating point enters only through :func:`q_pochhammer_inf`, which
 truncates an infinite product under an explicit tail bound.
+
+Every table that depends on one parameter alone is memoized in one bounded store,
+:class:`table`, that keeps, extends and slices prefixes and counts hits and misses.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import update_wrapper
 from itertools import islice
 from operator import mul
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 Rational = Union[Fraction, int]
 
@@ -166,23 +171,80 @@ def q_binomial(n: int, k: int, base: Rational) -> Fraction:
     return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
 
 
+# -- the table store --------------------------------------------------------------
+
+MAX_TABLES = 1024  # parameters held; a benchmark lap touches up to 402, and an LRU smaller than its cycle never hits
+TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
+_store: "OrderedDict[object, dict]" = OrderedDict()  # parameter -> {(table name, *key): table}, least recent first
+_counts: dict = {}  # table name -> [hits, misses]
+
+
+def clear_tables() -> None:
+    _store.clear()
+    for count in _counts.values():
+        count[:] = 0, 0
+
+
+def _key(param):
+    """A QContext's s, and a Fraction as its integer pair, which hashes far faster."""
+    param = param.s if isinstance(param, QContext) else param
+    return (param.numerator, param.denominator) if isinstance(param, Fraction) else param
+
+
+class table:
+    """Decorator keeping fn(param, *key, n) in the store, an LRU of per-parameter dicts, under
+    fn's name and ``key``.  The value at n is a prefix of that at any larger n, so one rule
+    serves every table: keep the longest prefix asked for, extend it when a longer one is
+    asked, return a prefix.  A generator function fn(param, *key) is a stream, extended in
+    place, answered by a fresh list of its first n entries; any other fn is rebuilt at the
+    larger n and :func:`_cut`.  With ``ordered=False`` there is no n and the parameter comes
+    last, fn(*key, param).  A call that raises stores nothing."""
+
+    def __init__(self, fn: Callable, ordered: bool = True):
+        update_wrapper(self, fn)
+        self.ordered, self.stream = ordered, inspect.isgeneratorfunction(fn)
+        self.counts = _counts.setdefault(self.__qualname__, [0, 0])
+
+    def __call__(self, *args):
+        param, *key, n = args if self.ordered else (args[-1], *args[:-1], 0)
+        p = _key(param)
+        tables = _store[p] = _store.pop(p) if p in _store else {}  # now the most recently used
+        if len(_store) > MAX_TABLES:
+            _store.popitem(last=False)
+        slot = (self.__qualname__, *key)
+        held = tables.get(slot)
+        if self.stream:
+            entries, stream = held or tables.setdefault(slot, ([], self.__wrapped__(*args[:-1])))
+            hit = len(entries) >= n
+            if not hit:
+                entries.extend(islice(stream, n - len(entries)))
+            value = entries[:n]
+        else:
+            hit = held is not None and held[0] >= n
+            if not hit:
+                held = tables[slot] = (n, self.__wrapped__(*args))
+            value = _cut(held[1], held[0] - n)
+        self.counts[not hit] += 1
+        return value
+
+    def cache_info(self) -> TableInfo:
+        """Hits and misses of this table, the bound, and the number of parameters held."""
+        return TableInfo(*self.counts, MAX_TABLES, len(_store))
+
+
+def _cut(value, drop: int):
+    """``value`` short of its last ``drop`` entries: a list by a fresh slice, a tuple entry by
+    entry, a Series by ``truncate``; anything else whole."""
+    if isinstance(value, tuple):
+        return tuple(_cut(v, drop) for v in value)
+    if isinstance(value, list):
+        return value[:len(value) - drop]
+    return value.truncate(value.order - drop) if drop and hasattr(value, "truncate") else value
+
+
 def psi_weights(ctx: QContext, n: int) -> list:
-    """[psi_0, ..., psi_{n-1}], sliced from one table per s (see :func:`_psi_stream`)."""
-    return table_prefix(_psi_table(ctx.s), n)
-
-
-@lru_cache(maxsize=None)
-def _psi_table(s: Fraction):
-    return [], _psi_stream(s)
-
-
-def table_prefix(table, n: int) -> list:
-    """A fresh list of the first n entries of a memoized ``(entries, stream)`` table,
-    first extending the entries from the stream as far as n."""
-    entries, stream = table
-    if len(entries) < n:
-        entries.extend(islice(stream, n - len(entries)))
-    return entries[:n]
+    """[psi_0, ..., psi_{n-1}], a fresh list from one table per s (see :func:`_psi_stream`)."""
+    return _psi_table(ctx.s, n)
 
 
 def _psi_stream(s: Fraction) -> Iterator[Fraction]:
@@ -198,6 +260,9 @@ def _psi_stream(s: Fraction) -> Iterator[Fraction]:
         ai, bi = ai * a, bi * b
         num, den, step = num * step, den * (bi - ai), step * t
         yield Fraction(num, den)
+
+
+_psi_table = table(_psi_stream)
 
 
 def over_common_den(values: Iterable) -> Tuple[List[int], int]:

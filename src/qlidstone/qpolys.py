@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers
+from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers, table
 from .fps import (
     Series,
     eq_exponential_series,
@@ -65,16 +64,16 @@ def _factor_parts(s: Fraction, order: int):
     return plus.truncate(order), minus.truncate(order), diff_over_w, summ
 
 
-_denominator_parts = lru_cache(maxsize=None)(_factor_parts)
+_denominator_parts = table(_factor_parts)
 
 
-@lru_cache(maxsize=None)
+@table
 def _qw2_series(s: Fraction, order: int) -> Series:
     q = s ** 4
     return pochhammer_series(q, 2, q * q, order)  # (q w**2; q**2)_inf
 
 
-@lru_cache(maxsize=None)
+@table
 def family_multiplier(s: Fraction, kind: str, order: int) -> Series:
     """The scalar series G with family generating function G(w) E(x; w), so
     family entry n is sum_j G_{n-j} psi_j rho_j on the rho basis."""
@@ -125,7 +124,7 @@ def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
 # -- families ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@table
 def _family_series(ctx: QContext, kind: str, order: int) -> Series:
     plus, minus, diff_over_w, summ = _denominator_parts(ctx.s, order)
     eqe = eq_exponential_series(ctx, order)
@@ -159,19 +158,14 @@ def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
 # -- numbers -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _suslov_e_number_series(s: Fraction, order: int) -> Series:
-    _, minus, _, summ = _denominator_parts(s, order)
-    return minus / summ
-
-
 def build_numbers(ctx: QContext, kind: str, n_max: int) -> NumberTable:
     """Number sequences attached to the families.
 
     ``beta_q`` comes from the new-Bernoulli family at x = 0 and is
     cross-checked exactly against its scalar generating function;
     ``suslov_Bq`` and ``suslov_Eq`` come from their scalar generating
-    functions; ``im_Bq`` uses :func:`im_bernoulli_numbers` at base q.
+    functions, the multipliers of ``new_beta`` and of ``new_E`` / 2;
+    ``im_Bq`` uses :func:`im_bernoulli_numbers` at base q.
     """
     if kind == "beta_q":
         fam = build_family(ctx, "new_beta", n_max)
@@ -183,7 +177,7 @@ def build_numbers(ctx: QContext, kind: str, n_max: int) -> NumberTable:
     if kind == "suslov_Bq":
         return NumberTable(kind, tuple(family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs))
     if kind == "suslov_Eq":
-        return NumberTable(kind, tuple(_suslov_e_number_series(ctx.s, n_max + 1).coeffs))
+        return NumberTable(kind, tuple(c / 2 for c in family_multiplier(ctx.s, "new_E", n_max + 1).coeffs))
     if kind == "im_Bq":
         return NumberTable(kind, im_bernoulli_numbers(ctx.q, n_max))
     raise ValueError(f"unknown number kind {kind!r}")
@@ -194,26 +188,28 @@ def im_bernoulli_numbers(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     return tuple(b * f for b, f in zip(im_bernoulli_quotients(q, n_max), q_factorials(n_max, q)))
 
 
-@lru_cache(maxsize=None)
 def im_bernoulli_quotients(q: Fraction, n_max: int) -> Tuple[Fraction, ...]:
     """B_n(q)/[n]_q! for n = 0..n_max: the coefficients of y / (e_q(y/2) E_q(y/2) - 1).
 
     Needs only integer powers of q, so any rational base works.  The
     denominator expands as sum_{n>=1} (-1; q)_n y**n / (2**n [n]_q!); one
-    power of y is cancelled before dividing.
+    power of y is cancelled before dividing.  The series is kept per base.
     """
-    q = Fraction(q)
-    order = n_max + 1
+    return _im_bernoulli_series(Fraction(q), n_max + 1).coeffs
+
+
+@table
+def _im_bernoulli_series(q: Fraction, order: int) -> Series:
     poch = q_pochhammers(-1, q, order)
     fact = q_factorials(order, q)
     denom = [poch[n] / (Fraction(2 ** n) * fact[n]) for n in range(1, order + 1)]
-    return (Series.one(order) / Series(denom)).coeffs
+    return Series.one(order) / Series(denom)
 
 
 # -- the two-point interpolation bases -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@table
 def _lidstone_quotients(ctx: QContext, kind: str, order: int) -> Series:
     """Plain coefficient series of the four interpolation-basis quotients.
 
@@ -229,19 +225,13 @@ def _lidstone_quotients(ctx: QContext, kind: str, order: int) -> Series:
         num = (_qw2_series(ctx.s, order + 1) * (eqe - eqe_neg)).shift_down()
         return num / diff_over_w
     if kind == "B":
-        num = minus * eqe - plus * eqe_neg
-        return _div_odd(num, diff_over_w)
+        # the numerator and diff = w * diff_over_w are odd, so w is cancelled from both before dividing
+        return (minus * eqe - plus * eqe_neg).shift_down() / diff_over_w
     if kind == "M":
         return (minus * eqe - plus * eqe_neg) / summ
     if kind == "Mtilde":
         return (_qw2_series(ctx.s, order + 1) * (eqe + eqe_neg)) / summ
     raise ValueError(f"unknown basis kind {kind!r}")
-
-
-def _div_odd(num: Series, diff_over_w: Series) -> Series:
-    # numerator is odd and the denominator diff = w * diff_over_w is odd,
-    # so cancel w from both before dividing
-    return num.shift_down() / diff_over_w
 
 
 def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
@@ -364,12 +354,7 @@ def _check_connection_f2(ctx, n_max):
 
 def _check_reflection_b(ctx, n_max):
     big = build_family(ctx, "suslov_B", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        lhs = big.entries[n].reflect()
-        rhs = big.entries[n] * Fraction(-1) ** n
-        pairs.append((n, lhs, rhs))
-    return _report("reflection_B", n_max, pairs)
+    return _report("reflection_B", n_max, [(n, p.reflect(), p * Fraction(-1) ** n) for n, p in enumerate(big.entries)])
 
 
 def _check_reflection_beta(ctx, n_max):
@@ -433,20 +418,14 @@ def _check_q_square(ctx, n_max):
 def _check_translation_b(ctx, n_max):
     big = build_family(ctx, "suslov_B", n_max)
     beta = build_family(ctx, "new_beta", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        lhs = q_translate(ctx, big.entries[n], "minus_eta")
-        pairs.append((n, lhs, beta.entries[n]))
+    pairs = [(n, q_translate(ctx, p, "minus_eta"), b) for n, (p, b) in enumerate(zip(big.entries, beta.entries))]
     return _report("translation_B", n_max, pairs)
 
 
 def _check_translation_e(ctx, n_max):
     se = build_family(ctx, "suslov_E", n_max)
     ne = build_family(ctx, "new_E", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        lhs = q_translate(ctx, se.entries[n], "minus_eta")
-        pairs.append((n, lhs, ne.entries[n] * Fraction(1, 2)))
+    pairs = [(n, q_translate(ctx, p, "minus_eta"), e / 2) for n, (p, e) in enumerate(zip(se.entries, ne.entries))]
     return _report("translation_E", n_max, pairs)
 
 
@@ -474,11 +453,8 @@ def _check_ladders(ctx, n_max):
     c = ctx.aw_scale
     pairs = []
     for kind in FAMILY_KINDS:
-        fam = build_family(ctx, kind, n_max)
-        for n in range(1, n_max + 1):
-            lhs = aw_derivative(ctx, fam.entries[n])
-            rhs = fam.entries[n - 1] * c
-            pairs.append((n, lhs, rhs))
+        entries = build_family(ctx, kind, n_max).entries
+        pairs += [(n, aw_derivative(ctx, entries[n]), entries[n - 1] * c) for n in range(1, n_max + 1)]
     return _report("ladders", n_max, pairs)
 
 
@@ -490,9 +466,7 @@ def _check_eq4_decomposition(ctx, n_max):
     eta = eta_exponential_series(ctx, order)
     recon = eta * a_q - b_q
     target = eq_exponential_series(ctx, order)
-    pairs = []
-    for n in range(order):
-        pairs.append((n, _as_poly(recon[n]), _as_poly(target[n])))
+    pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
     note = (
         "B-quotient implemented in the exponential-quotient form; the "
         "equivalent product form carries the denominator with the opposite "
@@ -511,9 +485,7 @@ def _check_euler_decomposition(ctx, n_max):
     eta = eta_exponential_series(ctx, order)
     recon = m_q + eta * mt_q
     target = eq_exponential_series(ctx, order)
-    pairs = []
-    for n in range(order):
-        pairs.append((n, _as_poly(recon[n]), _as_poly(target[n])))
+    pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
     return _report("euler_decomposition", n_max, pairs)
 
 
@@ -524,10 +496,7 @@ def _check_hermite_rep(ctx, n_max):
     pref = pochhammer_series(q, 2, q * q, order)
     lhs = pref * eq_exponential_series(ctx, order)
     psi = psi_weights(ctx, order)
-    pairs = []
-    for n in range(order):
-        rhs = special_poly(ctx, "hermite", n) * psi[n]
-        pairs.append((n, _as_poly(lhs[n]), rhs))
+    pairs = [(n, _as_poly(lhs[n]), special_poly(ctx, "hermite", n) * psi[n]) for n in range(order)]
     note = "prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at degree 2"
     return _report("hermite_rep", n_max, pairs, note=note)
 

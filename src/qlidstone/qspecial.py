@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .qcore import QContext, q_pochhammer_inf
+from .qcore import QContext, q_pochhammer_inf, table
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series loops
 BALL_BITS = 256  # fixed-point bits at which the ball sign certifier of refine_zero_exact starts
@@ -111,15 +111,6 @@ def eq_eval(ctx: QContext, x: float, w) -> float:
     raise RuntimeError("q-exponential series did not converge")
 
 
-@lru_cache(maxsize=None)
-def _qq_cached(q: float, n: int) -> float:
-    """(q; q)_n for floats, memoized."""
-    out = 1.0
-    for m in range(1, n + 1):
-        out *= 1.0 - q ** m
-    return out
-
-
 def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
     """Basic sine (kind "S") or cosine (kind "C") at real x or at "eta".
 
@@ -132,15 +123,20 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
     if isinstance(x, str):
         if x != "eta":
             raise ValueError(f"unknown point {x!r}")
-        # sum (-1)^k (-q**(-1/2); q)_{2k+j} (q**(1/2) w)**(2k+j) / (q; q)_{2k+j}
+        # sum (-1)^k (-q**(-1/2); q)_m (q**(1/2) w)**m / (q; q)_m, m = 2k + j, both symbols
+        # carried as running products with their factors in rising order
         j = 1 if kind == "S" else 0
         rq = math.sqrt(q)
         if abs(w) >= 1.0 / rq:
             raise ValueError("series at eta requires |w| < q**(-1/2)")
-        total = 0.0
+        total, neg, qq, i = 0.0, 1.0, 1.0, 0
         for k in range(0, 300):
             m = 2 * k + j
-            term = (-1.0) ** k * _neg_poch(q, m) * (rq * w) ** m / _qq_cached(q, m)
+            while i < m:
+                neg *= 1.0 + q ** i / rq
+                i += 1
+                qq *= 1.0 - q ** i
+            term = (-1.0) ** k * neg * (rq * w) ** m / qq
             total += term
             if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
                 return total
@@ -159,16 +155,6 @@ def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
         if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
             return total
     raise RuntimeError("basic trig series did not converge")
-
-
-@lru_cache(maxsize=None)
-def _neg_poch(q: float, m: int) -> float:
-    """(-q**(-1/2); q)_m for floats, memoized."""
-    rq = math.sqrt(q)
-    out = 1.0
-    for k in range(m):
-        out *= 1.0 + q ** k / rq
-    return out
 
 
 def jackson_bessel_j2(nu: float, z: float, q: float, tol: float = 1e-15) -> float:
@@ -210,31 +196,26 @@ def hayman_zero_estimate(m: int, nu: float, q: float) -> float:
 # -- the alternating eta-series with the product prefactor removed -----------
 
 
-def _eta_series_terms(kind: str, q: float) -> Callable[[float, int], float]:
-    """Term magnitude a_k(w) of the alternating series for
-    (-q w**2; q**2)_inf * {S, C}(eta-node; w), or for Sin with base q."""
+def _eta_series_value(kind: str, q: float, w: float) -> float:
+    """The alternating series for (-q w**2; q**2)_inf * {S, C}(eta-node; w), or for Sin
+    with base q.  Term k divides by (b; b)_m, m = 2k + j, carried as a running product
+    with its factors in rising order."""
     rq = math.sqrt(q)
-
     if kind == "Sq_eta":
-        def term(w, k):
-            return q ** (k * k) * rq ** k * w ** (2 * k + 1) / _qq_cached(rq, 2 * k + 1)
+        base, j, term = rq, 1, lambda k, qq: q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq
     elif kind == "Cq_eta":
-        def term(w, k):
-            return q ** (k * k) / rq ** k * w ** (2 * k) / _qq_cached(rq, 2 * k)
+        base, j, term = rq, 0, lambda k, qq: q ** (k * k) / rq ** k * w ** (2 * k) / qq
     elif kind == "Sinq":
-        def term(w, k):
-            return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / _qq_cached(q, 2 * k + 1)
+        base, j, term = q, 1, lambda k, qq: q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return term
-
-
-def _eta_series_value(kind: str, q: float, w: float) -> float:
-    term = _eta_series_terms(kind, q)
-    total = 0.0
+    total, qq, i = 0.0, 1.0, 0
     for k in range(0, 400):
+        while i < 2 * k + j:
+            i += 1
+            qq *= 1.0 - base ** i
         try:
-            t = (-1.0) ** k * term(w, k)
+            t = (-1.0) ** k * term(k, qq)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ZeroSearchError(
                 f"{kind} series at q = {q:.6g}, w = {w:.6g} leaves the float range at term {k}") from exc
@@ -334,12 +315,11 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
     return ZeroReport(kind=kind, value=mid, bracket=(a, b), residual=residual, bound_check=bound_check)
 
 
-@lru_cache(maxsize=None)
+@partial(table, ordered=False)
 def first_zero(kind: str, q: float) -> ZeroReport:
-    """:func:`smallest_positive_zero` at its default width, memoized per
-    (kind, q); a search that raises is not cached, so it raises again on the
-    next call.  The call goes through the module global so that a rebinding
-    of that name is seen."""
+    """:func:`smallest_positive_zero` at its default width, held in the table store under
+    q and kind; a search that raises is not stored, so it raises again on the next call.
+    The call goes through the module global so that a rebinding of that name is seen."""
     return smallest_positive_zero(kind, q)
 
 

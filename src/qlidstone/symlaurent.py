@@ -15,13 +15,12 @@ spreads onto z**(m-1-2j), j = 0..m-1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers, table_prefix
+from .qcore import QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers, table
 
 PointLike = Union[str, Fraction, int]
 
@@ -266,45 +265,37 @@ def lincomb(terms) -> SymPoly:
 # -- special families ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _rho_cached(s: Fraction, n: int) -> SymPoly:
-    # rho_n = z**-n (1 + z**2) prod_{k=0}^{n-2} (1 + q**(2-n+2k) z**2); the outer
-    # exponents pair off as +-(n-2), so rho_n = rho_{n-2} (q**(n-2) + q**(2-n) + z**2 + z**-2)
-    if n < 2:
-        return SymPoly([1] if n == 0 else [0, 1])
-    q = s ** 4
-    for m in range(n % 2 + 2, n - 1, 2):  # fill the cache upward: a cold high n never recurses deeply
-        _rho_cached(s, m)
-    return _rho_cached(s, n - 2) * SymPoly([q ** (n - 2) + q ** (2 - n), 0, 1])
+@table
+def _rho_table(s: Fraction) -> Iterator[SymPoly]:
+    # rho_j = (psi_j rho_j) / psi_j: one recurrence, that of psi_rho_poly
+    ctx = QContext(s)
+    for j, psi in enumerate(_psi_stream(s)):
+        yield psi_rho_poly(ctx, j) / psi
 
 
-@lru_cache(maxsize=None)
-def _hermite_cached(s: Fraction, n: int) -> SymPoly:
-    q = s ** 4
-    out = [Fraction(0)] * (n + 1)
-    qq = q_pochhammers(q, q, n)
-    for k in range(n // 2 + 1):
-        c = qq[n] / (qq[k] * qq[n - k])
-        idx = n - 2 * k
-        out[idx] += c  # when idx == 0 (n even) the middle term is counted once
-    return SymPoly(out)
+@table
+def _hermite_table(s: Fraction) -> Iterator[SymPoly]:
+    # H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k}
+    for n in count():
+        qq, out = q_pochhammers(s ** 4, s ** 4, n), [Fraction(0)] * (n + 1)
+        for k in range(n // 2 + 1):
+            out[n - 2 * k] += qq[n] / (qq[k] * qq[n - k])  # when n - 2k == 0 the middle term is counted once
+        yield SymPoly(out)
 
 
 def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymPoly:
     """Exact degree-n member of one of the built-in families.
 
-    ``monomial``: x**n.  ``rho``: the divided-difference ladder basis.
-    ``hermite``: continuous q-Hermite H_n(x|q).  ``phi``: the shifted
+    ``monomial``: x**n.  ``rho``: the divided-difference ladder basis,
+    psi_n rho_n / psi_n.  ``hermite``: continuous q-Hermite H_n(x|q).  ``phi``: the shifted
     product (a e^{i theta}, a e^{-i theta}; q)_n, requires ``a``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if family == "monomial":
         return SymPoly.from_monomial([0] * n + [1])
-    if family == "rho":
-        return _rho_cached(ctx.s, n)
-    if family == "hermite":
-        return _hermite_cached(ctx.s, n)
+    if family in ("rho", "hermite"):
+        return (_rho_table if family == "rho" else _hermite_table)(ctx.s, n + 1)[n]
     if family == "phi":
         if a is None:
             raise ValueError("family 'phi' requires the parameter a")
@@ -321,41 +312,43 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
 def psi_rho_polys(ctx: QContext, n: int) -> List[SymPoly]:
     """[psi_0 rho_0, ..., psi_{n-1} rho_{n-1}], the coefficients of the q-exponential
     E(x; w) = sum_j psi_j rho_j(x) w**j (see :func:`psi_rho_poly`)."""
-    return [psi_rho_poly(ctx, j) for j in range(n)]
+    chains = _psi_rho_chain(ctx.s, 0, (n + 1) // 2), _psi_rho_chain(ctx.s, 1, n // 2)
+    return [chains[j % 2][j // 2] for j in range(n)]
 
 
 def psi_rho_sum(ctx: QContext, coeffs: Sequence) -> SymPoly:
     """sum_j a_j psi_j rho_j for coeffs a_j, over one common denominator and reduced once;
-    only the psi_j rho_j with a_j != 0 are built."""
-    return lincomb((psi_rho_poly(ctx, j), a) for j, a in enumerate(coeffs) if a)
+    each parity chain of :func:`psi_rho_poly` is read once, as far as its last a_j != 0."""
+    terms = [(j, a) for j, a in enumerate(coeffs) if a]
+    last = {j % 2: j for j, _ in terms}  # the last j of each parity
+    chains = {p: _psi_rho_chain(ctx.s, p, j // 2 + 1) for p, j in last.items()}
+    return lincomb((chains[j % 2][j // 2], a) for j, a in terms)
 
 
 def psi_rho_poly(ctx: QContext, j: int) -> SymPoly:
     """psi_j rho_j, psi_j = q**(j**2/4)/(q;q)_j, from one table per s that holds the even
-    and the odd j apart, each extended only as far as asked.  The recurrence of
-    :func:`special_poly` with psi folded in gives P_j = P_{j-2} times the multiplier
-    (psi_j/psi_{j-2}) (q**(j-2) + q**(2-j) + z**2 + z**-2): with s = sn/sd, a = sn**4,
-    b = sd**4 and m = j - 2 it is the integer polynomial
-    sn**4 sd**8 (a**(2m) + b**(2m) + (a b)**m (z**2 + z**-2)) over (b**(m+1) - a**(m+1)) (b**(m+2) - a**(m+2))."""
+    and the odd j apart, each extended only as far as asked (see :func:`_psi_rho_chain`)."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    chain = _psi_rho_table(ctx.s)[j % 2]
-    if len(chain) <= j // 2:
-        sn, sd = ctx.s.numerator, ctx.s.denominator
-        a, b = sn ** 4, sd ** 4
-        lead = a * sd ** 8
-        for i in range(2 * len(chain) + j % 2, j + 1, 2):
-            am, bm = a ** (i - 2), b ** (i - 2)
-            step = SymPoly._canonical([lead * (am * am + bm * bm), 0, lead * am * bm],
-                                      (bm * b - am * a) * (bm * b * b - am * a * a))
-            chain.append(chain[-1] * step)
-    return chain[j // 2]
+    return _psi_rho_chain(ctx.s, j % 2, j // 2 + 1)[-1]
 
 
-@lru_cache(maxsize=None)
-def _psi_rho_table(s: Fraction) -> Tuple[List[SymPoly], List[SymPoly]]:
-    # P_0 = 1 and P_1 = psi_1 rho_1 = s/(1-q) (z + 1/z)
-    return [SymPoly._of((1,), 1)], [SymPoly([0, s / (1 - s ** 4)])]
+@table
+def _psi_rho_chain(s: Fraction, parity: int) -> Iterator[SymPoly]:
+    """P_j = psi_j rho_j for j = parity, parity + 2, ...: P_0 = 1, P_1 = s/(1-q) (z + 1/z), and
+    the recurrence of :func:`special_poly` with psi folded in gives P_j = P_{j-2} times the
+    multiplier (psi_j/psi_{j-2}) (q**(j-2) + q**(2-j) + z**2 + z**-2): with s = sn/sd, a = sn**4,
+    b = sd**4 and m = j - 2 it is the integer polynomial
+    sn**4 sd**8 (a**(2m) + b**(2m) + (a b)**m (z**2 + z**-2)) over (b**(m+1) - a**(m+1)) (b**(m+2) - a**(m+2))."""
+    sn, sd = s.numerator, s.denominator
+    a, b = sn ** 4, sd ** 4
+    lead = a * sd ** 8
+    p = SymPoly([0, s / (1 - s ** 4)]) if parity else SymPoly._of((1,), 1)
+    for m in count(parity, 2):
+        yield p
+        am, bm = a ** m, b ** m
+        p = p * SymPoly._canonical([lead * (am * am + bm * bm), 0, lead * am * bm],
+                                   (bm * b - am * a) * (bm * b * b - am * a * a))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -419,20 +412,12 @@ def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
     return list(islice(_rho_stream(ctx.s, 2 * Fraction(y)), n))
 
 
+@table
 def psi_rho_at_eta(ctx: QContext, n: int) -> Tuple[List[int], int]:
     """Integers e_j and one denominator D with psi_j rho_j(eta) = e_j / D for j < n.  They
     are sliced from one table per s, kept over the least common denominator of the
     longest prefix asked for so far; a longer prefix rebuilds it."""
-    table = _psi_rho_eta_table(ctx.s)
-    if len(table[0]) < n:
-        table[:] = over_common_den(map(mul, psi_weights(ctx, n), rho_values(ctx, "eta", n)))
-    nums, den = table
-    return nums[:n], den
-
-
-@lru_cache(maxsize=None)
-def _psi_rho_eta_table(s: Fraction) -> list:
-    return [[], 1]
+    return over_common_den(map(mul, psi_weights(ctx, n), rho_values(ctx, "eta", n)))
 
 
 def _rho_stream(s: Fraction, two_y: Fraction) -> Iterator[Fraction]:
@@ -522,14 +507,14 @@ def translate_weights(ctx: QContext, y: PointLike, n: int) -> list:
     """[w_0, ..., w_{n-1}], w_k = psi_k rho_k(y) / c**k with c = ``ctx.aw_scale``; ``y`` as in
     :func:`eval_at`.  At eta they are sliced from one table per s, at -eta read off it."""
     if y in ("eta", "minus_eta"):
-        weights = table_prefix(_eta_weight_table(ctx.s), n)
+        weights = _eta_weights(ctx.s, n)
         return weights if y == "eta" else [-w if k % 2 else w for k, w in enumerate(weights)]
     return list(_weight_stream(ctx.s, rho_values(ctx, y, n)))
 
 
-@lru_cache(maxsize=None)
-def _eta_weight_table(s: Fraction):
-    return [], _weight_stream(s, _rho_stream(s, s + 1 / s))
+@table
+def _eta_weights(s: Fraction) -> Iterator[Fraction]:
+    yield from _weight_stream(s, _rho_stream(s, s + 1 / s))
 
 
 def _weight_stream(s: Fraction, rhos: Iterable[Fraction]) -> Iterator[Fraction]:

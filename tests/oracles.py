@@ -4,6 +4,7 @@ term by term, with no shared structure; the library versions must agree
 with them exactly.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -11,6 +12,7 @@ from typing import Sequence, Tuple
 
 from qlidstone.qcore import IntegrityError, psi_weights, q_binomial, q_number, q_pochhammer, translate_coeffs
 from qlidstone.qpolys import build_family, family_rho
+from qlidstone.qspecial import SERIES_TOL, ZeroSearchError
 from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, rho_values, special_poly
 
 
@@ -285,6 +287,63 @@ def pochhammer_inf_factors_linear(a, base, tol):
         if pochhammer_tail_ok(a, base, tol, n):
             return n
     return None
+
+
+def qq_float(q, n):
+    """(q; q)_n for floats by its closed form, the factors 1 - q**m multiplied in rising order."""
+    out = 1.0
+    for m in range(1, n + 1):
+        out *= 1.0 - q ** m
+    return out
+
+
+def neg_poch_float(q, m):
+    """(-q**(-1/2); q)_m for floats by its closed form, the factors in rising order."""
+    rq = math.sqrt(q)
+    out = 1.0
+    for k in range(m):
+        out *= 1.0 + q ** k / rq
+    return out
+
+
+def eta_series_value_closed(kind, q, w):
+    """The prefactor-free eta-node series of ``qspecial._eta_series_value``, each term
+    divided by (b; b)_m from :func:`qq_float`, with the same stop rules and errors."""
+    rq = math.sqrt(q)
+    terms = {
+        "Sq_eta": lambda k: q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq_float(rq, 2 * k + 1),
+        "Cq_eta": lambda k: q ** (k * k) / rq ** k * w ** (2 * k) / qq_float(rq, 2 * k),
+        "Sinq": lambda k: q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq_float(q, 2 * k + 1),
+    }
+    total = 0.0
+    for k in range(0, 400):
+        try:
+            t = (-1.0) ** k * terms[kind](k)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ZeroSearchError(f"term {k} leaves the float range") from exc
+        total += t
+        if k > 1 and abs(t) < 1e-17 * max(1e-300, abs(total)):
+            return total
+        if k > 2 and t == 0.0:
+            return total
+    raise RuntimeError("did not converge in 400 terms")
+
+
+def basic_trig_eta_closed(ctx, w, kind):
+    """``qspecial.basic_trig`` at eta, (-q**(-1/2); q)_m and (q; q)_m from their closed forms."""
+    q = float(ctx.q)
+    j = 1 if kind == "S" else 0
+    rq = math.sqrt(q)
+    if abs(w) >= 1.0 / rq:
+        raise ValueError("series at eta requires |w| < q**(-1/2)")
+    total = 0.0
+    for k in range(0, 300):
+        m = 2 * k + j
+        term = (-1.0) ** k * neg_poch_float(q, m) * (rq * w) ** m / qq_float(q, m)
+        total += term
+        if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
+            return total
+    raise RuntimeError("basic trig series at eta did not converge")
 
 
 def exact_grid_residual(ctx, stream, recon, grid):

@@ -57,11 +57,15 @@ def test_traced_name_is_a_public_function_of_its_module(name):
 
 def test_tracer_installs(tmp_path):
     # in a fresh interpreter, since install rebinds the program's functions; the benchmark
-    # worker has imported the CLI by then
+    # worker has imported the CLI by then.  One traced job, then the metrics, which read
+    # the hits and misses of qpolys._family_series through its cache_info()
     code = ("import importlib.util, qlidstone.cli\n"
             f"spec = importlib.util.spec_from_file_location('t', {str(TRACER_PATH)!r})\n"
             "t = importlib.util.module_from_spec(spec); spec.loader.exec_module(t)\n"
-            "t.Tracer().install()\n")
+            "tracer = t.Tracer(); tracer.install()\n"
+            "assert qlidstone.cli.main(['identities', '--all', '--s', '1/2', '--order', '4']) == 0\n"
+            "m = tracer.metrics()\n"
+            "assert m['qpolys.calls'] > 0 and 0 < m['qpolys.family_cache_hit_ratio'] < 1, m\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
                             env=env, timeout=120)

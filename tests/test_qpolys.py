@@ -6,6 +6,7 @@ from oracles import lidstone_basis_rho, poly_from_basis
 from qlidstone.qcore import QContext, psi_weights, q_number, q_pochhammer
 from qlidstone.qpolys import (
     BASIS_KINDS,
+    _factor_parts,
     _lidstone_quotients,
     FAMILY_KINDS,
     build_family,
@@ -233,3 +234,11 @@ def test_q_square_relation_spot(ctx_half):
     imb = im_bernoulli_numbers(r, 4)
     for n in range(5):
         assert suslov[n] == imb[n] * Fraction(2) ** (n - 1) * (1 - r) / q_pochhammer(r, r, n)
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)])
+def test_suslov_e_numbers_are_half_the_new_e_multiplier(s):
+    # the series (w; p)_inf / [(-w; p)_inf + (w; p)_inf] they were read off before, by itself
+    _, minus, _, summ = _factor_parts(s, 14)
+    for n in (0, 1, 2, 7, 13):
+        assert build_numbers(QContext(s), "suslov_Eq", n).values == (minus / summ).coeffs[:n + 1]

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import eta_series_sign_exact, eta_series_sign_termwise
+from oracles import (basic_trig_eta_closed, eta_series_sign_exact, eta_series_sign_termwise,
+                     eta_series_value_closed)
 from qlidstone import qspecial
 from qlidstone.qcore import QContext, psi_weights, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
@@ -359,3 +360,31 @@ def test_sign_at_zero_w_is_the_exact_sign(ctx):
     assert _eta_series_sign(ctx, "Cq_eta", Fraction(0)) == 1
     with pytest.raises(RuntimeError, match="did not resolve"):  # the sine series vanishes there
         _eta_series_sign(ctx, "Sq_eta", Fraction(0))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (RuntimeError, ValueError) as exc:  # ZeroSearchError is a RuntimeError
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["Sq_eta", "Cq_eta", "Sinq"]), st.floats(0.001, 0.9995), st.floats(0.0, 60.0))
+@example("Sq_eta", 0.999, 0.5)  # (sqrt q; sqrt q)_m underflows to 0.0: a search error
+@example("Cq_eta", 0.99, 10.0)  # w**(2k) overflows: a search error
+@example("Sinq", 0.998, 1000.0)  # no convergence in 400 terms
+def test_eta_series_running_product_matches_closed_form(kind, q, w):
+    # (b; b)_m carried as a running product multiplies the same factors in the same order
+    # as its closed form, so every sum is bit for bit the same, and so is every error
+    assert _outcome(_eta_series_value, kind, q, w) == _outcome(eta_series_value_closed, kind, q, w)
+
+
+@pytest.mark.parametrize("kind", ["S", "C"])
+def test_basic_trig_at_eta_running_products_match_closed_forms(kind):
+    for s in (Fraction(k, 41) for k in range(1, 41)):
+        ctx = QContext(s)
+        for frac in (-1.01, -0.9, -0.6, -0.3, -0.05, 0.0, 0.2, 0.45, 0.7, 0.9, 1.02):
+            w = frac / math.sqrt(float(ctx.q))  # past |frac| = 1 both raise ValueError
+            assert _outcome(basic_trig, ctx, "eta", w, kind) == _outcome(basic_trig_eta_closed, ctx, w, kind), (s, w)

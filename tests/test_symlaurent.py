@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (FractionSymPoly, fraction_change_basis, poly_from_basis, psi_weight, q_translate_hermite,
                      q_translate_rho, rho_laurent_product)
-from qlidstone.qcore import QContext, psi_weights, q_number
+from qlidstone import qcore
+from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import build_family
 from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import (
     SymPoly,
-    _eta_weight_table,
-    _psi_rho_eta_table,
-    _psi_rho_table,
     aw_derivative,
     change_basis,
     eval_at,
@@ -28,6 +26,11 @@ from qlidstone.symlaurent import (
 )
 
 small_fracs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3))
+
+
+def _held(s):
+    """The (table name, *key) slots the table store holds for s."""
+    return set(qcore._store.get(qcore._key(s), {}))
 coeff_lists = st.lists(small_fracs, min_size=1, max_size=6)
 
 
@@ -266,16 +269,16 @@ def test_translate_weights_returns_a_copy():
 
 def test_translate_weights_cache_is_keyed_on_s_alone():
     ctx = QContext(Fraction(8, 33))
-    before = _eta_weight_table.cache_info().currsize
+    clear_tables()
     translate_weights(ctx, "zero", 6)
     q_translate(ctx, SymPoly([1, 2, 3]), "zero")
-    assert _eta_weight_table.cache_info().currsize == before
+    assert _held(ctx.s) == set()
     translate_weights(ctx, "minus_eta", 6)
-    assert _eta_weight_table.cache_info().currsize == before + 1
+    assert _held(ctx.s) == {("_eta_weights",)}
     translate_weights(ctx, "eta", 9)
     q_translate(ctx, SymPoly([1, 2, 3]), "minus_eta")
     translate_weights(ctx, Fraction(5, 3), 4)
-    assert _eta_weight_table.cache_info().currsize == before + 1
+    assert _held(ctx.s) == {("_eta_weights",)}
 
 
 def test_translate_unknown_point_raises(ctx_half):
@@ -353,11 +356,9 @@ def _psi_rho_prefixes(ctx, sizes):
 def test_psi_rho_tables_agree_in_rising_and_falling_order():
     ctx = QContext(Fraction(5, 23))
     sizes = [0, 1, 2, 5, 9, 16, 23]
-    _psi_rho_table.cache_clear()
-    _psi_rho_eta_table.cache_clear()
+    clear_tables()
     rising = _psi_rho_prefixes(ctx, sizes)
-    _psi_rho_table.cache_clear()
-    _psi_rho_eta_table.cache_clear()
+    clear_tables()
     psi_rho_poly(ctx, 14)  # one parity ahead of the other
     falling = _psi_rho_prefixes(ctx, sizes[::-1])[::-1]
     assert rising == falling
@@ -383,13 +384,13 @@ def test_psi_rho_tables_return_copies():
 
 def test_psi_rho_tables_are_keyed_on_s_alone():
     ctx = QContext(Fraction(8, 35))
-    before = _psi_rho_table.cache_info().currsize, _psi_rho_eta_table.cache_info().currsize
+    clear_tables()
     for n in (4, 11, 2):
         psi_rho_polys(ctx, n)
         eq_exponential_series(ctx, n + 1)
         psi_rho_at_eta(ctx, n + 3)
-    assert (_psi_rho_table.cache_info().currsize, _psi_rho_eta_table.cache_info().currsize) == \
-        (before[0] + 1, before[1] + 1)
+    # one table per chain and one at eta (plus the psi table it reads), whatever the orders asked
+    assert _held(ctx.s) == {("_psi_rho_chain", 0), ("_psi_rho_chain", 1), ("psi_rho_at_eta",), ("_psi_stream",)}
 
 
 def test_psi_rho_poly_negative_index_raises(ctx_half):
@@ -399,8 +400,10 @@ def test_psi_rho_poly_negative_index_raises(ctx_half):
 
 def test_psi_rho_sum_skips_zero_coefficients():
     ctx = QContext(Fraction(7, 29))
-    _psi_rho_table.cache_clear()
+    clear_tables()
     coeffs = [0, Fraction(1, 3), 0, Fraction(-2, 5), 0, 0, 0, Fraction(4, 9)]
     got = psi_rho_sum(ctx, coeffs)
-    assert [len(chain) for chain in _psi_rho_table(ctx.s)] == [1, 4]  # only the odd j were built
+    assert _held(ctx.s) == {("_psi_rho_chain", 1)}  # only the odd j were built
+    entries, _ = qcore._store[qcore._key(ctx.s)][("_psi_rho_chain", 1)]
+    assert len(entries) == 4
     assert got == poly_from_basis(ctx, "rho", [a * psi_weight(ctx, j) for j, a in enumerate(coeffs)])
