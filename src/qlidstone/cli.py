@@ -328,7 +328,10 @@ def _cmd_guichard(args) -> int:
     if args.growth_order is not None:
         if p <= 1:
             raise SystemExit2("--growth-order needs p > 1 (the bound is stated for q = 1/p < 1)")
-        payload["growth"] = guichard.growth_bound_check(1 / p, args.growth_order)
+        try:
+            payload["growth"] = guichard.growth_bound_check(1 / p, args.growth_order)
+        except RuntimeError as exc:  # the zero search behind xi_1 cannot answer at this q
+            raise SystemExit2(str(exc))
     _emit(render_report(payload, args.format), args.output)
     return 0 if bad is None else 1
 

@@ -2,12 +2,17 @@
 
 The translation T acts on monomials through a delta sequence,
 T z**n = sum_k [n choose k]_p z**(n-k) delta_k(p), and linearly on
-polynomials and truncated series.  From the sequence one builds the numbers
-B_k via the triangular system matching t * E(tz; p) = (E_delta(t) - 1) *
-sum B_k t**k / [k]_p!, then the polynomials B_n(z) = sum_k [n choose k]_p
-B_{n-k} z**k, which satisfy the jump identity T B_n - B_n = [n]_p z**(n-1)
-exactly.  That identity makes g = sum a_n B_{n+1} / [n+1]_p an exact
-solution of T g - g = f for polynomial (or truncated) f.
+polynomials and truncated series.  On the basis z**n / [n]_p! it is the
+weighted correlation with d_k = delta_k / [k]_p! (:func:`qcore.translate_coeffs`),
+and T - 1 is the same correlation with delta_0 replaced by 0.
+
+The numbers B_k, b_k = B_k / [k]_p!, come from one series division,
+sum_k b_k t**k = t / (sum_k d_k t**k - 1).  With phi_m = f_m [m]_p!,
+(T - 1) g = f holds when g_k [k]_p! = sum_j phi_{k-1+j} b_j: the solver
+correlates the p-antiderivative of f with the numbers, the q-form of
+g = (D / (e**D - 1)) int f.  Its result is g = sum_n f_n B_{n+1}(z) / [n+1]_p
+over the polynomials B_n(z) = sum_k [n choose k]_p B_{n-k} z**k, which satisfy
+the jump identity T B_n - B_n = [n]_p z**(n-1) exactly.
 
 Presets: ``ones`` (delta_k = 1) and ``alsalam_half`` (delta_k =
 (-1; p)_k / 2**k).  p = 1 is allowed for the classical sanity checks; the
@@ -18,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Optional, Sequence, Tuple
 
+from .fps import Series
 from .qcore import IntegrityError, q_factorials, q_number, q_pochhammers, safe_float, translate_coeffs
 
 ZPoly = Tuple[Fraction, ...]
@@ -60,7 +67,8 @@ class DeltaSeq:
         return len(self.delta) - 1
 
 
-def _trim(coeffs: List[Fraction]) -> ZPoly:
+def _trim(coeffs: Sequence[Fraction]) -> ZPoly:
+    coeffs = list(coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -70,15 +78,23 @@ def _as_zpoly(h: Sequence) -> ZPoly:
     return tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in h) or (Fraction(0),)
 
 
+def _on_basis(h: Sequence, p: Fraction, values: Sequence) -> Tuple[Fraction, ...]:
+    """The weighted correlation of h with ``values`` on the basis z**n / [n]_p!,
+    one output per coefficient of h."""
+    return translate_coeffs(h, [1 / f for f in q_factorials(len(h) - 1, p)], values)
+
+
+def _translate(h: ZPoly, d: DeltaSeq, minus_one: bool = False) -> Tuple[Fraction, ...]:
+    """T h, or (T - 1) h, untrimmed: T - 1 is the correlation with delta_0 replaced by 0."""
+    if len(h) - 1 > d.capacity:
+        raise CapacityError(f"delta sequence holds {d.capacity + 1} terms, need {len(h)}")
+    return _on_basis(h, d.p, (0,) + d.delta[1:] if minus_one else d.delta)
+
+
 def dotplus_translate(h: Sequence, d: DeltaSeq) -> ZPoly:
     """T applied to the polynomial with coefficients h (constant first),
     as the weighted correlation with delta on the basis z**n / [n]_p!."""
-    h = _as_zpoly(h)
-    deg = len(h) - 1
-    if deg > d.capacity:
-        raise CapacityError(f"delta sequence holds {d.capacity + 1} terms, need {deg + 1}")
-    weights = [1 / f for f in q_factorials(deg, d.p)]
-    return _trim(list(translate_coeffs(h, weights, d.delta)))
+    return _trim(_translate(_as_zpoly(h), d))
 
 
 def p_derivative(h: Sequence, p: Fraction, k: int = 1) -> ZPoly:
@@ -93,21 +109,15 @@ def p_derivative(h: Sequence, p: Fraction, k: int = 1) -> ZPoly:
 
 
 def bp_numbers(d: DeltaSeq, n_max: int) -> Tuple[Fraction, ...]:
-    """B_0..B_{n_max} from the triangular system: with d_k = delta_k/[k]_p!
-    and b_k = B_k/[k]_p!, b_0 = 1/d_1 and sum_{j<k} b_j d_{k-j} = 0."""
+    """B_0..B_{n_max}, read off b_k = B_k/[k]_p!, the coefficients of the one series
+    quotient sum_k b_k t**k = 1 / sum_k d_{k+1} t**k with d_k = delta_k/[k]_p!."""
     if n_max + 1 > d.capacity:
         raise CapacityError(f"delta sequence holds {d.capacity + 1} terms, need {n_max + 2}")
-    fact = q_factorials(n_max + 1, d.p)
-    dk = [d.delta[k] / fact[k] for k in range(n_max + 2)]
-    if dk[1] == 0:
+    if d.delta[1] == 0:
         raise ZeroDivisionError("delta_1 = 0 makes the number recurrence singular")
-    b = [Fraction(1) / dk[1]]
-    for k in range(2, n_max + 2):
-        acc = Fraction(0)
-        for j in range(k - 1):
-            acc += b[j] * dk[k - j]
-        b.append(-acc / dk[1])
-    return tuple(b[n] * fact[n] for n in range(n_max + 1))
+    fact = q_factorials(n_max + 1, d.p)
+    b = Series.one(n_max + 1) / Series([d.delta[k] / fact[k] for k in range(1, n_max + 2)])
+    return tuple(c * f for c, f in zip(b.coeffs, fact))
 
 
 def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly, ...]:
@@ -130,49 +140,26 @@ def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly,
             expect = _trim([c * q_number(n, p) for c in polys[n - 1]])
             if ladder != expect:
                 raise IntegrityError(f"difference ladder fails at n = {n}")
-            jump = _zp_sub(dotplus_translate(polys[n], d), polys[n])
-            expect_jump = _trim([Fraction(0)] * (n - 1) + [q_number(n, p)])
-            if jump != expect_jump:
+            jump = _trim(_translate(polys[n], d, minus_one=True))
+            if jump != (0,) * (n - 1) + (q_number(n, p),):
                 raise IntegrityError(f"jump identity fails at n = {n}")
     return tuple(polys)
 
 
-def _zp_sub(a: ZPoly, b: ZPoly) -> ZPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
 def solve_difference(f: Sequence, d: DeltaSeq) -> ZPoly:
-    """A polynomial g with T g - g = f, namely
+    """A polynomial g with T g - g = f: the correlation of the p-antiderivative
+    (0, f_0/[1]_p, f_1/[2]_p, ...) with the numbers B_k, which is
     g = sum_n f_n B_{n+1}(z) / [n+1]_p."""
     f = _as_zpoly(f)
-    n_max = len(f) - 1
-    polys = bp_polynomials(d, n_max + 1, verify=False)
-    out = [Fraction(0)] * (n_max + 2)
-    p = d.p
-    for n, a in enumerate(f):
-        if a == 0:
-            continue
-        scale = a / q_number(n + 1, p)
-        for i, c in enumerate(polys[n + 1]):
-            out[i] += scale * c
-    return _trim(out)
+    antiderivative = (0,) + tuple(a / q_number(n + 1, d.p) for n, a in enumerate(f))
+    return _trim(_on_basis(antiderivative, d.p, bp_numbers(d, len(f))))
 
 
 def verify_solution(f: Sequence, g: Sequence, d: DeltaSeq) -> Optional[int]:
     """Index of the first coefficient where T g - g differs from f, or None
     when the functional equation holds exactly through the truncation."""
-    f = _as_zpoly(f)
-    r = _zp_sub(_zp_sub(dotplus_translate(g, d), _as_zpoly(g)), f)
-    for i, c in enumerate(r):
-        if c != 0:
-            return i
-    return None
+    pairs = zip_longest(_translate(_as_zpoly(g), d, minus_one=True), _as_zpoly(f), fillvalue=0)
+    return next((i for i, (a, b) in enumerate(pairs) if a != b), None)
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
     try:
         report = qspecial.first_zero(kind, float(ctx.q))
-    except qspecial.ZeroSearchError:
+    except RuntimeError:  # ZeroSearchError, or a float loop that ran out near q = 1
         return None
     return min(1.0, report.value)
 

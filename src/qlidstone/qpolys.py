@@ -33,7 +33,6 @@ from .fps import (
 from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_sum, q_translate, special_poly
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
-NUMBER_KINDS = ("beta_q", "suslov_Bq", "im_Bq", "suslov_Eq")
 BASIS_KINDS = ("A", "B", "M", "Mtilde")
 
 

@@ -222,8 +222,6 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
         total += t
         if k > 1 and abs(t) < 1e-17 * max(1e-300, abs(total)):
             return total
-        if k > 2 and t == 0.0:
-            return total
     raise RuntimeError(f"{kind} series at w = {w:.6g} did not converge in 400 terms")
 
 
@@ -286,19 +284,22 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
     asymptotic estimate.
     """
     f = lambda w: _eta_series_value(kind, q, w)
-    if kind == "Sq_eta":
-        lo = math.sqrt(sq_lower_bound(q)) * (1 - 1e-12)
-        cap = hayman_zero_estimate(3, 0.5, q) / 2.0
-    elif kind == "Cq_eta":
-        # below sqrt((1-p)(1-q)/p), p = sqrt(q), every term ratio is under 1 and the series positive
-        p = math.sqrt(q)
-        lo = min(1e-3 * q, math.sqrt((1 - p) * (1 - q) / p) * (1 - 1e-12))
-        cap = hayman_zero_estimate(3, -0.5, q) / 2.0
-    elif kind == "Sinq":
-        lo = 1e-3
-        cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    try:
+        if kind == "Sq_eta":
+            lo = math.sqrt(sq_lower_bound(q)) * (1 - 1e-12)
+            cap = hayman_zero_estimate(3, 0.5, q) / 2.0
+        elif kind == "Cq_eta":
+            # below sqrt((1-p)(1-q)/p), p = sqrt(q), every term ratio is under 1 and the series positive
+            p = math.sqrt(q)
+            lo = min(1e-3 * q, math.sqrt((1 - p) * (1 - q) / p) * (1 - 1e-12))
+            cap = hayman_zero_estimate(3, -0.5, q) / 2.0
+        elif kind == "Sinq":
+            lo = 1e-3
+            cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ZeroSearchError(f"{kind} scan bounds at q = {q:.6g} leave the float range") from exc
     a, b, mid = _scan_and_bisect(f, lo, cap, 1.05, rel_width)
     a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01, rel_width)
     if mid2 < mid * (1 - 1e-6):  # the coarse scan straddled more than one zero

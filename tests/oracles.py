@@ -10,7 +10,8 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.qcore import IntegrityError, psi_weights, q_binomial, q_number, q_pochhammer, translate_coeffs
+from qlidstone.qcore import (IntegrityError, psi_weights, q_binomial, q_factorial, q_number, q_pochhammer,
+                             translate_coeffs)
 from qlidstone.qpolys import build_family, family_rho
 from qlidstone.qspecial import SERIES_TOL, ZeroSearchError
 from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, rho_values, special_poly
@@ -248,6 +249,59 @@ def dotplus_translate_binomial(h, d):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _zp_sub(a, b):
+    """a - b for coefficient tuples of any lengths, trailing zeros trimmed."""
+    n = max(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def bp_numbers_recurrence(d, n_max):
+    """B_0..B_{n_max} from the triangular system: with d_k = delta_k/[k]_p!
+    and b_k = B_k/[k]_p!, b_0 = 1/d_1 and sum_{j<k} b_j d_{k-j} = 0."""
+    fact = [q_factorial(k, d.p) for k in range(n_max + 2)]
+    dk = [d.delta[k] / fact[k] for k in range(n_max + 2)]
+    if dk[1] == 0:
+        raise ZeroDivisionError("delta_1 = 0 makes the number recurrence singular")
+    b = [Fraction(1) / dk[1]]
+    for k in range(2, n_max + 2):
+        b.append(-sum((b[j] * dk[k - j] for j in range(k - 1)), Fraction(0)) / dk[1])
+    return tuple(b[n] * fact[n] for n in range(n_max + 1))
+
+
+def solve_difference_bp_sum(f, d):
+    """g = sum_n f_n B_{n+1}(z) / [n+1]_p, summed term by term over the polynomials
+    B_n(z) = sum_k [n choose k]_p B_{n-k} z**k built from the recurrence numbers."""
+    n_max = len(f)
+    numbers = bp_numbers_recurrence(d, n_max)
+    fact = [q_factorial(k, d.p) for k in range(n_max + 1)]
+    out = [Fraction(0)] * (n_max + 1)
+    for n, a in enumerate(f):
+        scale = Fraction(a) / q_number(n + 1, d.p)
+        for k in range(n + 2):
+            out[k] += scale * fact[n + 1] / (fact[k] * fact[n + 1 - k]) * numbers[n + 1 - k]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def verify_solution_subtract(f, g, d):
+    """Index of the first nonzero coefficient of T g - g - f, the two differences
+    taken by tuple subtraction and T by :func:`translate_coeffs_fraction` with
+    delta on the basis z**n / [n]_p!."""
+    f = tuple(Fraction(c) for c in f) or (Fraction(0),)
+    g = tuple(Fraction(c) for c in g) or (Fraction(0),)
+    weights = [1 / q_factorial(k, d.p) for k in range(len(g))]
+    r = _zp_sub(_zp_sub(translate_coeffs_fraction(g, weights, d.delta), g), f)
+    return next((i for i, c in enumerate(r) if c != 0), None)
 
 
 def expansion_reconstruction_families(ctx, kind, K, data0, data_eta):

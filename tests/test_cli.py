@@ -154,6 +154,39 @@ def test_zeros_near_q_one_exit_2(capsys):
     assert "tail bound did not converge" in captured.err
 
 
+@pytest.mark.parametrize("kind, name", [("sq-eta", "Sq_eta"), ("cq-eta", "Cq_eta"), ("sinq", "Sinq")])
+def test_zeros_tiny_base_exit_2(capsys, kind, name):
+    # the scan bounds q**-1.5 and q**-3 leave the float range at q = 1e-300
+    with pytest.raises(SystemExit) as err:
+        cli.main(["zeros", "--kind", kind, "--qfloat", "1e-300"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {name} scan bounds at q = 1e-300 leave the float range"]
+
+
+def test_guichard_growth_at_a_tiny_base_exit_2(capsys):
+    # the growth statistic needs the first Sinq zero at q = 1/p = 1e-200
+    with pytest.raises(SystemExit) as err:
+        cli.main(["guichard", "--preset", "ones", "--p", str(10 ** 200), "--growth-order", "4"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Sinq scan bounds at q = 1e-200 leave the float range"]
+
+
+@pytest.mark.parametrize("kind, s", [("euler", f"1/{10 ** 30}"), ("bernoulli", f"1/{10 ** 76}"),
+                                     ("bernoulli", "999999/1000000")])
+def test_expand_without_a_zero_reports_no_cap(capsys, kind, s):
+    # the convergence cap's zero search cannot answer at a tiny base (its scan bounds overflow)
+    # nor near q = 1 (its residual's product does not converge); the exact expansion still runs
+    code, out = run(capsys, "expand", "--kind", kind, "--fn", "mono:2", "--K", "1", "--s", s)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["residual"] == "exact-zero"
+    assert doc["cap"] is None
+
+
 def test_zeros_sq_eta_at_q_0_9999(capsys):
     # the residual's product takes about 2.2e5 factors here
     code, out = run(capsys, "zeros", "--kind", "sq-eta", "--qfloat", "0.9999")

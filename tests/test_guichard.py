@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dotplus_translate_binomial
-from qlidstone.qcore import q_factorial, q_number
+import qlidstone.guichard as guichard
+from oracles import (bp_numbers_recurrence, dotplus_translate_binomial, solve_difference_bp_sum,
+                     verify_solution_subtract)
+from qlidstone.qcore import IntegrityError, q_factorial, q_number
 from qlidstone.fps import Series
 from qlidstone.qpolys import im_bernoulli_numbers
 from qlidstone.guichard import (
@@ -91,24 +93,27 @@ def test_bp_numbers_basics():
 
 
 def test_bp_numbers_ones_vs_division_oracle():
-    # independent route: series division of t / (e_q(t) - 1)
+    # the division in bp_numbers against the triangular recurrence, and against
+    # t / (e_q(t) - 1) divided out with the exponential built here
     q = Fraction(1, 4)
     d = DeltaSeq.ones(q, 12)
     nums = bp_numbers(d, 8)
+    assert nums == bp_numbers_recurrence(d, 8)
     denom = Series([Fraction(1) / q_factorial(k, q) for k in range(1, 11)])
     quotient = Series.one(10) / denom
     assert nums == tuple(quotient[n] * q_factorial(n, q) for n in range(9))
 
 
 def test_bp_numbers_fixed_point():
-    # re-expanding the generating quotient with the computed numbers
-    # reproduces them (division route vs triangular recurrence)
+    # multiplying the generating quotient back by sum_k d_{k+1} t**k gives 1
+    # (product against the division), and the recurrence gives the same numbers
     q = Fraction(1, 4)
     d = DeltaSeq.alsalam_half(q, 12)
     nums = bp_numbers(d, 8)
-    dk = [d.delta[k] / q_factorial(k, q) for k in range(1, 11)]
-    quotient = Series.one(10) / Series(dk)
-    assert nums == tuple(quotient[n] * q_factorial(n, q) for n in range(9))
+    b = Series([nums[n] / q_factorial(n, q) for n in range(9)])
+    dk = Series([d.delta[k] / q_factorial(k, q) for k in range(1, 10)])
+    assert b * dk == Series.one(9)
+    assert nums == bp_numbers_recurrence(d, 8)
 
 
 def test_bp_numbers_match_half_product_family():
@@ -204,6 +209,92 @@ def test_solver_linearity(f1, f2, a, b):
     m = max(len(g1), len(g2), len(g_combo))
     pad = lambda t: tuple(t) + (Fraction(0),) * (m - len(t))
     assert pad(g_combo) == tuple(a * x + b * y for x, y in zip(pad(g1), pad(g2)))
+
+
+PS = [Fraction(1), Fraction(1, 4), Fraction(4), Fraction(7, 3)]
+
+
+def _perturbed(g, i, bump):
+    g = list(g) + [Fraction(0)] * (i + 1 - len(g))
+    g[i] += bump
+    return g
+
+
+def _same_outcome(fast, slow):
+    try:
+        expect = slow()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fast()
+        return None
+    assert fast() == expect
+    return expect
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PS), st.sampled_from(["ones", "alsalam_half", "custom"]),
+       st.integers(0, 40), st.data())
+def test_solver_and_check_match_the_b_polynomial_routes(p, preset, deg, data):
+    if preset == "custom":
+        tail = data.draw(st.lists(fracs, min_size=deg + 2, max_size=deg + 4), label="delta tail")
+        d = DeltaSeq.custom(p, [Fraction(1)] + tail)
+    else:
+        d = getattr(DeltaSeq, preset)(p, deg + 2 + data.draw(st.integers(0, 2), label="spare"))
+    f = data.draw(st.lists(fracs, min_size=deg + 1, max_size=deg + 1), label="f")
+    _same_outcome(lambda: bp_numbers(d, deg), lambda: bp_numbers_recurrence(d, deg))
+    g = _same_outcome(lambda: solve_difference(f, d), lambda: solve_difference_bp_sum(f, d))
+    if g is None:
+        return
+    assert verify_solution(f, g, d) is None
+    i = data.draw(st.integers(0, len(g)), label="bumped index")
+    bad = _perturbed(g, i, data.draw(fracs.filter(bool), label="bump"))
+    assert verify_solution(f, bad, d) == verify_solution_subtract(f, bad, d)
+    assert verify_solution(f[:-1] or [0], g, d) == verify_solution_subtract(f[:-1] or [0], g, d)
+
+
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("maker", [DeltaSeq.ones, DeltaSeq.alsalam_half])
+def test_solver_at_degree_40_matches_the_b_polynomial_sum(p, maker):
+    rng = random.Random(40)
+    d = maker(p, 42)
+    f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(41)]
+    g = solve_difference(f, d)
+    assert g == solve_difference_bp_sum(f, d)
+    assert verify_solution(f, g, d) is None
+    for i in (1, 20, 41, 42):
+        bad = _perturbed(g, i, Fraction(1, 3))
+        assert verify_solution(f, bad, d) == verify_solution_subtract(f, bad, d) == 0
+    assert verify_solution(f[:40], g, d) == verify_solution_subtract(f[:40], g, d) == 40
+
+
+def test_solve_difference_builds_no_b_polynomial(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_difference built the B polynomials")
+
+    monkeypatch.setattr(guichard, "bp_polynomials", forbidden)
+    d = DeltaSeq.alsalam_half(Fraction(4), 12)
+    f = [Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(5)]
+    assert solve_difference(f, d) == solve_difference_bp_sum(f, d)
+
+
+def test_verify_solution_past_capacity_raises():
+    d = DeltaSeq.ones(Fraction(1, 4), 3)
+    with pytest.raises(CapacityError):
+        verify_solution([1], [0, 0, 0, 0, 1], d)
+    with pytest.raises(CapacityError):  # trailing zeros count toward the degree, as in T
+        verify_solution([1], [0, 0, 0, 0, 0], d)
+    with pytest.raises(CapacityError):
+        solve_difference([1, 2, 3], d)
+    assert verify_solution([1], [0, 0, 0, 1], d) == verify_solution_subtract([1], [0, 0, 0, 1], d) == 1
+
+
+def test_jump_check_catches_wrong_numbers(monkeypatch):
+    # the ladder holds for any numbers; only the jump identity pins them
+    d = DeltaSeq.ones(Fraction(1, 4), 8)
+    good = bp_numbers(d, 6)
+    monkeypatch.setattr(guichard, "bp_numbers", lambda d, n: good[:4] + (good[4] + 1,) + good[5:n + 1])
+    with pytest.raises(IntegrityError, match="jump identity fails at n = 5"):
+        bp_polynomials(d, 6)
 
 
 def test_finite_interpolation_reconstruction():
