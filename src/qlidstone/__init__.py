@@ -14,7 +14,7 @@ Everything exact-mode is built on :class:`fractions.Fraction`; the only
 floating point lives in the zero finders and residual grids.
 """
 
-from .qcore import QContext, q_binomial, q_factorial, q_number, q_pochhammer, q_pochhammer_inf
+from .qcore import QContext, q_number, q_pochhammer_inf
 from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, q_translate, special_poly
 from .fps import Series, eq_exponential_series, euler_factor_series, scale_arg
 from . import qpolys, qspecial, lidstone, guichard
@@ -26,9 +26,6 @@ __all__ = [
     "SymPoly",
     "Series",
     "q_number",
-    "q_factorial",
-    "q_pochhammer",
-    "q_binomial",
     "q_pochhammer_inf",
     "special_poly",
     "eval_at",

@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Tuple
 
 from .qcore import QContext
 from .symlaurent import SymPoly, special_poly
@@ -123,14 +124,6 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _emit(text: str, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -142,22 +135,16 @@ _NUMBER_KIND = {
 }
 
 
-def _cmd_numbers(args) -> int:
+def _cmd_numbers(args) -> Tuple[dict, int]:
     ctx = _context(args)
     table = qpolys.build_numbers(ctx, _NUMBER_KIND[args.kind], args.order)
-    rows = [
-        (n, v.numerator, v.denominator)
-        for n, v in enumerate(table.values)
-    ]
-    payload = {
+    return {
         "command": "numbers",
         "kind": args.kind,
         "s": ctx.s,
         "columns": ["n", "numerator", "denominator"],
-        "rows": rows,
-    }
-    _emit(render_report(payload, args.format), args.output)
-    return 0
+        "rows": [(n, v.numerator, v.denominator) for n, v in enumerate(table.values)],
+    }, 0
 
 
 _FAMILY_KIND = {
@@ -168,49 +155,44 @@ _FAMILY_KIND = {
 }
 
 
-def _cmd_polys(args) -> int:
+def _cmd_polys(args) -> Tuple[dict, int]:
     ctx = _context(args)
     if args.family in _FAMILY_KIND:
         table = qpolys.build_family(ctx, _FAMILY_KIND[args.family], args.order)
         entries = table.entries
     else:
         entries = tuple(special_poly(ctx, args.family, n) for n in range(args.order + 1))
-    rows = [(n, json.dumps(_fmt(p))) for n, p in enumerate(entries)]
-    payload = {
+    return {
         "command": "polys",
         "family": args.family,
         "s": ctx.s,
         "columns": ["n", "poly"],
-        "rows": rows,
+        "rows": [(n, json.dumps(_fmt(p))) for n, p in enumerate(entries)],
         "entries": list(entries),
-    }
-    _emit(render_report(payload, args.format), args.output)
-    return 0
+    }, 0
 
 
-def _cmd_lidstone_basis(args) -> int:
+def _cmd_lidstone_basis(args) -> Tuple[dict, int]:
     ctx = _context(args)
     basis = qpolys.lidstone_basis(ctx, args.kind, args.K)
-    payload = {
+    return {
         "command": "lidstone-basis",
         "kind": args.kind,
         "s": ctx.s,
         "columns": ["k", "poly"],
         "rows": [(k, json.dumps(_fmt(p))) for k, p in enumerate(basis)],
         "entries": list(basis),
-    }
-    _emit(render_report(payload, args.format), args.output)
-    return 0
+    }, 0
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> Tuple[dict, int]:
     ctx = _context(args)
     names = qpolys.registry_names() if args.all else [args.name]
     if not args.all and args.name not in qpolys.registry_names():
         raise SystemExit2(f"unknown identity {args.name!r}; known: {', '.join(qpolys.registry_names())}")
     reports = [qpolys.check_identity(ctx, n, args.order) for n in names]
     ok = all(r.passed for r in reports)
-    payload = {
+    return {
         "command": "identities",
         "s": ctx.s,
         "order": args.order,
@@ -224,12 +206,10 @@ def _cmd_identities(args) -> int:
             }
             for r in reports
         ],
-    }
-    _emit(render_report(payload, args.format), args.output)
-    return 0 if ok else 1
+    }, 0 if ok else 1
 
 
-def _cmd_zeros(args) -> int:
+def _cmd_zeros(args) -> Tuple[dict, int]:
     kind = {"sq-eta": "Sq_eta", "cq-eta": "Cq_eta", "sinq": "Sinq"}[args.kind]
     if not 0.0 < args.qfloat < 1.0:
         raise SystemExit2(f"--qfloat must lie in (0, 1), got {args.qfloat}")
@@ -237,9 +217,7 @@ def _cmd_zeros(args) -> int:
         report = qspecial.first_zero(kind, args.qfloat)
     except RuntimeError as exc:  # ZeroSearchError, or a float loop that ran out near q = 1
         raise SystemExit2(str(exc))
-    payload = {"command": "zeros", "q": args.qfloat, "report": report}
-    _emit(render_report(payload, args.format), args.output)
-    return 0
+    return {"command": "zeros", "q": args.qfloat, "report": report}, 0
 
 
 def _read_coeffs(path: str) -> list:
@@ -269,18 +247,18 @@ def _parse_fn(ctx: QContext, spec: str) -> lidstone.EntireFn:
             )
         if parts[0] == "stream" and len(parts) == 2 and parts[1].startswith("@"):
             return lidstone.EntireFn.from_stream(_read_coeffs(parts[1][1:]))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit2(f"bad function spec {spec!r}: {exc}")
     raise SystemExit2(f"bad function spec {spec!r}; use rho:n, mono:n, phi:n:a, or stream:@file")
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> Tuple[dict, int]:
     ctx = _context(args)
     f = _parse_fn(ctx, args.fn)
     engine = lidstone.bernoulli_expansion if args.kind == "bernoulli" else lidstone.euler_expansion
     report = engine(ctx, f, args.K)
     res = report.residual
-    payload = {
+    return {
         "command": "expand",
         "kind": args.kind,
         "s": ctx.s,
@@ -299,12 +277,10 @@ def _cmd_expand(args) -> int:
              report.data_at_eta[k] if k < len(report.data_at_eta) else "")
             for k in range(max(len(report.data_at_zero), len(report.data_at_eta)))
         ],
-    }
-    _emit(render_report(payload, args.format), args.output)
-    return 0
+    }, 0
 
 
-def _cmd_guichard(args) -> int:
+def _cmd_guichard(args) -> Tuple[dict, int]:
     p = args.p
     if p == 1 and args.preset == "alsalam-half":
         raise SystemExit2("p = 1 reduces alsalam-half to the classical case; use preset ones")
@@ -332,8 +308,7 @@ def _cmd_guichard(args) -> int:
             payload["growth"] = guichard.growth_bound_check(1 / p, args.growth_order)
         except RuntimeError as exc:  # the zero search behind xi_1 cannot answer at this q
             raise SystemExit2(str(exc))
-    _emit(render_report(payload, args.format), args.output)
-    return 0 if bad is None else 1
+    return payload, 0 if bad is None else 1
 
 
 # -- parser -------------------------------------------------------------------
@@ -418,7 +393,17 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        payload, code = args.handler(args)
+        text = render_report(payload, args.format)
+        if args.output:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SystemExit2(f"cannot write --output {args.output!r}: {exc.strerror or exc}")
+        else:
+            sys.stdout.write(text)
+        return code
     except SystemExit:
         raise
     except (ValueError, ZeroDivisionError) as exc:

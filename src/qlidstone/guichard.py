@@ -121,7 +121,8 @@ def bp_numbers(d: DeltaSeq, n_max: int) -> Tuple[Fraction, ...]:
 
 
 def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly, ...]:
-    """The jump-solving polynomials B_n(z) = sum_k [n choose k]_p B_{n-k} z**k.
+    """The jump-solving polynomials B_n(z) = sum_k [n choose k]_p B_{n-k} z**k, each the
+    correlation of z**n with the numbers B_k on the basis z**n / [n]_p!.
 
     With ``verify`` (default) the difference ladder D_p B_n = [n]_p B_{n-1}
     and the jump identity T B_n - B_n = [n]_p z**(n-1) are checked exactly
@@ -129,11 +130,7 @@ def bp_polynomials(d: DeltaSeq, n_max: int, verify: bool = True) -> Tuple[ZPoly,
     """
     numbers = bp_numbers(d, n_max)
     p = d.p
-    fact = q_factorials(n_max, p)
-    polys = []
-    for n in range(n_max + 1):
-        coeffs = [fact[n] / (fact[k] * fact[n - k]) * numbers[n - k] for k in range(n + 1)]
-        polys.append(_trim(coeffs))
+    polys = [_trim(_on_basis((0,) * n + (1,), p, numbers)) for n in range(n_max + 1)]
     if verify:
         for n in range(1, n_max + 1):
             ladder = p_derivative(polys[n], p)

@@ -76,9 +76,6 @@ class EntireFn:
         return cls(stream=tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs),
                    polynomial=polynomial, **kw)
 
-    def to_poly(self, ctx: QContext) -> SymPoly:
-        return psi_rho_sum(ctx, _over_psi(ctx, self.stream))
-
 
 @dataclass(frozen=True)
 class ExpansionReport:
@@ -93,12 +90,6 @@ class ExpansionReport:
     exact: bool
     status: str
     fn: "EntireFn" = None
-
-
-def rho_expand(ctx: QContext, f: EntireFn) -> Tuple[Tuple[Fraction, ...], float]:
-    """The rho coefficient stream together with the growth statistic tau
-    (see :func:`_growth_tau`); a terminating (polynomial) stream has tau 0."""
-    return f.stream, 0.0 if f.polynomial else _growth_tau(_over_psi(ctx, f.stream))
 
 
 def _over_psi(ctx: QContext, coeffs: Sequence) -> List[Fraction]:

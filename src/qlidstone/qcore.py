@@ -80,11 +80,6 @@ class QContext:
         return (self.s + 1 / self.s) / 2
 
     @property
-    def gamma(self) -> Fraction:
-        """The scale q**(1/4)(1-q)/2 appearing in the generating functions."""
-        return self.s * (1 - self.s ** 4) / 2
-
-    @property
     def aw_scale(self) -> Fraction:
         """Eigenvalue scale 2q**(1/4)/(1-q) of the divided-difference ladder."""
         return 2 * self.s / (1 - self.s ** 4)
@@ -108,20 +103,9 @@ def q_number(n: int, base: Rational) -> Fraction:
     return (1 - base ** n) / (1 - base)
 
 
-def q_factorial(n: int, base: Rational) -> Fraction:
-    """[n]! = [1][2]...[n]; the empty product is 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= q_number(k, base)
-    return out
-
-
 def q_factorials(n: int, base: Rational) -> list:
     """[[0]!, ..., [n]!] by one running product, [k] itself by the running sum
-    1 + base + ... + base**(k-1); base 1 gives the ordinary factorials.
-    :func:`q_factorial` is the closed form it is tested against."""
+    1 + base + ... + base**(k-1); base 1 gives the ordinary factorials."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     base = _as_fraction(base)
@@ -135,23 +119,9 @@ def q_factorials(n: int, base: Rational) -> list:
     return out
 
 
-def q_pochhammer(a: Rational, base: Rational, n: int) -> Fraction:
-    """(a; base)_n = prod_{k=0}^{n-1} (1 - a*base**k)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    a = _as_fraction(a)
-    base = _as_fraction(base)
-    out = Fraction(1)
-    p = Fraction(1)
-    for _ in range(n):
-        out *= 1 - a * p
-        p *= base
-    return out
-
-
 def q_pochhammers(a: Rational, base: Rational, n: int) -> list:
-    """[(a; base)_0, ..., (a; base)_n] by one running product; :func:`q_pochhammer`
-    is the closed form it is tested against."""
+    """[(a; base)_0, ..., (a; base)_n], (a; base)_n = prod_{k<n} (1 - a base**k), by one
+    running product."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     a = _as_fraction(a)
@@ -162,13 +132,6 @@ def q_pochhammers(a: Rational, base: Rational, n: int) -> list:
         out.append(out[-1] * (1 - a * p))
         p *= base
     return out
-
-
-def q_binomial(n: int, k: int, base: Rational) -> Fraction:
-    """Gaussian binomial [n choose k] at the given base."""
-    if not (0 <= k <= n):
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
 
 
 # -- the table store --------------------------------------------------------------

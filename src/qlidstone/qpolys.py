@@ -258,14 +258,10 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     return tuple(psi_rho_sum(ctx, family_rho(ctx, [term], order)) for term in terms)
 
 
-def hermite_from_bernoulli(ctx: QContext, n: int) -> SymPoly:
-    """Rebuild H_n(x|q) from the Suslov Bernoulli family via
-    H_n = 2 q**(-n**2/4) (q;q)_n sum_k q**(k**2+k/2) B_{n-2k} / (p; p)_{2k+1},
-    p = sqrt(q).  Must equal the explicit Hermite polynomial exactly."""
-    return _hermite_from_bernoulli_table(ctx, n)[n]
-
-
 def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, ...]:
+    """H_0(x|q), ..., H_{n_max}(x|q) rebuilt from the Suslov Bernoulli family via
+    H_n = 2 q**(-n**2/4) (q;q)_n sum_k q**(k**2+k/2) B_{n-2k} / (p; p)_{2k+1},
+    p = sqrt(q); identity eq18 checks each against the explicit Hermite polynomial."""
     # the sum over k is one Cauchy product of B with w, w_{2k} = q**(k**2+k/2)/(p; p)_{2k+1}
     s, q = ctx.s, ctx.q
     p = s * s

@@ -1,14 +1,14 @@
-"""Floating-point evaluation of the q-exponential, basic sine/cosine, the
-second Jackson q-Bessel function, and the bracketing zero finders.
+"""Floating-point rho-basis terms of the q-exponential, the basic sine/cosine
+series at the node eta, the second Jackson q-Bessel series, and the zero finders.
 
-Zeros are located by a geometric sign-change scan followed by bisection;
-scans are seeded and sanity-bounded with the first-order large-index zero
-asymptotic 2 q**(-m) q**((1-nu)/2).  The basic sine/cosine series at the
-node eta are evaluated with the positive prefactor (-q w**2; q**2)_inf
-multiplied out, so the root loop works on a plain alternating series whose
-partial sums carry a certified tail bound -- the same series also drives an
-exact rational bisection used when a zero is needed to far more than double
-precision.
+Every zero is found by one geometric sign-change scan and bisection
+(:func:`_sign_changes`), seeded and capped by the first-order large-index zero
+asymptotic 2 q**(-m) q**((1-nu)/2) (W. K. Hayman, Contemp. Math. 382, 2005).
+The basic sine/cosine series at the node eta are evaluated with the positive
+prefactor (-q w**2; q**2)_inf multiplied out, so the root loop works on a plain
+alternating series whose partial sums carry a certified tail bound -- the same
+series also drives an exact rational bisection used when a zero is needed to
+far more than double precision.
 
 Each bisection step needs the certified sign of that series at a rational
 point, found by midpoint-radius ball arithmetic (as in Arb): terms and
@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .qcore import QContext, q_pochhammer_inf, table
 
-SERIES_TOL = 1e-12  # relative size of the last term kept by the float series loops
+REL_WIDTH = 1e-13  # relative bracket width at which the float bisection stops
+BESSEL_TOL = 1e-15  # relative size of the last term kept by the q-Bessel series
 BALL_BITS = 256  # fixed-point bits at which the ball sign certifier of refine_zero_exact starts
 BALL_BITS_CAP = 1 << 16  # the precision past which it gives up
 
@@ -89,87 +90,7 @@ def psi_rho_terms(ctx: QContext, x: float, steps: Iterable[Tuple[float, float]])
         yield u[j % 2]
 
 
-def eq_eval(ctx: QContext, x: float, w) -> float:
-    """The q-exponential at real x, |w| < 1, by its rho-basis series
-    sum_n u_n w**n, u_n from :func:`psi_rho_values`.
-
-    ``w`` may be complex (used to split into the basic cosine and sine);
-    the return type follows the type of ``w``.
-    """
-    if abs(w) >= 1:
-        raise ValueError(f"series requires |w| < 1, got |w| = {abs(w)}")
-    if w == 0:
-        return 1.0
-    total = 1.0 + 0.0 * w
-    wn = 1.0 + 0.0 * w
-    for n, u in zip(range(1, 400), islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), 1, None)):
-        wn *= w
-        term = u * wn
-        total += term
-        if abs(term) < SERIES_TOL * max(1.0, abs(total)) and n > 4:
-            return total
-    raise RuntimeError("q-exponential series did not converge")
-
-
-def basic_trig(ctx: QContext, x, w: float, kind: str) -> float:
-    """Basic sine (kind "S") or cosine (kind "C") at real x or at "eta".
-
-    On [-1, 1] the rho-basis series is used (valid for |w| < 1); at the
-    node eta the dedicated scalar series converges for |w| < q**(-1/2).
-    """
-    q = float(ctx.q)
-    if kind not in ("S", "C"):
-        raise ValueError("kind must be 'S' or 'C'")
-    if isinstance(x, str):
-        if x != "eta":
-            raise ValueError(f"unknown point {x!r}")
-        # sum (-1)^k (-q**(-1/2); q)_m (q**(1/2) w)**m / (q; q)_m, m = 2k + j, both symbols
-        # carried as running products with their factors in rising order
-        j = 1 if kind == "S" else 0
-        rq = math.sqrt(q)
-        if abs(w) >= 1.0 / rq:
-            raise ValueError("series at eta requires |w| < q**(-1/2)")
-        total, neg, qq, i = 0.0, 1.0, 1.0, 0
-        for k in range(0, 300):
-            m = 2 * k + j
-            while i < m:
-                neg *= 1.0 + q ** i / rq
-                i += 1
-                qq *= 1.0 - q ** i
-            term = (-1.0) ** k * neg * (rq * w) ** m / qq
-            total += term
-            if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
-                return total
-        raise RuntimeError("basic trig series at eta did not converge")
-    if abs(w) >= 1:
-        raise ValueError("series requires |w| < 1 away from eta")
-    # sum_k (-1)^k u_n w**n over n = 2k + 1 (sine) or n = 2k (cosine)
-    j = 1 if kind == "S" else 0
-    total = 0.0
-    for n, u in zip(range(600), psi_rho_terms(ctx, x, psi_rho_steps(ctx))):
-        if n % 2 != j:
-            continue
-        k = n // 2
-        term = (-1.0) ** k * u * w ** n
-        total += term
-        if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
-            return total
-    raise RuntimeError("basic trig series did not converge")
-
-
-def jackson_bessel_j2(nu: float, z: float, q: float, tol: float = 1e-15) -> float:
-    """Second Jackson q-Bessel function J_nu^(2)(z; q) for z >= 0."""
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    if z == 0.0:
-        return 0.0 if nu > 0 else (1.0 if nu == 0 else math.inf)
-    pref_num, _ = q_pochhammer_inf(q ** (nu + 1.0), q, tol)
-    pref_den, _ = q_pochhammer_inf(q, q, tol)
-    series = _bessel_body(nu, (z / 2.0) ** 2, q, tol)
-    return pref_num / pref_den * (z / 2.0) ** nu * series
-
-
-def _bessel_body(nu: float, u: float, q: float, tol: float = 1e-15) -> float:
+def _bessel_body(nu: float, u: float, q: float) -> float:
     """sum_k (-1)^k q**(k(k+nu)) u**k / ((q;q)_k (q**(nu+1);q)_k)."""
     total = 0.0
     term = 1.0
@@ -179,7 +100,7 @@ def _bessel_body(nu: float, u: float, q: float, tol: float = 1e-15) -> float:
         ratio = -(q ** (2 * k + 1 + nu)) * u / ((1.0 - q ** (k + 1)) * (1.0 - q ** (nu + k + 1)))
         term *= ratio
         k += 1
-        if abs(term) < tol * max(1.0, abs(total)) and q ** (2 * k + nu) * abs(u) < 1:
+        if abs(term) < BESSEL_TOL * max(1.0, abs(total)) and q ** (2 * k + nu) * abs(u) < 1:
             return total
         if k > 10_000:
             raise RuntimeError("Bessel series did not converge")
@@ -231,37 +152,51 @@ def sq_lower_bound(q: float) -> float:
     return q ** -1.5 * (1 - q) * (1 - q ** 1.5)
 
 
+def _sign_changes(f: Callable[[float], float], x: float, ratio: float,
+                  caps: Iterable[float]) -> Iterator[Tuple[float, float, float]]:
+    """Successive sign changes of f on the geometric grid x, x ratio, x ratio**2, ...,
+    each bisected to (a, b, mid).  The m-th is sought below the m-th of ``caps`` (the
+    step that passes the cap is still taken), and the scan resumes at mid (1 + 1e-6).
+    Ends at the first cap passed with no change; a grid point where f is 0 restarts it."""
+    fx = f(x)
+    for cap in caps:
+        a, fa = x, fx
+        while x < cap:
+            x *= ratio
+            fx = f(x)
+            if fa != 0.0 and (fx == 0.0 or (fx > 0) != (fa > 0)):
+                break
+            a, fa = x, fx
+        else:
+            return
+        a, b, mid = _bisect(f, a, x)
+        yield a, b, mid
+        x = mid * (1 + 1e-6)
+        fx = f(x)
+
+
 def _scan_and_bisect(f: Callable[[float], float], lo: float, cap: float,
-                     ratio: float, rel_width: float) -> Tuple[float, float, float]:
-    """First sign change of f on a geometric grid from lo, then bisection.
+                     ratio: float) -> Tuple[float, float, float]:
+    """The first of :func:`_sign_changes` from lo below cap.
 
     f must be positive at lo: every series scanned here is positive just
     right of 0, so a negative f(lo) means a zero lies below the scan start.
     """
-    a, fa = lo, f(lo)
+    fa = f(lo)
     if fa < 0:
         raise ZeroSearchError(f"f(lo) = {fa:.6g} < 0 at the scan start lo = {lo:.6g}: a zero lies below it")
-    x = lo
-    while x < cap:
-        x *= ratio
-        fx = f(x)
-        if fa == 0.0:
-            a, fa = x, fx
-            continue
-        if fx == 0.0 or (fx > 0) != (fa > 0):
-            return _bisect(f, a, x, rel_width)
-        a, fa = x, fx
-    raise ZeroSearchError(
-        f"no sign change in [{lo:.6g}, {cap:.6g}] at scan ratio {ratio}; "
-        f"f(lo) = {f(lo):.6g}, f(cap) = {f(cap):.6g}"
-    )
+    found = next(_sign_changes(f, lo, ratio, [cap]), None)
+    if found is None:
+        raise ZeroSearchError(f"no sign change in [{lo:.6g}, {cap:.6g}] at scan ratio {ratio}; "
+                              f"f(lo) = {f(lo):.6g}, f(cap) = {f(cap):.6g}")
+    return found
 
 
-def _bisect(f, a, b, rel_width):
+def _bisect(f, a, b):
     fa = f(a)
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if (b - a) <= rel_width * abs(mid) or mid == a or mid == b:
+        if (b - a) <= REL_WIDTH * abs(mid) or mid == a or mid == b:
             return a, b, mid
         fm = f(mid)
         if fm == 0.0:
@@ -270,10 +205,10 @@ def _bisect(f, a, b, rel_width):
             a, fa = mid, fm
         else:
             b = mid
-    raise ZeroSearchError(f"bisection left [{a:.6g}, {b:.6g}] wider than {rel_width:.3g} relative after 200 steps")
+    raise ZeroSearchError(f"bisection left [{a:.6g}, {b:.6g}] wider than {REL_WIDTH:.3g} relative after 200 steps")
 
 
-def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> ZeroReport:
+def smallest_positive_zero(kind: str, q: float) -> ZeroReport:
     """Locate the first positive zero of the sine/cosine series at the eta
     node (kinds "Sq_eta", "Cq_eta") or of the q-sine built on E_q ("Sinq").
 
@@ -300,26 +235,19 @@ def smallest_positive_zero(kind: str, q: float, rel_width: float = 1e-13) -> Zer
             raise ValueError(f"unknown kind {kind!r}")
     except (OverflowError, ZeroDivisionError) as exc:
         raise ZeroSearchError(f"{kind} scan bounds at q = {q:.6g} leave the float range") from exc
-    a, b, mid = _scan_and_bisect(f, lo, cap, 1.05, rel_width)
-    a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01, rel_width)
+    a, b, mid = _scan_and_bisect(f, lo, cap, 1.05)
+    a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01)
     if mid2 < mid * (1 - 1e-6):  # the coarse scan straddled more than one zero
         a, b, mid = a2, b2, mid2
-    if kind == "Sq_eta":
-        residual = abs(_trig_eta_residual(kind, q, mid))
-        bound_check = mid * mid >= sq_lower_bound(q) * (1 - 1e-12)
-    elif kind == "Cq_eta":
-        residual = abs(_trig_eta_residual(kind, q, mid))
-        bound_check = True
-    else:
-        residual = abs(_eta_series_value(kind, q, mid))
-        bound_check = True
+    residual = abs(_eta_series_value(kind, q, mid) if kind == "Sinq" else _trig_eta_residual(kind, q, mid))
+    bound_check = kind != "Sq_eta" or mid * mid >= sq_lower_bound(q) * (1 - 1e-12)
     return ZeroReport(kind=kind, value=mid, bracket=(a, b), residual=residual, bound_check=bound_check)
 
 
 @partial(table, ordered=False)
 def first_zero(kind: str, q: float) -> ZeroReport:
-    """:func:`smallest_positive_zero` at its default width, held in the table store under
-    q and kind; a search that raises is not stored, so it raises again on the next call.
+    """:func:`smallest_positive_zero`, held in the table store under q and kind; a
+    search that raises is not stored, so it raises again on the next call.
     The call goes through the module global so that a rebinding of that name is seen."""
     return smallest_positive_zero(kind, q)
 
@@ -331,60 +259,28 @@ def _trig_eta_residual(kind: str, q: float, w: float) -> float:
     return _eta_series_value(kind, q, w) / pref
 
 
-def positive_zeros(kind: str, q: float, count: int, rel_width: float = 1e-13) -> List[float]:
+def positive_zeros(kind: str, q: float, count: int) -> List[float]:
     """First ``count`` positive zeros of the eta-node series (w variable)."""
     f = lambda w: _eta_series_value(kind, q, w)
     nu = 0.5 if kind == "Sq_eta" else -0.5
-    first = smallest_positive_zero(kind, q, rel_width)
-    zeros = [first.value]
-    x = first.value * (1 + 1e-6)
-    fx = f(x)
-    while len(zeros) < count:
+    first = smallest_positive_zero(kind, q).value
+    caps = (hayman_zero_estimate(m, nu, q) / 2.0 for m in range(4, count + 3))
+    zeros = [first] + [mid for _, _, mid in _sign_changes(f, first * (1 + 1e-6), 1.01, caps)]
+    if len(zeros) < count:
         cap = hayman_zero_estimate(len(zeros) + 3, nu, q) / 2.0
-        a, fa = x, fx
-        found = False
-        while x < cap:
-            x *= 1.01
-            fx = f(x)
-            if (fx > 0) != (fa > 0):
-                _, _, mid = _bisect(f, a, x, rel_width)
-                zeros.append(mid)
-                x = mid * (1 + 1e-6)
-                fx = f(x)
-                found = True
-                break
-            a, fa = x, fx
-        if not found:
-            raise ZeroSearchError(f"zero {len(zeros) + 1} of {kind} not found below {cap:.6g}")
+        raise ZeroSearchError(f"zero {len(zeros) + 1} of {kind} not found below {cap:.6g}")
     return zeros
 
 
-def jackson_bessel_zeros(nu: float, q: float, count: int, rel_width: float = 1e-13) -> List[float]:
+def jackson_bessel_zeros(nu: float, q: float, count: int) -> List[float]:
     """First positive zeros of J_nu^(2)(z; q), via the even series body in
     u = (z/2)**2 (the z**nu prefactor never vanishes for z > 0)."""
     f = lambda u: _bessel_body(nu, u, q)
-    zeros = []
-    x = 1e-4 * q ** (1 - nu)
-    fx = f(x)
-    m = 1
-    while len(zeros) < count:
-        cap = (hayman_zero_estimate(m + 2, nu, q) / 2.0) ** 2
-        a, fa = x, fx
-        found = False
-        while x < cap:
-            x *= 1.02
-            fx = f(x)
-            if (fx > 0) != (fa > 0):
-                _, _, mid = _bisect(f, a, x, rel_width)
-                zeros.append(2.0 * math.sqrt(mid))
-                x = mid * (1 + 1e-6)
-                fx = f(x)
-                found = True
-                m += 1
-                break
-            a, fa = x, fx
-        if not found:
-            raise ZeroSearchError(f"zero {len(zeros) + 1} of J_{nu} not found below u = {cap:.6g}")
+    caps = ((hayman_zero_estimate(m, nu, q) / 2.0) ** 2 for m in range(3, count + 3))
+    zeros = [2.0 * math.sqrt(mid) for _, _, mid in _sign_changes(f, 1e-4 * q ** (1 - nu), 1.02, caps)]
+    if len(zeros) < count:
+        cap = (hayman_zero_estimate(len(zeros) + 3, nu, q) / 2.0) ** 2
+        raise ZeroSearchError(f"zero {len(zeros) + 1} of J_{nu} not found below u = {cap:.6g}")
     return zeros
 
 

@@ -7,14 +7,47 @@ with them exactly.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.qcore import (IntegrityError, psi_weights, q_binomial, q_factorial, q_number, q_pochhammer,
-                             translate_coeffs)
+from qlidstone.qcore import IntegrityError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
 from qlidstone.qpolys import build_family, family_rho
-from qlidstone.qspecial import SERIES_TOL, ZeroSearchError
-from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, rho_values, special_poly
+from qlidstone.qspecial import ZeroSearchError, _bessel_body, psi_rho_steps, psi_rho_terms
+from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, psi_rho_sum, rho_values, special_poly
+
+SERIES_TOL = 1e-12  # relative size of the last term kept by the float series references
+
+
+def q_factorial(n, base):
+    """[n]! = [1][2]...[n]; the empty product is 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = Fraction(1)
+    for k in range(1, n + 1):
+        out *= q_number(k, base)
+    return out
+
+
+def q_pochhammer(a, base, n):
+    """(a; base)_n = prod_{k=0}^{n-1} (1 - a*base**k)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a = Fraction(a)
+    base = Fraction(base)
+    out = Fraction(1)
+    p = Fraction(1)
+    for _ in range(n):
+        out *= 1 - a * p
+        p *= base
+    return out
+
+
+def q_binomial(n, k, base):
+    """Gaussian binomial [n choose k] at the given base."""
+    if not (0 <= k <= n):
+        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
+    return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
 
 
 def psi_weight(ctx, n):
@@ -383,8 +416,93 @@ def eta_series_value_closed(kind, q, w):
     raise RuntimeError("did not converge in 400 terms")
 
 
+def eq_eval(ctx, x, w):
+    """The q-exponential at real x, |w| < 1, by its rho-basis series
+    sum_n u_n w**n, u_n from ``qspecial.psi_rho_values``.
+
+    ``w`` may be complex (used to split into the basic cosine and sine);
+    the return type follows the type of ``w``.
+    """
+    if abs(w) >= 1:
+        raise ValueError(f"series requires |w| < 1, got |w| = {abs(w)}")
+    if w == 0:
+        return 1.0
+    total = 1.0 + 0.0 * w
+    wn = 1.0 + 0.0 * w
+    for n, u in zip(range(1, 400), islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), 1, None)):
+        wn *= w
+        term = u * wn
+        total += term
+        if abs(term) < SERIES_TOL * max(1.0, abs(total)) and n > 4:
+            return total
+    raise RuntimeError("q-exponential series did not converge")
+
+
+def basic_trig(ctx, x, w, kind):
+    """Basic sine (kind "S") or cosine (kind "C") at real x or at "eta".
+
+    On [-1, 1] the rho-basis series is used (valid for |w| < 1); at the
+    node eta the dedicated scalar series converges for |w| < q**(-1/2).
+    """
+    q = float(ctx.q)
+    if kind not in ("S", "C"):
+        raise ValueError("kind must be 'S' or 'C'")
+    if isinstance(x, str):
+        if x != "eta":
+            raise ValueError(f"unknown point {x!r}")
+        # sum (-1)^k (-q**(-1/2); q)_m (q**(1/2) w)**m / (q; q)_m, m = 2k + j, both symbols
+        # carried as running products with their factors in rising order
+        j = 1 if kind == "S" else 0
+        rq = math.sqrt(q)
+        if abs(w) >= 1.0 / rq:
+            raise ValueError("series at eta requires |w| < q**(-1/2)")
+        total, neg, qq, i = 0.0, 1.0, 1.0, 0
+        for k in range(0, 300):
+            m = 2 * k + j
+            while i < m:
+                neg *= 1.0 + q ** i / rq
+                i += 1
+                qq *= 1.0 - q ** i
+            term = (-1.0) ** k * neg * (rq * w) ** m / qq
+            total += term
+            if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
+                return total
+        raise RuntimeError("basic trig series at eta did not converge")
+    if abs(w) >= 1:
+        raise ValueError("series requires |w| < 1 away from eta")
+    # sum_k (-1)^k u_n w**n over n = 2k + 1 (sine) or n = 2k (cosine)
+    j = 1 if kind == "S" else 0
+    total = 0.0
+    for n, u in zip(range(600), psi_rho_terms(ctx, x, psi_rho_steps(ctx))):
+        if n % 2 != j:
+            continue
+        k = n // 2
+        term = (-1.0) ** k * u * w ** n
+        total += term
+        if k > 2 and abs(term) < SERIES_TOL * max(1.0, abs(total)):
+            return total
+    raise RuntimeError("basic trig series did not converge")
+
+
+def jackson_bessel_j2(nu, z, q):
+    """Second Jackson q-Bessel function J_nu^(2)(z; q) for z >= 0, around the
+    series body ``qspecial._bessel_body`` whose zeros the library finds."""
+    if z < 0:
+        raise ValueError("z must be nonnegative")
+    if z == 0.0:
+        return 0.0 if nu > 0 else (1.0 if nu == 0 else math.inf)
+    pref_num, _ = q_pochhammer_inf(q ** (nu + 1.0), q, 1e-15)
+    pref_den, _ = q_pochhammer_inf(q, q, 1e-15)
+    return pref_num / pref_den * (z / 2.0) ** nu * _bessel_body(nu, (z / 2.0) ** 2, q)
+
+
+def entire_fn_poly(ctx, f):
+    """The polynomial of a terminating ``lidstone.EntireFn``: sum_j (f_j / psi_j) psi_j rho_j."""
+    return psi_rho_sum(ctx, [c / psi for c, psi in zip(f.stream, psi_weights(ctx, len(f.stream)))])
+
+
 def basic_trig_eta_closed(ctx, w, kind):
-    """``qspecial.basic_trig`` at eta, (-q**(-1/2); q)_m and (q; q)_m from their closed forms."""
+    """:func:`basic_trig` at eta, (-q**(-1/2); q)_m and (q; q)_m from their closed forms."""
     q = float(ctx.q)
     j = 1 if kind == "S" else 0
     rq = math.sqrt(q)

@@ -8,7 +8,8 @@ floating-point criteria pin the stated tolerances.
 import time
 from fractions import Fraction
 
-from qlidstone.qcore import QContext, q_factorial, q_number, q_pochhammer
+from oracles import q_factorial, q_pochhammer
+from qlidstone.qcore import QContext, q_number
 from qlidstone.qpolys import (
     build_numbers,
     check_identity,

@@ -104,6 +104,28 @@ def test_guichard_solve(capsys, tmp_path):
     assert len(doc["g"]) == 4
 
 
+def test_expand_zero_denominator_names_the_spec(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["expand", "--kind", "bernoulli", "--fn", "phi:4:1/0", "--K", "2", "--s", "1/2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: bad function spec 'phi:4:1/0': Fraction(1, 0)"]
+
+
+def test_unwritable_output_exit_2(capsys, tmp_path):
+    # every command is rendered and written by main; a path it cannot open is named, with no traceback
+    target = str(tmp_path / "missing" / "x.json")
+    for argv in (["numbers", "--kind", "beta", "--s", "1/2", "--order", "5"],
+                 ["identities", "--name", "eq18", "--s", "1/2", "--order", "2"],
+                 ["zeros", "--kind", "cq-eta", "--qfloat", "0.25"],
+                 ["guichard", "--p", "4"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--output", target])
+        assert err.value.code == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write --output {target!r}: No such file or directory"]
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert cli.main(["numbers", "--kind", "beta", "--s", "7/3"]) == 2
     capsys.readouterr()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlidstone.guichard as guichard
-from oracles import (bp_numbers_recurrence, dotplus_translate_binomial, solve_difference_bp_sum,
-                     verify_solution_subtract)
-from qlidstone.qcore import IntegrityError, q_factorial, q_number
+from oracles import (bp_numbers_recurrence, dotplus_translate_binomial, q_binomial, q_factorial,
+                     solve_difference_bp_sum, verify_solution_subtract)
+from qlidstone.qcore import IntegrityError, q_number
 from qlidstone.fps import Series
 from qlidstone.qpolys import im_bernoulli_numbers
 from qlidstone.guichard import (
@@ -139,6 +139,18 @@ def test_ladder_and_jump_exact(p, maker):
     jump = tuple(a - b for a, b in zip(jump, polys[n] + (Fraction(0),) * 3))
     assert jump[1] == q_number(2, p)  # = [2]_p = [2]_p! here
     assert polys[0] == (bp_numbers(d, 0)[0],)
+
+
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 4), Fraction(4), Fraction(7, 3)])
+@pytest.mark.parametrize("maker", [DeltaSeq.ones, DeltaSeq.alsalam_half])
+def test_bp_polynomials_are_the_q_binomial_sums(p, maker):
+    d = maker(p, 22)
+    numbers = bp_numbers(d, 20)
+    for n, poly in enumerate(bp_polynomials(d, 20, verify=False)):
+        want = [q_binomial(n, k, p) * numbers[n - k] for k in range(n + 1)]
+        while len(want) > 1 and want[-1] == 0:
+            want.pop()
+        assert poly == tuple(want), n
 
 
 def test_rescaled_family_identity():

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, exact_grid_residual,
-                     expansion_reconstruction_families, expansion_reconstruction_rho)
-from qlidstone.qcore import QContext, psi_weights, q_factorial, q_pochhammer, safe_float
+from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, entire_fn_poly, exact_grid_residual,
+                     expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer)
+from qlidstone.qcore import QContext, psi_weights, safe_float
 from qlidstone.qspecial import psi_rho_values
 from qlidstone.lidstone import (
     DEFAULT_GRID,
@@ -15,7 +15,6 @@ from qlidstone.lidstone import (
     counterexample_report,
     euler_expansion,
     residual_on_grid,
-    rho_expand,
     trig_rho_stream,
 )
 from qlidstone.symlaurent import SymPoly, change_basis, eval_at, special_poly
@@ -24,21 +23,18 @@ from qlidstone.symlaurent import SymPoly, change_basis, eval_at, special_poly
 # -- streams and the growth statistic ----------------------------------------
 
 
-def test_rho_expand_polynomials(ctx_half):
+def test_polynomial_streams_have_tau_zero(ctx_half):
     ctx = ctx_half
     f = EntireFn.from_poly(ctx, special_poly(ctx, "rho", 3))
-    stream, tau = rho_expand(ctx, f)
-    assert stream == (0, 0, 0, 1)
-    assert tau == 0.0
+    assert f.stream == (0, 0, 0, 1)
+    assert bernoulli_expansion(ctx, f, 2).tau_estimate == 0.0
     f2 = EntireFn.from_poly(ctx, special_poly(ctx, "monomial", 2))
-    stream2, _ = rho_expand(ctx, f2)
-    assert stream2 == (0, 0, Fraction(1, 4))
+    assert f2.stream == (0, 0, Fraction(1, 4))
 
 
-def test_rho_expand_tau_of_cosine_truncation(ctx_half):
+def test_tau_of_cosine_truncation(ctx_half):
     f = trig_rho_stream(ctx_half, "C", Fraction(3, 10), 40)
-    _, tau = rho_expand(ctx_half, f)
-    assert abs(tau - 0.3) < 0.03
+    assert abs(bernoulli_expansion(ctx_half, f, 1).tau_estimate - 0.3) < 0.03
 
 
 # -- boundary data ---------------------------------------------------------------
@@ -341,5 +337,5 @@ def test_reconstruction_matches_the_rho_basis_assembly(s, kind, coeffs, polynomi
     assert report.reconstruction == expansion_reconstruction_rho(ctx, kind, K, report.data_at_zero,
                                                                  report.data_at_eta)
     if polynomial:
-        diff = report.reconstruction - f.to_poly(ctx)
+        diff = report.reconstruction - entire_fn_poly(ctx, f)
         assert report.residual == Fraction(max(abs(n) for n in diff.nums), diff.den)

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import lidstone_basis_rho, poly_from_basis
-from qlidstone.qcore import QContext, psi_weights, q_number, q_pochhammer
+from oracles import lidstone_basis_rho, poly_from_basis, q_pochhammer
+from qlidstone.qcore import QContext, psi_weights, q_number
 from qlidstone.qpolys import (
     BASIS_KINDS,
     _factor_parts,
@@ -13,12 +13,11 @@ from qlidstone.qpolys import (
     family_multiplier,
     build_numbers,
     check_identity,
-    hermite_from_bernoulli,
     im_bernoulli_numbers,
     lidstone_basis,
     registry_names,
 )
-from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, special_poly
+from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at
 
 # -- families -------------------------------------------------------------
 
@@ -200,11 +199,6 @@ def test_identity_report_failure_payload(ctx_half):
     assert bad.first_failure["n"] == 0
     assert bad.first_failure["lhs"] == ["1"]
     assert bad.first_failure["rhs"] == ["2"]
-
-
-def test_hermite_from_bernoulli(ctx):
-    for n in range(9):
-        assert hermite_from_bernoulli(ctx, n) == special_poly(ctx, "hermite", n)
 
 
 def test_translations(ctx):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (basic_trig_eta_closed, eta_series_sign_exact, eta_series_sign_termwise,
-                     eta_series_value_closed)
+from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eta_series_sign_exact, eta_series_sign_termwise,
+                     eta_series_value_closed, jackson_bessel_j2)
 from qlidstone import qspecial
 from qlidstone.qcore import QContext, psi_weights, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
@@ -20,10 +20,7 @@ from qlidstone.qspecial import (
     _eta_series_sign,
     _eta_series_sign_ball,
     _eta_series_value,
-    basic_trig,
-    eq_eval,
     hayman_zero_estimate,
-    jackson_bessel_j2,
     jackson_bessel_zeros,
     positive_zeros,
     psi_rho_values,
@@ -211,7 +208,7 @@ def test_scan_rejects_a_zero_below_its_start():
     # at q = 0.999 the first cosine zero (~7.9e-4) lies below 1e-3 q, where
     # the series is already negative; a scan from there would find the second zero
     with pytest.raises(ZeroSearchError, match="below"):
-        _scan_and_bisect(lambda w: _eta_series_value("Cq_eta", 0.999, w), 1e-3 * 0.999, 1.0, 1.05, 1e-13)
+        _scan_and_bisect(lambda w: _eta_series_value("Cq_eta", 0.999, w), 1e-3 * 0.999, 1.0, 1.05)
     assert smallest_positive_zero("Cq_eta", 0.998).value > 0
     # the scan start derived from q sits below that zero
     assert smallest_positive_zero("Cq_eta", 0.999).value == pytest.approx(7.8559e-4, rel=1e-4)
@@ -226,7 +223,7 @@ def test_eta_series_outside_the_float_range_is_a_search_error(kind, q, w):
 
 def test_bisect_raises_when_steps_run_out():
     with pytest.raises(ZeroSearchError, match="200 steps"):
-        _bisect(lambda x: x - 1e-300, 0.0, 1.0, 1e-13)
+        _bisect(lambda x: x - 1e-300, 0.0, 1.0)
 
 
 def test_eta_series_raises_when_terms_run_out():
