@@ -1,9 +1,11 @@
 """Command-line surface: tables, identity suites, zeros, expansions, solver.
 
-Exit codes: 0 success, 1 identity-suite failure (a machine-readable failure
-record is still emitted), 2 usage error.  Output is deterministic for a
-fixed configuration; rationals are rendered as "num/den" strings and floats
-with 17 significant digits.
+Exit codes: 0 success, 1 a failed check (the record is still emitted), 2 an
+error: bad input (ValueError, ZeroDivisionError) or a numeric limit
+(qcore.LimitError) prints one ``error:`` line and exits 2, as argparse's usage
+errors do; an IntegrityError is a bug and keeps its traceback.  Output is
+deterministic for a fixed configuration; rationals are rendered as "num/den"
+strings and floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .qcore import QContext
+from .qcore import LimitError, QContext
 from .symlaurent import SymPoly, special_poly
 from . import qpolys, qspecial, lidstone, guichard
 
@@ -114,14 +116,8 @@ def _context(args) -> QContext:
     if getattr(args, "q", None) is not None:
         return QContext.from_q(args.q)
     if args.s is None:
-        raise SystemExit2("one of --s or --q is required")
+        raise ValueError("one of --s or --q is required")
     return QContext(args.s)
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -188,8 +184,6 @@ def _cmd_lidstone_basis(args) -> Tuple[dict, int]:
 def _cmd_identities(args) -> Tuple[dict, int]:
     ctx = _context(args)
     names = qpolys.registry_names() if args.all else [args.name]
-    if not args.all and args.name not in qpolys.registry_names():
-        raise SystemExit2(f"unknown identity {args.name!r}; known: {', '.join(qpolys.registry_names())}")
     reports = [qpolys.check_identity(ctx, n, args.order) for n in names]
     ok = all(r.passed for r in reports)
     return {
@@ -212,17 +206,13 @@ def _cmd_identities(args) -> Tuple[dict, int]:
 def _cmd_zeros(args) -> Tuple[dict, int]:
     kind = {"sq-eta": "Sq_eta", "cq-eta": "Cq_eta", "sinq": "Sinq"}[args.kind]
     if not 0.0 < args.qfloat < 1.0:
-        raise SystemExit2(f"--qfloat must lie in (0, 1), got {args.qfloat}")
-    try:
-        report = qspecial.first_zero(kind, args.qfloat)
-    except RuntimeError as exc:  # ZeroSearchError, or a float loop that ran out near q = 1
-        raise SystemExit2(str(exc))
-    return {"command": "zeros", "q": args.qfloat, "report": report}, 0
+        raise ValueError(f"--qfloat must lie in (0, 1), got {args.qfloat}")
+    return {"command": "zeros", "q": args.qfloat, "report": qspecial.first_zero(kind, args.qfloat)}, 0
 
 
 def _read_coeffs(path: str) -> list:
     """The coefficients in a JSON file holding one array of numbers or "num/den"
-    strings; a file that cannot be read or holds anything else exits 2."""
+    strings; a file that cannot be read or holds anything else raises ValueError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -230,12 +220,14 @@ def _read_coeffs(path: str) -> list:
             raise ValueError(f"expected a JSON array of coefficients, got {type(doc).__name__}")
         return [Fraction(str(c)) for c in doc]
     except (OSError, ValueError, ZeroDivisionError) as exc:
-        raise SystemExit2(f"bad coefficient file {path!r}: {exc}")
+        raise ValueError(f"bad coefficient file {path!r}: {exc}") from None
 
 
 def _parse_fn(ctx: QContext, spec: str) -> lidstone.EntireFn:
     """Tiny input grammar: rho:n | mono:n | phi:n:a | stream:@file."""
     parts = spec.split(":")
+    if parts[0] == "stream" and len(parts) == 2 and parts[1].startswith("@"):
+        return lidstone.EntireFn.from_stream(_read_coeffs(parts[1][1:]))
     try:
         if parts[0] == "rho" and len(parts) == 2:
             return lidstone.EntireFn.from_poly(ctx, special_poly(ctx, "rho", int(parts[1])))
@@ -245,11 +237,9 @@ def _parse_fn(ctx: QContext, spec: str) -> lidstone.EntireFn:
             return lidstone.EntireFn.from_poly(
                 ctx, special_poly(ctx, "phi", int(parts[1]), Fraction(parts[2]))
             )
-        if parts[0] == "stream" and len(parts) == 2 and parts[1].startswith("@"):
-            return lidstone.EntireFn.from_stream(_read_coeffs(parts[1][1:]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit2(f"bad function spec {spec!r}: {exc}")
-    raise SystemExit2(f"bad function spec {spec!r}; use rho:n, mono:n, phi:n:a, or stream:@file")
+        raise ValueError(f"bad function spec {spec!r}: {exc}") from None
+    raise ValueError(f"bad function spec {spec!r}; use rho:n, mono:n, phi:n:a, or stream:@file")
 
 
 def _cmd_expand(args) -> Tuple[dict, int]:
@@ -283,7 +273,7 @@ def _cmd_expand(args) -> Tuple[dict, int]:
 def _cmd_guichard(args) -> Tuple[dict, int]:
     p = args.p
     if p == 1 and args.preset == "alsalam-half":
-        raise SystemExit2("p = 1 reduces alsalam-half to the classical case; use preset ones")
+        raise ValueError("p = 1 reduces alsalam-half to the classical case; use preset ones")
     if args.coeffs:
         f = _read_coeffs(args.coeffs)
     else:
@@ -303,11 +293,8 @@ def _cmd_guichard(args) -> Tuple[dict, int]:
     }
     if args.growth_order is not None:
         if p <= 1:
-            raise SystemExit2("--growth-order needs p > 1 (the bound is stated for q = 1/p < 1)")
-        try:
-            payload["growth"] = guichard.growth_bound_check(1 / p, args.growth_order)
-        except RuntimeError as exc:  # the zero search behind xi_1 cannot answer at this q
-            raise SystemExit2(str(exc))
+            raise ValueError("--growth-order needs p > 1 (the bound is stated for q = 1/p < 1)")
+        payload["growth"] = guichard.growth_bound_check(1 / p, args.growth_order)
     return payload, 0 if bad is None else 1
 
 
@@ -387,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code, 0 or 1, or raises SystemExit(2) on an error."""
     args = build_parser().parse_args(argv)
     # Exact tables reach numerators far past CPython's int->str digit limit;
     # the arguments were parsed under that limit, the output is rendered without it.
@@ -400,15 +388,13 @@ def main(argv=None) -> int:
                 with open(args.output, "w") as fh:
                     fh.write(text)
             except OSError as exc:
-                raise SystemExit2(f"cannot write --output {args.output!r}: {exc.strerror or exc}")
+                raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from None
         else:
             sys.stdout.write(text)
         return code
-    except SystemExit:
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit(2)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -27,7 +27,7 @@ from itertools import zip_longest
 from typing import Optional, Sequence, Tuple
 
 from .fps import Series
-from .qcore import IntegrityError, q_factorials, q_number, q_pochhammers, safe_float, translate_coeffs
+from .qcore import IntegrityError, LimitError, q_factorials, q_number, q_pochhammers, safe_float, translate_coeffs
 
 ZPoly = Tuple[Fraction, ...]
 
@@ -180,7 +180,10 @@ def growth_bound_check(q: Fraction, n_max: int, xi1: float = None) -> GrowthRepo
     q = Fraction(q)
     if xi1 is None:
         xi1 = first_zero("Sinq", float(q)).value
-    ratios = [abs(safe_float(b)) * (2.0 * xi1) ** n for n, b in enumerate(im_bernoulli_quotients(q, n_max))]
+    try:
+        ratios = [abs(safe_float(b)) * (2.0 * xi1) ** n for n, b in enumerate(im_bernoulli_quotients(q, n_max))]
+    except OverflowError:
+        raise LimitError(f"(2 xi_1)**{n_max} at q = {float(q):.6g}, xi_1 = {xi1:.6g} leaves the float range") from None
     sup = max(ratios)
     return GrowthReport(q=float(q), xi1=xi1, n_max=n_max, ratios=tuple(ratios),
                         sup=sup, argmax=ratios.index(sup))

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import islice, zip_longest
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, correlate, over_common_den, psi_weights, q_pochhammers, safe_float
+from .qcore import LimitError, QContext, correlate, over_common_den, psi_weights, q_pochhammers, safe_float
 from .symlaurent import SymPoly, change_basis, psi_rho_at_eta, psi_rho_sum
 from .qpolys import family_rho
 from . import qspecial
@@ -135,10 +135,9 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
 
 def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
     try:
-        report = qspecial.first_zero(kind, float(ctx.q))
-    except RuntimeError:  # ZeroSearchError, or a float loop that ran out near q = 1
+        return min(1.0, qspecial.first_zero(kind, float(ctx.q)).value)
+    except LimitError:  # no zero found, or a float loop ran out (near q = 1) or overflowed (tiny q)
         return None
-    return min(1.0, report.value)
 
 
 def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,

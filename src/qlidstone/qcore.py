@@ -31,7 +31,11 @@ Rational = Union[Fraction, int]
 
 class IntegrityError(RuntimeError):
     """Two supposedly equivalent construction routes disagreed, or a
-    construction-time verification failed."""
+    construction-time verification failed: a bug, never caught."""
+
+
+class LimitError(RuntimeError):
+    """A numeric loop reached its bound, or left the float range, without a certified answer."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -266,7 +270,7 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
     Returns ``(value, n_factors)`` where ``n_factors`` is chosen so that the
     logarithmic tail sum_{k>=N} |a| base**k / (1 - |a| base**k) stays below
     ``tol``.  Raises ZeroDivisionError if some factor vanishes (a pole of
-    the reciprocal product).
+    the reciprocal product) and LimitError past 10**6 factors.
     """
     if not abs(base) < 1:
         raise ValueError(f"|base| must be < 1, got {base}")
@@ -291,7 +295,7 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
     while not tail_ok(n):
         n += 1
         if n > _MAX_FACTORS:
-            raise RuntimeError("tail bound did not converge")
+            raise LimitError("tail bound did not converge")
     while n > 1 and tail_ok(n - 1):
         n -= 1
     value = 1.0

@@ -30,16 +30,17 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .qcore import QContext, q_pochhammer_inf, table
+from .qcore import LimitError, QContext, q_pochhammer_inf, table
 
 REL_WIDTH = 1e-13  # relative bracket width at which the float bisection stops
 BESSEL_TOL = 1e-15  # relative size of the last term kept by the q-Bessel series
 BALL_BITS = 256  # fixed-point bits at which the ball sign certifier of refine_zero_exact starts
 BALL_BITS_CAP = 1 << 16  # the precision past which it gives up
+WIDEN_STEPS = 64  # widenings of the float bracket, each by its width, that refine_zero_exact tries per side
 
 
-class ZeroSearchError(RuntimeError):
-    """No sign change found where one was expected."""
+class ZeroSearchError(LimitError):
+    """No sign change found where one was expected, or the search left the float range."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def _bessel_body(nu: float, u: float, q: float) -> float:
         if abs(term) < BESSEL_TOL * max(1.0, abs(total)) and q ** (2 * k + nu) * abs(u) < 1:
             return total
         if k > 10_000:
-            raise RuntimeError("Bessel series did not converge")
+            raise LimitError("Bessel series did not converge")
 
 
 def hayman_zero_estimate(m: int, nu: float, q: float) -> float:
@@ -143,7 +144,7 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
         total += t
         if k > 1 and abs(t) < 1e-17 * max(1e-300, abs(total)):
             return total
-    raise RuntimeError(f"{kind} series at w = {w:.6g} did not converge in 400 terms")
+    raise LimitError(f"{kind} series at w = {w:.6g} did not converge in 400 terms")
 
 
 def sq_lower_bound(q: float) -> float:
@@ -260,7 +261,11 @@ def _trig_eta_residual(kind: str, q: float, w: float) -> float:
 
 
 def positive_zeros(kind: str, q: float, count: int) -> List[float]:
-    """First ``count`` positive zeros of the eta-node series (w variable)."""
+    """First ``count`` positive zeros of the eta-node sine or cosine series (w variable)."""
+    if kind not in ("Sq_eta", "Cq_eta") or count < 0:  # the scan caps are the eta-node asymptotics
+        raise ValueError(f"positive_zeros takes kind Sq_eta or Cq_eta and count >= 0, got {kind!r}, {count}")
+    if count == 0:
+        return []
     f = lambda w: _eta_series_value(kind, q, w)
     nu = 0.5 if kind == "Sq_eta" else -0.5
     first = smallest_positive_zero(kind, q).value
@@ -275,6 +280,8 @@ def positive_zeros(kind: str, q: float, count: int) -> List[float]:
 def jackson_bessel_zeros(nu: float, q: float, count: int) -> List[float]:
     """First positive zeros of J_nu^(2)(z; q), via the even series body in
     u = (z/2)**2 (the z**nu prefactor never vanishes for z > 0)."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     f = lambda u: _bessel_body(nu, u, q)
     caps = ((hayman_zero_estimate(m, nu, q) / 2.0) ** 2 for m in range(3, count + 3))
     zeros = [2.0 * math.sqrt(mid) for _, _, mid in _sign_changes(f, 1e-4 * q ** (1 - nu), 1.02, caps)]
@@ -346,7 +353,7 @@ def _eta_series_sign(ctx: QContext, kind: str, w) -> int:
         if sign is not None:
             return sign
         bits *= 2
-    raise RuntimeError(f"{kind} sign at w = {w} did not resolve at {BALL_BITS_CAP} bits; w may sit on the zero")
+    raise LimitError(f"{kind} sign at w = {w} did not resolve at {BALL_BITS_CAP} bits; w may sit on the zero")
 
 
 def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:
@@ -354,23 +361,23 @@ def refine_zero_exact(ctx: QContext, kind: str, steps: int = 60) -> Fraction:
     sine ("Sq_eta") or cosine ("Cq_eta"), accurate to ~2**-steps of the
     float bracket width; used where double precision is not enough."""
     report = first_zero(kind, float(ctx.q))
-    lo = Fraction(report.bracket[0])
-    hi = Fraction(report.bracket[1])
+    lo, hi = map(Fraction, report.bracket)
     # widen until the exact signs straddle (the float bracket can be off by ulps)
     width = (hi - lo) if hi > lo else Fraction(1, 10 ** 12)
-    while _eta_series_sign(ctx, kind, lo) <= 0:
-        lo -= width
-    while _eta_series_sign(ctx, kind, hi) >= 0:
-        hi += width
+    ends = []
+    for end, step, sign in ((lo, -width, 1), (hi, width, -1)):
+        tries = (end + i * step for i in range(WIDEN_STEPS + 1))
+        ends.append(next((x for x in tries if _eta_series_sign(ctx, kind, x) == sign), None))
+        if ends[-1] is None:
+            raise ZeroSearchError(f"{kind} series does not change sign across the float bracket "
+                                  f"{report.bracket} widened {WIDEN_STEPS} times by its width")
+    lo, hi = ends
     for _ in range(steps):
         mid = (lo + hi) / 2
-        sign = _eta_series_sign(ctx, kind, mid)
-        if sign > 0:
+        if _eta_series_sign(ctx, kind, mid) > 0:
             lo = mid
-        elif sign < 0:
-            hi = mid
         else:
-            return mid
+            hi = mid
     mid = (lo + hi) / 2
     # compact the representation; the rounding error is far below the
     # remaining bracket width, so the refined accuracy is preserved

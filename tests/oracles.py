@@ -11,7 +11,7 @@ from itertools import islice
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.qcore import IntegrityError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
+from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
 from qlidstone.qpolys import build_family, family_rho
 from qlidstone.qspecial import ZeroSearchError, _bessel_body, psi_rho_steps, psi_rho_terms
 from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, psi_rho_sum, rho_values, special_poly
@@ -413,7 +413,7 @@ def eta_series_value_closed(kind, q, w):
             return total
         if k > 2 and t == 0.0:
             return total
-    raise RuntimeError("did not converge in 400 terms")
+    raise LimitError("did not converge in 400 terms")
 
 
 def eq_eval(ctx, x, w):

@@ -126,9 +126,52 @@ def test_unwritable_output_exit_2(capsys, tmp_path):
         assert captured.err.splitlines() == [f"error: cannot write --output {target!r}: No such file or directory"]
 
 
+_KNOWN = ("connection_F1, connection_F2, reflection_B, reflection_beta, eq16, eq17, eq18, q_square_relation, "
+          "translation_B, translation_E, numbers_agree_Eq10, ladders, eq4_decomposition, euler_decomposition, "
+          "hermite_rep")
+_COEFF_FILES = {"scalar.json": "5", "empty.json": "", "nested.json": "[[1]]"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("numbers --kind beta", "one of --s or --q is required"),
+    ("numbers --kind beta --s 7/3", "s must lie in (0, 1), got 7/3"),
+    ("numbers --kind beta --q 1/5", "q = 1/5 is not the fourth power of a rational"),
+    ("identities --name bogus --s 1/2", f"unknown identity 'bogus'; known: {_KNOWN}"),
+    ("identities --all --s 1/2 --order 2 --format csv", "this command has no tabular form; use --format json"),
+    ("zeros --kind sq-eta --qfloat 1.5", "--qfloat must lie in (0, 1), got 1.5"),
+    ("zeros --kind cq-eta --qfloat nan", "--qfloat must lie in (0, 1), got nan"),
+    ("zeros --kind sq-eta --qfloat 0.99999", "tail bound did not converge"),
+    ("expand --kind euler --fn nope:1 --K 1 --s 1/2",
+     "bad function spec 'nope:1'; use rho:n, mono:n, phi:n:a, or stream:@file"),
+    ("expand --kind euler --fn rho:-1 --K 1 --s 1/2", "bad function spec 'rho:-1': n must be nonnegative"),
+    ("expand --kind euler --fn stream:@missing.json --K 1 --s 1/2",
+     "bad coefficient file 'missing.json': [Errno 2] No such file or directory: 'missing.json'"),
+    ("expand --kind euler --fn stream:@nested.json --K 1 --s 1/2",
+     "bad coefficient file 'nested.json': Invalid literal for Fraction: '[1]'"),
+    ("expand --kind euler --fn mono:2 --K 1 --s 1/2 --output missing/x.json",
+     "cannot write --output 'missing/x.json': No such file or directory"),
+    ("guichard --p 1", "p = 1 reduces alsalam-half to the classical case; use preset ones"),
+    ("guichard --p 1/2 --growth-order 3", "--growth-order needs p > 1 (the bound is stated for q = 1/p < 1)"),
+    ("guichard --p 0", "p must be positive"),
+    ("guichard --p 4 --coeffs scalar.json",
+     "bad coefficient file 'scalar.json': expected a JSON array of coefficients, got int"),
+    ("guichard --p 4 --coeffs empty.json",
+     "bad coefficient file 'empty.json': Expecting value: line 1 column 1 (char 0)"),
+    ("guichard --p 4 --output .", "cannot write --output '.': Is a directory"),
+])
+def test_error_messages_are_pinned(capsys, monkeypatch, tmp_path, argv, message):
+    # every usage error exits 2 with exactly this one stderr line and nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    for name, text in _COEFF_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert _outcome(capsys, argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
-    assert cli.main(["numbers", "--kind", "beta", "--s", "7/3"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["numbers", "--kind", "beta", "--s", "7/3"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: s must lie in (0, 1), got 7/3\n"
     with pytest.raises(SystemExit) as err:
         cli.main(["numbers", "--kind", "beta", "--s", "abc"])
     assert err.value.code == 2
@@ -138,7 +181,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert err.value.code == 2
     capsys.readouterr()
     # a q far beyond the float range that is not a fourth power
-    assert cli.main(["numbers", "--kind", "beta", "--q", f"1/{10 ** 401}"]) == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["numbers", "--kind", "beta", "--q", f"1/{10 ** 401}"])
+    assert err.value.code == 2
     assert "not the fourth power" in capsys.readouterr().err
     for argv, flag in [
         (["polys", "--family", "rho", "--order", "-1", "--s", "1/2"], "--order"),
@@ -197,6 +242,16 @@ def test_guichard_growth_at_a_tiny_base_exit_2(capsys):
     assert captured.err.splitlines() == ["error: Sinq scan bounds at q = 1e-200 leave the float range"]
 
 
+@pytest.mark.parametrize("p, message", [
+    (10 ** 35, "(2 xi_1)**6 at q = 1e-35, xi_1 = 3.16228e+52 leaves the float range"),
+    (10 ** 40, "(2 xi_1)**6 at q = 1e-40, xi_1 = 1e+60 leaves the float range"),
+])
+def test_guichard_growth_past_the_float_range_exit_2(capsys, p, message):
+    # xi_1 is found, but the statistic's factor (2 xi_1)**n overflows a float (it was an OverflowError traceback)
+    assert _outcome(capsys, ["guichard", "--preset", "ones", "--p", str(p), "--growth-order", "6"]) == (
+        2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("kind, s", [("euler", f"1/{10 ** 30}"), ("bernoulli", f"1/{10 ** 76}"),
                                      ("bernoulli", "999999/1000000")])
 def test_expand_without_a_zero_reports_no_cap(capsys, kind, s):
@@ -222,8 +277,10 @@ def test_q_flag_fourth_power(capsys):
     code, out = run(capsys, "numbers", "--kind", "beta", "--q", "1/16", "--order", "2", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "0,3,8"
-    assert cli.main(["numbers", "--kind", "beta", "--q", "1/5"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["numbers", "--kind", "beta", "--q", "1/5"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: q = 1/5 is not the fourth power of a rational\n"
 
 
 def test_deterministic_output(capsys, tmp_path):

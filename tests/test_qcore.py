@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weight, q_binomial, q_factorial,
                      q_pochhammer, translate_coeffs_fraction)
 from qlidstone.qcore import (
+    LimitError,
     QContext,
     psi_weights,
     q_factorials,
@@ -139,7 +140,7 @@ def test_pochhammer_inf_factor_count_matches_linear_search(base):
             want = pochhammer_inf_factors_linear(a, base, tol)
             try:
                 _, n = q_pochhammer_inf(a, base, tol)
-            except RuntimeError:
+            except LimitError:
                 n = None
             if want is not None:
                 assert n == want, (a, base, tol)
@@ -149,9 +150,9 @@ def test_pochhammer_inf_factor_count_matches_linear_search(base):
 
 
 def test_pochhammer_inf_gives_up_past_its_factor_cap():
-    with pytest.raises(RuntimeError, match="tail bound did not converge"):
+    with pytest.raises(LimitError, match="tail bound did not converge"):
         q_pochhammer_inf(0.5, 0.99999, 1e-300)
-    with pytest.raises(RuntimeError, match="tail bound did not converge"):
+    with pytest.raises(LimitError, match="tail bound did not converge"):
         q_pochhammer_inf(0.5, 0.5, 0.0)
 
 

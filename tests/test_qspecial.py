@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eta_series_sign_exact, eta_series_sign_termwise,
                      eta_series_value_closed, jackson_bessel_j2)
 from qlidstone import qspecial
-from qlidstone.qcore import QContext, psi_weights, q_pochhammer_inf
+from qlidstone.qcore import LimitError, QContext, psi_weights, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import eval_at, rho_values
 from qlidstone.qspecial import (
@@ -227,8 +227,40 @@ def test_bisect_raises_when_steps_run_out():
 
 
 def test_eta_series_raises_when_terms_run_out():
-    with pytest.raises(RuntimeError, match="did not converge"):
+    with pytest.raises(LimitError, match="did not converge"):
         _eta_series_value("Sinq", 0.998, 1000.0)
+
+
+def test_bessel_series_raises_when_terms_run_out():
+    # near q = 1 the terms only shrink once q**(2k) u < 1, some 3.5e5 terms out at u = 1e30
+    with pytest.raises(LimitError, match="Bessel series did not converge"):
+        qspecial._bessel_body(0.5, 1e30, 0.9999)
+
+
+def test_zero_counts_are_checked(monkeypatch):
+    monkeypatch.setattr(qspecial, "smallest_positive_zero", None)  # a count of 0 searches nothing
+    assert positive_zeros("Sq_eta", 0.25, 0) == []
+    assert jackson_bessel_zeros(0.5, 0.25, 0) == []
+    with pytest.raises(ValueError, match="count >= 0, got 'Cq_eta', -1"):
+        positive_zeros("Cq_eta", 0.25, -1)
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        jackson_bessel_zeros(0.5, 0.25, -1)
+    # the scan caps are the eta-node asymptotics, which do not fit the q-sine
+    with pytest.raises(ValueError, match="kind Sq_eta or Cq_eta"):
+        positive_zeros("Sinq", 0.25, 3)
+
+
+@pytest.mark.parametrize("kind", ["Sq_eta", "Cq_eta"])
+def test_refinement_from_a_wrong_bracket_raises(monkeypatch, kind):
+    # a float bracket far past the zero cannot be widened onto it in 64 of its widths
+    ctx = QContext(Fraction(1, 2))
+    zero = smallest_positive_zero(kind, float(ctx.q))
+    a, b = 2 * zero.bracket[0], 2 * zero.bracket[1]
+    far = qspecial.ZeroReport(kind, 2 * zero.value, (a, b), 0.0, True)
+    monkeypatch.setattr(qspecial, "first_zero", lambda *args: far)
+    with pytest.raises(ZeroSearchError, match=rf"{kind} series does not change sign across the float bracket "
+                                              rf"\({a!r}, {b!r}\) widened 64 times by its width"):
+        refine_zero_exact(ctx, kind)
 
 
 # -- the exact sign certificate -------------------------------------------------
@@ -320,7 +352,7 @@ def test_sign_gives_up_past_the_precision_cap(monkeypatch):
     tried = []
     ball = qspecial._eta_series_sign_ball
     monkeypatch.setattr(qspecial, "_eta_series_sign_ball", lambda *a: tried.append(a[3]) or ball(*a))
-    with pytest.raises(RuntimeError, match="did not resolve"):  # the sine series vanishes at 0
+    with pytest.raises(LimitError, match="did not resolve"):  # the sine series vanishes at 0
         _eta_series_sign(ctx, "Sq_eta", Fraction(0))
     assert tried == [qspecial.BALL_BITS << i for i in range(len(tried))]
     assert tried[-1] == qspecial.BALL_BITS_CAP
@@ -355,7 +387,7 @@ def test_sign_path_does_no_fraction_arithmetic(monkeypatch, ctx, w):
 
 def test_sign_at_zero_w_is_the_exact_sign(ctx):
     assert _eta_series_sign(ctx, "Cq_eta", Fraction(0)) == 1
-    with pytest.raises(RuntimeError, match="did not resolve"):  # the sine series vanishes there
+    with pytest.raises(LimitError, match="did not resolve"):  # the sine series vanishes there
         _eta_series_sign(ctx, "Sq_eta", Fraction(0))
 
 
@@ -363,7 +395,7 @@ def _outcome(f, *args):
     """f(*args), or the type of the error it raises."""
     try:
         return f(*args)
-    except (RuntimeError, ValueError) as exc:  # ZeroSearchError is a RuntimeError
+    except (LimitError, ValueError) as exc:
         return type(exc)
 
 
