@@ -1,11 +1,11 @@
 """Command-line surface: tables, identity suites, zeros, expansions, solver.
 
 Exit codes: 0 success, 1 a failed check (the record is still emitted), 2 an
-error: bad input (ValueError, ZeroDivisionError) or a numeric limit
-(qcore.LimitError) prints one ``error:`` line and exits 2, as argparse's usage
-errors do; an IntegrityError is a bug and keeps its traceback.  Output is
-deterministic for a fixed configuration; rationals are rendered as "num/den"
-strings and floats with 17 significant digits.
+error: bad input (ValueError, ZeroDivisionError), a failed write (a ValueError
+too) or a numeric limit (qcore.LimitError) prints one ``error:`` line and exits
+2, as argparse's usage errors do; an IntegrityError is a bug and keeps its
+traceback.  Output is deterministic for a fixed configuration; rationals are
+rendered as "num/den" strings and floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -133,13 +134,13 @@ _NUMBER_KIND = {
 
 def _cmd_numbers(args) -> Tuple[dict, int]:
     ctx = _context(args)
-    table = qpolys.build_numbers(ctx, _NUMBER_KIND[args.kind], args.order)
+    values = qpolys.build_numbers(ctx, _NUMBER_KIND[args.kind], args.order)
     return {
         "command": "numbers",
         "kind": args.kind,
         "s": ctx.s,
         "columns": ["n", "numerator", "denominator"],
-        "rows": [(n, v.numerator, v.denominator) for n, v in enumerate(table.values)],
+        "rows": [(n, v.numerator, v.denominator) for n, v in enumerate(values)],
     }, 0
 
 
@@ -154,8 +155,7 @@ _FAMILY_KIND = {
 def _cmd_polys(args) -> Tuple[dict, int]:
     ctx = _context(args)
     if args.family in _FAMILY_KIND:
-        table = qpolys.build_family(ctx, _FAMILY_KIND[args.family], args.order)
-        entries = table.entries
+        entries = qpolys.build_family(ctx, _FAMILY_KIND[args.family], args.order)
     else:
         entries = tuple(special_poly(ctx, args.family, n) for n in range(args.order + 1))
     return {
@@ -294,6 +294,8 @@ def _cmd_guichard(args) -> Tuple[dict, int]:
     if args.growth_order is not None:
         if p <= 1:
             raise ValueError("--growth-order needs p > 1 (the bound is stated for q = 1/p < 1)")
+        if float(1 / p) == 1.0:  # the zero search runs at float q
+            raise ValueError(f"--growth-order needs q = 1/p < 1 as a float, but at --p {p} q = 1/p rounds to 1.0")
         payload["growth"] = guichard.growth_bound_check(1 / p, args.growth_order)
     return payload, 0 if bad is None else 1
 
@@ -390,7 +392,15 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from None
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError as exc:
+                # the unwritten text would fail again at the interpreter's final flush; send it nowhere
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise ValueError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return code
     except (ValueError, ZeroDivisionError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

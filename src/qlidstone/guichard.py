@@ -183,7 +183,7 @@ def growth_bound_check(q: Fraction, n_max: int, xi1: float = None) -> GrowthRepo
     try:
         ratios = [abs(safe_float(b)) * (2.0 * xi1) ** n for n, b in enumerate(im_bernoulli_quotients(q, n_max))]
     except OverflowError:
-        raise LimitError(f"(2 xi_1)**{n_max} at q = {float(q):.6g}, xi_1 = {xi1:.6g} leaves the float range") from None
+        raise LimitError(f"(2 xi_1)**{n_max} at q = {float(q)!r}, xi_1 = {xi1:.6g} leaves the float range") from None
     sup = max(ratios)
     return GrowthReport(q=float(q), xi1=xi1, n_max=n_max, ratios=tuple(ratios),
                         sup=sup, argmax=ratios.index(sup))

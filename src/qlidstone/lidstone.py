@@ -10,15 +10,15 @@ identity (see :func:`aw_boundary_data`).  The Bernoulli-type engine consumes
 even-order data at both nodes; the Euler-type engine odd data at 0 and even
 data at eta.
 
-The assembled expansions are
+The assembled expansions are data times bases, one row of :data:`SCHEMES` each:
 
-    f = sum_k c**(-2k)   [ D^{2k}f(eta) * 2 B_{2k+1}  -  D^{2k}f(0) * 2 beta_{2k+1} ]
-    f = sum_k c**(-2k-1)   D^{2k+1}f(0) * Etilde_{2k+1}
-      + sum_k c**(-2k)  2  D^{2k}f(eta) * E_{2k}
+    f = sum_k [ D^{2k}f(eta) A_k  -  D^{2k}f(0) B_k ]          (bernoulli)
+    f = sum_k [ D^{2k+1}f(0) M_k  +  D^{2k}f(eta) Mtilde_k ]   (euler)
 
-with c = 2 q**(1/4)/(1-q), the eigenvalue scale of the operator on the
-q-exponential.  With that scale both expansions reproduce polynomials
-exactly at K = ceil(deg/2), which is the property the test suite pins.
+with each basis entry a scaled family entry, one row of :data:`qpolys.BASES`
+each, e.g. A_k = 2 c**(-2k) suslov_B_{2k+1} with c = 2 q**(1/4)/(1-q), the
+eigenvalue scale of the operator on the q-exponential.  With that scale both
+expansions reproduce polynomials exactly at K = ceil(deg/2), which the tests pin.
 
 Every family has the generating function G(w) E(x; w) with a scalar
 series G (:func:`qpolys.family_multiplier`), so its entry n is
@@ -39,19 +39,29 @@ sum_j (u_j - r_j) psi_j rho_j.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, zip_longest
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .qcore import LimitError, QContext, correlate, over_common_den, psi_weights, q_pochhammers, safe_float
 from .symlaurent import SymPoly, change_basis, psi_rho_at_eta, psi_rho_sum
-from .qpolys import family_rho
+from .qpolys import basis_term, family_rho
 from . import qspecial
 
 Number = Union[Fraction, float]
 
 DEFAULT_GRID = tuple(Fraction(k, 10) for k in range(-10, 11))
+
+# scheme -> the first order of its data at 0, the zero that caps it and whose stream is its
+# counterexample, and the (basis, sign) that its data at 0 and at eta multiply in the expansion
+Scheme = namedtuple("Scheme", "first_order zero_kind stream at_zero at_eta")
+SCHEMES = {
+    "bernoulli": Scheme(0, "Sq_eta", "S", ("B", -1), ("A", 1)),
+    "euler": Scheme(1, "Cq_eta", "C", ("M", 1), ("Mtilde", 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -97,11 +107,26 @@ def _over_psi(ctx: QContext, coeffs: Sequence) -> List[Fraction]:
     return [c / psi for c, psi in zip(coeffs, psi_weights(ctx, len(coeffs)))]
 
 
+def _scaled_float(x: Fraction) -> Tuple[float, int]:
+    """(m, e) with x = m 2**e to float precision: (safe_float(x), 0) where that is finite, else
+    m = x 2**-e rounded once, e the bit-length gap of x's numerator and denominator."""
+    v = safe_float(x)
+    if math.isfinite(v):
+        return v, 0
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return safe_float(Fraction(x.numerator, x.denominator << e)), e
+
+
 def _growth_tau(quotients: Sequence[Fraction]) -> float:
     """tau = max of |f_n / psi_n|**(1/n) over a trailing window of width 10
-    (0 for a stream with no nonzero term past f_0), read off the quotients f_n / psi_n."""
-    stats = [cn ** (1.0 / n) for n, cn in enumerate(abs(safe_float(c)) for c in quotients) if n and cn > 0]
-    return max(stats[-10:], default=0.0)
+    (0 for a stream with no nonzero term past f_0), read off the quotients f_n / psi_n as
+    m 2**e (:func:`_scaled_float`); a tau past the float range raises LimitError."""
+    stats = [abs(m) ** (1.0 / n) * 2.0 ** (e / n) if e < 1024 * n else math.inf
+             for n, (m, e) in enumerate(map(_scaled_float, quotients)) if n and m]
+    tau = max(stats[-10:], default=0.0)
+    if tau == math.inf:
+        raise LimitError("the growth statistic tau leaves the float range")
+    return tau
 
 
 def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
@@ -117,14 +142,14 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
     ``bernoulli``: (D^{2k}f(0), D^{2k}f(eta)) for k = 0..K.
     ``euler``:     (D^{2k+1}f(0), D^{2k}f(eta)) for k = 0..K.
     """
-    if scheme not in ("bernoulli", "euler"):
+    if scheme not in SCHEMES:
         raise ValueError("scheme must be 'bernoulli' or 'euler'")
     if K < 0:
         raise ValueError("K must be >= 0")
     u = _over_psi(ctx, f.stream) if quotients is None else quotients
     n = len(u)
     c = ctx.aw_scale
-    first = 0 if scheme == "bernoulli" else 1
+    first = SCHEMES[scheme].first_order
     at_zero = tuple(c ** k * u[k] if k < n else Fraction(0) for k in range(first, 2 * K + 2, 2))
     # orders past the end of the stream are exactly 0
     nums, du = over_common_den(u)
@@ -157,19 +182,15 @@ def _expansion(ctx: QContext, f: EntireFn, quotients: List[Fraction], kind: str,
     """The ``kind`` expansion of f, whose quotients f_j / psi_j are given.  The
     reconstruction sum_j r_j psi_j rho_j is summed by :func:`symlaurent.psi_rho_sum`;
     the quotients give tau and, less r_j, the residual."""
+    scheme = SCHEMES[kind]
     data0, data_eta = aw_boundary_data(ctx, f, K, kind, quotients)
     c = ctx.aw_scale
-    terms = []
-    for k in range(K + 1):
-        if kind == "bernoulli":
-            weight = 2 * c ** (-2 * k)
-            terms += [("suslov_B", 2 * k + 1, weight * data_eta[k]), ("new_beta", 2 * k + 1, -weight * data0[k])]
-        else:
-            terms += [("new_E", 2 * k + 1, c ** (-2 * k - 1) * data0[k]),
-                      ("suslov_E", 2 * k, 2 * c ** (-2 * k) * data_eta[k])]
+    terms = [basis_term(basis, k, c, sign * data[k])
+             for (basis, sign), data in ((scheme.at_zero, data0), (scheme.at_eta, data_eta))
+             for k in range(K + 1)]
     r = family_rho(ctx, terms, 2 * K + 2)
     recon = psi_rho_sum(ctx, r)
-    cap = _zero_cap(ctx, "Sq_eta" if kind == "bernoulli" else "Cq_eta")
+    cap = _zero_cap(ctx, scheme.zero_kind)
     exact = f.polynomial
     if exact:
         tau = 0.0
@@ -198,13 +219,22 @@ def residual_on_grid(ctx: QContext, f: EntireFn, recon: SymPoly, grid: Sequence)
 
 
 def _grid_sup(ctx: QContext, quotients: Sequence, r: Sequence, grid: Sequence) -> float:
-    """max over the grid of |sum_j v_j psi_j rho_j(x)|, v_j = float(f_j/psi_j - r_j)
-    (the shorter list padded with zeros): f minus the reconstruction sum_j r_j psi_j rho_j.
-    The difference is exact, so a reproduced stream reports 0.0."""
-    v = [safe_float(c - rj) for c, rj in zip_longest(quotients, r, fillvalue=0)]
+    """max over the grid of |sum_j v_j psi_j rho_j(x)|, v_j = f_j/psi_j - r_j (the shorter
+    list padded with zeros): f minus the reconstruction sum_j r_j psi_j rho_j.  The difference
+    is exact, so a reproduced stream reports 0.0.  Each v_j is carried as m_j 2**e_j
+    (:func:`_scaled_float`), so a term in the float range is formed where v_j alone leaves it;
+    a term or a sum past it raises LimitError."""
+    v = [_scaled_float(c - rj) for c, rj in zip_longest(quotients, r, fillvalue=0)]
+    m, e = [mj for mj, _ in v], [ej for _, ej in v]
     steps = list(islice(qspecial.psi_rho_steps(ctx), max(len(v) - 2, 0)))
-    return max((abs(math.fsum(vj * uj for vj, uj in zip(v, qspecial.psi_rho_terms(ctx, float(x), steps))))
-                for x in grid), default=0.0)
+    try:  # fsum raises OverflowError on a sum past the float range, ValueError on terms inf and -inf
+        sup = max((abs(math.fsum(map(math.ldexp, map(mul, m, qspecial.psi_rho_terms(ctx, float(x), steps)), e)))
+                   for x in grid), default=0.0)
+    except (OverflowError, ValueError):
+        sup = math.inf
+    if sup == math.inf:
+        raise LimitError("the grid residual leaves the float range")
+    return sup
 
 
 # -- streams for the worked examples -------------------------------------------
@@ -263,14 +293,10 @@ def counterexample_report(ctx: QContext, kind: str, n_terms: int, K: int,
     The zero is refined by exact rational bisection well past double
     precision so that the data decay is not masked by the root error.
     """
-    if kind == "bernoulli":
-        w = qspecial.refine_zero_exact(ctx, "Sq_eta", steps=120)
-        f = trig_rho_stream(ctx, "S", w, n_terms)
-    elif kind == "euler":
-        w = qspecial.refine_zero_exact(ctx, "Cq_eta", steps=120)
-        f = trig_rho_stream(ctx, "C", w, n_terms)
-    else:
+    if kind not in SCHEMES:
         raise ValueError("kind must be 'bernoulli' or 'euler'")
+    w = qspecial.refine_zero_exact(ctx, SCHEMES[kind].zero_kind, steps=120)
+    f = trig_rho_stream(ctx, SCHEMES[kind].stream, w, n_terms)
     quotients = _over_psi(ctx, f.stream)
     report = _expansion(ctx, f, quotients, kind, K, grid)
     max_data = max(

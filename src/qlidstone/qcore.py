@@ -21,7 +21,7 @@ import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import update_wrapper
+from functools import cached_property, update_wrapper
 from itertools import islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
@@ -78,9 +78,9 @@ class QContext:
     def sqrt_q(self) -> Fraction:
         return self.s ** 2
 
-    @property
+    @cached_property
     def eta(self) -> Fraction:
-        """The second interpolation node, (q**(1/4) + q**(-1/4))/2."""
+        """The second interpolation node, (q**(1/4) + q**(-1/4))/2, kept once read."""
         return (self.s + 1 / self.s) / 2
 
     @property

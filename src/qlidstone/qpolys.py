@@ -33,20 +33,15 @@ from .fps import (
 from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_sum, q_translate, special_poly
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
-BASIS_KINDS = ("A", "B", "M", "Mtilde")
-
-
-@dataclass(frozen=True)
-class PolyFamilyTable:
-    kind: str
-    entries: Tuple[SymPoly, ...]
-    s: Fraction
-
-
-@dataclass(frozen=True)
-class NumberTable:
-    kind: str
-    values: Tuple[Fraction, ...]
+# basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
+# ladder scale 2 q**(1/4)/(1-q); A and B span the Bernoulli expansion, M and Mtilde the Euler one
+BASES = {
+    "A": ("suslov_B", 1, 2, 0),
+    "B": ("new_beta", 1, 2, 0),
+    "M": ("new_E", 1, 1, 1),
+    "Mtilde": ("suslov_E", 0, 2, 0),
+}
+BASIS_KINDS = tuple(BASES)
 
 
 # -- scalar building blocks ------------------------------------------------
@@ -72,21 +67,23 @@ def _qw2_series(s: Fraction, order: int) -> Series:
     return pochhammer_series(q, 2, q * q, order)  # (q w**2; q**2)_inf
 
 
+def _family_parts(s: Fraction, kind: str, order: int, factors) -> Tuple[Series, Series]:
+    """(N, D) with the generating function of family ``kind`` equal to N(w) E(x; w) / D(w), as in
+    the module docstring; ``factors`` are those of :func:`_factor_parts` at s and ``order``."""
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    _, minus, diff_over_w, summ = factors
+    num = _qw2_series(s, order) if kind.startswith("suslov") else minus * 2 if kind == "new_E" else minus
+    return num, diff_over_w if kind in ("suslov_B", "new_beta") else summ
+
+
 @table
 def family_multiplier(s: Fraction, kind: str, order: int) -> Series:
-    """The scalar series G with family generating function G(w) E(x; w), so
+    """The scalar series G = N/D with family generating function G(w) E(x; w), so
     family entry n is sum_j G_{n-j} psi_j rho_j on the rho basis."""
     # G is all that an expansion keeps of the factors, so they are not memoized here
-    _, minus, diff_over_w, summ = _factor_parts(s, order)
-    if kind == "suslov_B":
-        return _qw2_series(s, order) / diff_over_w
-    if kind == "new_beta":
-        return minus / diff_over_w
-    if kind == "suslov_E":
-        return _qw2_series(s, order) / summ
-    if kind == "new_E":
-        return (minus * 2) / summ
-    raise ValueError(f"unknown family kind {kind!r}")
+    num, den = _family_parts(s, kind, order, _factor_parts(s, order))
+    return num / den
 
 
 def eta_exponential_series(ctx: QContext, order: int) -> Series:
@@ -125,24 +122,15 @@ def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
 
 @table
 def _family_series(ctx: QContext, kind: str, order: int) -> Series:
-    plus, minus, diff_over_w, summ = _denominator_parts(ctx.s, order)
-    eqe = eq_exponential_series(ctx, order)
-    if kind == "suslov_B":
-        return (_qw2_series(ctx.s, order) * eqe) / diff_over_w
-    if kind == "new_beta":
-        return (minus * eqe) / diff_over_w
-    if kind == "suslov_E":
-        return (_qw2_series(ctx.s, order) * eqe) / summ
-    if kind == "new_E":
-        return (minus * eqe * 2) / summ
-    raise ValueError(f"unknown family kind {kind!r}")
+    # (N E) / D, not G E: eq17 then checks the family against the numbers G
+    num, den = _family_parts(ctx.s, kind, order, _denominator_parts(ctx.s, order))
+    return (num * eq_exponential_series(ctx, order)) / den
 
 
-def build_family(ctx: QContext, kind: str, n_max: int) -> PolyFamilyTable:
-    """Table of family polynomials for indices 0..n_max."""
+def build_family(ctx: QContext, kind: str, n_max: int) -> Tuple[SymPoly, ...]:
+    """Family polynomials for indices 0..n_max."""
     series = _family_series(ctx, kind, n_max + 1)
-    entries = tuple(_as_poly(c) for c in series.coeffs)
-    return PolyFamilyTable(kind=kind, entries=entries, s=ctx.s)
+    return tuple(_as_poly(c) for c in series.coeffs)
 
 
 def _as_poly(c) -> SymPoly:
@@ -157,7 +145,7 @@ def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
 # -- numbers -------------------------------------------------------------------
 
 
-def build_numbers(ctx: QContext, kind: str, n_max: int) -> NumberTable:
+def build_numbers(ctx: QContext, kind: str, n_max: int) -> Tuple[Fraction, ...]:
     """Number sequences attached to the families.
 
     ``beta_q`` comes from the new-Bernoulli family at x = 0 and is
@@ -168,17 +156,17 @@ def build_numbers(ctx: QContext, kind: str, n_max: int) -> NumberTable:
     """
     if kind == "beta_q":
         fam = build_family(ctx, "new_beta", n_max)
-        vals = tuple(eval_at(ctx, p, "zero") for p in fam.entries)
+        vals = tuple(eval_at(ctx, p, "zero") for p in fam)
         direct = family_multiplier(ctx.s, "new_beta", n_max + 1)
-        if tuple(direct.coeffs) != vals:
+        if direct.coeffs != vals:
             raise IntegrityError("beta numbers: family evaluation disagrees with the scalar series")
-        return NumberTable(kind=kind, values=vals)
+        return vals
     if kind == "suslov_Bq":
-        return NumberTable(kind, tuple(family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs))
+        return family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs
     if kind == "suslov_Eq":
-        return NumberTable(kind, tuple(c / 2 for c in family_multiplier(ctx.s, "new_E", n_max + 1).coeffs))
+        return tuple(c / 2 for c in family_multiplier(ctx.s, "new_E", n_max + 1).coeffs)
     if kind == "im_Bq":
-        return NumberTable(kind, im_bernoulli_numbers(ctx.q, n_max))
+        return im_bernoulli_numbers(ctx.q, n_max)
     raise ValueError(f"unknown number kind {kind!r}")
 
 
@@ -233,29 +221,25 @@ def _lidstone_quotients(ctx: QContext, kind: str, order: int) -> Series:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
-    """Interpolation-basis polynomials k = 0..k_max, scaled family entries
-    with c the ladder scale 2 q**(1/4)/(1-q):
+def basis_term(kind: str, k: int, c: Fraction, a=1) -> Tuple[str, int, Fraction]:
+    """(family, n, a w) with entry k of basis ``kind`` equal to w (family entry n), read off its
+    :data:`BASES` row; c is ``ctx.aw_scale``."""
+    family, shift, weight, e = BASES[kind]
+    return family, 2 * k + shift, a * (weight * c ** (-2 * k - e))
 
-    A_k = 2 c**(-2k) suslov_B_{2k+1}      B_k = 2 c**(-2k) new_beta_{2k+1}
-    M_k = c**(-2k-1) new_E_{2k+1}         Mtilde_k = 2 c**(-2k) suslov_E_{2k}
+
+def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
+    """Interpolation-basis polynomials k = 0..k_max, the scaled family entries of :data:`BASES`.
 
     Each is summed as sum_j r_j psi_j rho_j, r_j from :func:`family_rho`, by
     :func:`symlaurent.psi_rho_sum`, as the expansions are; the tests pin it
     against the family tables and against the defining quotient series.
     """
-    if kind not in BASIS_KINDS:
+    if kind not in BASES:
         raise ValueError(f"unknown basis kind {kind!r}")
     c = ctx.aw_scale
-    order = 2 * k_max + 2
-    if kind == "M":
-        terms = [("new_E", 2 * k + 1, c ** (-2 * k - 1)) for k in range(k_max + 1)]
-    elif kind == "Mtilde":
-        terms = [("suslov_E", 2 * k, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
-    else:
-        family = "suslov_B" if kind == "A" else "new_beta"
-        terms = [(family, 2 * k + 1, 2 * c ** (-2 * k)) for k in range(k_max + 1)]
-    return tuple(psi_rho_sum(ctx, family_rho(ctx, [term], order)) for term in terms)
+    return tuple(psi_rho_sum(ctx, family_rho(ctx, [basis_term(kind, k, c)], 2 * k_max + 2))
+                 for k in range(k_max + 1))
 
 
 def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, ...]:
@@ -269,7 +253,7 @@ def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, .
     pp = q_pochhammers(p, p, n_max + 1)
     qq = q_pochhammers(q, q, n_max)
     w = [s ** (n * n + n) / pp[n + 1] if n % 2 == 0 else 0 for n in range(n_max + 1)]
-    conv = _convolve(fam.entries, w)
+    conv = _convolve(fam, w)
     return tuple(h * (2 * s ** (-n * n) * qq[n]) for n, h in enumerate(conv))
 
 
@@ -333,8 +317,8 @@ def _check_connection_f1(ctx, n_max):
     beta = build_family(ctx, "new_beta", n_max)
     num, qq = q_pochhammers(-1 / ctx.sqrt_q, q, n_max), q_pochhammers(q, q, n_max)
     coefs = [num[k] / qq[k] * (-ctx.sqrt_q) ** k for k in range(n_max + 1)]
-    rhs = _convolve(big.entries, coefs)
-    return _report("connection_F1", n_max, zip(range(n_max + 1), beta.entries, rhs))
+    rhs = _convolve(big, coefs)
+    return _report("connection_F1", n_max, zip(range(n_max + 1), beta, rhs))
 
 
 def _check_connection_f2(ctx, n_max):
@@ -343,13 +327,13 @@ def _check_connection_f2(ctx, n_max):
     beta = build_family(ctx, "new_beta", n_max)
     num, qq = q_pochhammers(-ctx.sqrt_q, q, n_max), q_pochhammers(q, q, n_max)
     coefs = [num[k] / qq[k] for k in range(n_max + 1)]
-    rhs = _convolve(beta.entries, coefs)
-    return _report("connection_F2", n_max, zip(range(n_max + 1), big.entries, rhs))
+    rhs = _convolve(beta, coefs)
+    return _report("connection_F2", n_max, zip(range(n_max + 1), big, rhs))
 
 
 def _check_reflection_b(ctx, n_max):
     big = build_family(ctx, "suslov_B", n_max)
-    return _report("reflection_B", n_max, [(n, p.reflect(), p * Fraction(-1) ** n) for n, p in enumerate(big.entries)])
+    return _report("reflection_B", n_max, [(n, p.reflect(), p * Fraction(-1) ** n) for n, p in enumerate(big)])
 
 
 def _check_reflection_beta(ctx, n_max):
@@ -357,8 +341,8 @@ def _check_reflection_beta(ctx, n_max):
     beta = build_family(ctx, "new_beta", n_max)
     num, pp = q_pochhammers(-1, p, n_max), q_pochhammers(p, p, n_max)
     coefs = [num[k] / pp[k] for k in range(n_max + 1)]
-    conv = _convolve(beta.entries, coefs)
-    pairs = [(n, beta.entries[n].reflect(), conv[n] * Fraction(-1) ** n) for n in range(n_max + 1)]
+    conv = _convolve(beta, coefs)
+    pairs = [(n, beta[n].reflect(), conv[n] * Fraction(-1) ** n) for n in range(n_max + 1)]
     return _report("reflection_beta", n_max, pairs)
 
 
@@ -367,7 +351,7 @@ def _check_eq16(ctx, n_max):
     s = ctx.s
     p = s * s
     big = build_family(ctx, "suslov_B", n_max)
-    betaq = build_numbers(ctx, "beta_q", n_max).values
+    betaq = build_numbers(ctx, "beta_q", n_max)
     phi = [SymPoly.const(1)]
     for k in range(n_max):
         c = s * p ** k
@@ -378,14 +362,14 @@ def _check_eq16(ctx, n_max):
         "stated with an extra (-1)**(n-k); the signless form is the one "
         "consistent with the value beta_n at the reflected node (detected erratum)"
     )
-    return _report("eq16", n_max, zip(range(n_max + 1), big.entries, rhs), note=note)
+    return _report("eq16", n_max, zip(range(n_max + 1), big, rhs), note=note)
 
 
 def _check_eq17(ctx, n_max):
     beta = build_family(ctx, "new_beta", n_max)
-    betaq = build_numbers(ctx, "beta_q", n_max).values
+    betaq = build_numbers(ctx, "beta_q", n_max)
     rhs = _convolve(eq_exponential_series(ctx, n_max + 1).coeffs, betaq)
-    return _report("eq17", n_max, zip(range(n_max + 1), beta.entries, rhs))
+    return _report("eq17", n_max, zip(range(n_max + 1), beta, rhs))
 
 
 def _check_eq18(ctx, n_max):
@@ -398,8 +382,8 @@ def _check_q_square(ctx, n_max):
     # Bernoulli numbers at base q equal B_n(r) 2**(n-1) (1-r) / (r; r)_n
     # where B_n(r) are the e/E-generated numbers at base r.
     r = ctx.sqrt_q
-    suslov = build_numbers(ctx, "suslov_Bq", n_max).values
-    beta = build_numbers(ctx, "beta_q", n_max).values
+    suslov = build_numbers(ctx, "suslov_Bq", n_max)
+    beta = build_numbers(ctx, "beta_q", n_max)
     imb = im_bernoulli_numbers(r, n_max)
     rr = q_pochhammers(r, r, n_max)
     pairs = []
@@ -413,14 +397,14 @@ def _check_q_square(ctx, n_max):
 def _check_translation_b(ctx, n_max):
     big = build_family(ctx, "suslov_B", n_max)
     beta = build_family(ctx, "new_beta", n_max)
-    pairs = [(n, q_translate(ctx, p, "minus_eta"), b) for n, (p, b) in enumerate(zip(big.entries, beta.entries))]
+    pairs = [(n, q_translate(ctx, p, "minus_eta"), b) for n, (p, b) in enumerate(zip(big, beta))]
     return _report("translation_B", n_max, pairs)
 
 
 def _check_translation_e(ctx, n_max):
     se = build_family(ctx, "suslov_E", n_max)
     ne = build_family(ctx, "new_E", n_max)
-    pairs = [(n, q_translate(ctx, p, "minus_eta"), e / 2) for n, (p, e) in enumerate(zip(se.entries, ne.entries))]
+    pairs = [(n, q_translate(ctx, p, "minus_eta"), e / 2) for n, (p, e) in enumerate(zip(se, ne))]
     return _report("translation_E", n_max, pairs)
 
 
@@ -428,19 +412,19 @@ def _check_numbers_agree(ctx, n_max):
     # Suslov-at-minus-eta equals new-at-zero equals the scalar series;
     # likewise for the Euler companions.
     big = build_family(ctx, "suslov_B", n_max)
-    beta_vals = build_numbers(ctx, "beta_q", n_max).values
-    suslov_vals = build_numbers(ctx, "suslov_Bq", n_max).values
+    beta_vals = build_numbers(ctx, "beta_q", n_max)
+    suslov_vals = build_numbers(ctx, "suslov_Bq", n_max)
     se = build_family(ctx, "suslov_E", n_max)
     ne = build_family(ctx, "new_E", n_max)
-    evals = build_numbers(ctx, "suslov_Eq", n_max).values
+    evals = build_numbers(ctx, "suslov_Eq", n_max)
     pairs = []
     for n in range(n_max + 1):
-        at_meta = eval_at(ctx, big.entries[n], "minus_eta")
+        at_meta = eval_at(ctx, big[n], "minus_eta")
         pairs.append((n, at_meta, beta_vals[n]))
         pairs.append((n, at_meta, suslov_vals[n]))
-        e_meta = eval_at(ctx, se.entries[n], "minus_eta")
+        e_meta = eval_at(ctx, se[n], "minus_eta")
         pairs.append((n, e_meta, evals[n]))
-        pairs.append((n, e_meta, eval_at(ctx, ne.entries[n], "zero") / 2))
+        pairs.append((n, e_meta, eval_at(ctx, ne[n], "zero") / 2))
     return _report("numbers_agree_Eq10", n_max, pairs)
 
 
@@ -448,7 +432,7 @@ def _check_ladders(ctx, n_max):
     c = ctx.aw_scale
     pairs = []
     for kind in FAMILY_KINDS:
-        entries = build_family(ctx, kind, n_max).entries
+        entries = build_family(ctx, kind, n_max)
         pairs += [(n, aw_derivative(ctx, entries[n]), entries[n - 1] * c) for n in range(1, n_max + 1)]
     return _report("ladders", n_max, pairs)
 

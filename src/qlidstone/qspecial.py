@@ -140,7 +140,7 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
             t = (-1.0) ** k * term(k, qq)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ZeroSearchError(
-                f"{kind} series at q = {q:.6g}, w = {w:.6g} leaves the float range at term {k}") from exc
+                f"{kind} series at q = {q!r}, w = {w:.6g} leaves the float range at term {k}") from exc
         total += t
         if k > 1 and abs(t) < 1e-17 * max(1e-300, abs(total)):
             return total
@@ -235,7 +235,7 @@ def smallest_positive_zero(kind: str, q: float) -> ZeroReport:
         else:
             raise ValueError(f"unknown kind {kind!r}")
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ZeroSearchError(f"{kind} scan bounds at q = {q:.6g} leave the float range") from exc
+        raise ZeroSearchError(f"{kind} scan bounds at q = {q!r} leave the float range") from exc
     a, b, mid = _scan_and_bisect(f, lo, cap, 1.05)
     a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01)
     if mid2 < mid * (1 - 1e-6):  # the coarse scan straddled more than one zero

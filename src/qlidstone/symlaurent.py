@@ -354,43 +354,30 @@ def _psi_rho_chain(s: Fraction, parity: int) -> Iterator[SymPoly]:
 # -- evaluation ----------------------------------------------------------------
 
 
-def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
-    """Exact value of p at a special point.
+def _point(ctx: QContext, pt: PointLike) -> Fraction:
+    """The rational x-value of a point: "zero", "eta" and "minus_eta" name 0, eta and -eta."""
+    if isinstance(pt, str):
+        if pt not in ("zero", "eta", "minus_eta"):
+            raise ValueError(f"unknown special point {pt!r}")
+        return Fraction(0) if pt == "zero" else ctx.eta if pt == "eta" else -ctx.eta
+    return Fraction(pt)
 
-    ``pt`` is one of "zero", "eta", "minus_eta", or a rational x-value.
+
+def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
+    """Exact value of p at a rational x-value, or at a point named as in :func:`_point`.
     The sum runs on the integer numerators and is reduced once.
     """
-    nums, d = p.nums, p.degree
-    if isinstance(pt, str):
-        if pt == "zero":
-            return Fraction(_at_zero(nums), p.den)
-        if pt not in ("eta", "minus_eta"):
-            raise ValueError(f"unknown special point {pt!r}")
-        # z = +-s: z**k + z**-k = (u**k + v**k) / step**k with u = sn**2, v = sd**2, step = +-sn sd
-        sn, sd = ctx.s.numerator, ctx.s.denominator
-        u, v, step = sn * sn, sd * sd, (-sn if pt == "minus_eta" else sn) * sd
-        terms = [nums[0]]
-        uk = vk = 1
-        for k in range(1, d + 1):
-            uk *= u
-            vk *= v
-            terms.append(nums[k] * (uk + vk))
-    else:
-        # z + 1/z = 2a/b: z**k + z**-k = T_k / b**k with T_0 = 2, T_1 = 2a,
-        # T_k = 2a T_{k-1} - b**2 T_{k-2}
-        x = Fraction(pt)
-        a, step = x.numerator, x.denominator
-        terms = [nums[0]]
-        prev, cur = 2, 2 * a
-        for k in range(1, d + 1):
-            if k > 1:
-                prev, cur = cur, 2 * a * cur - step * step * prev
-            terms.append(nums[k] * cur)
-    # sum_k terms[k] / step**k, over step**d by Horner
-    total = 0
-    for c in terms:
-        total = total * step + c
-    return Fraction(total, p.den * step ** d)
+    x = _point(ctx, pt)
+    if x == 0:  # the commonest point, z = i: a sum of slices, with no recurrence
+        return Fraction(_at_zero(p.nums), p.den)
+    b, two_a = x.denominator, 2 * x.numerator
+    # z + 1/z = 2a/b: z**k + z**-k = T_k / b**k with T_0 = 2, T_1 = 2a, T_k = 2a T_{k-1} - b**2 T_{k-2};
+    # sum_k nums[k] T_k / b**k is summed over b**d by Horner
+    total, cur, nxt, bb = p.nums[0], 2, two_a, b * b
+    for c in p.nums[1:]:
+        cur, nxt = nxt, two_a * nxt - bb * cur
+        total = total * b + c * cur
+    return Fraction(total, p.den * b ** p.degree)
 
 
 def _at_zero(nums: Sequence[int]) -> int:
@@ -401,15 +388,8 @@ def _at_zero(nums: Sequence[int]) -> int:
 
 def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
     """[rho_0(y), ..., rho_{n-1}(y)] by the recurrence of :func:`_rho_stream`; ``y`` as in
-    :func:`eval_at`.  rho_j(-eta) = (-1)**j rho_j(eta) and rho_j(0) = 0 for j > 0."""
-    if isinstance(y, str):
-        if y == "zero":
-            return [Fraction(1)] + [Fraction(0)] * (n - 1) if n else []
-        if y not in ("eta", "minus_eta"):
-            raise ValueError(f"unknown special point {y!r}")
-        values = list(islice(_rho_stream(ctx.s, ctx.s + 1 / ctx.s), n))
-        return values if y == "eta" else [-v if j % 2 else v for j, v in enumerate(values)]
-    return list(islice(_rho_stream(ctx.s, 2 * Fraction(y)), n))
+    :func:`eval_at`."""
+    return list(islice(_rho_stream(ctx.s, 2 * _point(ctx, y)), n))
 
 
 @table
@@ -505,11 +485,12 @@ def change_basis(ctx: QContext, p: SymPoly) -> Tuple[Fraction, ...]:
 
 def translate_weights(ctx: QContext, y: PointLike, n: int) -> list:
     """[w_0, ..., w_{n-1}], w_k = psi_k rho_k(y) / c**k with c = ``ctx.aw_scale``; ``y`` as in
-    :func:`eval_at`.  At eta they are sliced from one table per s, at -eta read off it."""
-    if y in ("eta", "minus_eta"):
+    :func:`eval_at`.  Only those at +-eta are kept, in one table per s (the store bounds parameters, not keys)."""
+    x = _point(ctx, y)
+    if abs(x) == ctx.eta:
         weights = _eta_weights(ctx.s, n)
-        return weights if y == "eta" else [-w if k % 2 else w for k, w in enumerate(weights)]
-    return list(_weight_stream(ctx.s, rho_values(ctx, y, n)))
+        return weights if x > 0 else [-w if k % 2 else w for k, w in enumerate(weights)]
+    return list(_weight_stream(ctx.s, rho_values(ctx, x, n)))
 
 
 @table
@@ -531,6 +512,4 @@ def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     so the q-Taylor series sum_k psi_k rho_k(y) c**-k D**k (Ismail and Stanton, J. Approx.
     Theory 123, 2003) multiplies E(x; w) by E(y; w): it is E_q^y, and stops at k = deg p.
     """
-    if y == "zero":
-        return p
     return lincomb(zip(_aw_chain(ctx, p), translate_weights(ctx, y, p.degree + 1)))

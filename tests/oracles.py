@@ -347,15 +347,15 @@ def expansion_reconstruction_families(ctx, kind, K, data0, data_eta):
         beta = build_family(ctx, "new_beta", 2 * K + 1)
         for k in range(K + 1):
             weight = 2 * c ** (-2 * k)
-            term = big.entries[2 * k + 1] * (weight * data_eta[k]) - beta.entries[2 * k + 1] * (weight * data0[k])
+            term = big[2 * k + 1] * (weight * data_eta[k]) - beta[2 * k + 1] * (weight * data0[k])
             recon = recon + term
         return recon
     if kind == "euler":
         tilde = build_family(ctx, "new_E", 2 * K + 1)
         se = build_family(ctx, "suslov_E", 2 * K)
         for k in range(K + 1):
-            recon = recon + tilde.entries[2 * k + 1] * (c ** (-2 * k - 1) * data0[k])
-            recon = recon + se.entries[2 * k] * (2 * c ** (-2 * k) * data_eta[k])
+            recon = recon + tilde[2 * k + 1] * (c ** (-2 * k - 1) * data0[k])
+            recon = recon + se[2 * k] * (2 * c ** (-2 * k) * data_eta[k])
         return recon
     raise ValueError(f"unknown kind {kind!r}")
 

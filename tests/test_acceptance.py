@@ -51,7 +51,7 @@ def test_criterion_2_number_facts():
     for s in (Fraction(1, 2), Fraction(3, 5)):
         ctx = QContext(s)
         rq = ctx.sqrt_q
-        beta = build_numbers(ctx, "beta_q", 12).values
+        beta = build_numbers(ctx, "beta_q", 12)
         assert beta[0] == (1 - rq) / 2
         assert beta[1] == Fraction(-1, 2)
         assert beta[2] == rq / (2 * (1 - rq ** 3))

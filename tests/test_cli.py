@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qlidstone import cli
+from qlidstone import cli, qspecial
 from qlidstone.qcore import QContext
 from qlidstone.qpolys import IdentityReport, build_family, build_numbers
 
@@ -325,7 +325,7 @@ def test_numbers_past_the_int_digit_limit(capsys):
     code, out = run(capsys, "numbers", "--kind", "suslov-b", "--s", "9999/10000", "--order", "40")
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
-    values = build_numbers(QContext(Fraction(9999, 10000)), "suslov_Bq", 40).values
+    values = build_numbers(QContext(Fraction(9999, 10000)), "suslov_Bq", 40)
     with _no_int_digit_limit():
         rows = [row for row in json.loads(out)["rows"] if len(str(abs(row[1]))) > 4300]
         assert rows
@@ -336,7 +336,7 @@ def test_numbers_past_the_int_digit_limit(capsys):
 def test_polys_past_the_int_digit_limit(capsys):
     code, out = run(capsys, "polys", "--family", "suslov-b", "--s", "9999/10000", "--order", "28")
     assert code == 0
-    entries = build_family(QContext(Fraction(9999, 10000)), "suslov_B", 28).entries
+    entries = build_family(QContext(Fraction(9999, 10000)), "suslov_B", 28)
     with _no_int_digit_limit():
         pairs = [
             (text, c)
@@ -390,3 +390,50 @@ def test_zero_search_failure_is_not_memoized(capsys):
         code, out, err = _outcome(capsys, ["zeros", "--kind", "sq-eta", "--qfloat", "0.99999"])
         assert (code, out) == (2, "")
         assert "tail bound did not converge" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the always-full device /dev/full")
+@pytest.mark.parametrize("argv", ["numbers --kind beta --s 1/2 --order 2",
+                                  "polys --family suslov-b --s 9999/10000 --order 30"])
+def test_failed_stdout_write_exit_2(argv):
+    # a short text fails at the flush, a long one in the write; either is one error line, with no
+    # traceback and no complaint from the interpreter's own final flush
+    src = Path(cli.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "qlidstone.cli", *argv.split()], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (2, "error: cannot write to stdout: No space left on device\n")
+
+
+def test_guichard_growth_with_q_rounding_to_one_exit_2(capsys, monkeypatch):
+    # q = 1/p is below 1 but rounds to 1.0, where no zero search can run; the check comes before one
+    monkeypatch.setattr(qspecial, "smallest_positive_zero", lambda *args: pytest.fail("a zero search ran"))
+    p = "100000000000000001/100000000000000000"
+    assert _outcome(capsys, ["guichard", "--preset", "ones", "--p", p, "--growth-order", "6"]) == (
+        2, "", f"error: --growth-order needs q = 1/p < 1 as a float, but at --p {p} q = 1/p rounds to 1.0\n")
+
+
+def test_zero_search_message_shows_a_q_near_one_in_full(capsys):
+    code, out, err = _outcome(capsys, ["zeros", "--kind", "sq-eta", "--qfloat", "0.999999999999"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Sq_eta series at q = 0.999999999999, w = ")
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "euler"])
+def test_expand_stream_past_the_float_range_is_strict_json(capsys, tmp_path, kind):
+    # at s = 1/17, f_16 / psi_16 exceeds the float range while psi_16 rho_16(x) is tiny; tau and the
+    # residual used to print Infinity, and one more zero made the residual's fsum fail on -inf + inf
+    def reject(name):
+        raise AssertionError(f"{name} is not strict JSON")
+
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(["0"] * 16 + ["1"]))
+    code, out = run(capsys, "expand", "--kind", kind, "--fn", f"stream:@{path}", "--K", "0", "--s", "1/17")
+    doc = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert doc["tau_estimate"] == pytest.approx(4.866115546113668e19, rel=1e-12)
+    assert 1e277 < doc["residual"] < 1e279
+    path.write_text(json.dumps(["0"] * 17 + ["1"]))
+    assert _outcome(capsys, ["expand", "--kind", kind, "--fn", f"stream:@{path}", "--K", "0", "--s", "1/17"]) == (
+        2, "", "error: the grid residual leaves the float range\n")

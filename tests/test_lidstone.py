@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, entire_fn_poly, exact_grid_residual,
                      expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer)
-from qlidstone.qcore import QContext, psi_weights, safe_float
+from qlidstone.qcore import LimitError, QContext, psi_weights, safe_float
 from qlidstone.qspecial import psi_rho_values
 from qlidstone.lidstone import (
     DEFAULT_GRID,
@@ -251,6 +252,31 @@ def test_reproduced_stream_reports_zero_residual(ctx_half):
     rep = euler_expansion(ctx_half, EntireFn.from_stream([Fraction(c) for c in coeffs]), 10)
     assert not rep.exact
     assert isinstance(rep.residual, float) and rep.residual.hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("engine", [bernoulli_expansion, euler_expansion])
+def test_quotient_past_the_float_range_keeps_tau_and_residual_finite(engine):
+    # at s = 1/17, f_16 / psi_16 = 1 / psi_16 exceeds the float range while psi_16 rho_16(x) is tiny;
+    # tau and the residual were Infinity, and are now formed from the quotient as m 2**e
+    ctx = QContext(Fraction(1, 17))
+    f = EntireFn.from_stream([0] * 16 + [1])
+    rep = engine(ctx, f, 0)
+    u = f.stream[16] / psi_weights(ctx, 17)[16]
+    tau = math.exp((math.log(u.numerator) - math.log(u.denominator)) / 16)
+    assert rep.tau_estimate == pytest.approx(tau, rel=1e-12)
+    exact = exact_grid_residual(ctx, f.stream, rep.reconstruction, DEFAULT_GRID)
+    assert rep.residual == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("stream, message", [
+    ([0] * 17 + [1], "the grid residual leaves the float range"),  # |f(1)| is about 2e315
+    ([0, 10 ** 400], "the growth statistic tau leaves the float range"),
+])
+def test_values_past_the_float_range_raise(stream, message):
+    # s = 1/17, f_17 = 1, K = 0 is the case a random stream drew, then an fsum error on -inf + inf
+    for engine in (bernoulli_expansion, euler_expansion):
+        with pytest.raises(LimitError, match=message):
+            engine(QContext(Fraction(1, 17)), EntireFn.from_stream(stream), 0)
 
 
 @settings(max_examples=25, deadline=None)

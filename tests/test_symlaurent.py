@@ -197,7 +197,7 @@ def test_change_basis_matches_back_substitution(s, coeffs):
 
 def test_change_basis_of_suslov_E_matches_back_substitution():
     ctx = QContext(Fraction(5, 17))
-    for n, entry in enumerate(build_family(ctx, "suslov_E", 16).entries):
+    for n, entry in enumerate(build_family(ctx, "suslov_E", 16)):
         assert change_basis(ctx, entry) == fraction_change_basis(ctx, FractionSymPoly(entry.coeffs), "rho"), n
 
 
@@ -242,7 +242,7 @@ def test_translate_matches_hermite_oracle(coeffs, s, y):
 def test_translate_matches_rho_oracle_on_suslov_families(s):
     ctx = QContext(s)
     for family in ("suslov_B", "suslov_E"):
-        for n, p in enumerate(build_family(ctx, family, 16).entries):
+        for n, p in enumerate(build_family(ctx, family, 16)):
             for y in ("eta", "minus_eta", Fraction(-4, 3)):
                 assert q_translate(ctx, p, y) == q_translate_rho(ctx, p, y), (family, n, y)
 

@@ -36,7 +36,7 @@ TABLES = {
     "denominator_parts": lambda n: _denominator_parts(CTX.s, n),
     "qw2_series": lambda n: _qw2_series(CTX.s, n),
     "im_bernoulli_quotients": lambda n: im_bernoulli_quotients(CTX.q, n),
-    "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n).values,
+    "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n),
     **{f"family_multiplier_{k}": (lambda k: lambda n: family_multiplier(CTX.s, k, n))(k) for k in FAMILY_KINDS},
     **{f"family_series_{k}": (lambda k: lambda n: _family_series(CTX, k, n))(k) for k in FAMILY_KINDS},
     **{f"lidstone_quotients_{k}": (lambda k: lambda n: _lidstone_quotients(CTX, k, n))(k) for k in BASIS_KINDS},
