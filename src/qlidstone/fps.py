@@ -1,9 +1,10 @@
 """Truncated formal power series with exact coefficients.
 
 Coefficients are Fractions or SymPolys (mixed operands promote via the
-SymPoly arithmetic).  Binary operations truncate to the shorter order, and
-division requires an invertible constant term; generating functions with a
-removable zero at the origin must be pre-cancelled by the caller.
+SymPoly arithmetic).  Binary operations truncate to the shorter order.  Every
+polynomial series is E(x; w) times or over a scalar series, so a divisor is a
+scalar series, one of Fractions, with a nonzero constant term; generating
+functions with a removable zero at the origin must be pre-cancelled by the caller.
 
 The module also provides the expansions used as building blocks everywhere:
 infinite-product factors (c * w**j; base)_inf via Euler's q-exponential sum
@@ -89,13 +90,7 @@ class Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return self * (Fraction(1) / _coerce(other))
         b0 = other.coeffs[0]
-        if isinstance(b0, SymPoly):
-            if not b0.is_constant():
-                raise ZeroDivisionError("divisor constant term is a non-constant polynomial")
-            b0 = b0.constant_value()
         if b0 == 0:
             raise ZeroDivisionError("divisor has zero constant term; cancel the shared w power first")
         n = min(self.order, other.order)

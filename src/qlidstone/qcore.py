@@ -232,6 +232,18 @@ def _psi_stream(s: Fraction) -> Iterator[Fraction]:
 _psi_table = table(_psi_stream)
 
 
+def _psi_rho_steps(s: Fraction) -> Iterator[Tuple[int, int, int]]:
+    """Integers (A_j, B_j, E_j), j >= 2, with psi_j rho_j(x) = psi_{j-2} rho_{j-2}(x) (A_j + B_j x**2) / E_j:
+    with q = Q/D and e_k = D**k - Q**k, A_j = Q D**2 e_{j-2}**2, B_j = 4 Q**(j-1) D**j and E_j = e_j e_{j-1}.
+    The one step that the polynomial, exact and float psi_j rho_j all read."""
+    Q, D = s.numerator ** 4, s.denominator ** 4
+    qk, dk, e0, e1 = Q, D, 0, D - Q  # Q**(j-1), D**(j-1), e_{j-2}, e_{j-1}
+    while True:
+        ej = dk * D - qk * Q
+        yield Q * D * D * e0 ** 2, 4 * qk * dk * D, ej * e1
+        qk, dk, e0, e1 = qk * Q, dk * D, e1, ej
+
+
 def over_common_den(values: Iterable) -> Tuple[List[int], int]:
     """Integers n_i and the least positive L with values[i] == n_i / L, for
     ints and Fractions."""
@@ -295,7 +307,8 @@ def q_pochhammer_inf(a: float, base: float, tol: float = 1e-12) -> Tuple[float, 
     while not tail_ok(n):
         n += 1
         if n > _MAX_FACTORS:
-            raise LimitError("tail bound did not converge")
+            raise LimitError(f"tail bound did not converge: (a; base)_inf at a = {a!r}, base = {base!r} "
+                             f"needs more than {_MAX_FACTORS} factors")
     while n > 1 and tail_ok(n - 1):
         n -= 1
     value = 1.0

@@ -1,5 +1,6 @@
-"""Floating-point rho-basis terms of the q-exponential, the basic sine/cosine
-series at the node eta, the second Jackson q-Bessel series, and the zero finders.
+"""Floating-point rho-basis terms of the q-exponential, each step one int/int division of
+the integers of ``qcore._psi_rho_steps``, the basic sine/cosine series at the node eta,
+the second Jackson q-Bessel series, and the zero finders.
 
 Every zero is found by one geometric sign-change scan and bisection
 (:func:`_sign_changes`), seeded and capped by the first-order large-index zero
@@ -30,7 +31,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .qcore import LimitError, QContext, q_pochhammer_inf, table
+from .qcore import LimitError, QContext, _psi_rho_steps, q_pochhammer_inf, table
 
 REL_WIDTH = 1e-13  # relative bracket width at which the float bisection stops
 BESSEL_TOL = 1e-15  # relative size of the last term kept by the q-Bessel series
@@ -60,24 +61,17 @@ def psi_rho_values(ctx: QContext, x: float, n: int) -> List[float]:
 
     The rho recurrence with psi folded in: u_0 = 1, u_1 = 2x s/(1-q) and
     u_j = u_{j-2} (a_j + b_j x**2) with a_j = q (1-q**(j-2))**2 / ((1-q**j)(1-q**(j-1)))
-    and b_j = 4 q**(j-1) / ((1-q**j)(1-q**(j-1))), both rounded once from
-    exact integer quotients.  Every factor is nonnegative, so nothing cancels,
-    and u_j stays in the float range where rho_j(x) alone overflows.
+    and b_j = 4 q**(j-1) / ((1-q**j)(1-q**(j-1))), the steps of :func:`psi_rho_steps`.
+    Every factor is nonnegative, so nothing cancels, and u_j stays in the float
+    range where rho_j(x) alone overflows.
     """
     return list(islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), n))
 
 
 def psi_rho_steps(ctx: QContext) -> Iterator[Tuple[float, float]]:
-    """(a_j, b_j) of :func:`psi_rho_values` for j = 2, 3, ..., computed as they are read;
-    they depend on s alone, so one list of them serves every x."""
-    # with q = Q/D and e_k = D**k - Q**k: a_j = Q D**2 e_{j-2}**2 / (e_j e_{j-1}), b_j = 4 Q**(j-1) D**j / (e_j e_{j-1})
-    Q, D = ctx.s.numerator ** 4, ctx.s.denominator ** 4
-    qk, dk, e0, e1 = Q, D, 0, D - Q  # Q**(j-1), D**(j-1), e_{j-2}, e_{j-1}
-    while True:
-        ej = dk * D - qk * Q
-        den = ej * e1
-        yield Q * D * D * e0 ** 2 / den, 4 * qk * dk * D / den
-        qk, dk, e0, e1 = qk * Q, dk * D, e1, ej
+    """(a_j, b_j) = (A_j/E_j, B_j/E_j) of :func:`psi_rho_values` for j = 2, 3, ..., read off the
+    integers of :func:`qcore._psi_rho_steps`; they depend on s alone, so one list serves every x."""
+    return ((A / E, B / E) for A, B, E in _psi_rho_steps(ctx.s))
 
 
 def psi_rho_terms(ctx: QContext, x: float, steps: Iterable[Tuple[float, float]]) -> Iterator[float]:

@@ -10,6 +10,9 @@ The divided-difference operator is implemented in the standard symmetric
 form (f(q**(1/2) z) - f(q**(-1/2) z)) / (e(q**(1/2) z) - e(q**(-1/2) z));
 on the basis element z**m + z**-m it multiplies by 2*q**((1-m)/2)*[m]_q and
 spreads onto z**(m-1-2j), j = 0..m-1.
+
+The coefficients psi_j rho_j of the q-exponential, as polynomials and as exact values at a
+rational point, step by the integers of ``qcore._psi_rho_steps``, as the float terms do.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 from math import comb, gcd, lcm
-from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, _psi_stream, over_common_den, psi_weights, q_pochhammers, table
+from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, psi_weights, q_pochhammers, table
 
 PointLike = Union[str, Fraction, int]
 
@@ -109,14 +111,6 @@ class SymPoly:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def is_constant(self) -> bool:
-        return len(self.nums) == 1
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -335,20 +329,13 @@ def psi_rho_poly(ctx: QContext, j: int) -> SymPoly:
 
 @table
 def _psi_rho_chain(s: Fraction, parity: int) -> Iterator[SymPoly]:
-    """P_j = psi_j rho_j for j = parity, parity + 2, ...: P_0 = 1, P_1 = s/(1-q) (z + 1/z), and
-    the recurrence of :func:`special_poly` with psi folded in gives P_j = P_{j-2} times the
-    multiplier (psi_j/psi_{j-2}) (q**(j-2) + q**(2-j) + z**2 + z**-2): with s = sn/sd, a = sn**4,
-    b = sd**4 and m = j - 2 it is the integer polynomial
-    sn**4 sd**8 (a**(2m) + b**(2m) + (a b)**m (z**2 + z**-2)) over (b**(m+1) - a**(m+1)) (b**(m+2) - a**(m+2))."""
-    sn, sd = s.numerator, s.denominator
-    a, b = sn ** 4, sd ** 4
-    lead = a * sd ** 8
+    """P_j = psi_j rho_j for j = parity, parity + 2, ...: P_0 = 1, P_1 = s/(1-q) (z + 1/z) and
+    P_j = P_{j-2} (A_j + B_j x**2) / E_j by the steps of :func:`qcore._psi_rho_steps`, with
+    x**2 = (z**2 + 2 + z**-2)/4 making the multiplier (4A_j + 2B_j + B_j (z**2 + z**-2)) / (4E_j)."""
     p = SymPoly([0, s / (1 - s ** 4)]) if parity else SymPoly._of((1,), 1)
-    for m in count(parity, 2):
+    for A, B, E in islice(_psi_rho_steps(s), parity, None, 2):
         yield p
-        am, bm = a ** m, b ** m
-        p = p * SymPoly._canonical([lead * (am * am + bm * bm), 0, lead * am * bm],
-                                   (bm * b - am * a) * (bm * b * b - am * a * a))
+        p = p * SymPoly._canonical([4 * A + 2 * B, 0, B], 4 * E)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -387,9 +374,9 @@ def _at_zero(nums: Sequence[int]) -> int:
 
 
 def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
-    """[rho_0(y), ..., rho_{n-1}(y)] by the recurrence of :func:`_rho_stream`; ``y`` as in
-    :func:`eval_at`."""
-    return list(islice(_rho_stream(ctx.s, 2 * _point(ctx, y)), n))
+    """[rho_0(y), ..., rho_{n-1}(y)], the values of :func:`_psi_rho_stream` over psi_j; ``y`` as
+    in :func:`eval_at`."""
+    return [v / psi for v, psi in zip(_psi_rho_stream(ctx.s, _point(ctx, y)), psi_weights(ctx, n))]
 
 
 @table
@@ -397,27 +384,18 @@ def psi_rho_at_eta(ctx: QContext, n: int) -> Tuple[List[int], int]:
     """Integers e_j and one denominator D with psi_j rho_j(eta) = e_j / D for j < n.  They
     are sliced from one table per s, kept over the least common denominator of the
     longest prefix asked for so far; a longer prefix rebuilds it."""
-    return over_common_den(map(mul, psi_weights(ctx, n), rho_values(ctx, "eta", n)))
+    return over_common_den(islice(_psi_rho_stream(ctx.s, ctx.eta), n))
 
 
-def _rho_stream(s: Fraction, two_y: Fraction) -> Iterator[Fraction]:
-    """rho_0(y), rho_1(y), ... by rho_j(y) = rho_{j-2}(y) (q**(j-2) + q**(2-j) + 4y**2 - 2),
-    the recurrence of :func:`special_poly` at z + 1/z = 2y, on integer numerators: with
-    s = sn/sd, t = sn sd and 2y = a/b, the factor at j = m + 2 is
-    (b**2 (sn**(8m) + sd**(8m)) + (a**2 - 2b**2) t**(4m)) / (b**2 t**(4m)).
-    Each value is reduced once."""
-    a, b = two_y.numerator, two_y.denominator
-    sn, sd = s.numerator, s.denominator
-    bb, shift = b * b, a * a - 2 * b * b
-    sn8, sd8, t4 = sn ** 8, sd ** 8, (sn * sd) ** 4
-    yield Fraction(1)
-    yield two_y
-    (n0, d0), (n1, d1) = (1, 1), (a, b)  # rho_{j-2} and rho_{j-1} as numerator, denominator
-    p8 = d8 = t4m = 1  # sn**(8m), sd**(8m), t**(4m)
-    while True:
-        (n0, d0), (n1, d1) = (n1, d1), (n0 * (bb * (p8 + d8) + shift * t4m), d0 * bb * t4m)
-        yield Fraction(n1, d1)
-        p8, d8, t4m = p8 * sn8, d8 * sd8, t4m * t4
+def _psi_rho_stream(s: Fraction, y: Fraction) -> Iterator[Fraction]:
+    """psi_0 rho_0(y), psi_1 rho_1(y), ... at rational y, by the steps of
+    :func:`qcore._psi_rho_steps`: with y**2 = a/b the factor at j is (A_j b + B_j a) / (E_j b)."""
+    a, b = (y * y).as_integer_ratio()
+    u = [Fraction(1), 2 * y * s / (1 - s ** 4)]
+    yield from u
+    for j, (A, B, E) in enumerate(_psi_rho_steps(s), 2):
+        u[j % 2] *= Fraction(A * b + B * a, E * b)
+        yield u[j % 2]
 
 
 # -- the divided-difference operator -------------------------------------------
@@ -490,17 +468,17 @@ def translate_weights(ctx: QContext, y: PointLike, n: int) -> list:
     if abs(x) == ctx.eta:
         weights = _eta_weights(ctx.s, n)
         return weights if x > 0 else [-w if k % 2 else w for k, w in enumerate(weights)]
-    return list(_weight_stream(ctx.s, rho_values(ctx, x, n)))
+    return list(islice(_weight_stream(ctx.s, x), n))
 
 
 @table
 def _eta_weights(s: Fraction) -> Iterator[Fraction]:
-    yield from _weight_stream(s, _rho_stream(s, s + 1 / s))
+    yield from _weight_stream(s, QContext(s).eta)
 
 
-def _weight_stream(s: Fraction, rhos: Iterable[Fraction]) -> Iterator[Fraction]:
+def _weight_stream(s: Fraction, y: Fraction) -> Iterator[Fraction]:
     inv_c = (1 - s ** 4) / (2 * s)
-    return (psi * rho * inv_c ** k for k, (psi, rho) in enumerate(zip(_psi_stream(s), rhos)))
+    return (v * inv_c ** k for k, v in enumerate(_psi_rho_stream(s, y)))
 
 
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:

@@ -175,28 +175,30 @@ def eta_series_sign_exact(ctx, kind, w):
     raise RuntimeError("exact sign did not resolve; w may sit on the zero")
 
 
+@lru_cache(maxsize=None)
 def rho_laurent_product(s, n):
     """rho_n multiplied out as the plain Laurent polynomial
     z**-n (1 + z**2) prod_{k=0}^{n-2} (1 + q**(2-n+2k) z**2), with its
-    z <-> 1/z symmetry checked exactly before folding."""
+    z <-> 1/z symmetry checked exactly before folding.  With q = Q/D the factor
+    at m = 2-n+2k is (D**m + Q**m z**2) / D**m for m >= 0 and
+    (Q**-m + D**-m z**2) / Q**-m for m < 0, so the product is one list of
+    integer coefficients of z**0, z**2, ..., z**(2n) over one integer."""
     if n == 0:
         return SymPoly.const(1)
-    q = s ** 4
-    poly = {0: Fraction(1), 2: Fraction(1)}
-    factor = q ** (2 - n)
-    for _ in range(n - 1):
-        new = {}
-        for e, c in poly.items():
-            new[e] = new.get(e, Fraction(0)) + c
-            new[e + 2] = new.get(e + 2, Fraction(0)) + c * factor
-        poly = new
-        factor *= q ** 2
+    Q, D = s.numerator ** 4, s.denominator ** 4
+    poly, den = [1, 1], 1
+    for k in range(n - 1):
+        m = 2 - n + 2 * k
+        lo, hi = (D ** m, Q ** m) if m >= 0 else (Q ** -m, D ** -m)
+        poly = [lo * a + hi * b for a, b in zip(poly + [0], [0] + poly)]
+        den *= lo
+    if poly != poly[::-1]:
+        raise IntegrityError("Laurent polynomial is not z <-> 1/z symmetric")
+    # z**(2i-n) for i = 0..n; the terms with 2i >= n fold onto the symmetric basis
     out = [Fraction(0)] * (n + 1)
-    for e, c in poly.items():
-        if poly.get(2 * n - e, Fraction(0)) != c:
-            raise IntegrityError("Laurent polynomial is not z <-> 1/z symmetric")
-        if e >= n:
-            out[e - n] += c
+    for i, c in enumerate(poly):
+        if 2 * i >= n:
+            out[2 * i - n] += Fraction(c, den)
     return SymPoly(out)
 
 
@@ -521,11 +523,12 @@ def basic_trig_eta_closed(ctx, w, kind):
 def exact_grid_residual(ctx, stream, recon, grid):
     """max over the grid of |f - recon| as an exact rational: sum_j d_j rho_j(x)
     with d_j = f_j - r_j psi_j, r_j psi_j the rho coefficients of ``recon``
-    by back-substitution and rho_j(x) by its recurrence."""
+    by back-substitution and rho_j(x) from its product form."""
     c = change_basis_to(ctx, recon, "rho")
     n = max(len(stream), len(c))
     d = [(stream[j] if j < len(stream) else 0) - (c[j] if j < len(c) else 0) for j in range(n)]
-    return max((abs(sum((dj * rj for dj, rj in zip(d, rho_values(ctx, x, n))), Fraction(0))) for x in grid),
+    terms = [(dj, rho_laurent_product(ctx.s, j)) for j, dj in enumerate(d) if dj]
+    return max((abs(sum((dj * eval_at(ctx, rj, x) for dj, rj in terms), Fraction(0))) for x in grid),
                default=Fraction(0))
 
 

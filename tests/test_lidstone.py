@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, entire_fn_poly, exact_grid_residual,
                      expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer)
@@ -353,15 +353,23 @@ def test_reconstruction_matches_family_table_oracle(s, kind, coeffs, as_poly, K)
        st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=20), max_size=30),
        st.booleans(),
        st.integers(0, 12))
+@example(Fraction(1, 17), "bernoulli", [Fraction(0)] * 17 + [Fraction(1)], False, 0)  # residual about 2**1039
 def test_reconstruction_matches_the_rho_basis_assembly(s, kind, coeffs, polynomial, K):
     # sum_j r_j psi_j rho_j over the psi_j rho_j table equals the r_j psi_j assembled on the rho basis;
-    # a terminating stream's exact residual equals max |f - recon| from the assembled f
+    # a terminating stream's exact residual equals max |f - recon| from the assembled f, and a
+    # stream's grid residual is finite exactly when its exact value is inside the float range
     ctx = QContext(s)
     f = EntireFn.from_stream(coeffs, polynomial=polynomial)
     engine = bernoulli_expansion if kind == "bernoulli" else euler_expansion
-    report = engine(ctx, f, K, grid=DEFAULT_GRID[::5])
+    report = engine(ctx, f, K, grid=())
     assert report.reconstruction == expansion_reconstruction_rho(ctx, kind, K, report.data_at_zero,
                                                                  report.data_at_eta)
+    grid = DEFAULT_GRID[::5]
     if polynomial:
         diff = report.reconstruction - entire_fn_poly(ctx, f)
         assert report.residual == Fraction(max(abs(n) for n in diff.nums), diff.den)
+    elif exact_grid_residual(ctx, f.stream, report.reconstruction, grid) >= 2 ** 1024:
+        with pytest.raises(LimitError, match="the grid residual leaves the float range"):
+            engine(ctx, f, K, grid=grid)
+    else:
+        assert math.isfinite(engine(ctx, f, K, grid=grid).residual)

@@ -9,6 +9,7 @@ from oracles import (pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weig
 from qlidstone.qcore import (
     LimitError,
     QContext,
+    _psi_rho_steps,
     psi_weights,
     q_factorials,
     q_number,
@@ -154,6 +155,22 @@ def test_pochhammer_inf_gives_up_past_its_factor_cap():
         q_pochhammer_inf(0.5, 0.99999, 1e-300)
     with pytest.raises(LimitError, match="tail bound did not converge"):
         q_pochhammer_inf(0.5, 0.5, 0.0)
+    # the message names the product, its a and base, and the cap
+    with pytest.raises(LimitError) as err:
+        q_pochhammer_inf(-0.25, 0.99999, 1e-300)
+    assert str(err.value) == ("tail bound did not converge: (a; base)_inf at a = -0.25, base = 0.99999 "
+                              "needs more than 1000000 factors")
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(1, 17), Fraction(20, 21)])
+def test_psi_rho_steps_match_the_closed_form(s):
+    # psi_j rho_j = psi_{j-2} rho_{j-2} (A_j + B_j x**2) / E_j with, as Fractions,
+    # A_j/E_j = q (1-q**(j-2))**2 / ((1-q**j)(1-q**(j-1))) and B_j/E_j = 4 q**(j-1) / ((1-q**j)(1-q**(j-1)))
+    q = s ** 4
+    for j, (A, B, E) in zip(range(2, 41), _psi_rho_steps(s)):
+        den = (1 - q ** j) * (1 - q ** (j - 1))
+        assert Fraction(A, E) == q * (1 - q ** (j - 2)) ** 2 / den, j
+        assert Fraction(B, E) == 4 * q ** (j - 1) / den, j
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(17, 29), Fraction(9, 10), Fraction(1, 31)])

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eta_series_sign_exact, eta_series_sign_termwise,
-                     eta_series_value_closed, jackson_bessel_j2)
+                     eta_series_value_closed, jackson_bessel_j2, psi_weight, rho_laurent_product)
 from qlidstone import qspecial
-from qlidstone.qcore import LimitError, QContext, psi_weights, q_pochhammer_inf
+from qlidstone.qcore import LimitError, QContext, q_pochhammer_inf
 from qlidstone.fps import eq_exponential_series
-from qlidstone.symlaurent import eval_at, rho_values
+from qlidstone.symlaurent import eval_at
 from qlidstone.qspecial import (
     ZeroSearchError,
     _bisect,
@@ -73,7 +73,9 @@ def test_psi_rho_values_match_exact(s, x, n):
     ctx = QContext(s)
     got = psi_rho_values(ctx, float(x), n)
     assert len(got) == n
-    for j, (u, want) in enumerate(zip(got, (p * r for p, r in zip(psi_weights(ctx, n), rho_values(ctx, x, n))))):
+    # the exact side is the closed-form psi_j times the product-form rho_j, which share no step with u_j
+    for j, u in enumerate(got):
+        want = psi_weight(ctx, j) * eval_at(ctx, rho_laurent_product(s, j), x)
         if abs(want) > 2 ** -1000:  # below that, u_j leaves the normal float range
             assert abs(Fraction(u) - want) <= 4 * (j + 1) * 2 ** -53 * abs(want), j
         else:
