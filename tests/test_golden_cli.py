@@ -170,6 +170,11 @@ GOLDEN = [
      "0cca18278a810917e4adb3384cf74690f6469efcc577ae00cef4308a94140836"),
     ("expand --kind euler --fn mono:15 --K 8 --s 1/31 --format text", 0,
      "17f648ff3427facf112bf47573e933d2e800637a0192415cc1cd0cef79d88408"),
+    # the decomposition checks reading the bases and the eta table of the expansions, past order 16
+    ("identities --all --s 3/5 --order 24", 0,
+     "701ff99f7a8ab3504598aa324e76ff88a6530d9fbb4fc8d21ad1e20814a57f3c"),
+    ("identities --all --s 3/5 --order 32", 0,
+     "280bf91ad259d42b01023e59c0e04df2dd709f7c16483fea0a2ef8c16430cebd"),
 ]
 
 
