@@ -130,17 +130,6 @@ def _dot(pairs):
     return Fraction(0) if acc is None else acc
 
 
-def scale_arg(a: Series, c) -> Series:
-    """w -> c*w, i.e. a_k -> c**k a_k."""
-    c = _coerce(c)
-    out = []
-    p = Fraction(1)
-    for coeff in a.coeffs:
-        out.append(coeff * p)
-        p *= c
-    return Series(out)
-
-
 def euler_factor_series(sign: int, base: Fraction, order: int) -> Series:
     """Power series of (sign*w; base)_inf, exact through the given order:
     :func:`pochhammer_series` with coefficient sign and power 1."""

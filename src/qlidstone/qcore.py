@@ -331,21 +331,7 @@ def safe_float(x) -> float:
     if isinstance(x, int):
         x = Fraction(x)
     n, d = x.numerator, x.denominator
-    if n == 0:
-        return 0.0
     try:
-        return n / d
+        return n / d  # correctly rounded, so it overflows only where the rounded quotient is +-inf
     except OverflowError:
-        pass
-    sign = 1.0
-    if n < 0:
-        n, sign = -n, -1.0
-    shift = n.bit_length() - d.bit_length() - 54
-    if shift >= 0:
-        mant = n // (d << shift)
-    else:
-        mant = (n << -shift) // d
-    try:
-        return sign * math.ldexp(float(mant), shift)
-    except OverflowError:
-        return sign * math.inf
+        return math.inf if n > 0 else -math.inf

@@ -13,6 +13,11 @@ power of w is cancelled before dividing, leaving the constant term
 2/(1 - sqrt(q)).  Generating functions are the ground truth for every
 boundary-value claim; the identity registry checks the cross-relations
 between the families exactly.
+
+Each interpolation basis has one construction, :func:`lidstone_basis`, read
+off the family multipliers; the expansions use it, and the two decomposition
+checks compare it, with E(eta; w) from the eta table of the boundary data,
+against E(x; w).
 """
 
 from __future__ import annotations
@@ -23,14 +28,8 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers, table
-from .fps import (
-    Series,
-    eq_exponential_series,
-    euler_factor_series,
-    pochhammer_series,
-    scale_arg,
-)
-from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_sum, q_translate, special_poly
+from .fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
+from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_at_eta, psi_rho_sum, q_translate, special_poly
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 # basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
@@ -47,50 +46,31 @@ BASIS_KINDS = tuple(BASES)
 # -- scalar building blocks ------------------------------------------------
 
 
-def _factor_parts(s: Fraction, order: int):
-    """(plus, minus, diff_over_w, summ) for the (+-w; sqrt q)_inf factors,
-    each carrying exactly ``order`` coefficients."""
-    p = s * s
-    plus = euler_factor_series(-1, p, order + 1)   # (-w; p)_inf
-    minus = euler_factor_series(+1, p, order + 1)  # (w; p)_inf
-    diff_over_w = (plus - minus).shift_down()
-    summ = (plus + minus).truncate(order)
-    return plus.truncate(order), minus.truncate(order), diff_over_w, summ
-
-
-_denominator_parts = table(_factor_parts)
-
-
-@table
 def _qw2_series(s: Fraction, order: int) -> Series:
     q = s ** 4
     return pochhammer_series(q, 2, q * q, order)  # (q w**2; q**2)_inf
 
 
-def _family_parts(s: Fraction, kind: str, order: int, factors) -> Tuple[Series, Series]:
+def _family_parts(s: Fraction, kind: str, order: int) -> Tuple[Series, Series]:
     """(N, D) with the generating function of family ``kind`` equal to N(w) E(x; w) / D(w), as in
-    the module docstring; ``factors`` are those of :func:`_factor_parts` at s and ``order``."""
+    the module docstring; D carries ``order`` coefficients, N at least as many."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
-    _, minus, diff_over_w, summ = factors
+    p = s * s
+    plus = euler_factor_series(-1, p, order + 1)   # (-w; p)_inf
+    minus = euler_factor_series(+1, p, order + 1)  # (w; p)_inf
     num = _qw2_series(s, order) if kind.startswith("suslov") else minus * 2 if kind == "new_E" else minus
-    return num, diff_over_w if kind in ("suslov_B", "new_beta") else summ
+    if kind in ("suslov_B", "new_beta"):
+        return num, (plus - minus).shift_down()
+    return num, (plus + minus).truncate(order)
 
 
 @table
 def family_multiplier(s: Fraction, kind: str, order: int) -> Series:
     """The scalar series G = N/D with family generating function G(w) E(x; w), so
     family entry n is sum_j G_{n-j} psi_j rho_j on the rho basis."""
-    # G is all that an expansion keeps of the factors, so they are not memoized here
-    num, den = _family_parts(s, kind, order, _factor_parts(s, order))
+    num, den = _family_parts(s, kind, order)
     return num / den
-
-
-def eta_exponential_series(ctx: QContext, order: int) -> Series:
-    """Scalar series of the q-exponential at the node eta:
-    (-w; sqrt q)_inf / (q w**2; q**2)_inf."""
-    plus, _, _, _ = _denominator_parts(ctx.s, order)
-    return plus / _qw2_series(ctx.s, order)
 
 
 def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
@@ -123,7 +103,7 @@ def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
 @table
 def _family_series(ctx: QContext, kind: str, order: int) -> Series:
     # (N E) / D, not G E: eq17 then checks the family against the numbers G
-    num, den = _family_parts(ctx.s, kind, order, _denominator_parts(ctx.s, order))
+    num, den = _family_parts(ctx.s, kind, order)
     return (num * eq_exponential_series(ctx, order)) / den
 
 
@@ -196,31 +176,6 @@ def _im_bernoulli_series(q: Fraction, order: int) -> Series:
 # -- the two-point interpolation bases -------------------------------------------
 
 
-@table
-def _lidstone_quotients(ctx: QContext, kind: str, order: int) -> Series:
-    """Plain coefficient series of the four interpolation-basis quotients.
-
-    A: (q w**2)_inf [E(x;w) - E(x;-w)] / [(-w;p)_inf - (w;p)_inf]   (even)
-    B: [(w;p) E(x;w) - (-w;p) E(x;-w)] / [(-w;p)_inf - (w;p)_inf]   (even)
-    M: [(w;p) E(x;w) - (-w;p) E(x;-w)] / [(w;p)_inf + (-w;p)_inf]   (odd)
-    Mtilde: (q w**2)_inf [E(x;w) + E(x;-w)] / [(-w;p) + (w;p)]      (even)
-    """
-    plus, minus, diff_over_w, summ = _denominator_parts(ctx.s, order + 1)
-    eqe = eq_exponential_series(ctx, order + 1)
-    eqe_neg = scale_arg(eqe, -1)
-    if kind == "A":
-        num = (_qw2_series(ctx.s, order + 1) * (eqe - eqe_neg)).shift_down()
-        return num / diff_over_w
-    if kind == "B":
-        # the numerator and diff = w * diff_over_w are odd, so w is cancelled from both before dividing
-        return (minus * eqe - plus * eqe_neg).shift_down() / diff_over_w
-    if kind == "M":
-        return (minus * eqe - plus * eqe_neg) / summ
-    if kind == "Mtilde":
-        return (_qw2_series(ctx.s, order + 1) * (eqe + eqe_neg)) / summ
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
 def basis_term(kind: str, k: int, c: Fraction, a=1) -> Tuple[str, int, Fraction]:
     """(family, n, a w) with entry k of basis ``kind`` equal to w (family entry n), read off its
     :data:`BASES` row; c is ``ctx.aw_scale``."""
@@ -240,6 +195,24 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     c = ctx.aw_scale
     return tuple(psi_rho_sum(ctx, family_rho(ctx, [basis_term(kind, k, c)], 2 * k_max + 2))
                  for k in range(k_max + 1))
+
+
+@table
+def _basis_series(ctx: QContext, kind: str, order: int) -> Series:
+    """The quotient series of basis ``kind``, sum_k c**(2k+e) (entry k of :func:`lidstone_basis`) w**(2k+e),
+    with c = ``ctx.aw_scale`` and e from the kind's :data:`BASES` row."""
+    e = BASES[kind][3]
+    c = ctx.aw_scale
+    out = [Fraction(0)] * order
+    for k, b in enumerate(lidstone_basis(ctx, kind, (order - 1 - e) // 2)):
+        out[2 * k + e] = b * c ** (2 * k + e)
+    return Series(out)
+
+
+def _eta_series(ctx: QContext, order: int) -> Series:
+    """E(eta; w), read off the eta table that the boundary data correlate against."""
+    nums, den = psi_rho_at_eta(ctx, order)
+    return Series([Fraction(e, den) for e in nums])
 
 
 def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, ...]:
@@ -440,10 +413,7 @@ def _check_ladders(ctx, n_max):
 def _check_eq4_decomposition(ctx, n_max):
     # - sum_k b_k(x) y**(2k) + E(eta; y) sum_k a_k(x) y**(2k) == E(x; y)
     order = n_max + 1
-    a_q = _lidstone_quotients(ctx, "A", order)
-    b_q = _lidstone_quotients(ctx, "B", order)
-    eta = eta_exponential_series(ctx, order)
-    recon = eta * a_q - b_q
+    recon = _eta_series(ctx, order) * _basis_series(ctx, "A", order) - _basis_series(ctx, "B", order)
     target = eq_exponential_series(ctx, order)
     pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
     note = (
@@ -459,10 +429,7 @@ def _check_euler_decomposition(ctx, n_max):
     # quotient pairs with the plain series and the even one with the eta
     # factor (the variable placement in the two-series statement).
     order = n_max + 1
-    m_q = _lidstone_quotients(ctx, "M", order)
-    mt_q = _lidstone_quotients(ctx, "Mtilde", order)
-    eta = eta_exponential_series(ctx, order)
-    recon = m_q + eta * mt_q
+    recon = _basis_series(ctx, "M", order) + _eta_series(ctx, order) * _basis_series(ctx, "Mtilde", order)
     target = eq_exponential_series(ctx, order)
     pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
     return _report("euler_decomposition", n_max, pairs)
@@ -471,9 +438,7 @@ def _check_euler_decomposition(ctx, n_max):
 def _check_hermite_rep(ctx, n_max):
     # (q t**2; q**2)_inf * E(x; t) = sum q**(n**2/4)/(q;q)_n H_n(x|q) t**n
     order = n_max + 1
-    q = ctx.q
-    pref = pochhammer_series(q, 2, q * q, order)
-    lhs = pref * eq_exponential_series(ctx, order)
+    lhs = _qw2_series(ctx.s, order) * eq_exponential_series(ctx, order)
     psi = psi_weights(ctx, order)
     pairs = [(n, _as_poly(lhs[n]), special_poly(ctx, "hermite", n) * psi[n]) for n in range(order)]
     note = "prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at degree 2"

@@ -11,6 +11,7 @@ from itertools import islice
 from math import comb
 from typing import Sequence, Tuple
 
+from qlidstone.fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
 from qlidstone.qpolys import build_family, family_rho
 from qlidstone.qspecial import ZeroSearchError, _bessel_body, psi_rho_steps, psi_rho_terms
@@ -265,6 +266,64 @@ def lidstone_basis_rho(ctx, kind, k_max):
     return tuple(rho_over_psi_poly(ctx, family_rho(ctx, [term], 2 * k_max + 2)) for term in terms)
 
 
+def scale_arg(a, c):
+    """w -> c*w, i.e. a_k -> c**k a_k."""
+    c = Fraction(c)
+    out = []
+    p = Fraction(1)
+    for coeff in a.coeffs:
+        out.append(coeff * p)
+        p *= c
+    return Series(out)
+
+
+def factor_parts(s, order):
+    """(plus, minus, diff_over_w, summ) for the (+-w; sqrt q)_inf factors,
+    each carrying exactly ``order`` coefficients."""
+    p = s * s
+    plus = euler_factor_series(-1, p, order + 1)   # (-w; p)_inf
+    minus = euler_factor_series(+1, p, order + 1)  # (w; p)_inf
+    diff_over_w = (plus - minus).shift_down()
+    summ = (plus + minus).truncate(order)
+    return plus.truncate(order), minus.truncate(order), diff_over_w, summ
+
+
+def _qw2_series(s, order):
+    q = s ** 4
+    return pochhammer_series(q, 2, q * q, order)  # (q w**2; q**2)_inf
+
+
+def eta_exponential_series(ctx, order):
+    """Scalar series of the q-exponential at the node eta, by its product form:
+    (-w; sqrt q)_inf / (q w**2; q**2)_inf."""
+    plus, _, _, _ = factor_parts(ctx.s, order)
+    return plus / _qw2_series(ctx.s, order)
+
+
+def lidstone_quotients(ctx, kind, order):
+    """Plain coefficient series of the four interpolation-basis quotients, by series division.
+
+    A: (q w**2)_inf [E(x;w) - E(x;-w)] / [(-w;p)_inf - (w;p)_inf]   (even)
+    B: [(w;p) E(x;w) - (-w;p) E(x;-w)] / [(-w;p)_inf - (w;p)_inf]   (even)
+    M: [(w;p) E(x;w) - (-w;p) E(x;-w)] / [(w;p)_inf + (-w;p)_inf]   (odd)
+    Mtilde: (q w**2)_inf [E(x;w) + E(x;-w)] / [(-w;p) + (w;p)]      (even)
+    """
+    plus, minus, diff_over_w, summ = factor_parts(ctx.s, order + 1)
+    eqe = eq_exponential_series(ctx, order + 1)
+    eqe_neg = scale_arg(eqe, -1)
+    if kind == "A":
+        num = (_qw2_series(ctx.s, order + 1) * (eqe - eqe_neg)).shift_down()
+        return num / diff_over_w
+    if kind == "B":
+        # the numerator and diff = w * diff_over_w are odd, so w is cancelled from both before dividing
+        return (minus * eqe - plus * eqe_neg).shift_down() / diff_over_w
+    if kind == "M":
+        return (minus * eqe - plus * eqe_neg) / summ
+    if kind == "Mtilde":
+        return (_qw2_series(ctx.s, order + 1) * (eqe + eqe_neg)) / summ
+    raise ValueError(f"unknown basis kind {kind!r}")
+
+
 def translate_coeffs_fraction(coeffs, weights, values):
     """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j with one reduced Fraction
     product and sum per term: the correlation kernel before it ran on integers."""
@@ -360,6 +419,34 @@ def expansion_reconstruction_families(ctx, kind, K, data0, data_eta):
             recon = recon + se[2 * k] * (2 * c ** (-2 * k) * data_eta[k])
         return recon
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def safe_float_mantissa(x):
+    """Fraction/int/float to float, falling back past the float range to a 54-bit
+    floor of the quotient scaled by ldexp: the conversion before it saturated directly."""
+    if isinstance(x, float):
+        return x
+    if isinstance(x, int):
+        x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return 0.0
+    try:
+        return n / d
+    except OverflowError:
+        pass
+    sign = 1.0
+    if n < 0:
+        n, sign = -n, -1.0
+    shift = n.bit_length() - d.bit_length() - 54
+    if shift >= 0:
+        mant = n // (d << shift)
+    else:
+        mant = (n << -shift) // d
+    try:
+        return sign * math.ldexp(float(mant), shift)
+    except OverflowError:
+        return sign * math.inf
 
 
 def pochhammer_tail_ok(a, base, tol, n):

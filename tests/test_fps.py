@@ -3,15 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import psi_weight
+from oracles import eta_exponential_series, psi_weight, scale_arg
 from qlidstone.qcore import QContext, psi_weights
-from qlidstone.fps import (
-    Series,
-    eq_exponential_series,
-    euler_factor_series,
-    pochhammer_series,
-    scale_arg,
-)
+from qlidstone.fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
 from qlidstone.symlaurent import SymPoly, eval_at, special_poly
 
 fracs = st.fractions(min_value=Fraction(-4), max_value=Fraction(4))
@@ -141,8 +135,6 @@ def test_eq_exponential_at_zero_is_one(ctx):
 
 def test_eta_product_identity(ctx):
     # coefficients at the eta node match (-w; sqrt q)_inf / (q w^2; q^2)_inf
-    from qlidstone.qpolys import eta_exponential_series
-
     e = eq_exponential_series(ctx, 11)
     direct = eta_exponential_series(ctx, 11)
     for n in range(11):

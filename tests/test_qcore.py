@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weight, q_binomial, q_factorial,
-                     q_pochhammer, translate_coeffs_fraction)
+                     q_pochhammer, safe_float_mantissa, translate_coeffs_fraction)
 from qlidstone.qcore import (
     LimitError,
     QContext,
@@ -228,6 +229,23 @@ def test_safe_float_extremes():
     assert safe_float(-huge) == float("-inf")
     mixed = Fraction(10 ** 400 + 1, 10 ** 400)
     assert safe_float(mixed) == pytest.approx(1.0)
+
+
+def test_safe_float_saturates_as_the_mantissa_fallback_did():
+    # int/int division is correctly rounded, so it overflows only from 2**1024 - 2**970 on,
+    # where the old 54-bit mantissa fallback also came to +-inf
+    edges = [2 ** 1024 - 2 ** 970 + k for k in range(-2, 3)] + [2 ** 1024 - 2, 2 ** 1024 + 2]
+    for n in edges:
+        for d in (1, 3, 2 ** 61 - 1, 10 ** 300 + 7):
+            for r in (-1, 0, 1):
+                for x in (Fraction(n * d + r, d), -Fraction(n * d + r, d)):
+                    assert safe_float(x) == safe_float_mantissa(x), x
+    assert safe_float(2 ** 1024) == math.inf and safe_float(-(2 ** 1024)) == -math.inf
+    rng = random.Random(20)
+    for _ in range(20000):
+        n = rng.getrandbits(rng.randint(1, 3000)) * rng.choice((1, -1))
+        d = rng.getrandbits(rng.randint(1, 3000)) or 1
+        assert safe_float(Fraction(n, d)) == safe_float_mantissa(Fraction(n, d)), (n, d)
 
 
 @pytest.mark.parametrize("a,base", [(Fraction(1, 16), Fraction(1, 16)), (-1, Fraction(3, 5)),

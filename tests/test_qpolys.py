@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import lidstone_basis_rho, poly_from_basis, q_pochhammer
-from qlidstone.qcore import QContext, psi_weights, q_number
+from oracles import factor_parts, lidstone_basis_rho, lidstone_quotients, poly_from_basis, q_pochhammer
+from qlidstone import qpolys
+from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import (
     BASIS_KINDS,
-    _factor_parts,
-    _lidstone_quotients,
     FAMILY_KINDS,
     build_family,
     family_multiplier,
@@ -145,7 +144,7 @@ def test_basis_pins_both_construction_routes(kind, s):
     k_max = 6
     family, offset, exponent, factor = _BASIS_FROM_FAMILY[kind]
     table = build_family(ctx, family, 2 * k_max + 1)
-    quotient = _lidstone_quotients(ctx, kind, 2 * k_max + 2)
+    quotient = lidstone_quotients(ctx, kind, 2 * k_max + 2)
     basis = lidstone_basis(ctx, kind, k_max)
     assert len(basis) == k_max + 1
     for k, b in enumerate(basis):
@@ -156,6 +155,9 @@ def test_basis_pins_both_construction_routes(kind, s):
         assert b == coeff * scale, (kind, k, "quotient")
     for K in range(k_max):
         assert lidstone_basis(ctx, kind, K) == basis[:K + 1]
+    # the series the decomposition checks read is the quotient series, coefficient by coefficient
+    series = qpolys._basis_series(ctx, kind, 2 * k_max + 2).coeffs
+    assert [qpolys._as_poly(v) for v in series] == [qpolys._as_poly(v) for v in quotient.coeffs[:len(series)]]
 
 
 def test_basis_scaled_vs_family(ctx_half):
@@ -174,6 +176,49 @@ def test_basis_scaled_vs_family(ctx_half):
 def test_decomposition_identities(ctx):
     assert check_identity(ctx, "eq4_decomposition", 10).passed
     assert check_identity(ctx, "euler_decomposition", 10).passed
+
+
+@pytest.fixture
+def cleared():
+    clear_tables()
+    yield
+    clear_tables()  # no table built on a wrong basis outlives the test
+
+
+def _fails(ctx, name):
+    report = check_identity(ctx, name, 8)
+    return not report.passed and report.first_failure is not None
+
+
+def test_decompositions_fail_on_a_wrong_basis(ctx_threefifths, monkeypatch, cleared):
+    # the checks read the bases, the multipliers and the eta table that the expansions use
+    ctx = ctx_threefifths
+    monkeypatch.setitem(qpolys.BASES, "B", ("new_beta", 1, 1, 0))
+    assert _fails(ctx, "eq4_decomposition")
+    monkeypatch.undo()
+    clear_tables()
+    monkeypatch.setitem(qpolys.BASES, "M", ("new_E", 1, 2, 1))
+    assert _fails(ctx, "euler_decomposition")
+    monkeypatch.undo()
+    clear_tables()
+    parts = qpolys._family_parts
+
+    def doubled(s, kind, order):
+        num, den = parts(s, kind, order)
+        return (num * 2 if kind == "suslov_E" else num), den
+
+    monkeypatch.setattr(qpolys, "_family_parts", doubled)
+    assert _fails(ctx, "euler_decomposition")
+    monkeypatch.undo()
+    clear_tables()
+    at_eta = qpolys.psi_rho_at_eta
+
+    def perturbed(ctx, n):
+        nums, den = at_eta(ctx, n)
+        return [nums[0] + 1] + nums[1:], den
+
+    monkeypatch.setattr(qpolys, "psi_rho_at_eta", perturbed)
+    assert _fails(ctx, "eq4_decomposition") and _fails(ctx, "euler_decomposition")
 
 
 # -- identity registry ----------------------------------------------------------
@@ -233,6 +278,6 @@ def test_q_square_relation_spot(ctx_half):
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5), Fraction(17, 29)])
 def test_suslov_e_numbers_are_half_the_new_e_multiplier(s):
     # the series (w; p)_inf / [(-w; p)_inf + (w; p)_inf] they were read off before, by itself
-    _, minus, _, summ = _factor_parts(s, 14)
+    _, minus, _, summ = factor_parts(s, 14)
     for n in (0, 1, 2, 7, 13):
         assert build_numbers(QContext(s), "suslov_Eq", n) == (minus / summ).coeffs[:n + 1]

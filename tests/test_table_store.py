@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from qlidstone import qcore, qpolys, qspecial
+from qlidstone import cli, qcore, qpolys, qspecial  # cli imports every module, so every table is registered
 from qlidstone.qcore import MAX_TABLES, QContext, clear_tables, psi_weights
 from qlidstone.fps import eq_exponential_series
-from qlidstone.qpolys import (BASIS_KINDS, FAMILY_KINDS, _denominator_parts, _family_series, _lidstone_quotients,
-                              _qw2_series, build_numbers, family_multiplier, im_bernoulli_quotients)
+from qlidstone.qpolys import (BASIS_KINDS, FAMILY_KINDS, _basis_series, _family_series, build_numbers,
+                              family_multiplier, im_bernoulli_quotients)
 from qlidstone.symlaurent import (SymPoly, psi_rho_at_eta, psi_rho_poly, psi_rho_polys, special_poly,
                                   translate_weights)
 
@@ -33,13 +33,11 @@ TABLES = {
     "psi_rho_at_eta": _eta_values,
     "translate_weights_eta": lambda n: translate_weights(CTX, "eta", n),
     "translate_weights_minus_eta": lambda n: translate_weights(CTX, "minus_eta", n),
-    "denominator_parts": lambda n: _denominator_parts(CTX.s, n),
-    "qw2_series": lambda n: _qw2_series(CTX.s, n),
     "im_bernoulli_quotients": lambda n: im_bernoulli_quotients(CTX.q, n),
     "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n),
     **{f"family_multiplier_{k}": (lambda k: lambda n: family_multiplier(CTX.s, k, n))(k) for k in FAMILY_KINDS},
     **{f"family_series_{k}": (lambda k: lambda n: _family_series(CTX, k, n))(k) for k in FAMILY_KINDS},
-    **{f"lidstone_quotients_{k}": (lambda k: lambda n: _lidstone_quotients(CTX, k, n))(k) for k in BASIS_KINDS},
+    **{f"basis_series_{k}": (lambda k: lambda n: _basis_series(CTX, k, n))(k) for k in BASIS_KINDS},
 }
 
 
@@ -57,6 +55,15 @@ def test_prefix_rule(name):
     clear_tables()
     assert ask(8) == short and ask(13) == long  # short, then extended or rebuilt
     assert ask(8) == short and ask(13) == long  # both warm
+
+
+def test_every_table_has_a_prefix_case():
+    # each table registers its name when it is decorated; first_zero has a test of its own below
+    clear_tables()
+    for ask in TABLES.values():
+        ask(8)
+    unasked = {name for name, count in qcore._counts.items() if not any(count)}
+    assert unasked == {"first_zero"}, f"tables with no case in TABLES: {sorted(unasked - {'first_zero'})}"
 
 
 def test_series_tables_are_rebuilt_once_per_longer_order():
