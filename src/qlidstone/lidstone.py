@@ -18,7 +18,7 @@ The assembled expansions are data times bases, one row of :data:`SCHEMES` each:
 with each basis entry a scaled family entry, one row of :data:`qpolys.BASES`
 each, e.g. A_k = 2 c**(-2k) suslov_B_{2k+1} with c = 2 q**(1/4)/(1-q), the
 eigenvalue scale of the operator on the q-exponential.  With that scale both
-expansions reproduce polynomials exactly at K = ceil(deg/2), which the tests pin.
+expansions reproduce a polynomial exactly when its degree is at most 2K + 1.
 
 Every family has the generating function G(w) E(x; w) with a scalar
 series G (:func:`qpolys.family_multiplier`), so its entry n is
@@ -46,7 +46,8 @@ from itertools import islice, zip_longest
 from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .qcore import LimitError, QContext, correlate, over_common_den, psi_weights, q_pochhammers, safe_float
+from .qcore import (IntegrityError, LimitError, QContext, correlate, over_common_den, psi_weights, q_pochhammers,
+                    safe_float)
 from .symlaurent import SymPoly, change_basis, psi_rho_at_eta, psi_rho_sum
 from .qpolys import basis_term, family_rho
 from . import qspecial
@@ -197,6 +198,8 @@ def _expansion(ctx: QContext, f: EntireFn, quotients: List[Fraction], kind: str,
         # f - recon = sum_j (u_j - r_j) psi_j rho_j, exactly
         diff = psi_rho_sum(ctx, [uj - rj for uj, rj in zip_longest(quotients, r, fillvalue=0)])
         res: Number = Fraction(max(abs(n) for n in diff.nums), diff.den)
+        if res and max((j for j, fj in enumerate(f.stream) if fj), default=0) <= 2 * K + 1:
+            raise IntegrityError(f"{kind} expansion at K = {K}: a residual on a polynomial of degree <= 2K+1")
     else:
         tau = _growth_tau(quotients)
         res = _grid_sup(ctx, quotients, r, grid)

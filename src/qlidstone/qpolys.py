@@ -10,14 +10,13 @@ by combinations of the factors (+-w; sqrt(q))_inf:
 
 with p = sqrt(q).  The Bernoulli denominators vanish at w = 0; the shared
 power of w is cancelled before dividing, leaving the constant term
-2/(1 - sqrt(q)).  Generating functions are the ground truth for every
-boundary-value claim; the identity registry checks the cross-relations
-between the families exactly.
-
-Each interpolation basis has one construction, :func:`lidstone_basis`, read
-off the family multipliers; the expansions use it, and the two decomposition
-checks compare it, with E(eta; w) from the eta table of the boundary data,
-against E(x; w).
+2/(1 - sqrt(q)).  Each family is G(w) E(x; w) with the scalar series
+G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_j:
+the family tables, the interpolation bases and the expansions are all summed so.
+The identity registry checks the cross-relations between the families exactly,
+five of them as identities between the scalar multipliers G; the two
+decomposition checks compare the bases, with E(eta; w) from the eta table of
+the boundary data, against E(x; w).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
-from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_at_eta, psi_rho_sum, q_translate, special_poly
+from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_at_eta, psi_rho_sum, special_poly
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 # basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
@@ -56,13 +55,11 @@ def _family_parts(s: Fraction, kind: str, order: int) -> Tuple[Series, Series]:
     the module docstring; D carries ``order`` coefficients, N at least as many."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
-    p = s * s
-    plus = euler_factor_series(-1, p, order + 1)   # (-w; p)_inf
-    minus = euler_factor_series(+1, p, order + 1)  # (w; p)_inf
+    plus = euler_factor_series(-1, s * s, order + 1).coeffs  # (-w; p)_inf; (w; p)_inf has its odd terms negated
+    minus = Series([-c if m % 2 else c for m, c in enumerate(plus)])
     num = _qw2_series(s, order) if kind.startswith("suslov") else minus * 2 if kind == "new_E" else minus
-    if kind in ("suslov_B", "new_beta"):
-        return num, (plus - minus).shift_down()
-    return num, (plus + minus).truncate(order)
+    odd = kind in ("suslov_B", "new_beta")  # D is the odd part of 2 (-w; p)_inf over w, else its even part
+    return num, Series([2 * c if m % 2 == odd else 0 for m, c in enumerate(plus)][odd:order + odd])
 
 
 @table
@@ -100,17 +97,23 @@ def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
 # -- families ----------------------------------------------------------------
 
 
+def _multiplier(ctx: QContext, kind: str, order: int) -> Series:
+    """:func:`family_multiplier` asked at an even order, as :func:`lidstone_basis` asks it: a registry job
+    at an even order n would otherwise build it at n + 1 for the families and again at n + 2 for the bases."""
+    return family_multiplier(ctx.s, kind, order + order % 2)
+
+
 @table
 def _family_series(ctx: QContext, kind: str, order: int) -> Series:
-    # (N E) / D, not G E: eq17 then checks the family against the numbers G
-    num, den = _family_parts(ctx.s, kind, order)
-    return (num * eq_exponential_series(ctx, order)) / den
+    """Entries n < order of family ``kind``, each sum_j G_{n-j} psi_j rho_j by :func:`psi_rho_sum`, with
+    G = :func:`family_multiplier`: a Series, which the store cuts to a prefix (a tuple it would not)."""
+    g = _multiplier(ctx, kind, order).coeffs
+    return Series([psi_rho_sum(ctx, g[n::-1]) for n in range(order)])
 
 
 def build_family(ctx: QContext, kind: str, n_max: int) -> Tuple[SymPoly, ...]:
     """Family polynomials for indices 0..n_max."""
-    series = _family_series(ctx, kind, n_max + 1)
-    return tuple(_as_poly(c) for c in series.coeffs)
+    return _family_series(ctx, kind, n_max + 1).coeffs
 
 
 def _as_poly(c) -> SymPoly:
@@ -135,10 +138,8 @@ def build_numbers(ctx: QContext, kind: str, n_max: int) -> Tuple[Fraction, ...]:
     ``im_Bq`` uses :func:`im_bernoulli_numbers` at base q.
     """
     if kind == "beta_q":
-        fam = build_family(ctx, "new_beta", n_max)
-        vals = tuple(eval_at(ctx, p, "zero") for p in fam)
-        direct = family_multiplier(ctx.s, "new_beta", n_max + 1)
-        if direct.coeffs != vals:
+        vals = tuple(eval_at(ctx, p, "zero") for p in build_family(ctx, "new_beta", n_max))
+        if vals != family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs:
             raise IntegrityError("beta numbers: family evaluation disagrees with the scalar series")
         return vals
     if kind == "suslov_Bq":
@@ -209,25 +210,10 @@ def _basis_series(ctx: QContext, kind: str, order: int) -> Series:
     return Series(out)
 
 
-def _eta_series(ctx: QContext, order: int) -> Series:
-    """E(eta; w), read off the eta table that the boundary data correlate against."""
+def _eta_series(ctx: QContext, order: int, sign: int = 1) -> Series:
+    """E(sign eta; w), read off the eta table that the boundary data correlate against."""
     nums, den = psi_rho_at_eta(ctx, order)
-    return Series([Fraction(e, den) for e in nums])
-
-
-def _hermite_from_bernoulli_table(ctx: QContext, n_max: int) -> Tuple[SymPoly, ...]:
-    """H_0(x|q), ..., H_{n_max}(x|q) rebuilt from the Suslov Bernoulli family via
-    H_n = 2 q**(-n**2/4) (q;q)_n sum_k q**(k**2+k/2) B_{n-2k} / (p; p)_{2k+1},
-    p = sqrt(q); identity eq18 checks each against the explicit Hermite polynomial."""
-    # the sum over k is one Cauchy product of B with w, w_{2k} = q**(k**2+k/2)/(p; p)_{2k+1}
-    s, q = ctx.s, ctx.q
-    p = s * s
-    fam = build_family(ctx, "suslov_B", n_max)
-    pp = q_pochhammers(p, p, n_max + 1)
-    qq = q_pochhammers(q, q, n_max)
-    w = [s ** (n * n + n) / pp[n + 1] if n % 2 == 0 else 0 for n in range(n_max + 1)]
-    conv = _convolve(fam, w)
-    return tuple(h * (2 * s ** (-n * n) * qq[n]) for n, h in enumerate(conv))
+    return Series([Fraction(sign ** j * e, den) for j, e in enumerate(nums)])
 
 
 # -- identity registry ---------------------------------------------------------
@@ -257,25 +243,14 @@ def check_identity(ctx: QContext, name: str, n_max: int) -> IdentityReport:
 
 
 def _report(name, n_max, pairs, note=""):
-    results = []
-    first = None
+    """The report on the pairs (n, lhs, rhs), each compared exactly; the first that differ are shown."""
+    results, first = [], None
     for n, lhs, rhs in pairs:
         ok = lhs == rhs
         results.append((n, ok))
         if not ok and first is None:
-            first = {
-                "n": n,
-                "lhs": _render_side(lhs),
-                "rhs": _render_side(rhs),
-            }
-    return IdentityReport(
-        name=name,
-        max_n=n_max,
-        passed=first is None,
-        results=tuple(results),
-        first_failure=first,
-        note=note,
-    )
+            first = {"n": n, "lhs": _render_side(lhs), "rhs": _render_side(rhs)}
+    return IdentityReport(name, n_max, first is None, tuple(results), first, note)
 
 
 def _render_side(v):
@@ -284,24 +259,37 @@ def _render_side(v):
     return str(v)
 
 
+def _series_report(ctx, name, n_max, lhs, rhs, sign=1):
+    """The report :func:`_report` gives on entries n <= n_max of the families lhs(w) E(x; w) and rhs(w) E(x; w),
+    for scalar series lhs and rhs, entry n taken as sign**n sum_j S_{n-j} psi_j rho_j.  The entries n agree exactly
+    when the series agree through w**n, so only the first entries that differ are summed, to be shown."""
+    bad = next((m for m in range(n_max + 1) if lhs[m] != rhs[m]), n_max + 1)
+
+    def entry(series):
+        return psi_rho_sum(ctx, [v * sign ** bad for v in series.coeffs[bad::-1]])
+
+    first = None if bad > n_max else {"n": bad, "lhs": _render_side(entry(lhs)), "rhs": _render_side(entry(rhs))}
+    return IdentityReport(name, n_max, first is None, tuple((n, n < bad) for n in range(n_max + 1)), first)
+
+
+def _binomial_series(a, base, z, order: int) -> Series:
+    """sum_k (a; base)_k / (base; base)_k (z w)**k, by the q-binomial theorem (a z w; base)_inf / (z w; base)_inf."""
+    num, den = q_pochhammers(a, base, order - 1), q_pochhammers(base, base, order - 1)
+    return Series([num[k] / den[k] * z ** k for k in range(order)])
+
+
 def _check_connection_f1(ctx, n_max):
-    q = ctx.q
-    big = build_family(ctx, "suslov_B", n_max)
-    beta = build_family(ctx, "new_beta", n_max)
-    num, qq = q_pochhammers(-1 / ctx.sqrt_q, q, n_max), q_pochhammers(q, q, n_max)
-    coefs = [num[k] / qq[k] * (-ctx.sqrt_q) ** k for k in range(n_max + 1)]
-    rhs = _convolve(big, coefs)
-    return _report("connection_F1", n_max, zip(range(n_max + 1), beta, rhs))
+    # beta_n = sum_k B_{n-k} c_k, c_k = (-1/p; q)_k (-p)**k / (q; q)_k: G_beta = G_B c
+    p, order = ctx.sqrt_q, n_max + 1
+    rhs = _multiplier(ctx, "suslov_B", order) * _binomial_series(-1 / p, ctx.q, -p, order)
+    return _series_report(ctx, "connection_F1", n_max, _multiplier(ctx, "new_beta", order), rhs)
 
 
 def _check_connection_f2(ctx, n_max):
-    q = ctx.q
-    big = build_family(ctx, "suslov_B", n_max)
-    beta = build_family(ctx, "new_beta", n_max)
-    num, qq = q_pochhammers(-ctx.sqrt_q, q, n_max), q_pochhammers(q, q, n_max)
-    coefs = [num[k] / qq[k] for k in range(n_max + 1)]
-    rhs = _convolve(beta, coefs)
-    return _report("connection_F2", n_max, zip(range(n_max + 1), big, rhs))
+    # B_n = sum_k beta_{n-k} c_k, c_k = (-p; q)_k / (q; q)_k: G_B = G_beta c
+    order = n_max + 1
+    rhs = _multiplier(ctx, "new_beta", order) * _binomial_series(-ctx.sqrt_q, ctx.q, 1, order)
+    return _series_report(ctx, "connection_F2", n_max, _multiplier(ctx, "suslov_B", order), rhs)
 
 
 def _check_reflection_b(ctx, n_max):
@@ -310,13 +298,13 @@ def _check_reflection_b(ctx, n_max):
 
 
 def _check_reflection_beta(ctx, n_max):
-    p = ctx.sqrt_q
-    beta = build_family(ctx, "new_beta", n_max)
-    num, pp = q_pochhammers(-1, p, n_max), q_pochhammers(p, p, n_max)
-    coefs = [num[k] / pp[k] for k in range(n_max + 1)]
-    conv = _convolve(beta, coefs)
-    pairs = [(n, beta[n].reflect(), conv[n] * Fraction(-1) ** n) for n in range(n_max + 1)]
-    return _report("reflection_beta", n_max, pairs)
+    # beta_n(-x) = (-1)**n sum_k beta_{n-k}(x) c_k, c_k = (-1; p)_k / (p; p)_k; as rho_j(-x) = (-1)**j rho_j(x),
+    # that is G_beta(-w) = G_beta(w) c(w), on entries taken with the sign (-1)**n
+    order = n_max + 1
+    g = _multiplier(ctx, "new_beta", order)
+    flipped = Series([-v if m % 2 else v for m, v in enumerate(g.coeffs)])
+    return _series_report(ctx, "reflection_beta", n_max, flipped, g * _binomial_series(-1, ctx.sqrt_q, 1, order),
+                          sign=-1)
 
 
 def _check_eq16(ctx, n_max):
@@ -331,22 +319,31 @@ def _check_eq16(ctx, n_max):
         phi.append(phi[-1] * SymPoly([1 + c * c, c]))
     qq = q_pochhammers(ctx.q, ctx.q, n_max)
     rhs = _convolve([f / qq[k] for k, f in enumerate(phi)], betaq)
-    note = (
-        "stated with an extra (-1)**(n-k); the signless form is the one "
-        "consistent with the value beta_n at the reflected node (detected erratum)"
-    )
+    note = ("stated with an extra (-1)**(n-k); the signless form is the one "
+            "consistent with the value beta_n at the reflected node (detected erratum)")
     return _report("eq16", n_max, zip(range(n_max + 1), big, rhs), note=note)
 
 
 def _check_eq17(ctx, n_max):
-    beta = build_family(ctx, "new_beta", n_max)
-    betaq = build_numbers(ctx, "beta_q", n_max)
-    rhs = _convolve(eq_exponential_series(ctx, n_max + 1).coeffs, betaq)
-    return _report("eq17", n_max, zip(range(n_max + 1), beta, rhs))
+    # beta_n(x) = sum_k beta_{n-k} psi_k rho_k(x), rho_k = z**-k (1 + z**2) (-q**(2-k) z**2; q**2)_{k-1}, whose
+    # factors at q**m and q**-m pair to z**2 (q**m + q**-m + z**2 + z**-2): rho_{k+2} = rho_k (q**k + q**-k + z**2 +
+    # z**-2) from rho_0 = 1 and rho_1 = z + 1/z, so E(x; w) is built apart from the psi_rho chain of the families
+    q = ctx.q
+    rho = [SymPoly.const(1), SymPoly([0, 1])]
+    for k in range(n_max - 1):
+        rho.append(rho[k] * SymPoly([q ** k + q ** -k, 0, 1]))
+    rhs = _convolve([r * w for r, w in zip(rho, psi_weights(ctx, n_max + 1))], build_numbers(ctx, "beta_q", n_max))
+    return _report("eq17", n_max, zip(range(n_max + 1), build_family(ctx, "new_beta", n_max), rhs))
 
 
 def _check_eq18(ctx, n_max):
-    rebuilt = _hermite_from_bernoulli_table(ctx, n_max)
+    # H_n(x|q) = 2 q**(-n**2/4) (q;q)_n sum_k q**(k**2+k/2) B_{n-2k} / (p; p)_{2k+1}, p = sqrt(q): the sum over k
+    # is one Cauchy product of the Suslov Bernoulli family with w, w_{2k} = q**(k**2+k/2) / (p; p)_{2k+1}
+    s, q = ctx.s, ctx.q
+    pp, qq = q_pochhammers(s * s, s * s, n_max + 1), q_pochhammers(q, q, n_max)
+    w = [s ** (n * n + n) / pp[n + 1] if n % 2 == 0 else 0 for n in range(n_max + 1)]
+    conv = _convolve(build_family(ctx, "suslov_B", n_max), w)
+    rebuilt = [h * (2 * s ** (-n * n) * qq[n]) for n, h in enumerate(conv)]
     return _report("eq18", n_max, [(n, special_poly(ctx, "hermite", n), rebuilt[n]) for n in range(n_max + 1)])
 
 
@@ -368,17 +365,17 @@ def _check_q_square(ctx, n_max):
 
 
 def _check_translation_b(ctx, n_max):
-    big = build_family(ctx, "suslov_B", n_max)
-    beta = build_family(ctx, "new_beta", n_max)
-    pairs = [(n, q_translate(ctx, p, "minus_eta"), b) for n, (p, b) in enumerate(zip(big, beta))]
-    return _report("translation_B", n_max, pairs)
+    # E_q^{-eta} multiplies G(w) E(x; w) by E(-eta; w): G_B(w) E(-eta; w) = G_beta(w)
+    order = n_max + 1
+    lhs = _multiplier(ctx, "suslov_B", order) * _eta_series(ctx, order, -1)
+    return _series_report(ctx, "translation_B", n_max, lhs, _multiplier(ctx, "new_beta", order))
 
 
 def _check_translation_e(ctx, n_max):
-    se = build_family(ctx, "suslov_E", n_max)
-    ne = build_family(ctx, "new_E", n_max)
-    pairs = [(n, q_translate(ctx, p, "minus_eta"), e / 2) for n, (p, e) in enumerate(zip(se, ne))]
-    return _report("translation_E", n_max, pairs)
+    # G_sE(w) E(-eta; w) = G_nE(w) / 2
+    order = n_max + 1
+    lhs = _multiplier(ctx, "suslov_E", order) * _eta_series(ctx, order, -1)
+    return _series_report(ctx, "translation_E", n_max, lhs, _multiplier(ctx, "new_E", order) * Fraction(1, 2))
 
 
 def _check_numbers_agree(ctx, n_max):
@@ -416,11 +413,9 @@ def _check_eq4_decomposition(ctx, n_max):
     recon = _eta_series(ctx, order) * _basis_series(ctx, "A", order) - _basis_series(ctx, "B", order)
     target = eq_exponential_series(ctx, order)
     pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
-    note = (
-        "B-quotient implemented in the exponential-quotient form; the "
-        "equivalent product form carries the denominator with the opposite "
-        "sign order (detected erratum)."
-    )
+    note = ("B-quotient implemented in the exponential-quotient form; the "
+            "equivalent product form carries the denominator with the opposite "
+            "sign order (detected erratum).")
     return _report("eq4_decomposition", n_max, pairs, note=note)
 
 

@@ -13,9 +13,10 @@ from typing import Sequence, Tuple
 
 from qlidstone.fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
-from qlidstone.qpolys import build_family, family_rho
+from qlidstone.qpolys import _report, build_family, family_rho
 from qlidstone.qspecial import ZeroSearchError, _bessel_body, psi_rho_steps, psi_rho_terms
-from qlidstone.symlaurent import SymPoly, aw_derivative, eval_at, lincomb, psi_rho_sum, rho_values, special_poly
+from qlidstone.symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_sum, q_translate, rho_values,
+                                  special_poly)
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series references
 
@@ -291,6 +292,48 @@ def factor_parts(s, order):
 def _qw2_series(s, order):
     q = s ** 4
     return pochhammer_series(q, 2, q * q, order)  # (q w**2; q**2)_inf
+
+
+def family_quotient(ctx, kind, order):
+    """Entries n < order of family ``kind`` in division form, the polynomial series N(w) E(x; w) over the
+    scalar series D(w) of the ``qpolys`` docstring, with N and D built here from their product factors."""
+    _, minus, diff_over_w, summ = factor_parts(ctx.s, order)
+    num = _qw2_series(ctx.s, order) if kind.startswith("suslov") else minus * 2 if kind == "new_E" else minus
+    den = diff_over_w if kind in ("suslov_B", "new_beta") else summ
+    return tuple(c if isinstance(c, SymPoly) else SymPoly.const(c)
+                 for c in ((num * eq_exponential_series(ctx, order)) / den).coeffs)
+
+
+POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E")
+
+
+def polynomial_check(ctx, name, n_max):
+    """The report of registry check ``name``, one of :data:`POLYNOMIAL_CHECKS`, in its polynomial form:
+    the family tables of ``build_family`` convolved with the connection coefficients, reflected, or
+    translated by ``q_translate`` entry by entry."""
+    q, p, ns = ctx.q, ctx.sqrt_q, range(n_max + 1)
+    big, beta = build_family(ctx, "suslov_B", n_max), build_family(ctx, "new_beta", n_max)
+
+    def convolve(entries, coefs):
+        return [c if isinstance(c, SymPoly) else SymPoly.const(c) for c in (Series(entries) * Series(coefs)).coeffs]
+
+    if name == "connection_F1":
+        coefs = [q_pochhammer(-1 / p, q, k) / q_pochhammer(q, q, k) * (-p) ** k for k in ns]
+        pairs = zip(ns, beta, convolve(big, coefs))
+    elif name == "connection_F2":
+        coefs = [q_pochhammer(-p, q, k) / q_pochhammer(q, q, k) for k in ns]
+        pairs = zip(ns, big, convolve(beta, coefs))
+    elif name == "reflection_beta":
+        conv = convolve(beta, [q_pochhammer(-1, p, k) / q_pochhammer(p, p, k) for k in ns])
+        pairs = [(n, beta[n].reflect(), conv[n] * Fraction(-1) ** n) for n in ns]
+    elif name == "translation_B":
+        pairs = [(n, q_translate(ctx, b, "minus_eta"), nb) for n, b, nb in zip(ns, big, beta)]
+    elif name == "translation_E":
+        se, ne = build_family(ctx, "suslov_E", n_max), build_family(ctx, "new_E", n_max)
+        pairs = [(n, q_translate(ctx, e, "minus_eta"), e2 / 2) for n, e, e2 in zip(ns, se, ne)]
+    else:
+        raise ValueError(f"no polynomial form of {name!r}")
+    return _report(name, n_max, pairs)
 
 
 def eta_exponential_series(ctx, order):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, entire_fn_poly, exact_grid_residual,
                      expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer)
-from qlidstone.qcore import LimitError, QContext, psi_weights, safe_float
+from qlidstone import lidstone, qpolys
+from qlidstone.qcore import IntegrityError, LimitError, QContext, psi_weights, safe_float
 from qlidstone.qspecial import psi_rho_values
 from qlidstone.lidstone import (
     DEFAULT_GRID,
@@ -223,6 +224,28 @@ def test_undershooting_K_leaves_residual(ctx_half):
     for K in range(3):
         assert bernoulli_expansion(ctx, f, K).residual != 0
     assert bernoulli_expansion(ctx, f, 3).residual == 0
+
+
+@pytest.mark.parametrize("engine", [bernoulli_expansion, euler_expansion])
+def test_a_polynomial_is_reproduced_exactly_when_its_degree_is_at_most_2k_plus_1(ctx, engine):
+    for K in range(4):
+        for d in range(2 * K + 4):
+            f = EntireFn.from_poly(ctx, special_poly(ctx, "phi", d, Fraction(1, 3)))
+            assert (engine(ctx, f, K).residual == 0) == (d <= 2 * K + 1), (K, d)
+
+
+@pytest.mark.parametrize("table, key, row", [
+    (lidstone.SCHEMES, "bernoulli", lidstone.SCHEMES["bernoulli"]._replace(at_zero=("B", 1))),  # a flipped sign
+    (qpolys.BASES, "M", ("new_E", 1, 2, 1)),  # weight 2 for 1
+])
+def test_a_wrong_expansion_of_a_polynomial_raises(ctx_threefifths, monkeypatch, table, key, row):
+    # each scheme reproduces every polynomial of degree <= 2K+1, so a residual there is a bug
+    ctx = ctx_threefifths
+    f = EntireFn.from_poly(ctx, special_poly(ctx, "phi", 5, Fraction(1, 3)))
+    assert bernoulli_expansion(ctx, f, 2).residual == euler_expansion(ctx, f, 2).residual == 0
+    monkeypatch.setitem(table, key, row)
+    with pytest.raises(IntegrityError):
+        (bernoulli_expansion if key == "bernoulli" else euler_expansion)(ctx, f, 2)
 
 
 def test_stream_convergence_fast(ctx_half):

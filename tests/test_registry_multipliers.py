@@ -1,0 +1,119 @@
+"""The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, and
+the connection, reflection and translation checks compare scalar series.  Their references are the
+division form (N E)/D and the polynomial form of each check, in ``oracles``."""
+
+from fractions import Fraction
+
+import pytest
+
+from oracles import POLYNOMIAL_CHECKS, family_quotient, polynomial_check
+from qlidstone import cli, qpolys, symlaurent
+from qlidstone.fps import Series
+from qlidstone.qcore import QContext, clear_tables
+from qlidstone.qpolys import FAMILY_KINDS, build_family, check_identity, family_multiplier
+
+PINNED_BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(13, 27), Fraction(24, 25))
+REPORT_BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(24, 25))
+
+
+@pytest.fixture
+def cleared():
+    clear_tables()
+    yield
+    clear_tables()  # no table built under a mutation outlives the test
+
+
+@pytest.mark.parametrize("s", PINNED_BASES)
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_families_equal_the_division_form(s, kind):
+    ctx = QContext(s)
+    assert build_family(ctx, kind, 24) == family_quotient(ctx, kind, 25)
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_CHECKS)
+def test_scalar_and_polynomial_forms_give_the_same_reports(name):
+    for s in REPORT_BASES:
+        for n in (0, 1, 2, 9, 16):
+            assert repr(check_identity(QContext(s), name, n)) == repr(polynomial_check(QContext(s), name, n))
+
+
+def _failing(ctx):
+    return {name for name in POLYNOMIAL_CHECKS if not check_identity(ctx, name, 8).passed}
+
+
+# the checks that read each multiplier
+READERS = {
+    "suslov_B": {"connection_F1", "connection_F2", "translation_B"},
+    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B"},
+    "suslov_E": {"translation_E"},
+    "new_E": {"translation_E"},
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_a_doubled_numerator_coefficient_fails_the_checks_that_read_it(kind, monkeypatch, cleared):
+    parts = qpolys._family_parts
+
+    def doubled(s, k, order):
+        num, den = parts(s, k, order)
+        if k == kind and num.order > 2:  # coefficient 2 is nonzero in every N
+            num = Series(num.coeffs[:2] + (2 * num[2],) + num.coeffs[3:])
+        return num, den
+
+    monkeypatch.setattr(qpolys, "_family_parts", doubled)
+    ctx = QContext(Fraction(3, 5))
+    assert _failing(ctx) == READERS[kind]
+    for name in POLYNOMIAL_CHECKS:  # the failing reports too, first failure and all
+        report = check_identity(ctx, name, 8)
+        assert repr(report) == repr(polynomial_check(ctx, name, 8))
+        assert report.passed or report.first_failure["n"] >= 2  # G is unchanged below w**2
+
+
+def test_a_wrong_connection_coefficient_fails_the_checks_that_read_it(monkeypatch, cleared):
+    binomial = qpolys._binomial_series
+
+    def wrong(a, base, z, order):
+        c = binomial(a, base, z, order).coeffs
+        return Series(c[:3] + (c[3] + 1,) + c[4:]) if len(c) > 3 else Series(c)
+
+    monkeypatch.setattr(qpolys, "_binomial_series", wrong)
+    assert _failing(QContext(Fraction(3, 5))) == {"connection_F1", "connection_F2", "reflection_beta"}
+
+
+def test_a_flipped_eta_sign_fails_the_translations(monkeypatch, cleared):
+    eta_series = qpolys._eta_series
+    monkeypatch.setattr(qpolys, "_eta_series", lambda ctx, order, sign=1: eta_series(ctx, order))
+    assert _failing(QContext(Fraction(3, 5))) == {"translation_B", "translation_E"}
+
+
+def test_eq17_compares_the_chain_with_the_product_form_of_rho(monkeypatch, cleared):
+    # B_4 doubled changes psi_4 rho_4 but not its value at 0, so the beta numbers stand and only
+    # the families move; eq17's product-form rho_k do not
+    steps = symlaurent._psi_rho_steps
+
+    def wrong(s):
+        for j, (A, B, E) in enumerate(steps(s), 2):
+            yield A, 2 * B if j == 4 else B, E
+
+    monkeypatch.setattr(symlaurent, "_psi_rho_steps", wrong)
+    report = check_identity(QContext(Fraction(3, 5)), "eq17", 8)
+    assert not report.passed and report.first_failure["n"] == 4
+
+
+def test_the_scalar_checks_build_no_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polynomial route was taken")
+
+    for module, name in ((symlaurent, "q_translate"), (qpolys, "q_translate"), (qpolys, "_convolve"),
+                         (qpolys, "build_family"), (qpolys, "_family_series")):
+        monkeypatch.setattr(module, name, refuse, raising=False)  # qpolys imports no q_translate today
+    for s in (Fraction(1, 2), Fraction(17, 29)):
+        for name in POLYNOMIAL_CHECKS:
+            assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
+
+
+@pytest.mark.parametrize("order", [10, 11])
+def test_identities_build_each_multiplier_once(order, capsys, cleared):
+    assert cli.main(["identities", "--all", "--s", "3/5", "--order", str(order)]) == 0
+    capsys.readouterr()
+    assert family_multiplier.cache_info().misses == 4
