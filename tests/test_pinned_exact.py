@@ -2,9 +2,9 @@
 and the expansions, recorded before they came to be read off one table each.
 
 Each case hashes the reprs of its results at the five bases below, at orders up
-to 14, so a change of a single coefficient, or of a value's type, fails.  The
-digests were recorded on the code before that refactor; they are not edited to
-make a change pass.
+to 14 (the q-Hermite polynomials up to 30), so a change of a single coefficient,
+or of a value's type, fails.  The digests were recorded on the code before that
+refactor; they are not edited to make a change pass.
 """
 
 import hashlib
@@ -44,6 +44,7 @@ CASES = {
     **{f"family_multiplier-{k}": (lambda k: lambda ctx: family_multiplier(ctx.s, k, ORDER))(k) for k in FAMILY_KINDS},
     **{f"build_family-{k}": (lambda k: lambda ctx: build_family(ctx, k, ORDER))(k) for k in FAMILY_KINDS},
     **{f"build_numbers-{k}": (lambda k: lambda ctx: build_numbers(ctx, k, ORDER))(k) for k in NUMBER_KINDS},
+    "special_poly-hermite": lambda ctx: [special_poly(ctx, "hermite", n) for n in range(31)],
     **{f"lidstone_basis-{k}": (lambda k: lambda ctx: lidstone_basis(ctx, k, ORDER // 2))(k) for k in BASIS_KINDS},
     "bernoulli-phi": _expansion(bernoulli_expansion,
                                 lambda ctx: EntireFn.from_poly(ctx, special_poly(ctx, "phi", 6, Fraction(1, 3))), 3),
@@ -83,6 +84,7 @@ PINS = {
     "lidstone_basis-Mtilde": "7adc3ddf8bbc3428b8770843c7ffe80399f868a4ec93be362d1387d63feb6c8f",
     "q_translate": "4d1662718955838084134841dcccc8ae11d1cc0ea0c73f75f80093d44f539ce9",
     "rho_values": "e4a8ef7686420b329a19d2109cb60ae95a3a68b2a8e195644a7e161eba6a920a",
+    "special_poly-hermite": "f36ac242f42b1def2d97933ea3ec94281f531399c0231e47dc8a76375e1026fb",
     "translate_weights": "59b7ea07ea269a6bf48a5c155d5a8d2fb63e62503eee1b5bfb74b25ae36a697e",
 }
 
