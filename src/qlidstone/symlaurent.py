@@ -22,7 +22,7 @@ from itertools import count, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, psi_weights, q_pochhammers, table
+from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, psi_weights, table
 
 PointLike = Union[str, Fraction, int]
 
@@ -269,12 +269,14 @@ def _rho_table(s: Fraction) -> Iterator[SymPoly]:
 
 @table
 def _hermite_table(s: Fraction) -> Iterator[SymPoly]:
-    # H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k}
+    # H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k}; qq = [(q;q)_0, ..., (q;q)_n] is one running product
+    q, qq = s ** 4, [Fraction(1)]
     for n in count():
-        qq, out = q_pochhammers(s ** 4, s ** 4, n), [Fraction(0)] * (n + 1)
+        out = [Fraction(0)] * (n + 1)
         for k in range(n // 2 + 1):
             out[n - 2 * k] += qq[n] / (qq[k] * qq[n - k])  # when n - 2k == 0 the middle term is counted once
         yield SymPoly(out)
+        qq.append(qq[-1] * (1 - q ** (n + 1)))
 
 
 def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymPoly:
