@@ -1,16 +1,16 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with exact rational coefficients.
 
-Coefficients are Fractions or SymPolys (mixed operands promote via the
-SymPoly arithmetic).  Binary operations truncate to the shorter order.  Every
-polynomial series is E(x; w) times or over a scalar series, so a divisor is a
-scalar series, one of Fractions, with a nonzero constant term; generating
-functions with a removable zero at the origin must be pre-cancelled by the caller.
+A coefficient is a Fraction (an int is promoted); anything else raises
+``TypeError``.  Binary operations truncate to the shorter order.  A divisor has
+a nonzero constant term; generating functions with a removable zero at the
+origin must be pre-cancelled by the caller.  A series of polynomials is never
+built: each is E(x; w) times a scalar series, held as that series of rho
+coordinates (see ``qpolys``).
 
 The module also provides the expansions used as building blocks everywhere:
-infinite-product factors (c * w**j; base)_inf via Euler's q-exponential sum
-(which gives the truncated coefficients exactly, unlike any finite partial
-product), and the q-exponential series whose coefficients are rho-basis
-polynomials.
+infinite-product factors (c * w**j; base)_inf via Euler's q-exponential sum,
+which gives the truncated coefficients exactly, unlike any finite partial
+product.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .qcore import QContext
-from .symlaurent import SymPoly, lincomb, psi_rho_polys
 
-
-def _coerce(c):
+def _coerce(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, int):
         return Fraction(c)
-    return c
+    raise TypeError(f"a series coefficient is an int or a Fraction, not {type(c).__name__}")
 
 
 class Series:
@@ -111,22 +110,12 @@ class Series:
 
 
 def _dot(pairs):
-    """sum of a * b over pairs of Fractions and SymPolys; Fraction(0) when
-    every product is zero.  The polynomial-times-scalar terms are summed by
-    :func:`lincomb` over one denominator and reduced once."""
+    """sum of a * b over pairs of Fractions, zero factors skipped; Fraction(0) when every product is zero."""
     acc = None
-    scaled = []
     for a, b in pairs:
-        if not a or not b:  # a zero Fraction or SymPoly
-            continue
-        if isinstance(a, SymPoly) is not isinstance(b, SymPoly):
-            scaled.append((a, b) if isinstance(a, SymPoly) else (b, a))
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    if scaled:
-        poly = lincomb(scaled)
-        acc = poly if acc is None else acc + poly
+        if a and b:
+            term = a * b
+            acc = term if acc is None else acc + term
     return Fraction(0) if acc is None else acc
 
 
@@ -160,10 +149,3 @@ def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -
         out[m * power] = c
         m += 1
     return Series(out)
-
-
-def eq_exponential_series(ctx: QContext, order: int) -> Series:
-    """The q-exponential as a series in w with rho-polynomial coefficients:
-    coefficient n is psi_n rho_n(x), psi_n = q**(n**2/4)/(q;q)_n, sliced from the
-    per-s table of :func:`symlaurent.psi_rho_polys`."""
-    return Series(psi_rho_polys(ctx, order))

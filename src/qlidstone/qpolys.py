@@ -14,9 +14,10 @@ power of w is cancelled before dividing, leaving the constant term
 G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_j:
 the family tables, the interpolation bases and the expansions are all summed so.
 The identity registry checks the cross-relations between the families exactly,
-five of them as identities between the scalar multipliers G; the two
-decomposition checks compare the bases, with E(eta; w) from the eta table of
-the boundary data, against E(x; w).
+five of them as identities between the scalar multipliers G.  The two
+decomposition checks and the Hermite check compare rho coordinates, the scalar
+series that multiply psi_j rho_j: those of the bases are read off G, and E(eta; w)
+off the eta table of the boundary data.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers, table
-from .fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
-from .symlaurent import SymPoly, eval_at, aw_derivative, psi_rho_at_eta, psi_rho_sum, special_poly
+from .fps import Series, euler_factor_series, pochhammer_series
+from .symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_at_eta, psi_rho_poly, psi_rho_sum,
+                         special_poly)
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 # basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
@@ -104,25 +106,21 @@ def _multiplier(ctx: QContext, kind: str, order: int) -> Series:
 
 
 @table
-def _family_series(ctx: QContext, kind: str, order: int) -> Series:
+def _family_series(ctx: QContext, kind: str, order: int) -> List[SymPoly]:
     """Entries n < order of family ``kind``, each sum_j G_{n-j} psi_j rho_j by :func:`psi_rho_sum`, with
-    G = :func:`family_multiplier`: a Series, which the store cuts to a prefix (a tuple it would not)."""
+    G = :func:`family_multiplier`: a list, which the store cuts to a prefix."""
     g = _multiplier(ctx, kind, order).coeffs
-    return Series([psi_rho_sum(ctx, g[n::-1]) for n in range(order)])
+    return [psi_rho_sum(ctx, g[n::-1]) for n in range(order)]
 
 
 def build_family(ctx: QContext, kind: str, n_max: int) -> Tuple[SymPoly, ...]:
     """Family polynomials for indices 0..n_max."""
-    return _family_series(ctx, kind, n_max + 1).coeffs
-
-
-def _as_poly(c) -> SymPoly:
-    return c if isinstance(c, SymPoly) else SymPoly.const(c)
+    return tuple(_family_series(ctx, kind, n_max + 1))
 
 
 def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
-    """Cauchy product sum_k entries[n-k] coefs[k] for every n, as polynomials."""
-    return tuple(_as_poly(c) for c in (Series(entries) * Series(coefs)).coeffs)
+    """Cauchy product sum_k entries[n-k] coefs[k] of polynomials and scalars for every n, one :func:`lincomb` each."""
+    return tuple(lincomb(zip(entries[:n + 1], coefs[n::-1])) for n in range(min(len(entries), len(coefs))))
 
 
 # -- numbers -------------------------------------------------------------------
@@ -196,18 +194,6 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
     c = ctx.aw_scale
     return tuple(psi_rho_sum(ctx, family_rho(ctx, [basis_term(kind, k, c)], 2 * k_max + 2))
                  for k in range(k_max + 1))
-
-
-@table
-def _basis_series(ctx: QContext, kind: str, order: int) -> Series:
-    """The quotient series of basis ``kind``, sum_k c**(2k+e) (entry k of :func:`lidstone_basis`) w**(2k+e),
-    with c = ``ctx.aw_scale`` and e from the kind's :data:`BASES` row."""
-    e = BASES[kind][3]
-    c = ctx.aw_scale
-    out = [Fraction(0)] * order
-    for k, b in enumerate(lidstone_basis(ctx, kind, (order - 1 - e) // 2)):
-        out[2 * k + e] = b * c ** (2 * k + e)
-    return Series(out)
 
 
 def _eta_series(ctx: QContext, order: int, sign: int = 1) -> Series:
@@ -407,35 +393,62 @@ def _check_ladders(ctx, n_max):
     return _report("ladders", n_max, pairs)
 
 
+def _decomposition_report(ctx, name, n_max, parts, note=""):
+    """The report :func:`_report` gives on entries n <= n_max of sum a F(w) Q_X(w) over the parts (a, X, eta),
+    F = E(eta; w) if eta else 1, against E(x; w); Q_X = sum_k c**(2k+e) X_k w**(2k+e) is basis X's quotient series.
+
+    By X's :data:`BASES` row (family, shift, weight, e), coordinate j of Q_X (its coefficient of psi_j rho_j) is
+    weight w**(j-d) G^[shift+j](w), with d = shift - e and G^[p] the part of parity p of the family multiplier G.
+    So coordinate j of the sum is w**(j-1) Y_{j%2}(w), Y_p = sum a F weight w**(1-d) G^[shift+p], and entry n,
+    sum_j Y_{j%2}[n-j+1] psi_j rho_j, is psi_n rho_n when each Y_p[t] it reads is [t == 1].  A wrong Y_p[t] fails
+    the entries n = t-1+p, t+1+p, ..., so each parity of n fails from its first wrong entry on; only the first
+    failing entry is summed, to be shown."""
+    lo = min(0, *(1 - BASES[kind][1] + BASES[kind][3] for _, kind, _ in parts))  # the lowest t with a term
+    ys = [[Fraction(0)] * (n_max + 2 - p - lo) for p in (0, 1)]  # Y_p[t] at t - lo, for t <= n_max + 1 - p
+    for a, kind, eta in parts:
+        family, shift, weight, e = BASES[kind]
+        d, last = shift - e, 2 * ((n_max - e) // 2) + shift  # last: the family entry of the last basis entry read
+        g = _multiplier(ctx, family, max(n_max, last) + 1).coeffs
+        for p, y in enumerate(ys):
+            size = n_max + 1 - p + d  # Y_p[t] reads the terms w**i of F G^[shift+p] at i = t - 1 + d < size
+            if size > 0:
+                part = Series([g[i] if (i - shift - p) % 2 == 0 and i <= last else 0 for i in range(size)])
+                for i, v in enumerate((part * _eta_series(ctx, size) if eta else part).coeffs):
+                    y[i + 1 - d - lo] += a * weight * v
+    first = [n_max + 1] * 2  # the first failing entry of each parity
+    for p, y in enumerate(ys):
+        for n, v in enumerate(y, lo - 1 + p):  # Y_p[t] is read first by entry n = t - 1 + p, and t == 1 is n == p
+            if v != (n == p):
+                first[n % 2] = min(first[n % 2], n)
+    results = tuple((n, n < first[n % 2]) for n in range(n_max + 1))
+    bad = next((n for n, ok in results if not ok), None)
+    shown = None if bad is None else {
+        "n": bad, "lhs": _render_side(psi_rho_sum(ctx, [ys[j % 2][bad - j + 1 - lo] for j in range(bad + 2 - lo)])),
+        "rhs": _render_side(psi_rho_poly(ctx, bad))}
+    return IdentityReport(name, n_max, bad is None, results, shown, note)
+
+
 def _check_eq4_decomposition(ctx, n_max):
     # - sum_k b_k(x) y**(2k) + E(eta; y) sum_k a_k(x) y**(2k) == E(x; y)
-    order = n_max + 1
-    recon = _eta_series(ctx, order) * _basis_series(ctx, "A", order) - _basis_series(ctx, "B", order)
-    target = eq_exponential_series(ctx, order)
-    pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
     note = ("B-quotient implemented in the exponential-quotient form; the "
             "equivalent product form carries the denominator with the opposite "
             "sign order (detected erratum).")
-    return _report("eq4_decomposition", n_max, pairs, note=note)
+    return _decomposition_report(ctx, "eq4_decomposition", n_max, ((1, "A", True), (-1, "B", False)), note)
 
 
 def _check_euler_decomposition(ctx, n_max):
     # m-quotient(y) + E(eta; y) * mtilde-quotient(y) == E(x; y); the odd
     # quotient pairs with the plain series and the even one with the eta
     # factor (the variable placement in the two-series statement).
-    order = n_max + 1
-    recon = _basis_series(ctx, "M", order) + _eta_series(ctx, order) * _basis_series(ctx, "Mtilde", order)
-    target = eq_exponential_series(ctx, order)
-    pairs = [(n, _as_poly(recon[n]), _as_poly(target[n])) for n in range(order)]
-    return _report("euler_decomposition", n_max, pairs)
+    return _decomposition_report(ctx, "euler_decomposition", n_max, ((1, "M", False), (1, "Mtilde", True)))
 
 
 def _check_hermite_rep(ctx, n_max):
-    # (q t**2; q**2)_inf * E(x; t) = sum q**(n**2/4)/(q;q)_n H_n(x|q) t**n
+    # (q t**2; q**2)_inf * E(x; t) = sum q**(n**2/4)/(q;q)_n H_n(x|q) t**n: entry n is sum_j Q_{n-j} psi_j rho_j
+    # for Q = (q t**2; q**2)_inf
     order = n_max + 1
-    lhs = _qw2_series(ctx.s, order) * eq_exponential_series(ctx, order)
-    psi = psi_weights(ctx, order)
-    pairs = [(n, _as_poly(lhs[n]), special_poly(ctx, "hermite", n) * psi[n]) for n in range(order)]
+    lhs, psi = _qw2_series(ctx.s, order).coeffs, psi_weights(ctx, order)
+    pairs = [(n, psi_rho_sum(ctx, lhs[n::-1]), special_poly(ctx, "hermite", n) * psi[n]) for n in range(order)]
     note = "prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at degree 2"
     return _report("hermite_rep", n_max, pairs, note=note)
 

@@ -11,12 +11,12 @@ from itertools import islice
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
+from qlidstone.fps import Series, euler_factor_series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
-from qlidstone.qpolys import _report, build_family, family_rho
+from qlidstone.qpolys import BASES, _eta_series, _report, build_family, family_rho, lidstone_basis
 from qlidstone.qspecial import ZeroSearchError, _bessel_body, psi_rho_steps, psi_rho_terms
-from qlidstone.symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_sum, q_translate, rho_values,
-                                  special_poly)
+from qlidstone.symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_polys, psi_rho_sum, q_translate,
+                                  rho_values, special_poly)
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series references
 
@@ -268,14 +268,81 @@ def lidstone_basis_rho(ctx, kind, k_max):
 
 
 def scale_arg(a, c):
-    """w -> c*w, i.e. a_k -> c**k a_k."""
+    """w -> c*w, i.e. a_k -> c**k a_k, for a Series or a PolySeries."""
     c = Fraction(c)
     out = []
     p = Fraction(1)
     for coeff in a.coeffs:
         out.append(coeff * p)
         p *= c
-    return Series(out)
+    return type(a)(out)
+
+
+class PolySeries:
+    """A truncated power series of polynomials, every coefficient a SymPoly: the polynomial-series arithmetic
+    that ``fps.Series`` carried before it came to hold scalars only, kept as the reference the checks on rho
+    coordinates are tested against.  Series of polynomials add and subtract; a product with a scalar ``Series``
+    sums each coefficient by ``lincomb``, as the polynomial branch of ``fps._dot`` did; a divisor is a scalar
+    ``Series``.  Operations truncate to the shorter order."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(c if isinstance(c, SymPoly) else SymPoly.const(c) for c in coeffs)
+
+    @property
+    def order(self):
+        return len(self.coeffs)
+
+    def __getitem__(self, n):
+        return self.coeffs[n]
+
+    def __eq__(self, other):
+        return isinstance(other, PolySeries) and self.coeffs == other.coeffs
+
+    def truncate(self, order):
+        return PolySeries(self.coeffs[:order])
+
+    def __add__(self, other):
+        return PolySeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return PolySeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        """By a scalar, or by a scalar Series: coefficient k is sum_m self[k-m] other[m]."""
+        if not isinstance(other, Series):
+            return PolySeries([c * other for c in self.coeffs])
+        return PolySeries([lincomb(zip(self.coeffs[k::-1], other.coeffs))
+                           for k in range(min(self.order, other.order))])
+
+    def __truediv__(self, other):
+        """By a scalar Series with a nonzero constant term, one coefficient at a time."""
+        inv, out = 1 / other[0], []
+        for k in range(min(self.order, other.order)):
+            out.append((self.coeffs[k] - lincomb(zip(out[::-1], other.coeffs[1:k + 1]))) * inv)
+        return PolySeries(out)
+
+    def shift_down(self):
+        """Divide by w; the constant term must vanish."""
+        if self.coeffs[0]:
+            raise ValueError("constant term is nonzero, cannot cancel w")
+        return PolySeries(self.coeffs[1:])
+
+
+def eq_exponential_series(ctx, order):
+    """The q-exponential E(x; w) as a series in w: coefficient n is psi_n rho_n(x), psi_n = q**(n**2/4)/(q;q)_n."""
+    return PolySeries(psi_rho_polys(ctx, order))
+
+
+def basis_series(ctx, kind, order):
+    """The quotient series of basis ``kind``, sum_k c**(2k+e) (entry k of ``lidstone_basis``) w**(2k+e), with
+    c = ``ctx.aw_scale`` and e from the kind's ``BASES`` row."""
+    e, c = BASES[kind][3], ctx.aw_scale
+    out = [SymPoly.zero()] * order
+    for k, b in enumerate(lidstone_basis(ctx, kind, (order - 1 - e) // 2)):
+        out[2 * k + e] = b * c ** (2 * k + e)
+    return PolySeries(out)
 
 
 def factor_parts(s, order):
@@ -300,22 +367,30 @@ def family_quotient(ctx, kind, order):
     _, minus, diff_over_w, summ = factor_parts(ctx.s, order)
     num = _qw2_series(ctx.s, order) if kind.startswith("suslov") else minus * 2 if kind == "new_E" else minus
     den = diff_over_w if kind in ("suslov_B", "new_beta") else summ
-    return tuple(c if isinstance(c, SymPoly) else SymPoly.const(c)
-                 for c in ((num * eq_exponential_series(ctx, order)) / den).coeffs)
+    return ((eq_exponential_series(ctx, order) * num) / den).coeffs
 
 
-POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E")
+POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E",
+                     "eq4_decomposition", "euler_decomposition", "hermite_rep")
+NOTES = {  # the registry's notes on these checks
+    "eq4_decomposition": ("B-quotient implemented in the exponential-quotient form; the equivalent product form "
+                          "carries the denominator with the opposite sign order (detected erratum)."),
+    "hermite_rep": ("prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at "
+                    "degree 2"),
+}
 
 
 def polynomial_check(ctx, name, n_max):
     """The report of registry check ``name``, one of :data:`POLYNOMIAL_CHECKS`, in its polynomial form:
     the family tables of ``build_family`` convolved with the connection coefficients, reflected, or
-    translated by ``q_translate`` entry by entry."""
-    q, p, ns = ctx.q, ctx.sqrt_q, range(n_max + 1)
+    translated by ``q_translate`` entry by entry; the decompositions as products of the basis quotient
+    series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the
+    q-Hermite polynomials."""
+    q, p, ns, order = ctx.q, ctx.sqrt_q, range(n_max + 1), n_max + 1
     big, beta = build_family(ctx, "suslov_B", n_max), build_family(ctx, "new_beta", n_max)
 
     def convolve(entries, coefs):
-        return [c if isinstance(c, SymPoly) else SymPoly.const(c) for c in (Series(entries) * Series(coefs)).coeffs]
+        return (PolySeries(entries) * Series(coefs)).coeffs
 
     if name == "connection_F1":
         coefs = [q_pochhammer(-1 / p, q, k) / q_pochhammer(q, q, k) * (-p) ** k for k in ns]
@@ -331,9 +406,18 @@ def polynomial_check(ctx, name, n_max):
     elif name == "translation_E":
         se, ne = build_family(ctx, "suslov_E", n_max), build_family(ctx, "new_E", n_max)
         pairs = [(n, q_translate(ctx, e, "minus_eta"), e2 / 2) for n, e, e2 in zip(ns, se, ne)]
+    elif name == "eq4_decomposition":
+        recon = basis_series(ctx, "A", order) * _eta_series(ctx, order) - basis_series(ctx, "B", order)
+        pairs = zip(ns, recon.coeffs, psi_rho_polys(ctx, order))
+    elif name == "euler_decomposition":
+        recon = basis_series(ctx, "M", order) + basis_series(ctx, "Mtilde", order) * _eta_series(ctx, order)
+        pairs = zip(ns, recon.coeffs, psi_rho_polys(ctx, order))
+    elif name == "hermite_rep":
+        lhs, psi = eq_exponential_series(ctx, order) * _qw2_series(ctx.s, order), psi_weights(ctx, order)
+        pairs = [(n, lhs[n], special_poly(ctx, "hermite", n) * psi[n]) for n in ns]
     else:
         raise ValueError(f"no polynomial form of {name!r}")
-    return _report(name, n_max, pairs)
+    return _report(name, n_max, pairs, note=NOTES.get(name, ""))
 
 
 def eta_exponential_series(ctx, order):
@@ -355,15 +439,15 @@ def lidstone_quotients(ctx, kind, order):
     eqe = eq_exponential_series(ctx, order + 1)
     eqe_neg = scale_arg(eqe, -1)
     if kind == "A":
-        num = (_qw2_series(ctx.s, order + 1) * (eqe - eqe_neg)).shift_down()
+        num = ((eqe - eqe_neg) * _qw2_series(ctx.s, order + 1)).shift_down()
         return num / diff_over_w
     if kind == "B":
         # the numerator and diff = w * diff_over_w are odd, so w is cancelled from both before dividing
-        return (minus * eqe - plus * eqe_neg).shift_down() / diff_over_w
+        return (eqe * minus - eqe_neg * plus).shift_down() / diff_over_w
     if kind == "M":
-        return (minus * eqe - plus * eqe_neg) / summ
+        return (eqe * minus - eqe_neg * plus) / summ
     if kind == "Mtilde":
-        return (_qw2_series(ctx.s, order + 1) * (eqe + eqe_neg)) / summ
+        return ((eqe + eqe_neg) * _qw2_series(ctx.s, order + 1)) / summ
     raise ValueError(f"unknown basis kind {kind!r}")
 
 

@@ -1,11 +1,14 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import eta_exponential_series, psi_weight, scale_arg
+from oracles import eq_exponential_series, eta_exponential_series, psi_weight, scale_arg
 from qlidstone.qcore import QContext, psi_weights
-from qlidstone.fps import Series, eq_exponential_series, euler_factor_series, pochhammer_series
+from qlidstone import fps
+from qlidstone.fps import Series, euler_factor_series, pochhammer_series
 from qlidstone.symlaurent import SymPoly, eval_at, special_poly
 
 fracs = st.fractions(min_value=Fraction(-4), max_value=Fraction(4))
@@ -128,7 +131,7 @@ def test_eq_exponential_series_is_rho_times_psi(s):
 
 def test_eq_exponential_at_zero_is_one(ctx):
     e = eq_exponential_series(ctx, 11)
-    assert eval_at(ctx, e[0] if isinstance(e[0], SymPoly) else SymPoly.const(e[0]), "zero") == 1
+    assert eval_at(ctx, e[0], "zero") == 1
     for n in range(1, 11):
         assert eval_at(ctx, e[n], "zero") == 0
 
@@ -144,8 +147,25 @@ def test_eta_product_identity(ctx):
 def test_hermite_generating_identity(ctx):
     q = ctx.q
     pref = pochhammer_series(q, 2, q * q, 11)
-    lhs = pref * eq_exponential_series(ctx, 11)
+    lhs = eq_exponential_series(ctx, 11) * pref
     for n in range(11):
         rhs = special_poly(ctx, "hermite", n) * psi_weight(ctx, n)
-        got = lhs[n] if isinstance(lhs[n], SymPoly) else SymPoly.const(lhs[n])
-        assert got == rhs
+        assert lhs[n] == rhs
+
+
+def test_a_non_rational_coefficient_raises():
+    for bad in (SymPoly.const(1), 0.5, "1"):
+        with pytest.raises(TypeError):
+            Series([1, bad])
+        with pytest.raises(TypeError):
+            Series([1, 2]) * bad
+
+
+def test_fps_imports_nothing_from_symlaurent():
+    tree = ast.parse(Path(fps.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {getattr(node, "module", None) or ""} | {alias.name for alias in node.names}
+    assert not any("symlaurent" in name for name in names), names
+    assert not [v for v in vars(fps).values() if getattr(v, "__module__", None) == "qlidstone.symlaurent"]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import factor_parts, lidstone_basis_rho, lidstone_quotients, poly_from_basis, q_pochhammer
+from oracles import (basis_series, factor_parts, lidstone_basis_rho, lidstone_quotients, poly_from_basis,
+                     polynomial_check, q_pochhammer)
 from qlidstone import qpolys
 from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import (
@@ -150,14 +151,12 @@ def test_basis_pins_both_construction_routes(kind, s):
     for k, b in enumerate(basis):
         scale = c ** (-2 * k - exponent)
         assert b == table[2 * k + offset] * (factor * scale), (kind, k, "family")
-        coeff = quotient[2 * k + exponent]
-        coeff = coeff if isinstance(coeff, SymPoly) else SymPoly.const(coeff)
-        assert b == coeff * scale, (kind, k, "quotient")
+        assert b == quotient[2 * k + exponent] * scale, (kind, k, "quotient")
     for K in range(k_max):
         assert lidstone_basis(ctx, kind, K) == basis[:K + 1]
-    # the series the decomposition checks read is the quotient series, coefficient by coefficient
-    series = qpolys._basis_series(ctx, kind, 2 * k_max + 2).coeffs
-    assert [qpolys._as_poly(v) for v in series] == [qpolys._as_poly(v) for v in quotient.coeffs[:len(series)]]
+    # the bases as the series sum_k c**(2k+e) (entry k) w**(2k+e), whose rho coordinates the decomposition
+    # checks read, are the quotient series, coefficient by coefficient
+    assert basis_series(ctx, kind, 2 * k_max + 2) == quotient.truncate(2 * k_max + 2)
 
 
 def test_basis_scaled_vs_family(ctx_half):
@@ -185,20 +184,31 @@ def cleared():
     clear_tables()  # no table built on a wrong basis outlives the test
 
 
-def _fails(ctx, name):
+def _fails(ctx, name, reference=True):
+    # the report on rho coordinates is the polynomial form's, first failure and all, where that form can be built
     report = check_identity(ctx, name, 8)
+    assert not reference or repr(report) == repr(polynomial_check(ctx, name, 8))
     return not report.passed and report.first_failure is not None
 
 
 def test_decompositions_fail_on_a_wrong_basis(ctx_threefifths, monkeypatch, cleared):
-    # the checks read the bases, the multipliers and the eta table that the expansions use
+    # the checks read the BASES rows, the multipliers and the eta table that the expansions use
     ctx = ctx_threefifths
     monkeypatch.setitem(qpolys.BASES, "B", ("new_beta", 1, 1, 0))
     assert _fails(ctx, "eq4_decomposition")
     monkeypatch.undo()
     clear_tables()
+    monkeypatch.setitem(qpolys.BASES, "A", ("new_beta", 1, 2, 0))
+    assert _fails(ctx, "eq4_decomposition")
+    monkeypatch.undo()
+    clear_tables()
     monkeypatch.setitem(qpolys.BASES, "M", ("new_E", 1, 2, 1))
     assert _fails(ctx, "euler_decomposition")
+    monkeypatch.undo()
+    clear_tables()
+    # entry k = Mtilde family entry 2k + 2: lidstone_basis reads past its multiplier, so there is no polynomial form
+    monkeypatch.setitem(qpolys.BASES, "Mtilde", ("suslov_E", 2, 2, 0))
+    assert _fails(ctx, "euler_decomposition", reference=False)
     monkeypatch.undo()
     clear_tables()
     parts = qpolys._family_parts

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eta_series_sign_exact, eta_series_sign_termwise,
-                     eta_series_value_closed, jackson_bessel_j2, psi_weight, rho_laurent_product)
+from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eq_exponential_series, eta_series_sign_exact,
+                     eta_series_sign_termwise, eta_series_value_closed, jackson_bessel_j2, psi_weight,
+                     rho_laurent_product)
 from qlidstone import qspecial
 from qlidstone.qcore import LimitError, QContext, q_pochhammer_inf
-from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import eval_at
 from qlidstone.qspecial import (
     ZeroSearchError,

@@ -1,6 +1,7 @@
-"""The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, and
-the connection, reflection and translation checks compare scalar series.  Their references are the
-division form (N E)/D and the polynomial form of each check, in ``oracles``."""
+"""The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
+connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
+compare rho coordinates.  Their references are the division form (N E)/D and the polynomial form of each
+check, in ``oracles``."""
 
 from fractions import Fraction
 
@@ -43,10 +44,10 @@ def _failing(ctx):
 
 # the checks that read each multiplier
 READERS = {
-    "suslov_B": {"connection_F1", "connection_F2", "translation_B"},
-    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B"},
-    "suslov_E": {"translation_E"},
-    "new_E": {"translation_E"},
+    "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition"},
+    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B", "eq4_decomposition"},
+    "suslov_E": {"translation_E", "euler_decomposition"},
+    "new_E": {"translation_E", "euler_decomposition"},
 }
 
 
@@ -67,6 +68,24 @@ def test_a_doubled_numerator_coefficient_fails_the_checks_that_read_it(kind, mon
         report = check_identity(ctx, name, 8)
         assert repr(report) == repr(polynomial_check(ctx, name, 8))
         assert report.passed or report.first_failure["n"] >= 2  # G is unchanged below w**2
+
+
+@pytest.mark.parametrize("kind", ["new_beta", "new_E"])
+def test_a_basis_read_without_eta_fails_one_parity_of_entries(kind, monkeypatch, cleared):
+    # B and M enter their decompositions with no factor E(eta; w), so a wrong multiplier coefficient reaches
+    # every other entry only; each parity of n is judged apart, as in the polynomial form
+    parts = qpolys._family_parts
+
+    def wrong(s, k, order):
+        num, den = parts(s, k, order)
+        return (Series(num.coeffs[:4] + (num[4] + Fraction(1, 3),) + num.coeffs[5:]) if k == kind else num), den
+
+    monkeypatch.setattr(qpolys, "_family_parts", wrong)
+    ctx = QContext(Fraction(3, 5))
+    name = "eq4_decomposition" if kind == "new_beta" else "euler_decomposition"
+    report = check_identity(ctx, name, 9)
+    assert repr(report) == repr(polynomial_check(ctx, name, 9))
+    assert [n for n, ok in report.results if not ok] == list(range(report.first_failure["n"], 10, 2))
 
 
 def test_a_wrong_connection_coefficient_fails_the_checks_that_read_it(monkeypatch, cleared):
@@ -109,6 +128,22 @@ def test_the_scalar_checks_build_no_polynomial(monkeypatch):
         monkeypatch.setattr(module, name, refuse, raising=False)  # qpolys imports no q_translate today
     for s in (Fraction(1, 2), Fraction(17, 29)):
         for name in POLYNOMIAL_CHECKS:
+            assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
+
+
+def test_the_coordinate_checks_sum_no_passing_entry(monkeypatch):
+    # the decompositions read the multipliers, not the bases, and sum an entry only to show it failing; the
+    # Hermite check sums each entry by psi_rho_sum, the polynomial it compares with psi_n H_n
+    def refuse(*args):
+        raise AssertionError("a polynomial route was taken")
+
+    for name in ("lidstone_basis", "_convolve", "build_family", "_family_series"):
+        monkeypatch.setattr(qpolys, name, refuse)
+    for s in (Fraction(1, 2), Fraction(17, 29)):
+        assert all(check_identity(QContext(s), "hermite_rep", n).passed for n in (0, 1, 2, 9, 12)), s
+    monkeypatch.setattr(qpolys, "psi_rho_sum", refuse)
+    for s in (Fraction(1, 2), Fraction(17, 29)):
+        for name in ("eq4_decomposition", "euler_decomposition"):
             assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
 
 

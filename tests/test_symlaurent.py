@@ -9,7 +9,6 @@ from oracles import (FractionSymPoly, fraction_change_basis, poly_from_basis, ps
 from qlidstone import qcore
 from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import build_family
-from qlidstone.fps import eq_exponential_series
 from qlidstone.symlaurent import (
     SymPoly,
     aw_derivative,
@@ -370,7 +369,7 @@ def test_psi_rho_tables_agree_in_rising_and_falling_order():
 
 def test_psi_rho_tables_return_copies():
     ctx = QContext(Fraction(6, 19))
-    want_polys, want_eta, want_series = psi_rho_polys(ctx, 8), psi_rho_at_eta(ctx, 8), eq_exponential_series(ctx, 8)
+    want_polys, want_eta = psi_rho_polys(ctx, 8), psi_rho_at_eta(ctx, 8)
     polys = psi_rho_polys(ctx, 8)
     polys[0] = SymPoly.zero()
     polys.append(SymPoly.const(1))
@@ -380,7 +379,6 @@ def test_psi_rho_tables_return_copies():
     assert psi_rho_polys(ctx, 8) == want_polys
     assert psi_rho_polys(ctx, 11)[:8] == want_polys
     assert psi_rho_at_eta(ctx, 8) == want_eta
-    assert eq_exponential_series(ctx, 8) == want_series
 
 
 def test_psi_rho_tables_are_keyed_on_s_alone():
@@ -388,7 +386,7 @@ def test_psi_rho_tables_are_keyed_on_s_alone():
     clear_tables()
     for n in (4, 11, 2):
         psi_rho_polys(ctx, n)
-        eq_exponential_series(ctx, n + 1)
+        psi_rho_polys(ctx, n + 1)
         psi_rho_at_eta(ctx, n + 3)
     # one table per chain and one at eta, whatever the orders asked
     assert _held(ctx.s) == {("_psi_rho_chain", 0), ("_psi_rho_chain", 1), ("psi_rho_at_eta",)}
