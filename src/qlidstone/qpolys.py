@@ -430,9 +430,8 @@ def _decomposition_report(ctx, name, n_max, parts, note=""):
 
 def _check_eq4_decomposition(ctx, n_max):
     # - sum_k b_k(x) y**(2k) + E(eta; y) sum_k a_k(x) y**(2k) == E(x; y)
-    note = ("B-quotient implemented in the exponential-quotient form; the "
-            "equivalent product form carries the denominator with the opposite "
-            "sign order (detected erratum).")
+    note = ("the product form of the B-quotient carries the denominator with the opposite sign order to "
+            "its exponential-quotient form (detected erratum).")
     return _decomposition_report(ctx, "eq4_decomposition", n_max, ((1, "A", True), (-1, "B", False)), note)
 
 

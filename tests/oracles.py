@@ -373,8 +373,8 @@ def family_quotient(ctx, kind, order):
 POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E",
                      "eq4_decomposition", "euler_decomposition", "hermite_rep")
 NOTES = {  # the registry's notes on these checks
-    "eq4_decomposition": ("B-quotient implemented in the exponential-quotient form; the equivalent product form "
-                          "carries the denominator with the opposite sign order (detected erratum)."),
+    "eq4_decomposition": ("the product form of the B-quotient carries the denominator with the opposite sign "
+                          "order to its exponential-quotient form (detected erratum)."),
     "hermite_rep": ("prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at "
                     "degree 2"),
 }
