@@ -2,9 +2,11 @@
 
 A function enters either as an exact polynomial or as a stream of
 rho-basis coefficients f_k (so truncations of the basic sine/cosine are
-representable).  Every expansion works on the quotients u_j = f_j / psi_j,
-formed once; for the basic sine and cosine their heights stay small while
-those of psi_j grow to thousands of bits.
+representable).  Every expansion works on the quotients u_j = f_j / psi_j.
+For the basic sine and cosine (and the even part of the q-exponential) they are
+u_j = +-w**j, small while psi_j grows to thousands of bits, and their streams
+carry them (:meth:`EntireFn.from_quotients`), so psi_j is never divided back
+out; any other stream forms them once per expansion.
 Boundary data at the two nodes 0 and eta are read off them by the q-Taylor
 identity (see :func:`aw_boundary_data`).  The Bernoulli-type engine consumes
 even-order data at both nodes; the Euler-type engine odd data at 0 and even
@@ -46,8 +48,7 @@ from itertools import islice, zip_longest
 from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .qcore import (IntegrityError, LimitError, QContext, correlate, over_common_den, psi_weights, q_pochhammers,
-                    safe_float)
+from .qcore import IntegrityError, LimitError, QContext, correlate, over_common_den, psi_weights, safe_float
 from .symlaurent import SymPoly, change_basis, psi_rho_at_eta, psi_rho_sum
 from .qpolys import basis_term, family_rho
 from . import qspecial
@@ -86,6 +87,19 @@ class EntireFn:
     def from_stream(cls, coeffs: Sequence, polynomial: bool = False, **kw) -> "EntireFn":
         return cls(stream=tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs),
                    polynomial=polynomial, **kw)
+
+    @classmethod
+    def from_quotients(cls, ctx: QContext, u: Sequence[Fraction]) -> "EntireFn":
+        """The stream f_j = u_j psi_j, which keeps (ctx.s, u) outside its fields: reports,
+        ``==``, ``hash`` and ``dataclasses.replace`` never see them."""
+        f = cls(stream=tuple(map(mul, u, psi_weights(ctx, len(u)))))
+        object.__setattr__(f, "_quotients", (ctx.s, tuple(u)))
+        return f
+
+    def quotients(self, ctx: QContext) -> Sequence[Fraction]:
+        """u_j = f_j / psi_j at ``ctx.s``: those kept by :meth:`from_quotients`, else formed."""
+        s, u = getattr(self, "_quotients", (None, ()))
+        return u if s == ctx.s else _over_psi(ctx, self.stream)
 
 
 @dataclass(frozen=True)
@@ -147,7 +161,7 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
         raise ValueError("scheme must be 'bernoulli' or 'euler'")
     if K < 0:
         raise ValueError("K must be >= 0")
-    u = _over_psi(ctx, f.stream) if quotients is None else quotients
+    u = f.quotients(ctx) if quotients is None else quotients
     n = len(u)
     c = ctx.aw_scale
     first = SCHEMES[scheme].first_order
@@ -169,21 +183,20 @@ def _zero_cap(ctx: QContext, kind: str) -> Optional[float]:
 def bernoulli_expansion(ctx: QContext, f: EntireFn, K: int,
                         grid: Sequence = DEFAULT_GRID) -> ExpansionReport:
     """Two-point expansion over the odd Bernoulli-family polynomials."""
-    return _expansion(ctx, f, _over_psi(ctx, f.stream), "bernoulli", K, grid)
+    return _expansion(ctx, f, "bernoulli", K, grid)
 
 
 def euler_expansion(ctx: QContext, f: EntireFn, K: int,
                     grid: Sequence = DEFAULT_GRID) -> ExpansionReport:
     """Two-point expansion over the Euler families (odd data at zero)."""
-    return _expansion(ctx, f, _over_psi(ctx, f.stream), "euler", K, grid)
+    return _expansion(ctx, f, "euler", K, grid)
 
 
-def _expansion(ctx: QContext, f: EntireFn, quotients: List[Fraction], kind: str, K: int,
-               grid: Sequence) -> ExpansionReport:
-    """The ``kind`` expansion of f, whose quotients f_j / psi_j are given.  The
-    reconstruction sum_j r_j psi_j rho_j is summed by :func:`symlaurent.psi_rho_sum`;
-    the quotients give tau and, less r_j, the residual."""
+def _expansion(ctx: QContext, f: EntireFn, kind: str, K: int, grid: Sequence) -> ExpansionReport:
+    """The ``kind`` expansion of f.  The reconstruction sum_j r_j psi_j rho_j is summed by
+    :func:`symlaurent.psi_rho_sum`; the quotients f_j / psi_j give tau and, less r_j, the residual."""
     scheme = SCHEMES[kind]
+    quotients = f.quotients(ctx)
     data0, data_eta = aw_boundary_data(ctx, f, K, kind, quotients)
     c = ctx.aw_scale
     terms = [basis_term(basis, k, c, sign * data[k])
@@ -218,7 +231,7 @@ def _expansion(ctx: QContext, f: EntireFn, quotients: List[Fraction], kind: str,
 def residual_on_grid(ctx: QContext, f: EntireFn, recon: SymPoly, grid: Sequence) -> float:
     """max over the grid of |f - recon| for any polynomial ``recon``, from the
     exact difference of the two on the rho basis (see :func:`_grid_sup`)."""
-    return _grid_sup(ctx, _over_psi(ctx, f.stream), _over_psi(ctx, change_basis(ctx, recon)), grid)
+    return _grid_sup(ctx, f.quotients(ctx), _over_psi(ctx, change_basis(ctx, recon)), grid)
 
 
 def _grid_sup(ctx: QContext, quotients: Sequence, r: Sequence, grid: Sequence) -> float:
@@ -244,37 +257,26 @@ def _grid_sup(ctx: QContext, quotients: Sequence, r: Sequence, grid: Sequence) -
 
 
 def trig_rho_stream(ctx: QContext, kind: str, w: Fraction, n_terms: int) -> EntireFn:
-    """Rho-coefficient stream of the basic sine ("S"), basic cosine ("C"),
+    """Rho-coefficient stream f_0..f_{n_terms-1} of the basic sine ("S"), basic cosine ("C"),
     or the even part of the q-exponential ("E_even") at argument w.
 
-    With rational w every coefficient is exact:
-      sine:    f_{2n+1} = (-1)^n q**(1/4) q**(n**2+n) w**(2n+1) / (q;q)_{2n+1}
-      cosine:  f_{2n}   = (-1)^n q**(n**2) w**(2n) / (q;q)_{2n}
-      E_even:  f_{2n}   = psi_{2n} w**(2n)
+    With E(x; w) = sum_j psi_j rho_j(x) w**j (the q-Taylor form, see :func:`aw_boundary_data`),
+    these are E(x; iw) and E(x; w) cut to one parity, so their quotients u_j = f_j / psi_j are
+      sine:    u_j = (-1)**((j-1)/2) w**j, j odd
+      cosine:  u_j = (-1)**(j/2) w**j,     j even
+      E_even:  u_j = w**j,                 j even
+    (0 at the other parity), exact for rational w.  The stream is f_j = u_j psi_j and carries
+    its u_j (:meth:`EntireFn.from_quotients`).
     """
-    w = Fraction(w)
-    s, q = ctx.s, ctx.q
-    out = [Fraction(0)] * n_terms
-    qq = q_pochhammers(q, q, max(n_terms - 1, 0))
-    if kind == "S":
-        n = 0
-        while 2 * n + 1 < n_terms:
-            m = 2 * n + 1
-            out[m] = Fraction(-1) ** n * s * q ** (n * n + n) * w ** m / qq[m]
-            n += 1
-    elif kind == "C":
-        n = 0
-        while 2 * n < n_terms:
-            m = 2 * n
-            out[m] = Fraction(-1) ** n * q ** (n * n) * w ** m / qq[m]
-            n += 1
-    elif kind == "E_even":
-        psi = psi_weights(ctx, n_terms)
-        for m in range(0, n_terms, 2):
-            out[m] = psi[m] * w ** m
-    else:
+    if kind not in ("S", "C", "E_even"):
         raise ValueError(f"unknown stream kind {kind!r}")
-    return EntireFn.from_stream(out)
+    if n_terms < 0:
+        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
+    w = Fraction(w)
+    u = [Fraction(0)] * n_terms
+    for j in range(kind == "S", n_terms, 2):
+        u[j] = w ** j if kind == "E_even" or j % 4 < 2 else -w ** j
+    return EntireFn.from_quotients(ctx, u)
 
 
 @dataclass(frozen=True)
@@ -300,13 +302,12 @@ def counterexample_report(ctx: QContext, kind: str, n_terms: int, K: int,
         raise ValueError("kind must be 'bernoulli' or 'euler'")
     w = qspecial.refine_zero_exact(ctx, SCHEMES[kind].zero_kind, steps=120)
     f = trig_rho_stream(ctx, SCHEMES[kind].stream, w, n_terms)
-    quotients = _over_psi(ctx, f.stream)
-    report = _expansion(ctx, f, quotients, kind, K, grid)
+    report = _expansion(ctx, f, kind, K, grid)
     max_data = max(
         [abs(safe_float(v)) for v in report.data_at_zero]
         + [abs(safe_float(v)) for v in report.data_at_eta]
     )
-    norm = _grid_sup(ctx, quotients, (), grid)
+    norm = _grid_sup(ctx, f.quotients(ctx), (), grid)
     return CounterexampleReport(kind=kind, w=float(w), max_data=max_data,
                                 function_norm=norm, expansion=report)
 

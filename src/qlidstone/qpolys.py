@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .qcore import IntegrityError, QContext, psi_weights, q_factorials, q_pochhammers, table
+from .qcore import QContext, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, euler_factor_series, pochhammer_series
 from .symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_at_eta, psi_rho_poly, psi_rho_sum,
                          special_poly)
@@ -129,18 +129,12 @@ def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
 def build_numbers(ctx: QContext, kind: str, n_max: int) -> Tuple[Fraction, ...]:
     """Number sequences attached to the families.
 
-    ``beta_q`` comes from the new-Bernoulli family at x = 0 and is
-    cross-checked exactly against its scalar generating function;
-    ``suslov_Bq`` and ``suslov_Eq`` come from their scalar generating
-    functions, the multipliers of ``new_beta`` and of ``new_E`` / 2;
+    ``beta_q`` (the new-Bernoulli family at x = 0, where only rho_0 is
+    nonzero) and ``suslov_Bq`` are the multiplier of ``new_beta``, and
+    ``suslov_Eq`` that of ``new_E`` / 2, read off their scalar series;
     ``im_Bq`` uses :func:`im_bernoulli_numbers` at base q.
     """
-    if kind == "beta_q":
-        vals = tuple(eval_at(ctx, p, "zero") for p in build_family(ctx, "new_beta", n_max))
-        if vals != family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs:
-            raise IntegrityError("beta numbers: family evaluation disagrees with the scalar series")
-        return vals
-    if kind == "suslov_Bq":
+    if kind in ("beta_q", "suslov_Bq"):
         return family_multiplier(ctx.s, "new_beta", n_max + 1).coeffs
     if kind == "suslov_Eq":
         return tuple(c / 2 for c in family_multiplier(ctx.s, "new_E", n_max + 1).coeffs)

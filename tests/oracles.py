@@ -717,6 +717,24 @@ def entire_fn_poly(ctx, f):
     return psi_rho_sum(ctx, [c / psi for c, psi in zip(f.stream, psi_weights(ctx, len(f.stream)))])
 
 
+def trig_rho_stream_closed(ctx, kind, w, n_terms):
+    """The rho coefficients f_0..f_{n_terms-1} of ``lidstone.trig_rho_stream`` by their closed forms:
+      sine:    f_{2n+1} = (-1)**n q**(1/4) q**(n**2+n) w**(2n+1) / (q;q)_{2n+1}
+      cosine:  f_{2n}   = (-1)**n q**(n**2) w**(2n) / (q;q)_{2n}
+      E_even:  f_{2n}   = psi_{2n} w**(2n), psi_{2n} from :func:`psi_weight`"""
+    s, q, w = ctx.s, ctx.q, Fraction(w)
+    out = [Fraction(0)] * n_terms
+    for m in range(kind == "S", n_terms, 2):
+        n = m // 2
+        if kind == "S":
+            out[m] = Fraction(-1) ** n * s * q ** (n * n + n) * w ** m / q_pochhammer(q, q, m)
+        elif kind == "C":
+            out[m] = Fraction(-1) ** n * q ** (n * n) * w ** m / q_pochhammer(q, q, m)
+        else:
+            out[m] = psi_weight(ctx, m) * w ** m
+    return tuple(out)
+
+
 def basic_trig_eta_closed(ctx, w, kind):
     """:func:`basic_trig` at eta, (-q**(-1/2); q)_m and (q; q)_m from their closed forms."""
     q = float(ctx.q)

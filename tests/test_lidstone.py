@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, entire_fn_poly, exact_grid_residual,
-                     expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer)
-from qlidstone import lidstone, qpolys
+                     expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer,
+                     trig_rho_stream_closed)
+from qlidstone import cli, lidstone, qpolys
 from qlidstone.qcore import IntegrityError, LimitError, QContext, psi_weights, safe_float
-from qlidstone.qspecial import psi_rho_values
+from qlidstone.qspecial import psi_rho_values, refine_zero_exact
 from qlidstone.lidstone import (
     DEFAULT_GRID,
     EntireFn,
@@ -37,6 +39,75 @@ def test_polynomial_streams_have_tau_zero(ctx_half):
 def test_tau_of_cosine_truncation(ctx_half):
     f = trig_rho_stream(ctx_half, "C", Fraction(3, 10), 40)
     assert abs(bernoulli_expansion(ctx_half, f, 1).tau_estimate - 0.3) < 0.03
+
+
+# -- trig streams carry their quotients ------------------------------------------
+
+TRIG_S = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(20, 21))
+TRIG_W = (Fraction(3, 10), Fraction(-2, 5), Fraction(0), refine_zero_exact(QContext(Fraction(20, 21)), "Sq_eta", 120))
+
+
+@pytest.mark.parametrize("s", TRIG_S)
+@pytest.mark.parametrize("kind", ["S", "C", "E_even"])
+def test_trig_streams_equal_their_closed_forms_and_carry_their_quotients(s, kind):
+    ctx = QContext(s)
+    for w in TRIG_W:
+        for n_terms in (0, 1, 2, 17, 40):
+            f = trig_rho_stream(ctx, kind, w, n_terms)
+            assert f.stream == trig_rho_stream_closed(ctx, kind, w, n_terms), (w, n_terms)
+            assert list(f.quotients(ctx)) == lidstone._over_psi(ctx, f.stream), (w, n_terms)
+
+
+def test_kept_quotients_are_outside_the_fields(ctx_half):
+    # equality, hash, repr and the rendered report see the stream only; replace() drops the quotients
+    f = trig_rho_stream(ctx_half, "S", Fraction(3, 10), 12)
+    g = EntireFn.from_stream(f.stream)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g) and cli._fmt(f) == cli._fmt(g)
+    assert dataclasses.replace(f).quotients(ctx_half) == lidstone._over_psi(ctx_half, f.stream)
+
+
+@pytest.mark.parametrize("kind", ["S", "C", "E_even"])
+def test_a_trig_stream_at_another_base_forms_its_quotients(kind):
+    # built at s = 1/2, expanded at 3/5: the kept quotients are not those at 3/5, so they are formed
+    ctx = QContext(Fraction(3, 5))
+    f = trig_rho_stream(QContext(Fraction(1, 2)), kind, Fraction(3, 10), 20)
+    g = EntireFn.from_stream(f.stream)
+    for engine in (bernoulli_expansion, euler_expansion):
+        assert repr(engine(ctx, f, 6)) == repr(engine(ctx, g, 6))
+    assert residual_on_grid(ctx, f, SymPoly.zero(), DEFAULT_GRID) == residual_on_grid(ctx, g, SymPoly.zero(),
+                                                                                     DEFAULT_GRID)
+
+
+def test_trig_streams_divide_nothing_by_psi(monkeypatch):
+    # every quotient of a trig stream is read off the stream, never formed, and every report equals
+    # that of its copy, whose quotients are formed; the zero polynomial's one rho coordinate is 0,
+    # which residual_on_grid still divides, so only a nonzero coefficient is refused
+    ctx = QContext(Fraction(19, 20))
+    streams = [trig_rho_stream(ctx, kind, Fraction(3, 10), 24) for kind in ("S", "C", "E_even")]
+
+    def reports():
+        for f in streams:
+            yield from (repr(engine(ctx, f, 8)) for engine in (bernoulli_expansion, euler_expansion))
+            yield residual_on_grid(ctx, f, SymPoly.zero(), DEFAULT_GRID)
+        yield from (repr(counterexample_report(ctx, kind, n_terms=30, K=2)) for kind in ("bernoulli", "euler"))
+
+    want = list(reports())
+    assert [repr(bernoulli_expansion(ctx, EntireFn.from_stream(f.stream), 8)) for f in streams] == want[0:9:3]
+
+    def refuse(ctx, coeffs):
+        if any(coeffs):
+            raise AssertionError("a quotient was formed by division")
+        return [Fraction(0)] * len(coeffs)
+
+    monkeypatch.setattr(lidstone, "_over_psi", refuse)
+    assert list(reports()) == want
+
+
+@pytest.mark.parametrize("kind", ["S", "C", "E_even"])
+def test_a_negative_term_count_raises(ctx_half, kind):
+    # it gave an empty stream, whose expansion reported residual 0.0
+    with pytest.raises(ValueError, match="n_terms must be >= 0, got -1"):
+        trig_rho_stream(ctx_half, kind, Fraction(3, 10), -1)
 
 
 # -- boundary data ---------------------------------------------------------------

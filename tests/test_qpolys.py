@@ -4,7 +4,7 @@ import pytest
 
 from oracles import (basis_series, factor_parts, lidstone_basis_rho, lidstone_quotients, poly_from_basis,
                      polynomial_check, q_pochhammer)
-from qlidstone import qpolys
+from qlidstone import cli, qpolys
 from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import (
     BASIS_KINDS,
@@ -69,6 +69,18 @@ def test_family_ladders(ctx):
 
 
 # -- numbers --------------------------------------------------------------
+
+
+def test_beta_numbers_build_no_polynomial_table(capsys):
+    # entry n of new_beta at x = 0, where only rho_0 is nonzero, is the multiplier coefficient G_n;
+    # the family table read at 0 stays the reference
+    clear_tables()
+    ctx = QContext(Fraction(3, 5))
+    vals = build_numbers(ctx, "beta_q", 16)
+    assert cli.main(["numbers", "--kind", "beta", "--s", "2/3", "--order", "12"]) == 0
+    assert qpolys._family_series.cache_info()[:2] == (0, 0)
+    assert vals == tuple(eval_at(ctx, p, "zero") for p in build_family(ctx, "new_beta", 16))
+    assert qpolys._family_series.cache_info()[:2] == (0, 1)
 
 
 def test_beta_number_facts(ctx):
