@@ -262,11 +262,7 @@ def _cmd_expand(args) -> Tuple[dict, int]:
         "data_at_eta": list(report.data_at_eta),
         "reconstruction": report.reconstruction,
         "columns": ["k", "data_at_0", "data_at_eta"],
-        "rows": [
-            (k, report.data_at_zero[k] if k < len(report.data_at_zero) else "",
-             report.data_at_eta[k] if k < len(report.data_at_eta) else "")
-            for k in range(max(len(report.data_at_zero), len(report.data_at_eta)))
-        ],
+        "rows": list(zip(range(report.K + 1), report.data_at_zero, report.data_at_eta)),
     }, 0
 
 

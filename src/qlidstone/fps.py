@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .qcore import _dot
+
 
 def _coerce(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -107,16 +109,6 @@ class Series:
         if self.coeffs[0]:
             raise ValueError("constant term is nonzero, cannot cancel w")
         return Series(self.coeffs[1:])
-
-
-def _dot(pairs):
-    """sum of a * b over pairs of Fractions, zero factors skipped; Fraction(0) when every product is zero."""
-    acc = None
-    for a, b in pairs:
-        if a and b:
-            term = a * b
-            acc = term if acc is None else acc + term
-    return Fraction(0) if acc is None else acc
 
 
 def euler_factor_series(sign: int, base: Fraction, order: int) -> Series:

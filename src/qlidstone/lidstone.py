@@ -6,7 +6,7 @@ representable).  Every expansion works on the quotients u_j = f_j / psi_j.
 For the basic sine and cosine (and the even part of the q-exponential) they are
 u_j = +-w**j, small while psi_j grows to thousands of bits, and their streams
 carry them (:meth:`EntireFn.from_quotients`), so psi_j is never divided back
-out; any other stream forms them once per expansion.
+out; any other stream forms them once per s and keeps them.
 Boundary data at the two nodes 0 and eta are read off them by the q-Taylor
 identity (see :func:`aw_boundary_data`).  The Bernoulli-type engine consumes
 even-order data at both nodes; the Euler-type engine odd data at 0 and even
@@ -97,9 +97,13 @@ class EntireFn:
         return f
 
     def quotients(self, ctx: QContext) -> Sequence[Fraction]:
-        """u_j = f_j / psi_j at ``ctx.s``: those kept by :meth:`from_quotients`, else formed."""
+        """u_j = f_j / psi_j at ``ctx.s``: those kept by :meth:`from_quotients` or by an earlier
+        call at the same s, else formed and kept in their place."""
         s, u = getattr(self, "_quotients", (None, ()))
-        return u if s == ctx.s else _over_psi(ctx, self.stream)
+        if s != ctx.s:
+            u = tuple(_over_psi(ctx, self.stream))
+            object.__setattr__(self, "_quotients", (ctx.s, u))
+        return u
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,13 @@ def _growth_tau(quotients: Sequence[Fraction]) -> float:
     return tau
 
 
-def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
-                     quotients: Optional[Sequence[Fraction]] = None):
+def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str):
     """Boundary data by the q-Taylor identity (Ismail and Stanton, J. Approx. Theory
     123, 2003) D^k f(y) = c**k sum_j u_{k+j} psi_j rho_j(y), u_j = f_j / psi_j and
     c = ``ctx.aw_scale``, which D rho_n = c psi_{n-1}/psi_n rho_{n-1} gives.  Only
     rho_0 is nonzero at 0, so D^k f(0) = c**k u_k; at eta every datum is one integer
     correlation of the u_j, over one denominator, with the per-s table of
-    :func:`symlaurent.psi_rho_at_eta`.  ``quotients`` are the u_j when the caller
-    has formed them already.
+    :func:`symlaurent.psi_rho_at_eta`.
 
     ``bernoulli``: (D^{2k}f(0), D^{2k}f(eta)) for k = 0..K.
     ``euler``:     (D^{2k+1}f(0), D^{2k}f(eta)) for k = 0..K.
@@ -161,7 +163,7 @@ def aw_boundary_data(ctx: QContext, f: EntireFn, K: int, scheme: str,
         raise ValueError("scheme must be 'bernoulli' or 'euler'")
     if K < 0:
         raise ValueError("K must be >= 0")
-    u = f.quotients(ctx) if quotients is None else quotients
+    u = f.quotients(ctx)
     n = len(u)
     c = ctx.aw_scale
     first = SCHEMES[scheme].first_order
@@ -197,7 +199,7 @@ def _expansion(ctx: QContext, f: EntireFn, kind: str, K: int, grid: Sequence) ->
     :func:`symlaurent.psi_rho_sum`; the quotients f_j / psi_j give tau and, less r_j, the residual."""
     scheme = SCHEMES[kind]
     quotients = f.quotients(ctx)
-    data0, data_eta = aw_boundary_data(ctx, f, K, kind, quotients)
+    data0, data_eta = aw_boundary_data(ctx, f, K, kind)
     c = ctx.aw_scale
     terms = [basis_term(basis, k, c, sign * data[k])
              for (basis, sign), data in ((scheme.at_zero, data0), (scheme.at_eta, data_eta))

@@ -181,10 +181,12 @@ class table:
         slot = (self.__qualname__, *key)
         held = tables.get(slot)
         if self.stream:
-            entries, stream = held or tables.setdefault(slot, ([], self.__wrapped__(*args[:-1])))
+            entries, stream = held or ([], self.__wrapped__(*args[:-1]))
             hit = len(entries) >= n
-            if not hit:
+            if not hit:  # held out of the store while it extends: a stream that raised is dead, its prefix short
+                tables.pop(slot, None)
                 entries.extend(islice(stream, n - len(entries)))
+                tables[slot] = entries, stream
             value = entries[:n]
         else:
             hit = held is not None and held[0] >= n
@@ -250,6 +252,15 @@ def over_common_den(values: Iterable) -> Tuple[List[int], int]:
     values = list(values)
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _dot(pairs) -> Fraction:
+    """sum of a * b over pairs of ints and Fractions: each product with no zero factor as an
+    integer (numerator, denominator) pair, summed over the lcm of the denominators and reduced
+    once; Fraction(0) when no product is left."""
+    products = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs if a and b]
+    den = math.lcm(*(d for _, d in products))
+    return Fraction(sum(n * (den // d) for n, d in products), den)
 
 
 def translate_coeffs(coeffs: Sequence, weights: Sequence, values: Sequence) -> Tuple[Fraction, ...]:

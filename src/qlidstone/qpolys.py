@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .qcore import QContext, psi_weights, q_factorials, q_pochhammers, table
+from .qcore import QContext, _dot, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, euler_factor_series, pochhammer_series
 from .symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_at_eta, psi_rho_poly, psi_rho_sum,
                          special_poly)
@@ -77,23 +76,10 @@ def family_rho(ctx: QContext, terms, order: int) -> List[Fraction]:
     (kind, n, a), n < order, equal to sum_j r_j psi_j rho_j.
 
     Family entry n is sum_j G_{n-j} psi_j rho_j with G = :func:`family_multiplier`,
-    so r_j = sum over the terms of a G_{n-j}: each r_j is summed on integer
-    numerators over one common denominator and reduced once.
+    so r_j = sum over the terms of a G_{n-j}, one :func:`qcore._dot` each.
     """
-    parts = [[] for _ in range(order)]  # (numerator, denominator) of each product a G_{n-j}
-    for kind, n, a in terms:
-        if a == 0:
-            continue
-        g = family_multiplier(ctx.s, kind, order)
-        for j in range(n + 1):
-            gv = g[n - j]
-            if gv != 0:
-                parts[j].append((a.numerator * gv.numerator, a.denominator * gv.denominator))
-    out = []
-    for products in parts:
-        den = lcm(*(d for _, d in products))
-        out.append(Fraction(sum(x * (den // d) for x, d in products), den))
-    return out
+    gs = [(family_multiplier(ctx.s, kind, order).coeffs, n, a) for kind, n, a in terms if a]
+    return [_dot((a, g[n - j]) for g, n, a in gs if j <= n) for j in range(order)]
 
 
 # -- families ----------------------------------------------------------------

@@ -451,6 +451,18 @@ def lidstone_quotients(ctx, kind, order):
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
+def dot_fraction(pairs):
+    """sum of a * b over pairs, zero factors skipped, each product added to a running Fraction with
+    a gcd at every step; Fraction(0) when every product is zero: the scalar dot that ``fps`` summed
+    by before ``qcore._dot`` summed it on integers."""
+    acc = None
+    for a, b in pairs:
+        if a and b:
+            term = a * b
+            acc = term if acc is None else acc + term
+    return Fraction(0) if acc is None else acc
+
+
 def translate_coeffs_fraction(coeffs, weights, values):
     """out_k = w_k sum_j (c_{k+j}/w_{k+j}) w_j v_j with one reduced Fraction
     product and sum per term: the correlation kernel before it ran on integers."""

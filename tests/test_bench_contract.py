@@ -70,3 +70,18 @@ def test_tracer_installs(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_contract", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["identity-suite", "expansion", "cli-session"])
+def test_first_block_of_each_workload_passes_its_check(name, tmp_path):
+    # the benchmark's default seed; the jobs over which it reads the output digest, run in-process
+    wl = _load_workloads().make(name, 1, str(tmp_path))
+    for job in wl.jobs[:wl.prefix]:
+        assert wl.check(job, wl.run(job)) is None, job

@@ -63,7 +63,7 @@ def test_kept_quotients_are_outside_the_fields(ctx_half):
     f = trig_rho_stream(ctx_half, "S", Fraction(3, 10), 12)
     g = EntireFn.from_stream(f.stream)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g) and cli._fmt(f) == cli._fmt(g)
-    assert dataclasses.replace(f).quotients(ctx_half) == lidstone._over_psi(ctx_half, f.stream)
+    assert list(dataclasses.replace(f).quotients(ctx_half)) == lidstone._over_psi(ctx_half, f.stream)
 
 
 @pytest.mark.parametrize("kind", ["S", "C", "E_even"])
@@ -225,11 +225,19 @@ def test_boundary_data_match_both_old_routes(s, stream, K, scheme):
     assert got == aw_boundary_data_iterated(ctx, stream, K, scheme)
 
 
-def test_boundary_data_take_the_quotients_they_are_given(ctx_half):
-    f = trig_rho_stream(ctx_half, "C", Fraction(1, 3), 14)
-    quotients = [c / psi for c, psi in zip(f.stream, psi_weights(ctx_half, 14))]
-    for scheme in ("bernoulli", "euler"):
-        assert aw_boundary_data(ctx_half, f, 6, scheme, quotients) == aw_boundary_data(ctx_half, f, 6, scheme)
+def test_a_stream_keeps_the_quotients_it_forms(ctx_half, monkeypatch):
+    # the first expansion at s forms the quotients once; a second at the same s, of either scheme, reads them
+    f = EntireFn.from_stream(trig_rho_stream(ctx_half, "C", Fraction(1, 3), 14).stream)
+    calls = []
+    over_psi = lidstone._over_psi
+    monkeypatch.setattr(lidstone, "_over_psi", lambda ctx, coeffs: calls.append(ctx.s) or over_psi(ctx, coeffs))
+    first = bernoulli_expansion(ctx_half, f, 6)
+    assert calls == [ctx_half.s]
+    assert repr(bernoulli_expansion(ctx_half, f, 6)) == repr(first)
+    euler_expansion(ctx_half, f, 6)
+    assert calls == [ctx_half.s]
+    assert f.quotients(QContext(Fraction(3, 5))) == f.quotients(QContext(Fraction(3, 5)))  # formed at 3/5
+    assert calls == [ctx_half.s, Fraction(3, 5)]
 
 
 # -- expansions -------------------------------------------------------------------

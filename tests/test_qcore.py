@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weight, q_binomial, q_factorial,
-                     q_pochhammer, safe_float_mantissa, translate_coeffs_fraction)
+from oracles import (dot_fraction, pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weight, q_binomial,
+                     q_factorial, q_pochhammer, safe_float_mantissa, translate_coeffs_fraction)
 from qlidstone.qcore import (
     LimitError,
     QContext,
+    _dot,
     _psi_rho_steps,
     psi_weights,
     q_factorials,
@@ -194,6 +195,22 @@ def test_psi_weights_returns_a_copy():
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 maybe_zero = st.one_of(st.just(Fraction(0)), fracs)
+
+
+big = st.integers(-(2 ** 300), 2 ** 300)
+dot_values = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-9, 9), fracs, big,
+                       st.builds(Fraction, big, big.filter(bool)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(dot_values, dot_values), max_size=12))
+@example([])
+@example([(0, Fraction(3, 7)), (Fraction(0), 5), (0, 0)])
+@example([(Fraction(1, 3), 3), (-1, 1)])  # products that cancel
+@example([(2 ** 300, Fraction(-1, 3 ** 200)), (Fraction(5, 2 ** 400), 7 ** 150)])
+def test_dot_matches_fraction_oracle(pairs):
+    got = _dot(iter(pairs))
+    assert type(got) is Fraction and got == dot_fraction(pairs)
 
 
 @settings(max_examples=80, deadline=None)

@@ -137,3 +137,29 @@ def test_a_failed_zero_search_is_not_stored(monkeypatch):
             qspecial.first_zero("Sq_eta", 0.75)
     assert calls == [("Sq_eta", 0.25), ("Cq_eta", 0.25), ("Sq_eta", 0.75), ("Sq_eta", 0.75)]
     clear_tables()
+
+
+def test_a_stream_that_raises_stores_nothing():
+    # an extension that raises must leave neither its short prefix nor its dead generator behind,
+    # or every later call would answer a short list without an error
+    raise_at = [5]
+
+    def throwaway_stream(param):
+        k = 0
+        while True:
+            if k == raise_at[0]:
+                raise_at[0] = None
+                raise KeyboardInterrupt
+            yield Fraction(k)
+            k += 1
+
+    ask = qcore.table(throwaway_stream)
+    try:
+        clear_tables()
+        assert ask(CTX, 3) == [0, 1, 2]
+        with pytest.raises(KeyboardInterrupt):
+            ask(CTX, 10)
+        assert ask(CTX, 10) == list(range(10)) and ask(CTX, 4) == list(range(4))
+    finally:
+        clear_tables()
+        del qcore._counts[ask.__qualname__]  # or test_every_table_has_a_prefix_case sees an unasked table
