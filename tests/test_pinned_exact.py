@@ -1,10 +1,11 @@
 """Exact pins of the evaluation points, the family tables, the interpolation bases
-and the expansions, recorded before they came to be read off one table each.
+and the expansions, recorded before they came to be read off one table each, and of
+the scalar q-product builders, recorded before they came to be built from integer factors.
 
 Each case hashes the reprs of its results at the five bases below, at orders up
-to 14 (the q-Hermite polynomials up to 30), so a change of a single coefficient,
-or of a value's type, fails.  The digests were recorded on the code before that
-refactor; they are not edited to make a change pass.
+to 14 (the q-Hermite polynomials up to 30, the q-products up to 25), so a change
+of a single coefficient, or of a value's type, fails.  The digests were recorded
+on the code before each refactor; they are not edited to make a change pass.
 """
 
 import hashlib
@@ -12,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from qlidstone.fps import pochhammer_series
 from qlidstone.lidstone import EntireFn, bernoulli_expansion, euler_expansion, trig_rho_stream
-from qlidstone.qcore import QContext
-from qlidstone.qpolys import BASIS_KINDS, FAMILY_KINDS, build_family, build_numbers, family_multiplier, lidstone_basis
+from qlidstone.qcore import QContext, q_factorials, q_pochhammers
+from qlidstone.qpolys import (BASIS_KINDS, FAMILY_KINDS, _binomial_series, build_family, build_numbers,
+                              family_multiplier, lidstone_basis)
 from qlidstone.symlaurent import eval_at, q_translate, rho_values, special_poly, translate_weights
 
 BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(13, 27), Fraction(24, 25))
@@ -22,10 +25,29 @@ ORDER = 14
 NAMED = ("zero", "eta", "minus_eta")
 POINTS = NAMED + (Fraction(0), Fraction(3, 7), Fraction(-5, 2), 2)
 NUMBER_KINDS = ("beta_q", "suslov_Bq", "suslov_Eq", "im_Bq")
+PRODUCTS = 25  # the last index of the q-products pinned
 
 
 def _polys(ctx):
     return build_family(ctx, "suslov_B", ORDER) + tuple(special_poly(ctx, "rho", n) for n in range(ORDER + 1))
+
+
+def _bases(ctx):
+    # the bases the registry and the guichard solver pass, a negative one, zero and a p > 1
+    return ctx.q, ctx.sqrt_q, ctx.s, -ctx.s, Fraction(0), 1 / ctx.sqrt_q
+
+
+def _pochhammers(ctx):
+    s, p = ctx.s, ctx.sqrt_q
+    return [q_pochhammers(a, base, PRODUCTS) for a in (ctx.q, p, -1, -1 / p, -p, 0, 1 / s, Fraction(-7, 3))
+            for base in _bases(ctx)]
+
+
+def _binomials(ctx):
+    s, q, p = ctx.s, ctx.q, ctx.sqrt_q
+    args = [(-1 / p, q, -p), (-p, q, 1), (-1, p, 1), (s, -s, 1 / s), (Fraction(-7, 3), 1 / p, Fraction(-3, 7)),
+            (1 / s, 0, 2), (0, q, -s), (1, p, 3), (q, q, 0)]
+    return [_binomial_series(a, base, z, PRODUCTS + 1) for a, base, z in args]
 
 
 def _expansion(engine, make_fn, K):
@@ -45,6 +67,12 @@ CASES = {
     **{f"build_family-{k}": (lambda k: lambda ctx: build_family(ctx, k, ORDER))(k) for k in FAMILY_KINDS},
     **{f"build_numbers-{k}": (lambda k: lambda ctx: build_numbers(ctx, k, ORDER))(k) for k in NUMBER_KINDS},
     "special_poly-hermite": lambda ctx: [special_poly(ctx, "hermite", n) for n in range(31)],
+    "q_pochhammers": _pochhammers,
+    "q_factorials": lambda ctx: [q_factorials(PRODUCTS, base) for base in _bases(ctx) + (1, 3)],
+    "pochhammer_series": lambda ctx: [pochhammer_series(c, power, base, PRODUCTS + 1)
+                                      for c in (1, -1, ctx.q, -ctx.s, 1 / ctx.s, 0)
+                                      for power in (1, 2, 3) for base in _bases(ctx)[:5]],
+    "_binomial_series": _binomials,
     **{f"lidstone_basis-{k}": (lambda k: lambda ctx: lidstone_basis(ctx, k, ORDER // 2))(k) for k in BASIS_KINDS},
     "bernoulli-phi": _expansion(bernoulli_expansion,
                                 lambda ctx: EntireFn.from_poly(ctx, special_poly(ctx, "phi", 6, Fraction(1, 3))), 3),
@@ -61,6 +89,7 @@ def digest(case: str) -> str:
 
 
 PINS = {
+    "_binomial_series": "c591fd8a251718847af8695ed1e0a0db67d1155b494643ca7845763338409856",
     "bernoulli-phi": "0625b336348639c26fad28582e9ea74ce85b0c7511f17a94ccc5e1a60c26e462",
     "bernoulli-sine": "95cbb14826628284b75801f00852bb9e2cb1b8e7a1669943d65316247b3d1565",
     "build_family-new_E": "1423bcba8b2087d013df94c3fd5f135d5acd5cd2f0c15d0f79fcc19d3ed83f18",
@@ -82,6 +111,9 @@ PINS = {
     "lidstone_basis-B": "56201b434c798562739d35ecee10a7d45b47237e7cff5876ced311ccf14b29bb",
     "lidstone_basis-M": "f375edf3a53911d73ed60a1a86f73a4c23fd60bfd792be571a402c0ad0037f7d",
     "lidstone_basis-Mtilde": "7adc3ddf8bbc3428b8770843c7ffe80399f868a4ec93be362d1387d63feb6c8f",
+    "pochhammer_series": "49636162ff6c62b3a8fb840f50776271d27b2f2f26a6dafd55636babb4a558e8",
+    "q_factorials": "f281958ef55468a8ac465c7723eef7f715bb85e3d289c6ff3aac967c63197d29",
+    "q_pochhammers": "b20c47113c0b0453854ca164c5f253c5512c0512845c71d906355a020c19afa5",
     "q_translate": "4d1662718955838084134841dcccc8ae11d1cc0ea0c73f75f80093d44f539ce9",
     "rho_values": "e4a8ef7686420b329a19d2109cb60ae95a3a68b2a8e195644a7e161eba6a920a",
     "special_poly-hermite": "f36ac242f42b1def2d97933ea3ec94281f531399c0231e47dc8a76375e1026fb",
