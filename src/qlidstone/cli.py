@@ -16,9 +16,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Tuple
 
 from .qcore import LimitError, QContext
@@ -36,10 +37,11 @@ def _fmt(value):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return float(f"{value:.17g}")
-    if isinstance(value, SymPoly):
-        return {"basis": "symmetric_laurent", "coeffs": [_fmt(c) for c in value.coeffs]}
+    if isinstance(value, SymPoly):  # each coefficient nums[i]/den reduced by one gcd, with no Fraction built
+        den = value.den
+        return {"basis": "symmetric_laurent", "coeffs": [f"{n // (g := gcd(n, den))}/{den // g}" for n in value.nums]}
     if is_dataclass(value):
-        return {k: _fmt(v) for k, v in asdict(value).items()}
+        return {f.name: _fmt(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -123,21 +123,20 @@ def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -
     """Power series of (coeff * w**power; base)_inf, exact, for |base| < 1.
 
     Term m of Euler's sum lands on w**(m*power) with value
-    (-1)**m base**(m(m-1)/2) coeff**m / (base; base)_m.
+    (-1)**m base**(m(m-1)/2) coeff**m / (base; base)_m, term m - 1 times the one Fraction
+    -cn bn**(m-1) bd / (cd (bd**m - bn**m)), with coeff = cn/cd and base = bn/bd.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
-    coeff = Fraction(coeff)
-    base = Fraction(base)
-    if not abs(base) < 1:
+    cn, cd = Fraction(coeff).as_integer_ratio()
+    bn, bd = Fraction(base).as_integer_ratio()
+    if not abs(bn) < bd:
         raise ValueError("|base| must be < 1")
     out = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    c = Fraction(1)
-    bpow = Fraction(1)
-    m = 1
-    while m * power < order:
-        c = c * (-1) * bpow * coeff / (1 - base ** m)
-        bpow *= base
+    c, num, bm, dm = out[0], -cn * bd, 1, 1  # num = -cn bn**(m-1) bd, bm = bn**m, dm = bd**m
+    for m in range(1, (order - 1) // power + 1):
+        bm, dm = bm * bn, dm * bd
+        c *= Fraction(num, cd * (dm - bm))
+        num *= bn
         out[m * power] = c
-        m += 1
     return Series(out)

@@ -108,33 +108,33 @@ def q_number(n: int, base: Rational) -> Fraction:
 
 
 def q_factorials(n: int, base: Rational) -> list:
-    """[[0]!, ..., [n]!] by one running product, [k] itself by the running sum
-    1 + base + ... + base**(k-1); base 1 gives the ordinary factorials."""
+    """[[0]!, ..., [n]!] by one running product; base 1 gives the ordinary factorials.  With
+    base = bn/bd, [k] = N_k / bd**(k-1) with N_k = N_{k-1} bd + bn**(k-1), already reduced, and
+    each factor is one Fraction of integers."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    base = _as_fraction(base)
+    bn, bd = _as_fraction(base).as_integer_ratio()
     out = [Fraction(1)]
-    qk = Fraction(0)
-    p = Fraction(1)
+    num, den, bk = 0, 1, 1  # N_{k-1}, bd**(k-1) and bn**(k-1)
     for _ in range(n):
-        qk += p
-        p *= base
-        out.append(out[-1] * qk)
+        num = num * bd + bk
+        out.append(out[-1] * Fraction(num, den))
+        den, bk = den * bd, bk * bn
     return out
 
 
 def q_pochhammers(a: Rational, base: Rational, n: int) -> list:
     """[(a; base)_0, ..., (a; base)_n], (a; base)_n = prod_{k<n} (1 - a base**k), by one
-    running product."""
+    running product whose factor k is the one Fraction (ad bd**k - an bn**k) / (ad bd**k),
+    with a = an/ad and base = bn/bd."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = _as_fraction(a)
-    base = _as_fraction(base)
+    an, ad = _as_fraction(a).as_integer_ratio()
+    bn, bd = _as_fraction(base).as_integer_ratio()
     out = [Fraction(1)]
-    p = Fraction(1)
     for _ in range(n):
-        out.append(out[-1] * (1 - a * p))
-        p *= base
+        out.append(out[-1] * Fraction(ad - an, ad))
+        an, ad = an * bn, ad * bd
     return out
 
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .qcore import QContext, _dot, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, euler_factor_series, pochhammer_series
-from .symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_at_eta, psi_rho_poly, psi_rho_sum,
+from .symlaurent import (SymPoly, _psi_rho_eta_values, aw_derivative, eval_at, lincomb, psi_rho_poly, psi_rho_sum,
                          special_poly)
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
@@ -177,9 +177,10 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
 
 
 def _eta_series(ctx: QContext, order: int, sign: int = 1) -> Series:
-    """E(sign eta; w), read off the eta table that the boundary data correlate against."""
-    nums, den = psi_rho_at_eta(ctx, order)
-    return Series([Fraction(sign ** j * e, den) for j, e in enumerate(nums)])
+    """E(sign eta; w): the reduced psi_j rho_j(eta) of :func:`symlaurent._psi_rho_eta_values`, which the
+    boundary data's eta table puts over one denominator, each times sign**j."""
+    values = _psi_rho_eta_values(ctx.s, order)
+    return Series(values if sign > 0 else [-v if j % 2 else v for j, v in enumerate(values)])
 
 
 # -- identity registry ---------------------------------------------------------
@@ -239,9 +240,15 @@ def _series_report(ctx, name, n_max, lhs, rhs, sign=1):
 
 
 def _binomial_series(a, base, z, order: int) -> Series:
-    """sum_k (a; base)_k / (base; base)_k (z w)**k, by the q-binomial theorem (a z w; base)_inf / (z w; base)_inf."""
-    num, den = q_pochhammers(a, base, order - 1), q_pochhammers(base, base, order - 1)
-    return Series([num[k] / den[k] * z ** k for k in range(order)])
+    """sum_k (a; base)_k / (base; base)_k (z w)**k, by the q-binomial theorem (a z w; base)_inf / (z w; base)_inf.
+    Term k is term k - 1 times (1 - a base**i) z / (1 - base**(i+1)), i = k - 1: with a = an/ad, base = bn/bd
+    and z = zn/zd, the one Fraction (ad bd**i - an bn**i) bd zn / ((bd**(i+1) - bn**(i+1)) ad zd)."""
+    (an, ad), (bn, bd), (zn, zd) = (Fraction(x).as_integer_ratio() for x in (a, base, z))
+    out, ai, di, bi, ci = [Fraction(1)], an, ad, bn, bd  # an bn**i, ad bd**i, bn**(i+1), bd**(i+1)
+    for _ in range(order - 1):
+        out.append(out[-1] * Fraction((di - ai) * bd * zn, (ci - bi) * ad * zd))
+        ai, di, bi, ci = ai * bn, di * bd, bi * bn, ci * bd
+    return Series(out)
 
 
 def _check_connection_f1(ctx, n_max):

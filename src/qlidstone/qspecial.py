@@ -171,16 +171,20 @@ def _sign_changes(f: Callable[[float], float], x: float, ratio: float,
 
 
 def _scan_and_bisect(f: Callable[[float], float], lo: float, cap: float,
-                     ratio: float) -> Tuple[float, float, float]:
-    """The first of :func:`_sign_changes` from lo below cap.
+                     ratio: float, positive: float = 0.0) -> Tuple[float, float, float]:
+    """The first of :func:`_sign_changes` from lo below cap, on the grid lo ratio**k.
 
     f must be positive at lo: every series scanned here is positive just
     right of 0, so a negative f(lo) means a zero lies below the scan start.
+    Below ``positive`` f is proved positive, so the grid steps there are taken without evaluating f.
     """
     fa = f(lo)
     if fa < 0:
         raise ZeroSearchError(f"f(lo) = {fa:.6g} < 0 at the scan start lo = {lo:.6g}: a zero lies below it")
-    found = next(_sign_changes(f, lo, ratio, [cap]), None)
+    x, end = lo, min(positive, cap)
+    while x * ratio < end:
+        x *= ratio
+    found = next(_sign_changes(f, x, ratio, [cap]), None)
     if found is None:
         raise ZeroSearchError(f"no sign change in [{lo:.6g}, {cap:.6g}] at scan ratio {ratio}; "
                               f"f(lo) = {f(lo):.6g}, f(cap) = {f(cap):.6g}")
@@ -211,27 +215,33 @@ def smallest_positive_zero(kind: str, q: float) -> ZeroReport:
     where the first term ratio of "Cq_eta" reaches 1, and at a small epsilon
     for "Sinq"; it runs at ratio 1.05 (re-checked at 1.01 so a single
     coarse step cannot straddle two zeros), and is capped by the m = 3
-    asymptotic estimate.
+    asymptotic estimate.  The grid points of "Cq_eta" and "Sinq" below the
+    point where their first term ratio reaches 1 are stepped over unevaluated:
+    every later term ratio is smaller, so the alternating series is positive there.
     """
     f = lambda w: _eta_series_value(kind, q, w)
     try:
+        positive = 0.0
         if kind == "Sq_eta":
             lo = math.sqrt(sq_lower_bound(q)) * (1 - 1e-12)
             cap = hayman_zero_estimate(3, 0.5, q) / 2.0
         elif kind == "Cq_eta":
             # below sqrt((1-p)(1-q)/p), p = sqrt(q), every term ratio is under 1 and the series positive
             p = math.sqrt(q)
-            lo = min(1e-3 * q, math.sqrt((1 - p) * (1 - q) / p) * (1 - 1e-12))
+            positive = math.sqrt((1 - p) * (1 - q) / p)
+            lo = min(1e-3 * q, positive * (1 - 1e-12))
             cap = hayman_zero_estimate(3, -0.5, q) / 2.0
         elif kind == "Sinq":
+            # every term ratio q**(4k+3) (1-q)**2 w**2 / ((1-q**(2k+2)) (1-q**(2k+3))) is under 1 below this
             lo = 1e-3
             cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
+            positive = math.sqrt((1 - q * q) * (1 - q ** 3) / q ** 3) / (1 - q)
         else:
             raise ValueError(f"unknown kind {kind!r}")
     except (OverflowError, ZeroDivisionError) as exc:
         raise ZeroSearchError(f"{kind} scan bounds at q = {q!r} leave the float range") from exc
-    a, b, mid = _scan_and_bisect(f, lo, cap, 1.05)
-    a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01)
+    a, b, mid = _scan_and_bisect(f, lo, cap, 1.05, positive)
+    a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01, positive)
     if mid2 < mid * (1 - 1e-6):  # the coarse scan straddled more than one zero
         a, b, mid = a2, b2, mid2
     residual = abs(_eta_series_value(kind, q, mid) if kind == "Sinq" else _trig_eta_residual(kind, q, mid))

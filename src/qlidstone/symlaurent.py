@@ -269,14 +269,17 @@ def _rho_table(s: Fraction) -> Iterator[SymPoly]:
 
 @table
 def _hermite_table(s: Fraction) -> Iterator[SymPoly]:
-    # H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k}; qq = [(q;q)_0, ..., (q;q)_n] is one running product
-    q, qq = s ** 4, [Fraction(1)]
+    # H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k}; qq = [(q;q)_0, ..., (q;q)_n] is one running product,
+    # with q = Q/D its factor 1 - q**(n+1) the reduced Fraction (D**(n+1) - Q**(n+1)) / D**(n+1)
+    Q, D = s.numerator ** 4, s.denominator ** 4
+    qn, dn, qq = Q, D, [Fraction(1)]
     for n in count():
         out = [Fraction(0)] * (n + 1)
         for k in range(n // 2 + 1):
             out[n - 2 * k] += qq[n] / (qq[k] * qq[n - k])  # when n - 2k == 0 the middle term is counted once
         yield SymPoly(out)
-        qq.append(qq[-1] * (1 - q ** (n + 1)))
+        qq.append(qq[-1] * Fraction(dn - qn, dn))
+        qn, dn = qn * Q, dn * D
 
 
 def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymPoly:
@@ -385,8 +388,15 @@ def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
 def psi_rho_at_eta(ctx: QContext, n: int) -> Tuple[List[int], int]:
     """Integers e_j and one denominator D with psi_j rho_j(eta) = e_j / D for j < n.  They
     are sliced from one table per s, kept over the least common denominator of the
-    longest prefix asked for so far; a longer prefix rebuilds it."""
-    return over_common_den(islice(_psi_rho_stream(ctx.s, ctx.eta), n))
+    longest prefix asked for so far; a longer prefix puts a longer prefix of
+    :func:`_psi_rho_eta_values` over one denominator."""
+    return over_common_den(_psi_rho_eta_values(ctx.s, n))
+
+
+@table
+def _psi_rho_eta_values(s: Fraction) -> Iterator[Fraction]:
+    """psi_j rho_j(eta), each a reduced Fraction, in one stream per s that extends in place."""
+    yield from _psi_rho_stream(s, QContext(s).eta)
 
 
 def _psi_rho_stream(s: Fraction, y: Fraction) -> Iterator[Fraction]:

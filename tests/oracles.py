@@ -14,7 +14,8 @@ from typing import Sequence, Tuple
 from qlidstone.fps import Series, euler_factor_series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
 from qlidstone.qpolys import BASES, _eta_series, _report, build_family, family_rho, lidstone_basis
-from qlidstone.qspecial import ZeroSearchError, _bessel_body, psi_rho_steps, psi_rho_terms
+from qlidstone.qspecial import (ZeroReport, ZeroSearchError, _bessel_body, _eta_series_value, _scan_and_bisect,
+                                _trig_eta_residual, hayman_zero_estimate, psi_rho_steps, psi_rho_terms, sq_lower_bound)
 from qlidstone.symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_polys, psi_rho_sum, q_translate,
                                   rho_values, special_poly)
 
@@ -43,6 +44,65 @@ def q_pochhammer(a, base, n):
         out *= 1 - a * p
         p *= base
     return out
+
+
+def q_factorials_fraction(n, base):
+    """[[0]!, ..., [n]!] by one running product, [k] by the running sum 1 + base + ... + base**(k-1), each
+    step a Fraction operation: the builder ``qcore.q_factorials`` ran before it multiplied integer factors."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    base = Fraction(base)
+    out = [Fraction(1)]
+    qk = Fraction(0)
+    p = Fraction(1)
+    for _ in range(n):
+        qk += p
+        p *= base
+        out.append(out[-1] * qk)
+    return out
+
+
+def q_pochhammers_fraction(a, base, n):
+    """[(a; base)_0, ..., (a; base)_n] by one running product of Fractions 1 - a base**k: the builder
+    ``qcore.q_pochhammers`` ran before it multiplied integer factors."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a = Fraction(a)
+    base = Fraction(base)
+    out = [Fraction(1)]
+    p = Fraction(1)
+    for _ in range(n):
+        out.append(out[-1] * (1 - a * p))
+        p *= base
+    return out
+
+
+def pochhammer_series_fraction(coeff, power, base, order):
+    """Power series of (coeff * w**power; base)_inf, |base| < 1, each term of Euler's sum the last one times
+    -coeff base**(m-1) / (1 - base**m) in Fractions: ``fps.pochhammer_series`` before its integer factors."""
+    if power < 1:
+        raise ValueError("power must be >= 1")
+    coeff = Fraction(coeff)
+    base = Fraction(base)
+    if not abs(base) < 1:
+        raise ValueError("|base| must be < 1")
+    out = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    c = Fraction(1)
+    bpow = Fraction(1)
+    m = 1
+    while m * power < order:
+        c = c * (-1) * bpow * coeff / (1 - base ** m)
+        bpow *= base
+        out[m * power] = c
+        m += 1
+    return Series(out)
+
+
+def binomial_series_fraction(a, base, z, order):
+    """sum_k (a; base)_k / (base; base)_k (z w)**k from two lists of Pochhammer symbols, a division and a power
+    per term: ``qpolys._binomial_series`` before it multiplied one integer factor per term."""
+    num, den = q_pochhammers_fraction(a, base, order - 1), q_pochhammers_fraction(base, base, order - 1)
+    return Series([num[k] / den[k] * Fraction(z) ** k for k in range(order)])
 
 
 def q_binomial(n, k, base):
@@ -642,6 +702,34 @@ def eta_series_value_closed(kind, q, w):
         if k > 2 and t == 0.0:
             return total
     raise LimitError("did not converge in 400 terms")
+
+
+def smallest_positive_zero_full_scan(kind, q):
+    """``qspecial.smallest_positive_zero`` with f evaluated at every grid point from the scan start
+    on, as before the scan stepped over the range where the series is proved positive."""
+    f = lambda w: _eta_series_value(kind, q, w)
+    try:
+        if kind == "Sq_eta":
+            lo = math.sqrt(sq_lower_bound(q)) * (1 - 1e-12)
+            cap = hayman_zero_estimate(3, 0.5, q) / 2.0
+        elif kind == "Cq_eta":
+            p = math.sqrt(q)
+            lo = min(1e-3 * q, math.sqrt((1 - p) * (1 - q) / p) * (1 - 1e-12))
+            cap = hayman_zero_estimate(3, -0.5, q) / 2.0
+        elif kind == "Sinq":
+            lo = 1e-3
+            cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ZeroSearchError(f"{kind} scan bounds at q = {q!r} leave the float range") from exc
+    a, b, mid = _scan_and_bisect(f, lo, cap, 1.05)  # no positive range: every grid point from lo is evaluated
+    a2, b2, mid2 = _scan_and_bisect(f, lo, cap, 1.01)
+    if mid2 < mid * (1 - 1e-6):
+        a, b, mid = a2, b2, mid2
+    residual = abs(_eta_series_value(kind, q, mid) if kind == "Sinq" else _trig_eta_residual(kind, q, mid))
+    bound_check = kind != "Sq_eta" or mid * mid >= sq_lower_bound(q) * (1 - 1e-12)
+    return ZeroReport(kind=kind, value=mid, bracket=(a, b), residual=residual, bound_check=bound_check)
 
 
 def eq_eval(ctx, x, w):

@@ -3,9 +3,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import eq_exponential_series, eta_exponential_series, psi_weight, scale_arg
+from oracles import eq_exponential_series, eta_exponential_series, pochhammer_series_fraction, psi_weight, scale_arg
 from qlidstone.qcore import QContext, psi_weights
 from qlidstone import fps
 from qlidstone.fps import Series, euler_factor_series, pochhammer_series
@@ -111,6 +111,17 @@ def test_pochhammer_series_even_powers():
     f = pochhammer_series(q, 2, q * q, 7)
     assert f[0] == 1 and f[1] == 0 and f[3] == 0
     assert f[2] == -q / (1 - q * q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=40), st.integers(1, 3),
+       st.fractions(min_value=-1, max_value=1, max_denominator=40).filter(lambda b: abs(b) < 1), st.integers(0, 26))
+@example(Fraction(-1), 1, Fraction(0), 26)
+@example(Fraction(0), 2, Fraction(1, 2), 26)
+@example(Fraction(1, 81), 2, Fraction(1, 6561), 26)  # (q w**2; q**2)_inf at s = 1/3
+def test_pochhammer_series_matches_the_fraction_chain(coeff, power, base, order):
+    got = pochhammer_series(coeff, power, base, order)
+    assert repr(got) == repr(pochhammer_series_fraction(coeff, power, base, order))
 
 
 def test_eq_exponential_low_coeffs(ctx_half):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (dot_fraction, pochhammer_inf_factors_linear, pochhammer_tail_ok, psi_weight, q_binomial,
-                     q_factorial, q_pochhammer, safe_float_mantissa, translate_coeffs_fraction)
+                     q_factorial, q_factorials_fraction, q_pochhammer, q_pochhammers_fraction, safe_float_mantissa,
+                     translate_coeffs_fraction)
 from qlidstone.qcore import (
     LimitError,
     QContext,
@@ -71,6 +72,29 @@ def test_q_factorials_match_closed_form(base):
         assert full == [math.factorial(k) for k in range(31)]
     with pytest.raises(ValueError):
         q_factorials(-1, base)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=40)  # negative, zero and |x| > 1 included
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, rationals, st.integers(0, 25))
+@example(Fraction(1, 3), Fraction(1), 25)  # base 1
+@example(Fraction(-1), Fraction(0), 25)
+@example(Fraction(7, 2), Fraction(-9, 4), 25)  # guichard's p > 1, negated
+@example(Fraction(2, 3), Fraction(3, 2), 25)  # a factor with a common divisor to cancel
+def test_q_pochhammers_match_the_fraction_chain(a, base, n):
+    assert repr(q_pochhammers(a, base, n)) == repr(q_pochhammers_fraction(a, base, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, st.integers(0, 25))
+@example(Fraction(1), 25)
+@example(Fraction(-1), 25)  # [2] = 0
+@example(Fraction(0), 25)
+@example(Fraction(3), 25)
+def test_q_factorials_match_the_fraction_chain(base, n):
+    assert repr(q_factorials(n, base)) == repr(q_factorials_fraction(n, base))
 
 
 def test_q_pochhammer_small():

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (basis_series, factor_parts, lidstone_basis_rho, lidstone_quotients, poly_from_basis,
-                     polynomial_check, q_pochhammer)
+from oracles import (basis_series, binomial_series_fraction, factor_parts, lidstone_basis_rho, lidstone_quotients,
+                     poly_from_basis, polynomial_check, q_pochhammer)
 from qlidstone import cli, qpolys
 from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import (
@@ -233,14 +234,25 @@ def test_decompositions_fail_on_a_wrong_basis(ctx_threefifths, monkeypatch, clea
     assert _fails(ctx, "euler_decomposition")
     monkeypatch.undo()
     clear_tables()
-    at_eta = qpolys.psi_rho_at_eta
+    at_eta = qpolys._psi_rho_eta_values
 
-    def perturbed(ctx, n):
-        nums, den = at_eta(ctx, n)
-        return [nums[0] + 1] + nums[1:], den
+    def perturbed(s, n):  # E_0(eta) moved off 1
+        values = at_eta(s, n)
+        return [values[0] + Fraction(1, 7)] + values[1:]
 
-    monkeypatch.setattr(qpolys, "psi_rho_at_eta", perturbed)
+    monkeypatch.setattr(qpolys, "_psi_rho_eta_values", perturbed)
     assert _fails(ctx, "eq4_decomposition") and _fails(ctx, "euler_decomposition")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=40),
+       st.fractions(min_value=-5, max_value=5, max_denominator=40).filter(lambda b: abs(b) != 1),
+       st.fractions(min_value=-5, max_value=5, max_denominator=40), st.integers(1, 26))
+@example(Fraction(-5, 3), Fraction(9, 25), Fraction(-3, 5), 26)  # connection_F1 at s = 3/5
+@example(Fraction(1, 3), Fraction(0), Fraction(2), 26)
+@example(Fraction(0), Fraction(7, 2), Fraction(0), 26)
+def test_binomial_series_matches_the_fraction_chain(a, base, z, order):
+    assert repr(qpolys._binomial_series(a, base, z, order)) == repr(binomial_series_fraction(a, base, z, order))
 
 
 # -- identity registry ----------------------------------------------------------

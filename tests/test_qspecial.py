@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eq_exponential_series, eta_series_sign_exact,
                      eta_series_sign_termwise, eta_series_value_closed, jackson_bessel_j2, psi_weight,
-                     rho_laurent_product)
+                     rho_laurent_product, smallest_positive_zero_full_scan)
 from qlidstone import qspecial
 from qlidstone.qcore import LimitError, QContext, q_pochhammer_inf
 from qlidstone.symlaurent import eval_at
@@ -215,6 +215,32 @@ def test_scan_rejects_a_zero_below_its_start():
     # the scan start derived from q sits below that zero
     assert smallest_positive_zero("Cq_eta", 0.999).value == pytest.approx(7.8559e-4, rel=1e-4)
     assert smallest_positive_zero("Cq_eta", 0.9995).value == pytest.approx(3.9275e-4, rel=1e-4)
+
+
+def _zero_outcome(search, kind, q):
+    try:
+        return repr(search(kind, q))
+    except ZeroSearchError as exc:  # a search that raises is compared by its text
+        return f"ZeroSearchError: {exc}"
+
+
+@pytest.mark.parametrize("kind", ["Sq_eta", "Cq_eta", "Sinq"])
+def test_zero_scan_steps_over_the_positive_range_to_the_full_scans_report(kind):
+    grid = [k / 37 for k in range(1, 37)] + [1e-100, 1e-60, 1e-6, 1e-3, 0.05, 0.97, 0.998, 0.999, 0.9995]
+    for q in grid:
+        want = _zero_outcome(smallest_positive_zero_full_scan, kind, q)
+        assert _zero_outcome(smallest_positive_zero, kind, q) == want, q
+
+
+@pytest.mark.parametrize("kind", ["Cq_eta", "Sinq"])
+def test_zero_scan_evaluates_nothing_where_the_series_is_proved_positive(kind, monkeypatch):
+    # the full scans take 628-3427 evaluations at these q, most of them below the point where the first term ratio is 1
+    real, calls = qspecial._eta_series_value, []
+    monkeypatch.setattr(qspecial, "_eta_series_value", lambda *args: calls.append(args) or real(*args))
+    for q in (1e-6, 0.05, 0.3, 0.9):
+        calls.clear()
+        smallest_positive_zero(kind, q)
+        assert len(calls) < 150, (q, len(calls))
 
 
 @pytest.mark.parametrize("kind,q,w", [("Cq_eta", 0.999, 0.5), ("Sq_eta", 0.99, 10.0)])
