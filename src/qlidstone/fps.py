@@ -104,12 +104,6 @@ class Series:
             out.append(acc * inv)
         return Series(out)
 
-    def shift_down(self) -> "Series":
-        """Divide by w; the constant term must vanish."""
-        if self.coeffs[0]:
-            raise ValueError("constant term is nonzero, cannot cancel w")
-        return Series(self.coeffs[1:])
-
 
 def euler_factor_series(sign: int, base: Fraction, order: int) -> Series:
     """Power series of (sign*w; base)_inf, exact through the given order:

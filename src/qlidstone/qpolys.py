@@ -17,7 +17,8 @@ The identity registry checks the cross-relations between the families exactly,
 five of them as identities between the scalar multipliers G.  The two
 decomposition checks and the Hermite check compare rho coordinates, the scalar
 series that multiply psi_j rho_j: those of the bases are read off G, and E(eta; w)
-off the eta table of the boundary data.  No series of polynomials is built.
+off the eta table of the boundary data.  ladders, eq17 and reflection_B are decided on the psi-rho chain and
+G, and read the family tables only where the chain fails.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .qcore import QContext, _dot, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, euler_factor_series, pochhammer_series
-from .symlaurent import (SymPoly, _psi_rho_eta_values, aw_derivative, eval_at, lincomb, psi_rho_poly, psi_rho_sum,
-                         special_poly)
+from .symlaurent import (SymPoly, _psi_rho_eta_values, aw_derivative, eval_at, lincomb, psi_rho_poly, psi_rho_polys,
+                         psi_rho_sum, special_poly)
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 # basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
@@ -179,8 +180,13 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
 def _eta_series(ctx: QContext, order: int, sign: int = 1) -> Series:
     """E(sign eta; w): the reduced psi_j rho_j(eta) of :func:`symlaurent._psi_rho_eta_values`, which the
     boundary data's eta table puts over one denominator, each times sign**j."""
-    values = _psi_rho_eta_values(ctx.s, order)
-    return Series(values if sign > 0 else [-v if j % 2 else v for j, v in enumerate(values)])
+    values = Series(_psi_rho_eta_values(ctx.s, order))
+    return values if sign > 0 else _at_minus_w(values)
+
+
+def _at_minus_w(series: Series) -> Series:
+    """S(-w): the odd coefficients negated."""
+    return Series([-v if m % 2 else v for m, v in enumerate(series.coeffs)])
 
 
 # -- identity registry ---------------------------------------------------------
@@ -266,6 +272,12 @@ def _check_connection_f2(ctx, n_max):
 
 
 def _check_reflection_b(ctx, n_max):
+    # on a chain with P_j(-x) = (-1)**j P_j(x) (no coefficient of z**k + z**-k with k - j odd) and P_j of degree j, so
+    # independent, entry n = sum_j G_{n-j} P_j has B_n(-x) = (-1)**n B_n(x) exactly when G_B(-w) = G_B(w) through
+    # w**n, on entries taken with the sign (-1)**n; any other chain is checked on the family table
+    if all(p.degree == j and not any(p.nums[j % 2 + 1::2]) for j, p in enumerate(psi_rho_polys(ctx, n_max + 1))):
+        g = _multiplier(ctx, "suslov_B", n_max + 1)
+        return _series_report(ctx, "reflection_B", n_max, _at_minus_w(g), g, sign=-1)
     big = build_family(ctx, "suslov_B", n_max)
     return _report("reflection_B", n_max, [(n, p.reflect(), p * Fraction(-1) ** n) for n, p in enumerate(big)])
 
@@ -275,8 +287,7 @@ def _check_reflection_beta(ctx, n_max):
     # that is G_beta(-w) = G_beta(w) c(w), on entries taken with the sign (-1)**n
     order = n_max + 1
     g = _multiplier(ctx, "new_beta", order)
-    flipped = Series([-v if m % 2 else v for m, v in enumerate(g.coeffs)])
-    return _series_report(ctx, "reflection_beta", n_max, flipped, g * _binomial_series(-1, ctx.sqrt_q, 1, order),
+    return _series_report(ctx, "reflection_beta", n_max, _at_minus_w(g), g * _binomial_series(-1, ctx.sqrt_q, 1, order),
                           sign=-1)
 
 
@@ -300,12 +311,17 @@ def _check_eq16(ctx, n_max):
 def _check_eq17(ctx, n_max):
     # beta_n(x) = sum_k beta_{n-k} psi_k rho_k(x), rho_k = z**-k (1 + z**2) (-q**(2-k) z**2; q**2)_{k-1}, whose
     # factors at q**m and q**-m pair to z**2 (q**m + q**-m + z**2 + z**-2): rho_{k+2} = rho_k (q**k + q**-k + z**2 +
-    # z**-2) from rho_0 = 1 and rho_1 = z + 1/z, so E(x; w) is built apart from the psi_rho chain of the families
+    # z**-2) from rho_0 = 1 and rho_1 = z + 1/z, so E(x; w) is built apart from the psi_rho chain of the families.
+    # Both sides sum the beta numbers G_beta, the families over the chain: they agree where the two E(x; w) do, and
+    # only a chain that differs from the product form is checked on the family table
     q = ctx.q
     rho = [SymPoly.const(1), SymPoly([0, 1])]
     for k in range(n_max - 1):
         rho.append(rho[k] * SymPoly([q ** k + q ** -k, 0, 1]))
-    rhs = _convolve([r * w for r, w in zip(rho, psi_weights(ctx, n_max + 1))], build_numbers(ctx, "beta_q", n_max))
+    products = [r * w for r, w in zip(rho, psi_weights(ctx, n_max + 1))]
+    if products == psi_rho_polys(ctx, n_max + 1):
+        return IdentityReport("eq17", n_max, True, tuple((n, True) for n in range(n_max + 1)))
+    rhs = _convolve(products, build_numbers(ctx, "beta_q", n_max))
     return _report("eq17", n_max, zip(range(n_max + 1), build_family(ctx, "new_beta", n_max), rhs))
 
 
@@ -372,7 +388,12 @@ def _check_numbers_agree(ctx, n_max):
 
 
 def _check_ladders(ctx, n_max):
-    c = ctx.aw_scale
+    # entry n of each family is sum_j G_{n-j} P_j on the chain P_j = psi_j rho_j, so D P_0 = 0 and D P_j = c P_{j-1}
+    # give D (entry n) = c (entry n-1) for every G; a chain off that ladder is checked on the family tables
+    c, chain = ctx.aw_scale, psi_rho_polys(ctx, n_max + 1)
+    if all(aw_derivative(ctx, p) == (chain[j - 1] * c if j else 0) for j, p in enumerate(chain)):
+        results = tuple((n, True) for _ in FAMILY_KINDS for n in range(1, n_max + 1))
+        return IdentityReport("ladders", n_max, True, results)
     pairs = []
     for kind in FAMILY_KINDS:
         entries = build_family(ctx, kind, n_max)

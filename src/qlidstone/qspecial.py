@@ -122,7 +122,13 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
     elif kind == "Cq_eta":
         base, j, term = rq, 0, lambda k, qq: q ** (k * k) / rq ** k * w ** (2 * k) / qq
     elif kind == "Sinq":
-        base, j, term = q, 1, lambda k, qq: q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq
+        base, j = q, 1
+
+        def term(k, qq):  # ((1-q) w)**(2k+1) alone leaves the float range past w near q**-1.5 at q below about 1e-40
+            try:
+                return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq
+            except OverflowError:
+                return (q ** k * (1 - q) * w) ** (2 * k + 1) / qq
     else:
         raise ValueError(f"unknown kind {kind!r}")
     total, qq, i = 0.0, 1.0, 0
@@ -234,8 +240,13 @@ def smallest_positive_zero(kind: str, q: float) -> ZeroReport:
         elif kind == "Sinq":
             # every term ratio q**(4k+3) (1-q)**2 w**2 / ((1-q**(2k+2)) (1-q**(2k+3))) is under 1 below this
             lo = 1e-3
-            cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
             positive = math.sqrt((1 - q * q) * (1 - q ** 3) / q ** 3) / (1 - q)
+            try:
+                cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
+            except OverflowError:  # q below about 5e-52: the estimate, about 10 q**-5.5, is past the float range,
+                cap = 10.0 * positive  # while the first zero lies just above positive, about q**-1.5
+                if math.isinf(cap):
+                    raise
         else:
             raise ValueError(f"unknown kind {kind!r}")
     except (OverflowError, ZeroDivisionError) as exc:

@@ -22,7 +22,7 @@ from itertools import count, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, psi_weights, table
+from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, table
 
 PointLike = Union[str, Fraction, int]
 
@@ -376,12 +376,6 @@ def _at_zero(nums: Sequence[int]) -> int:
     """sum_k nums[k] e_k at x = 0, i.e. z = i, where e_k = z**k + z**-k is 2, 0, -2, 0 by k mod 4
     (and e_0 = 1)."""
     return nums[0] + 2 * (sum(nums[4::4]) - sum(nums[2::4]))
-
-
-def rho_values(ctx: QContext, y: PointLike, n: int) -> list:
-    """[rho_0(y), ..., rho_{n-1}(y)], the values of :func:`_psi_rho_stream` over psi_j; ``y`` as
-    in :func:`eval_at`."""
-    return [v / psi for v, psi in zip(_psi_rho_stream(ctx.s, _point(ctx, y)), psi_weights(ctx, n))]
 
 
 @table

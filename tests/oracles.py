@@ -13,11 +13,12 @@ from typing import Sequence, Tuple
 
 from qlidstone.fps import Series, euler_factor_series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
-from qlidstone.qpolys import BASES, _eta_series, _report, build_family, family_rho, lidstone_basis
+from qlidstone import qpolys
+from qlidstone.qpolys import BASES, FAMILY_KINDS, _eta_series, _report, build_family, family_rho, lidstone_basis
 from qlidstone.qspecial import (ZeroReport, ZeroSearchError, _bessel_body, _eta_series_value, _scan_and_bisect,
                                 _trig_eta_residual, hayman_zero_estimate, psi_rho_steps, psi_rho_terms, sq_lower_bound)
-from qlidstone.symlaurent import (SymPoly, aw_derivative, eval_at, lincomb, psi_rho_polys, psi_rho_sum, q_translate,
-                                  rho_values, special_poly)
+from qlidstone.symlaurent import (SymPoly, _point, _psi_rho_stream, aw_derivative, eval_at, lincomb, psi_rho_polys,
+                                  psi_rho_sum, q_translate, special_poly)
 
 SERIES_TOL = 1e-12  # relative size of the last term kept by the float series references
 
@@ -110,6 +111,12 @@ def q_binomial(n, k, base):
     if not (0 <= k <= n):
         raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
     return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
+
+
+def rho_values(ctx, y, n):
+    """[rho_0(y), ..., rho_{n-1}(y)], the values of ``symlaurent._psi_rho_stream`` over psi_j; ``y`` as in
+    ``eval_at``.  The library's form until it lost its last caller, kept as a reference."""
+    return [v / psi for v, psi in zip(_psi_rho_stream(ctx.s, _point(ctx, y)), psi_weights(ctx, n))]
 
 
 def psi_weight(ctx, n):
@@ -390,6 +397,14 @@ class PolySeries:
         return PolySeries(self.coeffs[1:])
 
 
+def shift_down(series):
+    """The scalar ``Series`` divided by w; the constant term must vanish.  ``fps.Series.shift_down`` until it
+    lost its last caller in the library."""
+    if series.coeffs[0]:
+        raise ValueError("constant term is nonzero, cannot cancel w")
+    return Series(series.coeffs[1:])
+
+
 def eq_exponential_series(ctx, order):
     """The q-exponential E(x; w) as a series in w: coefficient n is psi_n rho_n(x), psi_n = q**(n**2/4)/(q;q)_n."""
     return PolySeries(psi_rho_polys(ctx, order))
@@ -411,7 +426,7 @@ def factor_parts(s, order):
     p = s * s
     plus = euler_factor_series(-1, p, order + 1)   # (-w; p)_inf
     minus = euler_factor_series(+1, p, order + 1)  # (w; p)_inf
-    diff_over_w = (plus - minus).shift_down()
+    diff_over_w = shift_down(plus - minus)
     summ = (plus + minus).truncate(order)
     return plus.truncate(order), minus.truncate(order), diff_over_w, summ
 
@@ -430,8 +445,17 @@ def family_quotient(ctx, kind, order):
     return ((eq_exponential_series(ctx, order) * num) / den).coeffs
 
 
+def family_division(ctx, kind, order):
+    """Entries n < order of family ``kind`` in division form on the N and D of ``qpolys._family_parts``, read
+    through the module, so that a patched one is seen: the families without their tables or ``psi_rho_sum``."""
+    num, den = qpolys._family_parts(ctx.s, kind, order)
+    return ((eq_exponential_series(ctx, order) * num) / den).coeffs
+
+
+# the checks that the psi-rho chain and the multipliers G decide, their family tables read only when one fails
+CHAIN_CHECKS = ("ladders", "eq17", "reflection_B")
 POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E",
-                     "eq4_decomposition", "euler_decomposition", "hermite_rep")
+                     "eq4_decomposition", "euler_decomposition", "hermite_rep") + CHAIN_CHECKS
 NOTES = {  # the registry's notes on these checks
     "eq4_decomposition": ("the product form of the B-quotient carries the denominator with the opposite sign "
                           "order to its exponential-quotient form (detected erratum)."),
@@ -445,13 +469,17 @@ def polynomial_check(ctx, name, n_max):
     the family tables of ``build_family`` convolved with the connection coefficients, reflected, or
     translated by ``q_translate`` entry by entry; the decompositions as products of the basis quotient
     series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the
-    q-Hermite polynomials."""
+    q-Hermite polynomials; the :data:`CHAIN_CHECKS` on the families of :func:`family_division`, eq17 against
+    the product form :func:`rho_laurent_product` times the closed-form psi_k, convolved with the family at 0."""
     q, p, ns, order = ctx.q, ctx.sqrt_q, range(n_max + 1), n_max + 1
-    big, beta = build_family(ctx, "suslov_B", n_max), build_family(ctx, "new_beta", n_max)
 
     def convolve(entries, coefs):
         return (PolySeries(entries) * Series(coefs)).coeffs
 
+    def family(kind):
+        return family_division(ctx, kind, order) if name in CHAIN_CHECKS else build_family(ctx, kind, n_max)
+
+    big, beta = family("suslov_B"), family("new_beta")
     if name == "connection_F1":
         coefs = [q_pochhammer(-1 / p, q, k) / q_pochhammer(q, q, k) * (-p) ** k for k in ns]
         pairs = zip(ns, beta, convolve(big, coefs))
@@ -464,7 +492,7 @@ def polynomial_check(ctx, name, n_max):
     elif name == "translation_B":
         pairs = [(n, q_translate(ctx, b, "minus_eta"), nb) for n, b, nb in zip(ns, big, beta)]
     elif name == "translation_E":
-        se, ne = build_family(ctx, "suslov_E", n_max), build_family(ctx, "new_E", n_max)
+        se, ne = family("suslov_E"), family("new_E")
         pairs = [(n, q_translate(ctx, e, "minus_eta"), e2 / 2) for n, e, e2 in zip(ns, se, ne)]
     elif name == "eq4_decomposition":
         recon = basis_series(ctx, "A", order) * _eta_series(ctx, order) - basis_series(ctx, "B", order)
@@ -475,6 +503,14 @@ def polynomial_check(ctx, name, n_max):
     elif name == "hermite_rep":
         lhs, psi = eq_exponential_series(ctx, order) * _qw2_series(ctx.s, order), psi_weights(ctx, order)
         pairs = [(n, lhs[n], special_poly(ctx, "hermite", n) * psi[n]) for n in ns]
+    elif name == "ladders":
+        pairs = [(n, aw_derivative(ctx, f[n]), f[n - 1] * ctx.aw_scale)
+                 for f in map(family, FAMILY_KINDS) for n in range(1, order)]
+    elif name == "eq17":
+        products = [rho_laurent_product(ctx.s, k) * psi_weight(ctx, k) for k in ns]
+        pairs = zip(ns, beta, convolve(products, [eval_at(ctx, b, "zero") for b in beta]))
+    elif name == "reflection_B":
+        pairs = [(n, b.reflect(), b * Fraction(-1) ** n) for n, b in zip(ns, big)]
     else:
         raise ValueError(f"no polynomial form of {name!r}")
     return _report(name, n_max, pairs, note=NOTES.get(name, ""))
@@ -685,10 +721,17 @@ def eta_series_value_closed(kind, q, w):
     """The prefactor-free eta-node series of ``qspecial._eta_series_value``, each term
     divided by (b; b)_m from :func:`qq_float`, with the same stop rules and errors."""
     rq = math.sqrt(q)
+
+    def sinq(k):
+        try:
+            return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1)
+        except OverflowError:  # the library's second form, where the power of w alone leaves the float range
+            return (q ** k * (1 - q) * w) ** (2 * k + 1)
+
     terms = {
         "Sq_eta": lambda k: q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq_float(rq, 2 * k + 1),
         "Cq_eta": lambda k: q ** (k * k) / rq ** k * w ** (2 * k) / qq_float(rq, 2 * k),
-        "Sinq": lambda k: q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq_float(q, 2 * k + 1),
+        "Sinq": lambda k: sinq(k) / qq_float(q, 2 * k + 1),
     }
     total = 0.0
     for k in range(0, 400):
@@ -718,7 +761,12 @@ def smallest_positive_zero_full_scan(kind, q):
             cap = hayman_zero_estimate(3, -0.5, q) / 2.0
         elif kind == "Sinq":
             lo = 1e-3
-            cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
+            try:
+                cap = 10.0 * hayman_zero_estimate(3, 0.5, q * q) / 2.0
+            except OverflowError:  # the library's cap where the estimate leaves the float range
+                cap = 10.0 * math.sqrt((1 - q * q) * (1 - q ** 3) / q ** 3) / (1 - q)
+                if math.isinf(cap):
+                    raise
         else:
             raise ValueError(f"unknown kind {kind!r}")
     except (OverflowError, ZeroDivisionError) as exc:

@@ -234,6 +234,12 @@ def test_zeros_tiny_base_exit_2(capsys, kind, name):
     assert captured.err.splitlines() == [f"error: {name} scan bounds at q = 1e-300 leave the float range"]
 
 
+@pytest.mark.parametrize("q", ["1e-60", "1e-100"])
+def test_zeros_sinq_at_a_tiny_base(capsys, q):
+    assert cli.main(["zeros", "--kind", "sinq", "--qfloat", q]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["value"] == pytest.approx(float(q) ** -1.5, rel=1e-12)
+
+
 def test_guichard_growth_at_a_tiny_base_exit_2(capsys):
     # the growth statistic needs the first Sinq zero at q = 1/p = 1e-200
     with pytest.raises(SystemExit) as err:

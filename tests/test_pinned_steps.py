@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rho_values
 from qlidstone.lidstone import bernoulli_expansion, trig_rho_stream
 from qlidstone.qcore import QContext
 from qlidstone.qspecial import psi_rho_values, refine_zero_exact
-from qlidstone.symlaurent import psi_rho_at_eta, psi_rho_polys, rho_values, special_poly, translate_weights
+from qlidstone.symlaurent import psi_rho_at_eta, psi_rho_polys, special_poly, translate_weights
 
 BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(1, 17), Fraction(20, 21))
 FLOAT_POINTS = (-1.0, -0.35, 0.0, 0.5, 1.0)

@@ -193,6 +193,17 @@ def test_sinq_zero():
     assert rep.residual < 1e-12 * max(1.0, rep.value)
 
 
+@pytest.mark.parametrize("q", [1e-60, 1e-100])
+def test_sinq_zero_at_a_tiny_base(q):
+    # the m = 3 estimate of the cap (about 10 q**-5.5) and ((1-q) w)**5 leave the float range here, but the zero,
+    # about q**-1.5, and the terms that find it do not
+    rep = smallest_positive_zero("Sinq", q)
+    a, b = rep.bracket
+    assert a <= rep.value <= b <= a * (1 + 1e-12)
+    assert _eta_series_value("Sinq", q, a) > 0 > _eta_series_value("Sinq", q, b)
+    assert rep.value == pytest.approx(q ** -1.5, rel=1e-12)
+
+
 def test_refine_zero_exact_agrees_with_float(ctx):
     w = refine_zero_exact(ctx, "Sq_eta", steps=40)
     rep = smallest_positive_zero("Sq_eta", float(ctx.q))

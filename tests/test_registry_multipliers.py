@@ -1,17 +1,17 @@
 """The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
-compare rho coordinates.  Their references are the division form (N E)/D and the polynomial form of each
-check, in ``oracles``."""
+compare rho coordinates, and ladders, eq17 and reflection_B are decided on the psi-rho chain and G.  Their
+references are the division form (N E)/D and the polynomial form of each check, in ``oracles``."""
 
 from fractions import Fraction
 
 import pytest
 
-from oracles import POLYNOMIAL_CHECKS, family_quotient, polynomial_check
+from oracles import CHAIN_CHECKS, POLYNOMIAL_CHECKS, family_quotient, polynomial_check
 from qlidstone import cli, qpolys, symlaurent
 from qlidstone.fps import Series
 from qlidstone.qcore import QContext, clear_tables
-from qlidstone.qpolys import FAMILY_KINDS, build_family, check_identity, family_multiplier
+from qlidstone.qpolys import FAMILY_KINDS, build_family, check_identity, family_multiplier, registry_names
 
 PINNED_BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(13, 27), Fraction(24, 25))
 REPORT_BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(24, 25))
@@ -38,11 +38,16 @@ def test_scalar_and_polynomial_forms_give_the_same_reports(name):
             assert repr(check_identity(QContext(s), name, n)) == repr(polynomial_check(QContext(s), name, n))
 
 
-def _failing(ctx):
-    return {name for name in POLYNOMIAL_CHECKS if not check_identity(ctx, name, 8).passed}
+def _failing(ctx, names=POLYNOMIAL_CHECKS):
+    return {name for name in names if not check_identity(ctx, name, 8).passed}
 
 
-# the checks that read each multiplier
+def _assert_chain_reports(ctx):
+    for name in CHAIN_CHECKS:
+        assert repr(check_identity(ctx, name, 8)) == repr(polynomial_check(ctx, name, 8)), name
+
+
+# the checks that a changed even coefficient of each multiplier fails (reflection_B reads the odd ones of G_B)
 READERS = {
     "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition"},
     "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B", "eq4_decomposition"},
@@ -97,6 +102,22 @@ def test_a_wrong_connection_coefficient_fails_the_checks_that_read_it(monkeypatc
 
     monkeypatch.setattr(qpolys, "_binomial_series", wrong)
     assert _failing(QContext(Fraction(3, 5))) == {"connection_F1", "connection_F2", "reflection_beta"}
+    _assert_chain_reports(QContext(Fraction(3, 5)))
+
+
+def test_an_odd_multiplier_coefficient_fails_reflection_b_from_its_entry(monkeypatch, cleared):
+    # G_B(-w) = G_B(w) first fails at w**3, so entries 3, 4, ... fail, and entry 3 is summed to be shown
+    parts = qpolys._family_parts
+
+    def odd(s, k, order):
+        num, den = parts(s, k, order)
+        return (Series(num.coeffs[:3] + (num[3] + Fraction(1, 3),) + num.coeffs[4:]) if k == "suslov_B" else num), den
+
+    monkeypatch.setattr(qpolys, "_family_parts", odd)
+    ctx = QContext(Fraction(3, 5))
+    report = check_identity(ctx, "reflection_B", 8)
+    assert repr(report) == repr(polynomial_check(ctx, "reflection_B", 8))
+    assert [n for n, ok in report.results if not ok] == list(range(3, 9))
 
 
 def test_a_flipped_eta_sign_fails_the_translations(monkeypatch, cleared):
@@ -117,6 +138,41 @@ def test_eq17_compares_the_chain_with_the_product_form_of_rho(monkeypatch, clear
     monkeypatch.setattr(symlaurent, "_psi_rho_steps", wrong)
     report = check_identity(QContext(Fraction(3, 5)), "eq17", 8)
     assert not report.passed and report.first_failure["n"] == 4
+    _assert_chain_reports(QContext(Fraction(3, 5)))  # ladders and eq17 fail on their family tables
+
+
+# the checks that read each family table: ladders, eq17 and reflection_B read none while they pass, so a wrong
+# new_beta table is caught by the division form alone
+TABLE_READERS = {
+    "suslov_B": {"eq16", "eq18", "numbers_agree_Eq10"},
+    "new_beta": set(),
+    "suslov_E": {"numbers_agree_Eq10"},
+    "new_E": {"numbers_agree_Eq10"},
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_a_family_table_with_g_reversed_fails_the_checks_that_read_it(kind, monkeypatch, cleared):
+    series = qpolys._family_series
+
+    def reversed_g(ctx, k, order):  # entry n summed as sum_j G_j psi_j rho_j
+        g = qpolys._multiplier(ctx, k, order).coeffs
+        return [qpolys.psi_rho_sum(ctx, g[:n + 1]) for n in range(order)] if k == kind else series(ctx, k, order)
+
+    monkeypatch.setattr(qpolys, "_family_series", reversed_g)
+    ctx = QContext(Fraction(3, 5))
+    assert build_family(ctx, kind, 8) != family_quotient(ctx, kind, 9)
+    assert _failing(ctx, registry_names()) == TABLE_READERS[kind]
+    _assert_chain_reports(ctx)
+
+
+def test_a_dropped_psi_rho_term_fails_the_checks_that_sum_entries(monkeypatch, cleared):
+    psi_rho_sum = qpolys.psi_rho_sum
+    monkeypatch.setattr(qpolys, "psi_rho_sum", lambda ctx, coeffs: psi_rho_sum(ctx, [0, *coeffs[1:]]))
+    ctx = QContext(Fraction(3, 5))
+    assert all(build_family(ctx, kind, 8) != family_quotient(ctx, kind, 9) for kind in FAMILY_KINDS)
+    assert _failing(ctx, registry_names()) == {"eq16", "eq18", "hermite_rep", "numbers_agree_Eq10"}
+    _assert_chain_reports(ctx)
 
 
 def test_the_scalar_checks_build_no_polynomial(monkeypatch):
@@ -128,6 +184,18 @@ def test_the_scalar_checks_build_no_polynomial(monkeypatch):
         monkeypatch.setattr(module, name, refuse, raising=False)  # qpolys imports no q_translate today
     for s in (Fraction(1, 2), Fraction(17, 29)):
         for name in POLYNOMIAL_CHECKS:
+            assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
+
+
+def test_the_chain_checks_read_no_family_table_while_they_pass(monkeypatch):
+    # ladders, eq17 and reflection_B are decided on the psi-rho chain and the multipliers G, and sum no entry
+    def refuse(*args):
+        raise AssertionError("a family table or a sum of entries was reached")
+
+    for name in ("build_family", "_family_series", "_convolve", "psi_rho_sum", "lincomb"):
+        monkeypatch.setattr(qpolys, name, refuse)
+    for s in (Fraction(1, 2), Fraction(17, 29)):
+        for name in CHAIN_CHECKS:
             assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (FractionSymPoly, fraction_change_basis, poly_from_basis, psi_weight, q_translate_hermite,
-                     q_translate_rho, rho_laurent_product)
+                     q_translate_rho, rho_laurent_product, rho_values)
 from qlidstone import qcore
 from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import build_family
@@ -19,7 +19,6 @@ from qlidstone.symlaurent import (
     psi_rho_polys,
     psi_rho_sum,
     q_translate,
-    rho_values,
     special_poly,
     translate_weights,
 )
