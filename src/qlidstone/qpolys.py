@@ -15,10 +15,11 @@ G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_
 the family tables, the interpolation bases and the expansions are all summed so.
 The identity registry checks the cross-relations between the families exactly,
 five of them as identities between the scalar multipliers G.  The two
-decomposition checks and the Hermite check compare rho coordinates, the scalar
+decomposition checks compare rho coordinates, the scalar
 series that multiply psi_j rho_j: those of the bases are read off G, and E(eta; w)
-off the eta table of the boundary data.  ladders, eq17 and reflection_B are decided on the psi-rho chain and
-G, and read the family tables only where the chain fails.  No series of polynomials is built.
+off the eta table of the boundary data.  ladders, eq17, reflection_B and eq18 are decided on the psi-rho chain and
+G, and read the family tables only where the chain fails.  The Hermite check holds the Hermite table, summed on
+the chain, against the q-binomial closed form.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -325,15 +326,32 @@ def _check_eq17(ctx, n_max):
     return _report("eq17", n_max, zip(range(n_max + 1), build_family(ctx, "new_beta", n_max), rhs))
 
 
+def _eq18_weights(s: Fraction, order: int) -> List[Fraction]:
+    """[W_0, ..., W_{order-1}], W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and W_odd = 0, p = sqrt(q): with p = a/b, the
+    Fraction a**(2k**2+k) b**(2k+1) / prod_{i<=2k+1} (b**i - a**i), its denominator a running product."""
+    a, b = s.numerator ** 2, s.denominator ** 2
+    out, den, ai, bi = [], 1, 1, 1
+    for n in range(order):
+        ai, bi = ai * a, bi * b
+        den *= bi - ai
+        out.append(Fraction(a ** (n * n // 2 + n // 2) * bi, den) if n % 2 == 0 else Fraction(0))
+    return out
+
+
 def _check_eq18(ctx, n_max):
-    # H_n(x|q) = 2 q**(-n**2/4) (q;q)_n sum_k q**(k**2+k/2) B_{n-2k} / (p; p)_{2k+1}, p = sqrt(q): the sum over k
-    # is one Cauchy product of the Suslov Bernoulli family with w, w_{2k} = q**(k**2+k/2) / (p; p)_{2k+1}
-    s, q = ctx.s, ctx.q
-    pp, qq = q_pochhammers(s * s, s * s, n_max + 1), q_pochhammers(q, q, n_max)
-    w = [s ** (n * n + n) / pp[n + 1] if n % 2 == 0 else 0 for n in range(n_max + 1)]
+    # H_n(x|q) = 2 q**(-n**2/4) (q;q)_n sum_k W_{2k} B_{n-2k}, W of :func:`_eq18_weights`.  Times psi_n =
+    # q**(n**2/4)/(q;q)_n both sides are sums over the chain P_j = psi_j rho_j: of Q = (q t**2; q**2)_inf on the left,
+    # whose sum the Hermite table is divided from (hermite_rep checks it), and of 2 W G_B on the right.  With P_j of
+    # degree j, so independent, entry n holds exactly when 2 W G_B = Q through w**n; any other chain, or a series
+    # that differs, is checked on the family table by one Cauchy product with W
+    order, w = n_max + 1, _eq18_weights(ctx.s, n_max + 1)
+    if (all(p.degree == j for j, p in enumerate(psi_rho_polys(ctx, order)))
+            and Series(w) * _multiplier(ctx, "suslov_B", order) * 2 == _qw2_series(ctx.s, order)):
+        return IdentityReport("eq18", n_max, True, tuple((n, True) for n in range(order)))
+    s, qq = ctx.s, q_pochhammers(ctx.q, ctx.q, n_max)
     conv = _convolve(build_family(ctx, "suslov_B", n_max), w)
     rebuilt = [h * (2 * s ** (-n * n) * qq[n]) for n, h in enumerate(conv)]
-    return _report("eq18", n_max, [(n, special_poly(ctx, "hermite", n), rebuilt[n]) for n in range(n_max + 1)])
+    return _report("eq18", n_max, [(n, special_poly(ctx, "hermite", n), rebuilt[n]) for n in range(order)])
 
 
 def _check_q_square(ctx, n_max):
@@ -450,12 +468,33 @@ def _check_euler_decomposition(ctx, n_max):
     return _decomposition_report(ctx, "euler_decomposition", n_max, ((1, "M", False), (1, "Mtilde", True)))
 
 
+def _hermite_closed(s: Fraction, n_max: int) -> List[SymPoly]:
+    """[H_0, ..., H_{n_max}] by the closed form H_n(x|q) = sum_{k<=n/2} [n k]_q e_{n-2k} (the middle term once).
+    With q = a/b, [n k]_q = N_{n,k} / b**(k(n-k)) for the integers of the q-Pascal rule
+    N_{n,k} = N_{n-1,k-1} b**(n-k) + a**k N_{n-1,k}; row n is put over b**(m(n-m)), m = n // 2, and reduced once."""
+    a, b = s.numerator ** 4, s.denominator ** 4
+    ap, bp = [a ** k for k in range(n_max + 1)], [b ** k for k in range(n_max + 1)]
+    row, out = [1], []
+    for n in range(n_max + 1):
+        if n:
+            row = [1] + [row[k - 1] * bp[n - k] + ap[k] * row[k] for k in range(1, n)] + [1]
+        nums, scale = [0] * (n + 1), 1
+        for k in range(n // 2, -1, -1):  # N_{n,k} b**((m-k)(n-m-k)): the power steps by b**(n-2k-1) as k falls
+            if 2 * k < n - 1:
+                scale *= bp[n - 2 * k - 1]
+            nums[n - 2 * k] = row[k] * scale
+        out.append(SymPoly._canonical(nums, scale))
+    return out
+
+
 def _check_hermite_rep(ctx, n_max):
-    # (q t**2; q**2)_inf * E(x; t) = sum q**(n**2/4)/(q;q)_n H_n(x|q) t**n: entry n is sum_j Q_{n-j} psi_j rho_j
-    # for Q = (q t**2; q**2)_inf
-    order = n_max + 1
-    lhs, psi = _qw2_series(ctx.s, order).coeffs, psi_weights(ctx, order)
-    pairs = [(n, psi_rho_sum(ctx, lhs[n::-1]), special_poly(ctx, "hermite", n) * psi[n]) for n in range(order)]
+    # (q t**2; q**2)_inf E(x; t) = sum q**(n**2/4)/(q;q)_n H_n(x|q) t**n: the Hermite table holds H_n = L_n / psi_n,
+    # with L_n = sum_j Q_{n-j} psi_j rho_j the left side's entry n for Q = (q t**2; q**2)_inf, so entry n holds when
+    # the table agrees with the q-binomial closed form; where they differ the pair (L_n, psi_n H_n) is shown
+    psi, pairs = psi_weights(ctx, n_max + 1), []
+    for n, c in enumerate(_hermite_closed(ctx.s, n_max)):
+        h = special_poly(ctx, "hermite", n)
+        pairs.append((n, h, c) if h == c else (n, h * psi[n], c * psi[n]))
     note = "prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at degree 2"
     return _report("hermite_rep", n_max, pairs, note=note)
 

@@ -118,7 +118,16 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
     with its factors in rising order."""
     rq = math.sqrt(q)
     if kind == "Sq_eta":
-        base, j, term = rq, 1, lambda k, qq: q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq
+        base, j = rq, 1
+
+        def term(k, qq):  # w**(2k+1) alone overflows at q = 1e-100, w = 1e75; q**(k*k) rq**k = (rq**k)**(2k+1)
+            try:
+                return q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq
+            except OverflowError:
+                t = (rq ** k * w) ** (2 * k + 1) / qq
+                if math.isinf(t):  # the term itself leaves the float range
+                    raise
+                return t
     elif kind == "Cq_eta":
         base, j, term = rq, 0, lambda k, qq: q ** (k * k) / rq ** k * w ** (2 * k) / qq
     elif kind == "Sinq":

@@ -18,7 +18,7 @@ rational point, step by the integers of ``qcore._psi_rho_steps``, as the float t
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -269,17 +269,15 @@ def _rho_table(s: Fraction) -> Iterator[SymPoly]:
 
 @table
 def _hermite_table(s: Fraction) -> Iterator[SymPoly]:
-    # H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k}; qq = [(q;q)_0, ..., (q;q)_n] is one running product,
-    # with q = Q/D its factor 1 - q**(n+1) the reduced Fraction (D**(n+1) - Q**(n+1)) / D**(n+1)
-    Q, D = s.numerator ** 4, s.denominator ** 4
-    qn, dn, qq = Q, D, [Fraction(1)]
-    for n in count():
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n // 2 + 1):
-            out[n - 2 * k] += qq[n] / (qq[k] * qq[n - k])  # when n - 2k == 0 the middle term is counted once
-        yield SymPoly(out)
-        qq.append(qq[-1] * Fraction(dn - qn, dn))
-        qn, dn = qn * Q, dn * D
+    # H_n = L_n / psi_n by (q t**2; q**2)_inf E(x; t) = sum psi_n H_n(x|q) t**n: L_n = sum_j Q_{n-j} psi_j rho_j, where
+    # Q_{2k} = (-1)**k q**(k**2) / (q**2; q**2)_k steps by -q**(2k-1) / (1 - q**(2k)), with q = a/b the one Fraction
+    # -a**(2k-1) b / (b**(2k) - a**(2k)), and Q_odd = 0
+    ctx, a, b = QContext(s), s.numerator ** 4, s.denominator ** 4
+    qs = [Fraction(1)]  # Q_0, Q_2, ...
+    for n, psi in enumerate(_psi_stream(s)):
+        if n % 2 == 0 and n:
+            qs.append(qs[-1] * Fraction(-a ** (n - 1) * b, b ** n - a ** n))
+        yield psi_rho_sum(ctx, [qs[(n - j) // 2] if (n - j) % 2 == 0 else 0 for j in range(n + 1)]) / psi
 
 
 def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymPoly:
@@ -447,7 +445,7 @@ def _aw_chain(ctx: QContext, p: SymPoly) -> Iterator[SymPoly]:
 def change_basis(ctx: QContext, p: SymPoly) -> Tuple[Fraction, ...]:
     """Rho coefficients (r_0, ..., r_d) with p = sum r_k rho_k, by the q-Taylor identity
     at 0: D rho_n = c psi_{n-1}/psi_n rho_{n-1} (c = ``ctx.aw_scale``) and rho_k(0) = 0 for
-    k > 0 give r_k = psi_k c**-k [D^k p](0), read off the D chain of :func:`q_translate`.
+    k > 0 give r_k = psi_k c**-k [D^k p](0), read off the D chain of :func:`_aw_chain`.
     With s = sn/sd, a = sn**4 and b = sd**4, psi_k c**-k is the integer pair
     (sn sd)**(k**2-k) (b-a)**k over 2**k prod_{i<=k} (b**i - a**i), kept as running
     products; each r_k is reduced once."""

@@ -113,6 +113,22 @@ def q_binomial(n, k, base):
     return q_factorial(n, base) / (q_factorial(k, base) * q_factorial(n - k, base))
 
 
+def hermite_closed_fraction(s, n_max):
+    """[H_0, ..., H_{n_max}] of the q-Hermite closed form sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) e_{n-2k} on
+    ``Fraction``s, (q;q)_n one running product whose factor 1 - q**(n+1) is (D**(n+1) - Q**(n+1)) / D**(n+1) for
+    q = Q/D: ``symlaurent._hermite_table`` before the table was summed on the psi-rho chain."""
+    Q, D = s.numerator ** 4, s.denominator ** 4
+    qn, dn, qq, out = Q, D, [Fraction(1)], []
+    for n in range(n_max + 1):
+        coeffs = [Fraction(0)] * (n + 1)
+        for k in range(n // 2 + 1):
+            coeffs[n - 2 * k] += qq[n] / (qq[k] * qq[n - k])  # when n - 2k == 0 the middle term is counted once
+        out.append(SymPoly(coeffs))
+        qq.append(qq[-1] * Fraction(dn - qn, dn))
+        qn, dn = qn * Q, dn * D
+    return out
+
+
 def rho_values(ctx, y, n):
     """[rho_0(y), ..., rho_{n-1}(y)], the values of ``symlaurent._psi_rho_stream`` over psi_j; ``y`` as in
     ``eval_at``.  The library's form until it lost its last caller, kept as a reference."""
@@ -453,7 +469,7 @@ def family_division(ctx, kind, order):
 
 
 # the checks that the psi-rho chain and the multipliers G decide, their family tables read only when one fails
-CHAIN_CHECKS = ("ladders", "eq17", "reflection_B")
+CHAIN_CHECKS = ("ladders", "eq17", "reflection_B", "eq18")
 POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E",
                      "eq4_decomposition", "euler_decomposition", "hermite_rep") + CHAIN_CHECKS
 NOTES = {  # the registry's notes on these checks
@@ -469,8 +485,10 @@ def polynomial_check(ctx, name, n_max):
     the family tables of ``build_family`` convolved with the connection coefficients, reflected, or
     translated by ``q_translate`` entry by entry; the decompositions as products of the basis quotient
     series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the
-    q-Hermite polynomials; the :data:`CHAIN_CHECKS` on the families of :func:`family_division`, eq17 against
-    the product form :func:`rho_laurent_product` times the closed-form psi_k, convolved with the family at 0."""
+    q-Hermite closed form :func:`hermite_closed_fraction`; the :data:`CHAIN_CHECKS` on the families of
+    :func:`family_division`, eq17 against the product form :func:`rho_laurent_product` times the closed-form psi_k,
+    convolved with the family at 0, and eq18 as the Hermite table against the Suslov Bernoulli family convolved
+    with W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and scaled by 2 q**(-n**2/4) (q;q)_n."""
     q, p, ns, order = ctx.q, ctx.sqrt_q, range(n_max + 1), n_max + 1
 
     def convolve(entries, coefs):
@@ -502,7 +520,7 @@ def polynomial_check(ctx, name, n_max):
         pairs = zip(ns, recon.coeffs, psi_rho_polys(ctx, order))
     elif name == "hermite_rep":
         lhs, psi = eq_exponential_series(ctx, order) * _qw2_series(ctx.s, order), psi_weights(ctx, order)
-        pairs = [(n, lhs[n], special_poly(ctx, "hermite", n) * psi[n]) for n in ns]
+        pairs = [(n, lhs[n], h * psi[n]) for n, h in enumerate(hermite_closed_fraction(ctx.s, n_max))]
     elif name == "ladders":
         pairs = [(n, aw_derivative(ctx, f[n]), f[n - 1] * ctx.aw_scale)
                  for f in map(family, FAMILY_KINDS) for n in range(1, order)]
@@ -511,6 +529,10 @@ def polynomial_check(ctx, name, n_max):
         pairs = zip(ns, beta, convolve(products, [eval_at(ctx, b, "zero") for b in beta]))
     elif name == "reflection_B":
         pairs = [(n, b.reflect(), b * Fraction(-1) ** n) for n, b in zip(ns, big)]
+    elif name == "eq18":
+        conv = convolve(big, [q ** (n * n // 4) * p ** (n // 2) / q_pochhammer(p, p, n + 1) if n % 2 == 0 else 0
+                              for n in ns])
+        pairs = [(n, special_poly(ctx, "hermite", n), conv[n] * 2 / psi_weight(ctx, n)) for n in ns]
     else:
         raise ValueError(f"no polynomial form of {name!r}")
     return _report(name, n_max, pairs, note=NOTES.get(name, ""))
@@ -728,8 +750,18 @@ def eta_series_value_closed(kind, q, w):
         except OverflowError:  # the library's second form, where the power of w alone leaves the float range
             return (q ** k * (1 - q) * w) ** (2 * k + 1)
 
+    def sq(k):
+        qq = qq_float(rq, 2 * k + 1)
+        try:
+            return q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq
+        except OverflowError:  # the library's second form, where the power of w alone leaves the float range
+            t = (rq ** k * w) ** (2 * k + 1) / qq
+            if math.isinf(t):
+                raise
+            return t
+
     terms = {
-        "Sq_eta": lambda k: q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq_float(rq, 2 * k + 1),
+        "Sq_eta": sq,
         "Cq_eta": lambda k: q ** (k * k) / rq ** k * w ** (2 * k) / qq_float(rq, 2 * k),
         "Sinq": lambda k: sinq(k) / qq_float(q, 2 * k + 1),
     }

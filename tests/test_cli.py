@@ -240,6 +240,13 @@ def test_zeros_sinq_at_a_tiny_base(capsys, q):
     assert json.loads(capsys.readouterr().out)["report"]["value"] == pytest.approx(float(q) ** -1.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", ["1e-85", "1e-100"])
+def test_zeros_sq_eta_at_a_tiny_base(capsys, q):
+    # it exited 2 ("leaves the float range at term 2") where w**(2k+1) alone overflows
+    assert cli.main(["zeros", "--kind", "sq-eta", "--qfloat", q]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["value"] == pytest.approx(float(q) ** -0.75, rel=1e-12)
+
+
 def test_guichard_growth_at_a_tiny_base_exit_2(capsys):
     # the growth statistic needs the first Sinq zero at q = 1/p = 1e-200
     with pytest.raises(SystemExit) as err:

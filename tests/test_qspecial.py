@@ -204,6 +204,17 @@ def test_sinq_zero_at_a_tiny_base(q):
     assert rep.value == pytest.approx(q ** -1.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [1e-85, 1e-100])
+def test_sq_eta_zero_at_a_tiny_base(q):
+    # w**(2k+1) alone leaves the float range from k = 2 or 3 here, though the term, q**(k**2+k/2) w**(2k+1), does not
+    rep = smallest_positive_zero("Sq_eta", q)
+    a, b = rep.bracket
+    assert a <= rep.value <= b <= a * (1 + 1e-12)
+    assert _eta_series_value("Sq_eta", q, a) > 0 > _eta_series_value("Sq_eta", q, b)
+    assert rep.value == pytest.approx(q ** -0.75, rel=1e-12)
+    assert _eta_series_value("Sq_eta", q, a) == eta_series_value_closed("Sq_eta", q, a)
+
+
 def test_refine_zero_exact_agrees_with_float(ctx):
     w = refine_zero_exact(ctx, "Sq_eta", steps=40)
     rep = smallest_positive_zero("Sq_eta", float(ctx.q))
@@ -443,6 +454,7 @@ def _outcome(f, *args):
 @example("Sq_eta", 0.999, 0.5)  # (sqrt q; sqrt q)_m underflows to 0.0: a search error
 @example("Cq_eta", 0.99, 10.0)  # w**(2k) overflows: a search error
 @example("Sinq", 0.998, 1000.0)  # no convergence in 400 terms
+@example("Sq_eta", 1e-100, 1e75)  # w**5 overflows, the term does not: the second form
 def test_eta_series_running_product_matches_closed_form(kind, q, w):
     # (b; b)_m carried as a running product multiplies the same factors in the same order
     # as its closed form, so every sum is bit for bit the same, and so is every error

@@ -1,17 +1,22 @@
 """The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
-compare rho coordinates, and ladders, eq17 and reflection_B are decided on the psi-rho chain and G.  Their
-references are the division form (N E)/D and the polynomial form of each check, in ``oracles``."""
+compare rho coordinates, and ladders, eq17, reflection_B and eq18 are decided on the psi-rho chain and G.  The
+Hermite table is summed on the chain, and hermite_rep compares it with the q-binomial closed form.  Their
+references are the division form (N E)/D, the polynomial form of each check and the Fraction closed form of the
+q-Hermite polynomials, in ``oracles``."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import CHAIN_CHECKS, POLYNOMIAL_CHECKS, family_quotient, polynomial_check
+import oracles
+from oracles import CHAIN_CHECKS, POLYNOMIAL_CHECKS, family_quotient, hermite_closed_fraction, polynomial_check
 from qlidstone import cli, qpolys, symlaurent
 from qlidstone.fps import Series
-from qlidstone.qcore import QContext, clear_tables
-from qlidstone.qpolys import FAMILY_KINDS, build_family, check_identity, family_multiplier, registry_names
+from qlidstone.qcore import QContext, clear_tables, psi_weights
+from qlidstone.qpolys import FAMILY_KINDS, _render_side, build_family, check_identity, family_multiplier, registry_names
+from qlidstone.symlaurent import SymPoly, special_poly
 
 PINNED_BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(13, 27), Fraction(24, 25))
 REPORT_BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(24, 25))
@@ -49,7 +54,7 @@ def _assert_chain_reports(ctx):
 
 # the checks that a changed even coefficient of each multiplier fails (reflection_B reads the odd ones of G_B)
 READERS = {
-    "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition"},
+    "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition", "eq18"},
     "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B", "eq4_decomposition"},
     "suslov_E": {"translation_E", "euler_decomposition"},
     "new_E": {"translation_E", "euler_decomposition"},
@@ -141,10 +146,10 @@ def test_eq17_compares_the_chain_with_the_product_form_of_rho(monkeypatch, clear
     _assert_chain_reports(QContext(Fraction(3, 5)))  # ladders and eq17 fail on their family tables
 
 
-# the checks that read each family table: ladders, eq17 and reflection_B read none while they pass, so a wrong
-# new_beta table is caught by the division form alone
+# the checks that read each family table: ladders, eq17, reflection_B and eq18 read none while they pass, so a
+# wrong new_beta table is caught by the division form alone
 TABLE_READERS = {
-    "suslov_B": {"eq16", "eq18", "numbers_agree_Eq10"},
+    "suslov_B": {"eq16", "numbers_agree_Eq10"},
     "new_beta": set(),
     "suslov_E": {"numbers_agree_Eq10"},
     "new_E": {"numbers_agree_Eq10"},
@@ -171,7 +176,7 @@ def test_a_dropped_psi_rho_term_fails_the_checks_that_sum_entries(monkeypatch, c
     monkeypatch.setattr(qpolys, "psi_rho_sum", lambda ctx, coeffs: psi_rho_sum(ctx, [0, *coeffs[1:]]))
     ctx = QContext(Fraction(3, 5))
     assert all(build_family(ctx, kind, 8) != family_quotient(ctx, kind, 9) for kind in FAMILY_KINDS)
-    assert _failing(ctx, registry_names()) == {"eq16", "eq18", "hermite_rep", "numbers_agree_Eq10"}
+    assert _failing(ctx, registry_names()) == {"eq16", "numbers_agree_Eq10"}  # the Hermite table sums in symlaurent
     _assert_chain_reports(ctx)
 
 
@@ -188,7 +193,7 @@ def test_the_scalar_checks_build_no_polynomial(monkeypatch):
 
 
 def test_the_chain_checks_read_no_family_table_while_they_pass(monkeypatch):
-    # ladders, eq17 and reflection_B are decided on the psi-rho chain and the multipliers G, and sum no entry
+    # ladders, eq17, reflection_B and eq18 are decided on the psi-rho chain and the multipliers G, and sum no entry
     def refuse(*args):
         raise AssertionError("a family table or a sum of entries was reached")
 
@@ -201,18 +206,68 @@ def test_the_chain_checks_read_no_family_table_while_they_pass(monkeypatch):
 
 def test_the_coordinate_checks_sum_no_passing_entry(monkeypatch):
     # the decompositions read the multipliers, not the bases, and sum an entry only to show it failing; the
-    # Hermite check sums each entry by psi_rho_sum, the polynomial it compares with psi_n H_n
+    # Hermite check compares the Hermite table, summed on the chain by symlaurent, with the closed form
     def refuse(*args):
         raise AssertionError("a polynomial route was taken")
 
-    for name in ("lidstone_basis", "_convolve", "build_family", "_family_series"):
+    for name in ("lidstone_basis", "_convolve", "build_family", "_family_series", "psi_rho_sum"):
         monkeypatch.setattr(qpolys, name, refuse)
     for s in (Fraction(1, 2), Fraction(17, 29)):
-        assert all(check_identity(QContext(s), "hermite_rep", n).passed for n in (0, 1, 2, 9, 12)), s
-    monkeypatch.setattr(qpolys, "psi_rho_sum", refuse)
-    for s in (Fraction(1, 2), Fraction(17, 29)):
-        for name in ("eq4_decomposition", "euler_decomposition"):
+        for name in ("eq4_decomposition", "euler_decomposition", "hermite_rep"):
             assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
+
+
+# s with numerator and denominator up to 40, and tiny and near-1 bases
+BASES_DRAWN = st.one_of(st.integers(2, 40).flatmap(lambda d: st.integers(1, d - 1).map(lambda p: Fraction(p, d))),
+                        st.sampled_from([Fraction(1, 10 ** 6), Fraction(1, 997), Fraction(996, 997),
+                                         Fraction(10 ** 6 - 1, 10 ** 6)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(BASES_DRAWN, st.integers(0, 30))
+def test_the_hermite_table_agrees_with_both_closed_forms(s, n):
+    # the table summed on the psi-rho chain, the integer q-Pascal rows of hermite_rep and the Fraction closed form
+    table = [special_poly(QContext(s), "hermite", m) for m in range(n + 1)]
+    assert table == qpolys._hermite_closed(s, n) == hermite_closed_fraction(s, n)
+
+
+def test_a_wrong_q_coefficient_in_the_hermite_sum_fails_hermite_rep(monkeypatch, cleared):
+    # the Hermite table summed with Q_2 + 1/3: hermite_rep holds it against the closed form from entry 2 on; eq18,
+    # decided on 2 W G_B = Q, reads no table while it passes
+    def wrong_table(s, n):
+        ctx, qs = QContext(s), list(oracles._qw2_series(s, n + 3).coeffs)
+        qs[2] += Fraction(1, 3)
+        return [symlaurent.psi_rho_sum(ctx, qs[m::-1]) / psi for m, psi in enumerate(psi_weights(ctx, n))]
+
+    monkeypatch.setattr(symlaurent, "_hermite_table", wrong_table)
+    ctx = QContext(Fraction(3, 5))
+    assert _failing(ctx, registry_names()) == {"hermite_rep"}
+    report = check_identity(ctx, "hermite_rep", 8)
+    assert [n for n, ok in report.results if not ok] == list(range(2, 9))
+    assert report.first_failure["lhs"] == _render_side(wrong_table(ctx.s, 3)[2] * psi_weights(ctx, 3)[2])
+
+
+def test_a_closed_form_off_by_one_factor_fails_hermite_rep(monkeypatch, cleared):
+    # [3 1]_q = (1 - q**3) / (1 - q) taken over one more factor 1 - q: entry 3 alone fails, shown as L_3 against
+    # psi_3 times the wrong closed form
+    closed = qpolys._hermite_closed
+
+    def off(s, n_max):
+        out = closed(s, n_max)
+        if n_max >= 3:
+            coeffs = list(out[3].coeffs)
+            coeffs[1] /= 1 - s ** 4
+            out[3] = SymPoly(coeffs)
+        return out
+
+    monkeypatch.setattr(qpolys, "_hermite_closed", off)
+    ctx = QContext(Fraction(3, 5))
+    assert _failing(ctx, registry_names()) == {"hermite_rep"}
+    report = check_identity(ctx, "hermite_rep", 8)
+    psi = psi_weights(ctx, 4)[3]
+    assert [n for n, ok in report.results if not ok] == [3]
+    assert report.first_failure == {"n": 3, "lhs": _render_side(special_poly(ctx, "hermite", 3) * psi),
+                                    "rhs": _render_side(off(ctx.s, 3)[3] * psi)}
 
 
 @pytest.mark.parametrize("order", [10, 11])
