@@ -137,7 +137,10 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
             try:
                 return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq
             except OverflowError:
-                return (q ** k * (1 - q) * w) ** (2 * k + 1) / qq
+                t = (q ** k * (1 - q) * w) ** (2 * k + 1) / qq
+                if math.isinf(t):  # the term itself leaves the float range
+                    raise
+                return t
     else:
         raise ValueError(f"unknown kind {kind!r}")
     total, qq, i = 0.0, 1.0, 0

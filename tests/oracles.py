@@ -745,10 +745,14 @@ def eta_series_value_closed(kind, q, w):
     rq = math.sqrt(q)
 
     def sinq(k):
+        qq = qq_float(q, 2 * k + 1)
         try:
-            return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1)
+            return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq
         except OverflowError:  # the library's second form, where the power of w alone leaves the float range
-            return (q ** k * (1 - q) * w) ** (2 * k + 1)
+            t = (q ** k * (1 - q) * w) ** (2 * k + 1) / qq
+            if math.isinf(t):
+                raise
+            return t
 
     def sq(k):
         qq = qq_float(rq, 2 * k + 1)
@@ -763,7 +767,7 @@ def eta_series_value_closed(kind, q, w):
     terms = {
         "Sq_eta": sq,
         "Cq_eta": lambda k: q ** (k * k) / rq ** k * w ** (2 * k) / qq_float(rq, 2 * k),
-        "Sinq": lambda k: sinq(k) / qq_float(q, 2 * k + 1),
+        "Sinq": sinq,
     }
     total = 0.0
     for k in range(0, 400):

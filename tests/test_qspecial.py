@@ -265,7 +265,7 @@ def test_zero_scan_evaluates_nothing_where_the_series_is_proved_positive(kind, m
         assert len(calls) < 150, (q, len(calls))
 
 
-@pytest.mark.parametrize("kind,q,w", [("Cq_eta", 0.999, 0.5), ("Sq_eta", 0.99, 10.0)])
+@pytest.mark.parametrize("kind,q,w", [("Cq_eta", 0.999, 0.5), ("Sq_eta", 0.99, 10.0), ("Sinq", 0.98, 10000.0)])
 def test_eta_series_outside_the_float_range_is_a_search_error(kind, q, w):
     with pytest.raises(ZeroSearchError, match=f"{kind} series at q = {q:.6g}, w = {w:.6g}"):
         _eta_series_value(kind, q, w)
