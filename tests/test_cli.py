@@ -242,7 +242,7 @@ def test_zeros_sinq_at_a_tiny_base(capsys, q):
 
 @pytest.mark.parametrize("q", ["1e-85", "1e-100"])
 def test_zeros_sq_eta_at_a_tiny_base(capsys, q):
-    # it exited 2 ("leaves the float range at term 2") where w**(2k+1) alone overflows
+    # w**(2k+1) alone leaves the float range here, though the terms of the series do not
     assert cli.main(["zeros", "--kind", "sq-eta", "--qfloat", q]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["value"] == pytest.approx(float(q) ** -0.75, rel=1e-12)
 
