@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .qcore import LimitError, QContext, _psi_rho_steps, q_pochhammer_inf, table
@@ -56,27 +55,22 @@ class ZeroReport:
 # -- series evaluation -----------------------------------------------------
 
 
-def psi_rho_values(ctx: QContext, x: float, n: int) -> List[float]:
-    """[u_0, ..., u_{n-1}], u_j = psi_j rho_j(x) at real x, psi_j = q**(j**2/4)/(q;q)_j.
-
-    The rho recurrence with psi folded in: u_0 = 1, u_1 = 2x s/(1-q) and
-    u_j = u_{j-2} (a_j + b_j x**2) with a_j = q (1-q**(j-2))**2 / ((1-q**j)(1-q**(j-1)))
-    and b_j = 4 q**(j-1) / ((1-q**j)(1-q**(j-1))), the steps of :func:`psi_rho_steps`.
-    Every factor is nonnegative, so nothing cancels, and u_j stays in the float
-    range where rho_j(x) alone overflows.
-    """
-    return list(islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), n))
-
-
 def psi_rho_steps(ctx: QContext) -> Iterator[Tuple[float, float]]:
-    """(a_j, b_j) = (A_j/E_j, B_j/E_j) of :func:`psi_rho_values` for j = 2, 3, ..., read off the
+    """(a_j, b_j) = (A_j/E_j, B_j/E_j) of :func:`psi_rho_terms` for j = 2, 3, ..., read off the
     integers of :func:`qcore._psi_rho_steps`; they depend on s alone, so one list serves every x."""
     return ((A / E, B / E) for A, B, E in _psi_rho_steps(ctx.s))
 
 
 def psi_rho_terms(ctx: QContext, x: float, steps: Iterable[Tuple[float, float]]) -> Iterator[float]:
-    """u_0, u_1, ... of :func:`psi_rho_values` at x, from the (a_j, b_j) of
-    :func:`psi_rho_steps`; ends where ``steps`` ends."""
+    """u_0, u_1, ..., u_j = psi_j rho_j(x) at real x, psi_j = q**(j**2/4)/(q;q)_j, from the
+    (a_j, b_j) of :func:`psi_rho_steps`; ends where ``steps`` ends.
+
+    The rho recurrence with psi folded in: u_0 = 1, u_1 = 2x s/(1-q) and
+    u_j = u_{j-2} (a_j + b_j x**2) with a_j = q (1-q**(j-2))**2 / ((1-q**j)(1-q**(j-1)))
+    and b_j = 4 q**(j-1) / ((1-q**j)(1-q**(j-1))).
+    Every factor is nonnegative, so nothing cancels, and u_j stays in the float
+    range where rho_j(x) alone overflows.
+    """
     xx = x * x
     u = [1.0, 2.0 * x * float(ctx.s / (1 - ctx.q))]
     yield from u
@@ -115,32 +109,20 @@ def hayman_zero_estimate(m: int, nu: float, q: float) -> float:
 def _eta_series_value(kind: str, q: float, w: float) -> float:
     """The alternating series for (-q w**2; q**2)_inf * {S, C}(eta-node; w), or for Sin
     with base q.  Term k divides by (b; b)_m, m = 2k + j, carried as a running product
-    with its factors in rising order."""
+    with its factors in rising order.  Its numerator is ``plain(k)``, or, where a power
+    of w alone overflows there, ``regrouped(k)``: the same product as one power."""
     rq = math.sqrt(q)
-    if kind == "Sq_eta":
+    if kind == "Sq_eta":  # w**(2k+1) alone overflows at q = 1e-100, w = 1e75; q**(k*k) rq**k = (rq**k)**(2k+1)
         base, j = rq, 1
-
-        def term(k, qq):  # w**(2k+1) alone overflows at q = 1e-100, w = 1e75; q**(k*k) rq**k = (rq**k)**(2k+1)
-            try:
-                return q ** (k * k) * rq ** k * w ** (2 * k + 1) / qq
-            except OverflowError:
-                t = (rq ** k * w) ** (2 * k + 1) / qq
-                if math.isinf(t):  # the term itself leaves the float range
-                    raise
-                return t
+        plain = lambda k: q ** (k * k) * rq ** k * w ** (2 * k + 1)
+        regrouped = lambda k: (rq ** k * w) ** (2 * k + 1)
     elif kind == "Cq_eta":
-        base, j, term = rq, 0, lambda k, qq: q ** (k * k) / rq ** k * w ** (2 * k) / qq
-    elif kind == "Sinq":
+        base, j, regrouped = rq, 0, None
+        plain = lambda k: q ** (k * k) / rq ** k * w ** (2 * k)
+    elif kind == "Sinq":  # ((1-q) w)**(2k+1) alone leaves the float range past w near q**-1.5 at q below about 1e-40
         base, j = q, 1
-
-        def term(k, qq):  # ((1-q) w)**(2k+1) alone leaves the float range past w near q**-1.5 at q below about 1e-40
-            try:
-                return q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1) / qq
-            except OverflowError:
-                t = (q ** k * (1 - q) * w) ** (2 * k + 1) / qq
-                if math.isinf(t):  # the term itself leaves the float range
-                    raise
-                return t
+        plain = lambda k: q ** (k * (2 * k + 1)) * ((1 - q) * w) ** (2 * k + 1)
+        regrouped = lambda k: (q ** k * (1 - q) * w) ** (2 * k + 1)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     total, qq, i = 0.0, 1.0, 0
@@ -149,7 +131,12 @@ def _eta_series_value(kind: str, q: float, w: float) -> float:
             i += 1
             qq *= 1.0 - base ** i
         try:
-            t = (-1.0) ** k * term(k, qq)
+            try:
+                t = plain(k) / qq
+            except OverflowError:  # a power of w alone: the regrouped term, unless that leaves the float range too
+                if regrouped is None or math.isinf(t := regrouped(k) / qq):
+                    raise
+            t *= (-1.0) ** k
         except (OverflowError, ZeroDivisionError) as exc:
             raise ZeroSearchError(
                 f"{kind} series at q = {q!r}, w = {w:.6g} leaves the float range at term {k}") from exc

@@ -2,9 +2,9 @@
 
 A polynomial f of degree d is held as the coefficient list (c_0, ..., c_d)
 of f(x) = c_0 + sum_{k>=1} c_k (z**k + z**-k) with x = (z + 1/z)/2.  This
-representation is closed under the Askey-Wilson divided-difference operator
-and under the q-translation operator, and both act exactly on rational
-coefficients, which is what the identity suites rely on.
+representation is closed under the Askey-Wilson divided-difference operator,
+which acts exactly on rational coefficients; the ladder checks and the change
+to rho coordinates read its chain.
 
 The divided-difference operator is implemented in the standard symmetric
 form (f(q**(1/2) z) - f(q**(-1/2) z)) / (e(q**(1/2) z) - e(q**(-1/2) z));
@@ -22,7 +22,7 @@ from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, table
+from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, psi_weights, table
 
 PointLike = Union[str, Fraction, int]
 
@@ -260,14 +260,6 @@ def lincomb(terms) -> SymPoly:
 
 
 @table
-def _rho_table(s: Fraction) -> Iterator[SymPoly]:
-    # rho_j = (psi_j rho_j) / psi_j: one recurrence, that of psi_rho_poly
-    ctx = QContext(s)
-    for j, psi in enumerate(_psi_stream(s)):
-        yield psi_rho_poly(ctx, j) / psi
-
-
-@table
 def _hermite_table(s: Fraction) -> Iterator[SymPoly]:
     # H_n = L_n / psi_n by (q t**2; q**2)_inf E(x; t) = sum psi_n H_n(x|q) t**n: L_n = sum_j Q_{n-j} psi_j rho_j, where
     # Q_{2k} = (-1)**k q**(k**2) / (q**2; q**2)_k steps by -q**(2k-1) / (1 - q**(2k)), with q = a/b the one Fraction
@@ -291,8 +283,10 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
         raise ValueError("n must be nonnegative")
     if family == "monomial":
         return SymPoly.from_monomial([0] * n + [1])
-    if family in ("rho", "hermite"):
-        return (_rho_table if family == "rho" else _hermite_table)(ctx.s, n + 1)[n]
+    if family == "rho":
+        return psi_rho_poly(ctx, n) / psi_weights(ctx, n + 1)[n]
+    if family == "hermite":
+        return _hermite_table(ctx.s, n + 1)[n]
     if family == "phi":
         if a is None:
             raise ValueError("family 'phi' requires the parameter a")
@@ -465,28 +459,8 @@ def change_basis(ctx: QContext, p: SymPoly) -> Tuple[Fraction, ...]:
 # -- q-translation ---------------------------------------------------------------
 
 
-def translate_weights(ctx: QContext, y: PointLike, n: int) -> list:
-    """[w_0, ..., w_{n-1}], w_k = psi_k rho_k(y) / c**k with c = ``ctx.aw_scale``; ``y`` as in
-    :func:`eval_at`.  Only those at +-eta are kept, in one table per s (the store bounds parameters, not keys)."""
-    x = _point(ctx, y)
-    if abs(x) == ctx.eta:
-        weights = _eta_weights(ctx.s, n)
-        return weights if x > 0 else [-w if k % 2 else w for k, w in enumerate(weights)]
-    return list(islice(_weight_stream(ctx.s, x), n))
-
-
-@table
-def _eta_weights(s: Fraction) -> Iterator[Fraction]:
-    yield from _weight_stream(s, QContext(s).eta)
-
-
-def _weight_stream(s: Fraction, y: Fraction) -> Iterator[Fraction]:
-    inv_c = (1 - s ** 4) / (2 * s)
-    return (v * inv_c ** k for k, v in enumerate(_psi_rho_stream(s, y)))
-
-
 def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
-    """Translation operator E_q^y, exact for exactly evaluable y.
+    """Translation operator E_q^y, exact for exactly evaluable y (``y`` as in :func:`eval_at`).
 
     Fixed by E_q^y E(x; w) = E(x; w) E(y; w) on the q-exponential E(x; w) =
     sum_n psi_n rho_n(x) w**n, psi_n = q**(n**2/4)/(q;q)_n, and extended by linearity.
@@ -494,4 +468,6 @@ def q_translate(ctx: QContext, p: SymPoly, y: PointLike) -> SymPoly:
     so the q-Taylor series sum_k psi_k rho_k(y) c**-k D**k (Ismail and Stanton, J. Approx.
     Theory 123, 2003) multiplies E(x; w) by E(y; w): it is E_q^y, and stops at k = deg p.
     """
-    return lincomb(zip(_aw_chain(ctx, p), translate_weights(ctx, y, p.degree + 1)))
+    inv_c = 1 / ctx.aw_scale
+    weights = (v * inv_c ** k for k, v in enumerate(_psi_rho_stream(ctx.s, _point(ctx, y))))
+    return lincomb(zip(_aw_chain(ctx, p), weights))

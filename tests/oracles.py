@@ -135,6 +135,20 @@ def rho_values(ctx, y, n):
     return [v / psi for v, psi in zip(_psi_rho_stream(ctx.s, _point(ctx, y)), psi_weights(ctx, n))]
 
 
+def translate_weights(ctx, y, n):
+    """[w_0, ..., w_{n-1}], w_k = psi_k rho_k(y) / c**k with c = ``ctx.aw_scale``, the weights of
+    ``symlaurent.q_translate``; ``y`` as in ``eval_at``.  The library's form (with those at +-eta
+    held in a table per s) until it lost its last caller, kept as a reference."""
+    inv_c = 1 / ctx.aw_scale
+    return [v * inv_c ** k for k, v in enumerate(islice(_psi_rho_stream(ctx.s, _point(ctx, y)), n))]
+
+
+def psi_rho_values(ctx, x, n):
+    """[u_0, ..., u_{n-1}], u_j = psi_j rho_j(x) at real x, of ``qspecial.psi_rho_terms``.  The
+    library's form until it lost its last caller, kept as a reference."""
+    return list(islice(psi_rho_terms(ctx, x, psi_rho_steps(ctx)), n))
+
+
 def psi_weight(ctx, n):
     """The coefficient q**(n**2/4)/(q;q)_n multiplying rho_n in the
     q-exponential series, by its closed form."""
@@ -818,7 +832,7 @@ def smallest_positive_zero_full_scan(kind, q):
 
 def eq_eval(ctx, x, w):
     """The q-exponential at real x, |w| < 1, by its rho-basis series
-    sum_n u_n w**n, u_n from ``qspecial.psi_rho_values``.
+    sum_n u_n w**n, u_n from ``qspecial.psi_rho_terms``.
 
     ``w`` may be complex (used to split into the basic cosine and sine);
     the return type follows the type of ``w``.

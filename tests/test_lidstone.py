@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (aw_boundary_data_iterated, aw_boundary_data_translated, entire_fn_poly, exact_grid_residual,
-                     expansion_reconstruction_families, expansion_reconstruction_rho, q_factorial, q_pochhammer,
-                     trig_rho_stream_closed)
+                     expansion_reconstruction_families, expansion_reconstruction_rho, psi_rho_values, q_factorial,
+                     q_pochhammer, trig_rho_stream_closed)
 from qlidstone import cli, lidstone, qpolys
 from qlidstone.qcore import IntegrityError, LimitError, QContext, psi_weights, safe_float
-from qlidstone.qspecial import psi_rho_values, refine_zero_exact
+from qlidstone.qspecial import refine_zero_exact
 from qlidstone.lidstone import (
     DEFAULT_GRID,
     EntireFn,

@@ -13,13 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rho_values
+from oracles import rho_values, translate_weights
 from qlidstone.fps import pochhammer_series
 from qlidstone.lidstone import EntireFn, bernoulli_expansion, euler_expansion, trig_rho_stream
 from qlidstone.qcore import QContext, q_factorials, q_pochhammers
 from qlidstone.qpolys import (BASIS_KINDS, FAMILY_KINDS, _binomial_series, build_family, build_numbers,
                               family_multiplier, lidstone_basis)
-from qlidstone.symlaurent import eval_at, q_translate, special_poly, translate_weights
+from qlidstone.symlaurent import eval_at, q_translate, special_poly
 
 BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(13, 27), Fraction(24, 25))
 ORDER = 14

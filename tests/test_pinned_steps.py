@@ -2,7 +2,7 @@
 before the polynomial, exact and float routes came to read one step stream.
 
 They reach orders (up to 40) and float routes that ``test_pinned_exact`` does
-not: the float terms of ``qspecial.psi_rho_values``, the per-s polynomial and
+not: the float terms of ``psi_rho_values``, the per-s polynomial and
 eta tables, ``rho_values`` and ``translate_weights`` off the named points, and
 a refinement job of the ``expansion`` benchmark workload end to end.  Each case
 hashes the reprs of its results, so a change of a single coefficient, of a
@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rho_values
+from oracles import psi_rho_values, rho_values, translate_weights
 from qlidstone.lidstone import bernoulli_expansion, trig_rho_stream
 from qlidstone.qcore import QContext
-from qlidstone.qspecial import psi_rho_values, refine_zero_exact
-from qlidstone.symlaurent import psi_rho_at_eta, psi_rho_polys, special_poly, translate_weights
+from qlidstone.qspecial import refine_zero_exact
+from qlidstone.symlaurent import psi_rho_at_eta, psi_rho_polys, special_poly
 
 BASES = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 19), Fraction(1, 17), Fraction(20, 21))
 FLOAT_POINTS = (-1.0, -0.35, 0.0, 0.5, 1.0)

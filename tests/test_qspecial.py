@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (basic_trig, basic_trig_eta_closed, eq_eval, eq_exponential_series, eta_series_sign_exact,
                      eta_series_sign_termwise, eta_series_value_closed, jackson_bessel_j2, psi_weight,
-                     rho_laurent_product, smallest_positive_zero_full_scan)
+                     psi_rho_values, rho_laurent_product, smallest_positive_zero_full_scan)
 from qlidstone import qspecial
 from qlidstone.qcore import LimitError, QContext, q_pochhammer_inf
 from qlidstone.symlaurent import eval_at
@@ -23,7 +23,6 @@ from qlidstone.qspecial import (
     hayman_zero_estimate,
     jackson_bessel_zeros,
     positive_zeros,
-    psi_rho_values,
     refine_zero_exact,
     smallest_positive_zero,
     sq_lower_bound,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (FractionSymPoly, fraction_change_basis, poly_from_basis, psi_weight, q_translate_hermite,
-                     q_translate_rho, rho_laurent_product, rho_values)
+                     q_translate_rho, rho_laurent_product, rho_values, translate_weights)
 from qlidstone import qcore
 from qlidstone.qcore import QContext, clear_tables, psi_weights, q_number
 from qlidstone.qpolys import build_family
@@ -20,7 +20,6 @@ from qlidstone.symlaurent import (
     psi_rho_sum,
     q_translate,
     special_poly,
-    translate_weights,
 )
 
 small_fracs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3))
@@ -254,34 +253,21 @@ def test_translate_weights_closed_form(s):
         assert translate_weights(ctx, y, 14) == want, y
 
 
-def test_translate_weights_returns_a_copy():
-    ctx = QContext(Fraction(6, 13))
-    p = SymPoly([Fraction(1, 3), 2, Fraction(-1, 7), 5, 1])
-    want = {y: q_translate(ctx, p, y) for y in ("eta", "minus_eta")}
-    for y in ("eta", "minus_eta"):
-        weights = translate_weights(ctx, y, 5)
-        weights[1] = Fraction(99)
-        weights.append(Fraction(1))
-    assert {y: q_translate(ctx, p, y) for y in want} == want
-
-
-def test_translate_weights_cache_is_keyed_on_s_alone():
+def test_translation_and_the_rho_family_hold_no_table_of_their_own():
+    # q_translate reads the D chain and the psi-rho stream, and rho_n is the chain's psi_n rho_n over psi_n
     ctx = QContext(Fraction(8, 33))
+    p = SymPoly([Fraction(1, 3), 2, Fraction(-1, 7), 5, 1])
+    points = ("zero", "eta", "minus_eta", Fraction(5, 3))
     clear_tables()
-    translate_weights(ctx, "zero", 6)
-    q_translate(ctx, SymPoly([1, 2, 3]), "zero")
+    got = [q_translate(ctx, p, y) for y in points]
     assert _held(ctx.s) == set()
-    translate_weights(ctx, "minus_eta", 6)
-    assert _held(ctx.s) == {("_eta_weights",)}
-    translate_weights(ctx, "eta", 9)
-    q_translate(ctx, SymPoly([1, 2, 3]), "minus_eta")
-    translate_weights(ctx, Fraction(5, 3), 4)
-    assert _held(ctx.s) == {("_eta_weights",)}
+    rho = special_poly(ctx, "rho", 7)
+    assert _held(ctx.s) == {("_psi_stream",), ("_psi_rho_chain", 1)}
+    assert got == [q_translate_rho(ctx, p, y) for y in points]
+    assert rho == rho_laurent_product(ctx.s, 7)
 
 
 def test_translate_unknown_point_raises(ctx_half):
-    with pytest.raises(ValueError):
-        translate_weights(ctx_half, "one", 3)
     with pytest.raises(ValueError):
         q_translate(ctx_half, SymPoly([1, 2]), "one")
 

@@ -10,8 +10,7 @@ import pytest
 from qlidstone import cli, qcore, qpolys, qspecial, symlaurent  # cli imports every module, so every table is registered
 from qlidstone.qcore import MAX_TABLES, QContext, clear_tables, psi_weights
 from qlidstone.qpolys import FAMILY_KINDS, _family_series, build_numbers, family_multiplier, im_bernoulli_quotients
-from qlidstone.symlaurent import (SymPoly, psi_rho_at_eta, psi_rho_poly, psi_rho_polys, special_poly,
-                                  translate_weights)
+from qlidstone.symlaurent import SymPoly, psi_rho_at_eta, psi_rho_poly, psi_rho_polys, special_poly
 
 CTX = QContext(Fraction(3, 5))
 
@@ -30,8 +29,6 @@ TABLES = {
     "psi_rho_polys": lambda n: psi_rho_polys(CTX, n),
     "psi_rho_at_eta": _eta_values,
     "psi_rho_eta_values": lambda n: symlaurent._psi_rho_eta_values(CTX.s, n),
-    "translate_weights_eta": lambda n: translate_weights(CTX, "eta", n),
-    "translate_weights_minus_eta": lambda n: translate_weights(CTX, "minus_eta", n),
     "im_bernoulli_quotients": lambda n: im_bernoulli_quotients(CTX.q, n),
     "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n),
     **{f"family_multiplier_{k}": (lambda k: lambda n: family_multiplier(CTX.s, k, n))(k) for k in FAMILY_KINDS},
@@ -101,8 +98,8 @@ def test_the_store_never_holds_more_than_its_bound():
 
 def test_returned_lists_are_fresh():
     clear_tables()
-    asks = [lambda: psi_weights(CTX, 6), lambda: psi_rho_polys(CTX, 6), lambda: translate_weights(CTX, "eta", 6),
-            lambda: psi_rho_at_eta(CTX, 6)[0], lambda: _family_series(CTX, "suslov_B", 6)]
+    asks = [lambda: psi_weights(CTX, 6), lambda: psi_rho_polys(CTX, 6), lambda: psi_rho_at_eta(CTX, 6)[0],
+            lambda: _family_series(CTX, "suslov_B", 6)]
     want = [ask() for ask in asks]
     for ask in asks:
         got = ask()
