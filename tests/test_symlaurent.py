@@ -267,6 +267,19 @@ def test_translation_and_the_rho_family_hold_no_table_of_their_own():
     assert rho == rho_laurent_product(ctx.s, 7)
 
 
+def test_the_rho_family_survives_edits_to_the_lists_of_its_tables():
+    # rho_n reads psi_n and psi_n rho_n from the tables that psi_weights and psi_rho_polys hand out
+    ctx = QContext(Fraction(6, 13))
+    clear_tables()
+    want = [special_poly(ctx, "rho", n) for n in range(6)]
+    weights, polys = psi_weights(ctx, 6), psi_rho_polys(ctx, 6)
+    weights[3], polys[3] = Fraction(99), SymPoly([7])
+    weights.append(Fraction(1))
+    polys.append(SymPoly([1]))
+    assert [special_poly(ctx, "rho", n) for n in range(7)] == want + [rho_laurent_product(ctx.s, 6)]
+    assert psi_weights(ctx, 6)[3] == psi_weight(ctx, 3)
+
+
 def test_translate_unknown_point_raises(ctx_half):
     with pytest.raises(ValueError):
         q_translate(ctx_half, SymPoly([1, 2]), "one")
