@@ -16,7 +16,7 @@ floating point lives in the zero finders and residual grids.
 
 from .qcore import QContext, q_number, q_pochhammer_inf
 from .symlaurent import SymPoly, aw_derivative, change_basis, eval_at, q_translate, special_poly
-from .fps import Series, euler_factor_series
+from .fps import Series
 from . import qpolys, qspecial, lidstone, guichard
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "aw_derivative",
     "q_translate",
     "change_basis",
-    "euler_factor_series",
     "qpolys",
     "qspecial",
     "lidstone",

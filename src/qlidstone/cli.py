@@ -116,11 +116,9 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _context(args) -> QContext:
-    if getattr(args, "q", None) is not None:
-        return QContext.from_q(args.q)
-    if args.s is None:
-        raise ValueError("one of --s or --q is required")
-    return QContext(args.s)
+    if (args.s is None) == (args.q is None):
+        raise ValueError("one of --s or --q is required" if args.s is None else "give only one of --s or --q")
+    return QContext(args.s) if args.q is None else QContext.from_q(args.q)
 
 
 # -- subcommands ------------------------------------------------------------

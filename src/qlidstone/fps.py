@@ -105,14 +105,6 @@ class Series:
         return Series(out)
 
 
-def euler_factor_series(sign: int, base: Fraction, order: int) -> Series:
-    """Power series of (sign*w; base)_inf, exact through the given order:
-    :func:`pochhammer_series` with coefficient sign and power 1."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return pochhammer_series(sign, 1, base, order)
-
-
 def pochhammer_series(coeff: Fraction, power: int, base: Fraction, order: int) -> Series:
     """Power series of (coeff * w**power; base)_inf, exact, for |base| < 1.
 

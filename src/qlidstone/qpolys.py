@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .qcore import QContext, _dot, psi_weights, q_factorials, q_pochhammers, table
-from .fps import Series, euler_factor_series, pochhammer_series
-from .symlaurent import (SymPoly, _psi_rho_eta_values, aw_derivative, eval_at, lincomb, psi_rho_poly, psi_rho_polys,
-                         psi_rho_sum, special_poly)
+from .fps import Series, pochhammer_series
+from .symlaurent import (SymPoly, _aw_factorials, _psi_rho_eta_values, aw_derivative, eval_at, lincomb, psi_rho_poly,
+                         psi_rho_polys, psi_rho_sum, special_poly)
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 # basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
@@ -58,11 +58,11 @@ def _family_parts(s: Fraction, kind: str, order: int) -> Tuple[Series, Series]:
     the module docstring; D carries ``order`` coefficients, N at least as many."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
-    plus = euler_factor_series(-1, s * s, order + 1).coeffs  # (-w; p)_inf; (w; p)_inf has its odd terms negated
-    minus = Series([-c if m % 2 else c for m, c in enumerate(plus)])
+    plus = pochhammer_series(-1, 1, s * s, order + 1)  # (-w; p)_inf
+    minus = _at_minus_w(plus)  # (w; p)_inf
     num = _qw2_series(s, order) if kind.startswith("suslov") else minus * 2 if kind == "new_E" else minus
     odd = kind in ("suslov_B", "new_beta")  # D is the odd part of 2 (-w; p)_inf over w, else its even part
-    return num, Series([2 * c if m % 2 == odd else 0 for m, c in enumerate(plus)][odd:order + odd])
+    return num, Series([2 * c if m % 2 == odd else 0 for m, c in enumerate(plus.coeffs)][odd:order + odd])
 
 
 @table
@@ -293,15 +293,10 @@ def _check_reflection_beta(ctx, n_max):
 
 
 def _check_eq16(ctx, n_max):
-    # product factors ((-q**(1/4) z, -q**(1/4)/z; sqrt q)_k as SymPolys
-    s = ctx.s
-    p = s * s
+    # product factors (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k as SymPolys
     big = build_family(ctx, "suslov_B", n_max)
     betaq = build_numbers(ctx, "beta_q", n_max)
-    phi = [SymPoly.const(1)]
-    for k in range(n_max):
-        c = s * p ** k
-        phi.append(phi[-1] * SymPoly([1 + c * c, c]))
+    phi = _aw_factorials(-ctx.s, ctx.sqrt_q, n_max)
     qq = q_pochhammers(ctx.q, ctx.q, n_max)
     rhs = _convolve([f / qq[k] for k, f in enumerate(phi)], betaq)
     note = ("stated with an extra (-1)**(n-k); the signless form is the one "

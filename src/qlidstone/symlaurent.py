@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .qcore import QContext, _psi_rho_steps, _psi_stream, over_common_den, psi_weights, table
 
@@ -48,12 +48,11 @@ class SymPoly:
         self.den = den
 
     @classmethod
-    def _canonical(cls, nums: List[int], den: int, bound: Optional[int] = None) -> "SymPoly":
-        """sum nums[i]/den e_i (den > 0) in canonical form.  ``bound``, when
-        given, is a number with gcd(bound, *nums) == gcd(den, *nums)."""
+    def _canonical(cls, nums: List[int], den: int) -> "SymPoly":
+        """sum nums[i]/den e_i (den > 0) in canonical form."""
         while len(nums) > 1 and nums[-1] == 0:
             nums.pop()
-        g = gcd(den if bound is None else bound, *nums)
+        g = gcd(den, *nums)
         if g != 1:
             nums = [n // g for n in nums]
             den //= g
@@ -115,26 +114,7 @@ class SymPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, SymPoly):
-            other = SymPoly.const(other)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        a, b = self.nums, other.nums
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        if g != da:
-            b = [x * (da // g) for x in b]
-        if g != db:
-            a = [x * (db // g) for x in a]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        # the sum over lcm(da, db) can only share factors of g with its numerators (Knuth 4.5.1)
-        return SymPoly._canonical(out, da // g * db, g)
+        return lincomb(((self, 1), (_lift(other), 1)))
 
     __radd__ = __add__
 
@@ -142,12 +122,10 @@ class SymPoly:
         return SymPoly._of(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, SymPoly):
-            other = SymPoly.const(other)
-        return self + (-other)
+        return lincomb(((self, 1), (_lift(other), -1)))
 
     def __rsub__(self, other):
-        return SymPoly.const(other) + (-self)
+        return lincomb(((_lift(other), 1), (self, -1)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,6 +219,11 @@ class SymPoly:
         return tuple(Fraction(n, self.den) for n in out)
 
 
+def _lift(c) -> SymPoly:
+    """c as a SymPoly: a scalar is lifted by :meth:`SymPoly.const`."""
+    return c if isinstance(c, SymPoly) else SymPoly.const(c)
+
+
 def lincomb(terms) -> SymPoly:
     """sum of a * p over the pairs (p, a) of SymPolys and rationals, over one
     common denominator and reduced once."""
@@ -290,14 +273,18 @@ def special_poly(ctx: QContext, family: str, n: int, a: Fraction = None) -> SymP
     if family == "phi":
         if a is None:
             raise ValueError("family 'phi' requires the parameter a")
-        a = Fraction(a)
-        q = ctx.q
-        out = SymPoly.const(1)
-        for k in range(n):
-            c = a * q ** k
-            out = out * SymPoly([1 + c * c, -c])
-        return out
+        return _aw_factorials(Fraction(a), ctx.q, n)[n]
     raise ValueError(f"unknown family {family!r}")
+
+
+def _aw_factorials(a: Fraction, base: Fraction, n: int) -> List[SymPoly]:
+    """[(a z, a/z; base)_0, ..., (a z, a/z; base)_n]: factor k is (1 - c z)(1 - c/z) = 1 + c**2 - c (z + 1/z)
+    with c = a base**k."""
+    out = [SymPoly._of((1,), 1)]
+    for k in range(n):
+        c = a * base ** k
+        out.append(out[-1] * SymPoly([1 + c * c, -c]))
+    return out
 
 
 def psi_rho_polys(ctx: QContext, n: int) -> List[SymPoly]:

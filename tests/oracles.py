@@ -11,7 +11,7 @@ from itertools import islice
 from math import comb
 from typing import Sequence, Tuple
 
-from qlidstone.fps import Series, euler_factor_series, pochhammer_series
+from qlidstone.fps import Series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
 from qlidstone import qpolys
 from qlidstone.qpolys import BASES, FAMILY_KINDS, _eta_series, _report, build_family, family_rho, lidstone_basis
@@ -454,8 +454,8 @@ def factor_parts(s, order):
     """(plus, minus, diff_over_w, summ) for the (+-w; sqrt q)_inf factors,
     each carrying exactly ``order`` coefficients."""
     p = s * s
-    plus = euler_factor_series(-1, p, order + 1)   # (-w; p)_inf
-    minus = euler_factor_series(+1, p, order + 1)  # (w; p)_inf
+    plus = pochhammer_series(-1, 1, p, order + 1)   # (-w; p)_inf
+    minus = pochhammer_series(+1, 1, p, order + 1)  # (w; p)_inf
     diff_over_w = shift_down(plus - minus)
     summ = (plus + minus).truncate(order)
     return plus.truncate(order), minus.truncate(order), diff_over_w, summ
@@ -1122,9 +1122,10 @@ class FractionSymPoly:
 
 
 @lru_cache(maxsize=None)
-def fraction_special_poly(ctx, family, n):
-    """``monomial``, ``rho`` and ``hermite`` members as FractionSymPolys:
-    x**n, rho_n by its recurrence and H_n(x|q) by its q-binomial sum."""
+def fraction_special_poly(ctx, family, n, a=None):
+    """``monomial``, ``rho``, ``hermite`` and ``phi`` members as FractionSymPolys: x**n, rho_n by
+    its recurrence, H_n(x|q) by its q-binomial sum and (a e^{i theta}, a e^{-i theta}; q)_n as the
+    product of 1 + c**2 - c (z + 1/z) over c = a q**k, k < n."""
     if family == "monomial":
         return FractionSymPoly.from_monomial([0] * n + [1])
     q = ctx.q
@@ -1139,6 +1140,12 @@ def fraction_special_poly(ctx, family, n):
         for k in range(n // 2 + 1):
             out[n - 2 * k] += qqn / (q_pochhammer(q, q, k) * q_pochhammer(q, q, n - k))
         return FractionSymPoly(out)
+    if family == "phi":
+        out = FractionSymPoly.const(1)
+        for k in range(n):
+            c = a * q ** k
+            out = out * FractionSymPoly([1 + c * c, -c])
+        return out
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -134,6 +134,7 @@ _COEFF_FILES = {"scalar.json": "5", "empty.json": "", "nested.json": "[[1]]"}
 
 @pytest.mark.parametrize("argv, message", [
     ("numbers --kind beta", "one of --s or --q is required"),
+    ("numbers --kind beta --s 1/2 --q 1/81", "give only one of --s or --q"),
     ("numbers --kind beta --s 7/3", "s must lie in (0, 1), got 7/3"),
     ("numbers --kind beta --q 1/5", "q = 1/5 is not the fourth power of a rational"),
     ("identities --name bogus --s 1/2", f"unknown identity 'bogus'; known: {_KNOWN}"),

@@ -5,7 +5,8 @@ flags, choices and argument types, mixed with adversarial values (bases at
 1/10**k and 1 - 10**-k, 5e-324, nan, a huge p, broken coefficient files, an
 unwritable --output).  Orders, K and --growth-order stay at 6 or below so that
 every call is cheap.  Whatever the input, ``main`` must end in exit 0, 1 or 2,
-never in a traceback, and an exit 2 prints exactly one ``error:`` line.
+never in a traceback, and an exit 2 prints exactly one ``error:`` line; an argv that
+gives both --s and --q exits 2.
 """
 
 import argparse
@@ -109,6 +110,8 @@ def test_every_argv_exits_cleanly(values, data):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    if "--s" in argv and "--q" in argv:
+        assert code == 2, argv
     if code == 2:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())
         assert out.getvalue() == "", argv

@@ -9,7 +9,7 @@ from oracles import (eq_exponential_series, eta_exponential_series, pochhammer_s
                      shift_down)
 from qlidstone.qcore import QContext, psi_weights
 from qlidstone import fps
-from qlidstone.fps import Series, euler_factor_series, pochhammer_series
+from qlidstone.fps import Series, pochhammer_series
 from qlidstone.symlaurent import SymPoly, eval_at, special_poly
 
 fracs = st.fractions(min_value=Fraction(-4), max_value=Fraction(4))
@@ -87,7 +87,7 @@ def test_euler_factor_functional_equation():
     # pins the coefficients, checked as an identity on truncated series
     for sign in (1, -1):
         for b in (Fraction(1, 4), Fraction(2, 3)):
-            f = euler_factor_series(sign, b, 12)
+            f = pochhammer_series(sign, 1, b, 12)
             shifted = scale_arg(f, b)
             factor = Series([Fraction(1), Fraction(-sign)] + [Fraction(0)] * 10)
             assert f == factor * shifted
@@ -96,13 +96,13 @@ def test_euler_factor_functional_equation():
 
 def test_euler_factor_difference_is_odd():
     p = Fraction(1, 4)
-    diff = euler_factor_series(-1, p, 10) - euler_factor_series(1, p, 10)
+    diff = pochhammer_series(-1, 1, p, 10) - pochhammer_series(1, 1, p, 10)
     assert diff.coeffs[0::2] == (0,) * 5
 
 
 def test_euler_factor_leading_terms():
     p = Fraction(1, 4)
-    f = euler_factor_series(1, p, 4)
+    f = pochhammer_series(1, 1, p, 4)
     assert f[1] == Fraction(-1) / (1 - p)
     assert f[2] == p / ((1 - p) * (1 - p * p))
 

@@ -79,6 +79,8 @@ def test_arithmetic_matches_fraction_oracle(a, b, c):
     same(pa - pb, fa - fb)
     same(-pa, -fa)
     same(pa + c, fa + c)
+    same(c + pa, c + fa)
+    same(pa - c, fa - c)
     same(c - pa, c - fa)
     same(pa * c, fa * c)
     same(c * pa, c * fa)
@@ -132,11 +134,12 @@ def test_eval_at_matches_fraction_oracle(s, a, pt):
     assert got == fraction_eval_at(ctx, FractionSymPoly(a), pt)
 
 
-@pytest.mark.parametrize("family", ["monomial", "rho", "hermite"])
+@pytest.mark.parametrize("family", ["monomial", "rho", "hermite", "phi"])
 def test_family_members_match_fraction_oracle(family):
     ctx = QContext(Fraction(17, 29))
+    a = Fraction(-5, 7) if family == "phi" else None
     for n in range(16):
-        same(special_poly(ctx, family, n), fraction_special_poly(ctx, family, n))
+        same(special_poly(ctx, family, n, a), fraction_special_poly(ctx, family, n, a))
 
 
 @settings(max_examples=25, deadline=None)
