@@ -13,13 +13,12 @@ power of w is cancelled before dividing, leaving the constant term
 2/(1 - sqrt(q)).  Each family is G(w) E(x; w) with the scalar series
 G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_j:
 the family tables, the interpolation bases and the expansions are all summed so.
-The identity registry checks the cross-relations between the families exactly,
-five of them as identities between the scalar multipliers G.  The two
-decomposition checks compare rho coordinates, the scalar
-series that multiply psi_j rho_j: those of the bases are read off G, and E(eta; w)
-off the eta table of the boundary data.  ladders, eq17, reflection_B and eq18 are decided on the psi-rho chain and
-G, and read the family tables only where the chain fails.  The Hermite check holds the Hermite table, summed on
-the chain, against the q-binomial closed form.  No series of polynomials is built.
+The identity registry checks the cross-relations between the families exactly.  Five checks compare scalar series
+of the multipliers G, and the two decomposition checks compare rho coordinates read off G and E(eta; w).  ladders,
+eq17, reflection_B, eq18 and numbers_agree_Eq10 reduce to scalar identities on a sound psi-rho chain, so they are
+decided on G wherever the one stored audit of the chain, :func:`_chain_audit`, holds, and run in full on the family
+tables wherever it fails.  The Hermite check holds the Hermite table, summed on the chain, against the q-binomial
+closed form.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -193,6 +192,25 @@ def _at_minus_w(series: Series) -> Series:
 # -- identity registry ---------------------------------------------------------
 
 
+def _rho_products(ctx: QContext, n: int) -> List[SymPoly]:
+    """[psi_k rho_k for k < n] off the chain, rho_k in its product form z**-k (1 + z**2) (-q**(2-k) z**2; q**2)_{k-1}:
+    its factors pair so that rho_{k+2} = rho_k (q**k + q**-k + z**2 + z**-2), from rho_0 = 1 and rho_1 = z + 1/z."""
+    q, rho = ctx.q, [SymPoly.const(1), SymPoly([0, 1])]
+    for k in range(n - 2):
+        rho.append(rho[k] * SymPoly([q ** k + q ** -k, 0, 1]))
+    return [r * w for r, w in zip(rho, psi_weights(ctx, n))]
+
+
+@table
+def _chain_audit(ctx: QContext, n: int) -> List[bool]:
+    """Verdict j < n holds when P_j = psi_j rho_j is entry j of :func:`_rho_products` (so of degree j and parity j, and
+    P_j(0) = [j == 0]), D P_j = c P_{j-1} (D P_0 = 0) and P_j(-eta) = (-1)**j psi_j rho_j(eta) of the eta stream."""
+    chain, c, eta = psi_rho_polys(ctx, n), ctx.aw_scale, _psi_rho_eta_values(ctx.s, n)
+    return [p == r and aw_derivative(ctx, p) == (chain[j - 1] * c if j else 0)
+            and eval_at(ctx, p, "minus_eta") == (-1) ** j * eta[j]
+            for j, (p, r) in enumerate(zip(chain, _rho_products(ctx, n)))]
+
+
 @dataclass
 class IdentityReport:
     name: str
@@ -273,10 +291,9 @@ def _check_connection_f2(ctx, n_max):
 
 
 def _check_reflection_b(ctx, n_max):
-    # on a chain with P_j(-x) = (-1)**j P_j(x) (no coefficient of z**k + z**-k with k - j odd) and P_j of degree j, so
-    # independent, entry n = sum_j G_{n-j} P_j has B_n(-x) = (-1)**n B_n(x) exactly when G_B(-w) = G_B(w) through
-    # w**n, on entries taken with the sign (-1)**n; any other chain is checked on the family table
-    if all(p.degree == j and not any(p.nums[j % 2 + 1::2]) for j, p in enumerate(psi_rho_polys(ctx, n_max + 1))):
+    # on the audited chain P_j(-x) = (-1)**j P_j(x), and the P_j, of degree j, are independent: entry n = sum_j G_{n-j}
+    # P_j has B_n(-x) = (-1)**n B_n(x) exactly when G_B(-w) = G_B(w) through w**n, on entries taken with sign (-1)**n
+    if all(_chain_audit(ctx, n_max + 1)):
         g = _multiplier(ctx, "suslov_B", n_max + 1)
         return _series_report(ctx, "reflection_B", n_max, _at_minus_w(g), g, sign=-1)
     big = build_family(ctx, "suslov_B", n_max)
@@ -305,19 +322,11 @@ def _check_eq16(ctx, n_max):
 
 
 def _check_eq17(ctx, n_max):
-    # beta_n(x) = sum_k beta_{n-k} psi_k rho_k(x), rho_k = z**-k (1 + z**2) (-q**(2-k) z**2; q**2)_{k-1}, whose
-    # factors at q**m and q**-m pair to z**2 (q**m + q**-m + z**2 + z**-2): rho_{k+2} = rho_k (q**k + q**-k + z**2 +
-    # z**-2) from rho_0 = 1 and rho_1 = z + 1/z, so E(x; w) is built apart from the psi_rho chain of the families.
-    # Both sides sum the beta numbers G_beta, the families over the chain: they agree where the two E(x; w) do, and
-    # only a chain that differs from the product form is checked on the family table
-    q = ctx.q
-    rho = [SymPoly.const(1), SymPoly([0, 1])]
-    for k in range(n_max - 1):
-        rho.append(rho[k] * SymPoly([q ** k + q ** -k, 0, 1]))
-    products = [r * w for r, w in zip(rho, psi_weights(ctx, n_max + 1))]
-    if products == psi_rho_polys(ctx, n_max + 1):
+    # beta_n(x) = sum_k beta_{n-k} psi_k rho_k(x) with rho_k in its product form: both sides sum the beta numbers
+    # G_beta, the family over the chain, so they agree where the audit finds the chain equal to the product form
+    if all(_chain_audit(ctx, n_max + 1)):
         return IdentityReport("eq17", n_max, True, tuple((n, True) for n in range(n_max + 1)))
-    rhs = _convolve(products, build_numbers(ctx, "beta_q", n_max))
+    rhs = _convolve(_rho_products(ctx, n_max + 1), build_numbers(ctx, "beta_q", n_max))
     return _report("eq17", n_max, zip(range(n_max + 1), build_family(ctx, "new_beta", n_max), rhs))
 
 
@@ -334,13 +343,12 @@ def _eq18_weights(s: Fraction, order: int) -> List[Fraction]:
 
 
 def _check_eq18(ctx, n_max):
-    # H_n(x|q) = 2 q**(-n**2/4) (q;q)_n sum_k W_{2k} B_{n-2k}, W of :func:`_eq18_weights`.  Times psi_n =
-    # q**(n**2/4)/(q;q)_n both sides are sums over the chain P_j = psi_j rho_j: of Q = (q t**2; q**2)_inf on the left,
-    # whose sum the Hermite table is divided from (hermite_rep checks it), and of 2 W G_B on the right.  With P_j of
-    # degree j, so independent, entry n holds exactly when 2 W G_B = Q through w**n; any other chain, or a series
-    # that differs, is checked on the family table by one Cauchy product with W
+    # H_n(x|q) = 2 q**(-n**2/4) (q;q)_n sum_k W_{2k} B_{n-2k}, W of :func:`_eq18_weights`.  Times psi_n, both sides are
+    # sums over the chain P_j = psi_j rho_j: of Q = (q t**2; q**2)_inf on the left (the Hermite table is that sum over
+    # psi_n), and of 2 W G_B on the right.  On the audited chain the P_j, of degree j, are independent, so entry n holds
+    # exactly when 2 W G_B = Q through w**n; otherwise it is checked on the family table, by one Cauchy product with W
     order, w = n_max + 1, _eq18_weights(ctx.s, n_max + 1)
-    if (all(p.degree == j for j, p in enumerate(psi_rho_polys(ctx, order)))
+    if (all(_chain_audit(ctx, order))
             and Series(w) * _multiplier(ctx, "suslov_B", order) * 2 == _qw2_series(ctx.s, order)):
         return IdentityReport("eq18", n_max, True, tuple((n, True) for n in range(order)))
     s, qq = ctx.s, q_pochhammers(ctx.q, ctx.q, n_max)
@@ -381,36 +389,28 @@ def _check_translation_e(ctx, n_max):
 
 
 def _check_numbers_agree(ctx, n_max):
-    # Suslov-at-minus-eta equals new-at-zero equals the scalar series;
-    # likewise for the Euler companions.
-    big = build_family(ctx, "suslov_B", n_max)
-    beta_vals = build_numbers(ctx, "beta_q", n_max)
-    suslov_vals = build_numbers(ctx, "suslov_Bq", n_max)
-    se = build_family(ctx, "suslov_E", n_max)
-    ne = build_family(ctx, "new_E", n_max)
-    evals = build_numbers(ctx, "suslov_Eq", n_max)
-    pairs = []
-    for n in range(n_max + 1):
-        at_meta = eval_at(ctx, big[n], "minus_eta")
-        pairs.append((n, at_meta, beta_vals[n]))
-        pairs.append((n, at_meta, suslov_vals[n]))
-        e_meta = eval_at(ctx, se[n], "minus_eta")
-        pairs.append((n, e_meta, evals[n]))
-        pairs.append((n, e_meta, eval_at(ctx, ne[n], "zero") / 2))
-    return _report("numbers_agree_Eq10", n_max, pairs)
+    # B_n(-eta) = beta_n = suslov_Bq_n and E_n(-eta) = suslov_Eq_n = new E_n(0) / 2.  On the audited chain family
+    # entry n is (G E(-eta; w))_n at -eta and G_n at 0; any other chain is evaluated on the family tables
+    order, kinds = n_max + 1, ("suslov_B", "suslov_E", "new_E")
+    if all(_chain_audit(ctx, order)):
+        big, se = ((_multiplier(ctx, k, order) * _eta_series(ctx, order, -1)).coeffs for k in kinds[:2])
+        ne = _multiplier(ctx, "new_E", order).coeffs
+    else:
+        big, se, ne = ([eval_at(ctx, p, "zero" if k == "new_E" else "minus_eta") for p in build_family(ctx, k, n_max)]
+                       for k in kinds)
+    beta, suslov, evals = (build_numbers(ctx, k, n_max) for k in ("beta_q", "suslov_Bq", "suslov_Eq"))
+    sides = (big, beta), (big, suslov), (se, evals), (se, [v / 2 for v in ne])
+    return _report("numbers_agree_Eq10", n_max, [(n, a[n], b[n]) for n in range(order) for a, b in sides])
 
 
 def _check_ladders(ctx, n_max):
-    # entry n of each family is sum_j G_{n-j} P_j on the chain P_j = psi_j rho_j, so D P_0 = 0 and D P_j = c P_{j-1}
-    # give D (entry n) = c (entry n-1) for every G; a chain off that ladder is checked on the family tables
-    c, chain = ctx.aw_scale, psi_rho_polys(ctx, n_max + 1)
-    if all(aw_derivative(ctx, p) == (chain[j - 1] * c if j else 0) for j, p in enumerate(chain)):
-        results = tuple((n, True) for _ in FAMILY_KINDS for n in range(1, n_max + 1))
-        return IdentityReport("ladders", n_max, True, results)
-    pairs = []
-    for kind in FAMILY_KINDS:
-        entries = build_family(ctx, kind, n_max)
-        pairs += [(n, aw_derivative(ctx, entries[n]), entries[n - 1] * c) for n in range(1, n_max + 1)]
+    # entry n of each family is sum_j G_{n-j} P_j on the chain P_j = psi_j rho_j, so the audited D P_0 = 0 and
+    # D P_j = c P_{j-1} give D (entry n) = c (entry n-1) for every G; any other chain is checked on the family tables
+    ns = range(1, n_max + 1)
+    if all(_chain_audit(ctx, n_max + 1)):
+        return IdentityReport("ladders", n_max, True, tuple((n, True) for _ in FAMILY_KINDS for n in ns))
+    families = (build_family(ctx, kind, n_max) for kind in FAMILY_KINDS)
+    pairs = [(n, aw_derivative(ctx, f[n]), f[n - 1] * ctx.aw_scale) for f in families for n in ns]
     return _report("ladders", n_max, pairs)
 
 

@@ -482,8 +482,9 @@ def family_division(ctx, kind, order):
     return ((eq_exponential_series(ctx, order) * num) / den).coeffs
 
 
-# the checks that the psi-rho chain and the multipliers G decide, their family tables read only when one fails
-CHAIN_CHECKS = ("ladders", "eq17", "reflection_B", "eq18")
+# the checks that the multipliers G decide on an audited psi-rho chain, their family tables read only where the
+# audit fails
+CHAIN_CHECKS = ("ladders", "eq17", "reflection_B", "eq18", "numbers_agree_Eq10")
 POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E",
                      "eq4_decomposition", "euler_decomposition", "hermite_rep") + CHAIN_CHECKS
 NOTES = {  # the registry's notes on these checks
@@ -501,8 +502,9 @@ def polynomial_check(ctx, name, n_max):
     series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the
     q-Hermite closed form :func:`hermite_closed_fraction`; the :data:`CHAIN_CHECKS` on the families of
     :func:`family_division`, eq17 against the product form :func:`rho_laurent_product` times the closed-form psi_k,
-    convolved with the family at 0, and eq18 as the Hermite table against the Suslov Bernoulli family convolved
-    with W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and scaled by 2 q**(-n**2/4) (q;q)_n."""
+    convolved with the family at 0, eq18 as the Hermite table against the Suslov Bernoulli family convolved
+    with W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and scaled by 2 q**(-n**2/4) (q;q)_n, and numbers_agree_Eq10 as the
+    Suslov families evaluated at -eta and the new Euler family at 0, against the number tables."""
     q, p, ns, order = ctx.q, ctx.sqrt_q, range(n_max + 1), n_max + 1
 
     def convolve(entries, coefs):
@@ -547,6 +549,15 @@ def polynomial_check(ctx, name, n_max):
         conv = convolve(big, [q ** (n * n // 4) * p ** (n // 2) / q_pochhammer(p, p, n + 1) if n % 2 == 0 else 0
                               for n in ns])
         pairs = [(n, special_poly(ctx, "hermite", n), conv[n] * 2 / psi_weight(ctx, n)) for n in ns]
+    elif name == "numbers_agree_Eq10":
+        se, ne = family("suslov_E"), family("new_E")
+        beta_q, suslov_bq, suslov_eq = (qpolys.build_numbers(ctx, k, n_max)
+                                        for k in ("beta_q", "suslov_Bq", "suslov_Eq"))
+        pairs = []
+        for n in ns:
+            b, e = eval_at(ctx, big[n], "minus_eta"), eval_at(ctx, se[n], "minus_eta")
+            pairs += [(n, b, beta_q[n]), (n, b, suslov_bq[n]), (n, e, suslov_eq[n]),
+                      (n, e, eval_at(ctx, ne[n], "zero") / 2)]
     else:
         raise ValueError(f"no polynomial form of {name!r}")
     return _report(name, n_max, pairs, note=NOTES.get(name, ""))

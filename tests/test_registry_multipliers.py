@@ -1,9 +1,9 @@
 """The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
-compare rho coordinates, and ladders, eq17, reflection_B and eq18 are decided on the psi-rho chain and G.  The
-Hermite table is summed on the chain, and hermite_rep compares it with the q-binomial closed form.  Their
-references are the division form (N E)/D, the polynomial form of each check and the Fraction closed form of the
-q-Hermite polynomials, in ``oracles``."""
+compare rho coordinates, and ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided on G where the
+stored audit of the psi-rho chain holds.  The Hermite table is summed on the chain, and hermite_rep compares it
+with the q-binomial closed form.  Their references are the division form (N E)/D, the polynomial form of each
+check and the Fraction closed form of the q-Hermite polynomials, in ``oracles``."""
 
 from fractions import Fraction
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import CHAIN_CHECKS, POLYNOMIAL_CHECKS, family_quotient, hermite_closed_fraction, polynomial_check
-from qlidstone import cli, qpolys, symlaurent
+from qlidstone import cli, qcore, qpolys, symlaurent
 from qlidstone.fps import Series
 from qlidstone.qcore import QContext, clear_tables, psi_weights
 from qlidstone.qpolys import FAMILY_KINDS, _render_side, build_family, check_identity, family_multiplier, registry_names
@@ -54,10 +54,11 @@ def _assert_chain_reports(ctx):
 
 # the checks that a changed even coefficient of each multiplier fails (reflection_B reads the odd ones of G_B)
 READERS = {
-    "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition", "eq18"},
-    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B", "eq4_decomposition"},
-    "suslov_E": {"translation_E", "euler_decomposition"},
-    "new_E": {"translation_E", "euler_decomposition"},
+    "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition", "eq18", "numbers_agree_Eq10"},
+    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B", "eq4_decomposition",
+                 "numbers_agree_Eq10"},
+    "suslov_E": {"translation_E", "euler_decomposition", "numbers_agree_Eq10"},
+    "new_E": {"translation_E", "euler_decomposition", "numbers_agree_Eq10"},
 }
 
 
@@ -126,9 +127,48 @@ def test_an_odd_multiplier_coefficient_fails_reflection_b_from_its_entry(monkeyp
 
 
 def test_a_flipped_eta_sign_fails_the_translations(monkeypatch, cleared):
+    # numbers_agree_Eq10 reads the families at -eta off G E(-eta; w) too, on the audited chain
     eta_series = qpolys._eta_series
     monkeypatch.setattr(qpolys, "_eta_series", lambda ctx, order, sign=1: eta_series(ctx, order))
-    assert _failing(QContext(Fraction(3, 5))) == {"translation_B", "translation_E"}
+    assert _failing(QContext(Fraction(3, 5))) == {"translation_B", "translation_E", "numbers_agree_Eq10"}
+
+
+def _assert_full_forms(ctx, monkeypatch):
+    # each chain check reads a family table, and reports as its polynomial form does
+    calls, build = [], qpolys.build_family
+    monkeypatch.setattr(qpolys, "build_family", lambda *args: calls.append(args) or build(*args))
+    for name in CHAIN_CHECKS:
+        calls.clear()
+        report = check_identity(ctx, name, 8)
+        assert calls and repr(report) == repr(polynomial_check(ctx, name, 8)), name
+
+
+def test_a_flipped_eta_value_sends_every_chain_check_to_its_full_form(monkeypatch, cleared):
+    # psi_3 rho_3(eta) negated: the chain is sound, but the audit cannot vouch for E(-eta; w) past w**2, so
+    # numbers_agree_Eq10 evaluates its families, and passes as its polynomial form does
+    values = qpolys._psi_rho_eta_values
+    monkeypatch.setattr(qpolys, "_psi_rho_eta_values",
+                        lambda s, n: [-v if j == 3 else v for j, v in enumerate(values(s, n))])
+    ctx = QContext(Fraction(3, 5))
+    assert qpolys._chain_audit(ctx, 9) == [j != 3 for j in range(9)]
+    _assert_full_forms(ctx, monkeypatch)
+
+
+def test_a_wrong_divided_difference_sends_every_chain_check_to_its_full_form(monkeypatch, cleared):
+    # D doubled on degree 4, in the registry and in the polynomial forms alike: only ladders fails, from entry 4
+    derivative = qpolys.aw_derivative
+
+    def wrong(ctx, p, k=1):
+        d = derivative(ctx, p, k)
+        return d * 2 if p.degree == 4 else d
+
+    monkeypatch.setattr(qpolys, "aw_derivative", wrong)
+    monkeypatch.setattr(oracles, "aw_derivative", wrong)
+    ctx = QContext(Fraction(3, 5))
+    assert qpolys._chain_audit(ctx, 9) == [j != 4 for j in range(9)]
+    _assert_full_forms(ctx, monkeypatch)
+    assert _failing(ctx, CHAIN_CHECKS) == {"ladders"}
+    assert check_identity(ctx, "ladders", 8).first_failure["n"] == 4
 
 
 def test_eq17_compares_the_chain_with_the_product_form_of_rho(monkeypatch, cleared):
@@ -146,13 +186,29 @@ def test_eq17_compares_the_chain_with_the_product_form_of_rho(monkeypatch, clear
     _assert_chain_reports(QContext(Fraction(3, 5)))  # ladders and eq17 fail on their family tables
 
 
-# the checks that read each family table: ladders, eq17, reflection_B and eq18 read none while they pass, so a
-# wrong new_beta table is caught by the division form alone
+def test_a_chain_off_by_a_constant_is_caught_by_the_product_form_alone(monkeypatch, cleared):
+    # A_2 + E_2 shifts P_2 by 1: D P_2 = c P_1 still holds, and the eta stream, stepped alike, agrees with the chain,
+    # so through order 3 only the product form of rho_2 tells (D P_3 = c P_2 fails next); eq17, on its family table
+    # against the beta numbers G_beta, fails at entry 2
+    steps = symlaurent._psi_rho_steps
+
+    def shifted(s):
+        for j, (A, B, E) in enumerate(steps(s), 2):
+            yield A + E if j == 2 else A, B, E
+
+    monkeypatch.setattr(symlaurent, "_psi_rho_steps", shifted)
+    ctx = QContext(Fraction(3, 5))
+    assert qpolys._chain_audit(ctx, 4) == [True, True, False, False]
+    assert [n for n, ok in check_identity(ctx, "eq17", 2).results if not ok] == [2]
+
+
+# the checks that read each family table: the chain checks read none while the audit holds, so a wrong new_beta,
+# suslov_E or new_E table is caught by the division form alone (test_families_equal_the_division_form)
 TABLE_READERS = {
-    "suslov_B": {"eq16", "numbers_agree_Eq10"},
+    "suslov_B": {"eq16"},
     "new_beta": set(),
-    "suslov_E": {"numbers_agree_Eq10"},
-    "new_E": {"numbers_agree_Eq10"},
+    "suslov_E": set(),
+    "new_E": set(),
 }
 
 
@@ -176,7 +232,7 @@ def test_a_dropped_psi_rho_term_fails_the_checks_that_sum_entries(monkeypatch, c
     monkeypatch.setattr(qpolys, "psi_rho_sum", lambda ctx, coeffs: psi_rho_sum(ctx, [0, *coeffs[1:]]))
     ctx = QContext(Fraction(3, 5))
     assert all(build_family(ctx, kind, 8) != family_quotient(ctx, kind, 9) for kind in FAMILY_KINDS)
-    assert _failing(ctx, registry_names()) == {"eq16", "numbers_agree_Eq10"}  # the Hermite table sums in symlaurent
+    assert _failing(ctx, registry_names()) == {"eq16"}  # the Hermite table sums in symlaurent
     _assert_chain_reports(ctx)
 
 
@@ -193,7 +249,7 @@ def test_the_scalar_checks_build_no_polynomial(monkeypatch):
 
 
 def test_the_chain_checks_read_no_family_table_while_they_pass(monkeypatch):
-    # ladders, eq17, reflection_B and eq18 are decided on the psi-rho chain and the multipliers G, and sum no entry
+    # the chain checks are decided on the audited psi-rho chain and the multipliers G, and sum no entry
     def refuse(*args):
         raise AssertionError("a family table or a sum of entries was reached")
 
@@ -221,6 +277,13 @@ def test_the_coordinate_checks_sum_no_passing_entry(monkeypatch):
 BASES_DRAWN = st.one_of(st.integers(2, 40).flatmap(lambda d: st.integers(1, d - 1).map(lambda p: Fraction(p, d))),
                         st.sampled_from([Fraction(1, 10 ** 6), Fraction(1, 997), Fraction(996, 997),
                                          Fraction(10 ** 6 - 1, 10 ** 6)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(BASES_DRAWN, st.integers(0, 30))
+def test_the_chain_audit_holds_on_a_correct_build(s, n):
+    # so a correct build never leaves a chain check to its full form unseen
+    assert all(qpolys._chain_audit(QContext(s), n + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,3 +338,12 @@ def test_identities_build_each_multiplier_once(order, capsys, cleared):
     assert cli.main(["identities", "--all", "--s", "3/5", "--order", str(order)]) == 0
     capsys.readouterr()
     assert family_multiplier.cache_info().misses == 4
+
+
+def test_identities_build_one_family_table_and_one_audit(capsys, cleared):
+    # the suslov_B table, for eq16; every chain check reads the one audit
+    assert cli.main(["identities", "--all", "--s", "3/5", "--order", "10"]) == 0
+    capsys.readouterr()
+    assert qpolys._family_series.cache_info().misses == qpolys._chain_audit.cache_info().misses == 1
+    slots = qcore._store[qcore._key(Fraction(3, 5))]
+    assert [slot for slot in slots if slot[0] == "_family_series"] == [("_family_series", "suslov_B")]

@@ -31,6 +31,7 @@ TABLES = {
     "psi_rho_eta_values": lambda n: symlaurent._psi_rho_eta_values(CTX.s, n),
     "im_bernoulli_quotients": lambda n: im_bernoulli_quotients(CTX.q, n),
     "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n),
+    "chain_audit": lambda n: qpolys._chain_audit(CTX, n),
     **{f"family_multiplier_{k}": (lambda k: lambda n: family_multiplier(CTX.s, k, n))(k) for k in FAMILY_KINDS},
     **{f"family_series_{k}": (lambda k: lambda n: _family_series(CTX, k, n))(k) for k in FAMILY_KINDS},
 }
