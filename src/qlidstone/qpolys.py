@@ -17,8 +17,10 @@ The identity registry checks the cross-relations between the families exactly.  
 of the multipliers G, and the two decomposition checks compare rho coordinates read off G and E(eta; w).  ladders,
 eq17, reflection_B, eq18 and numbers_agree_Eq10 reduce to scalar identities on a sound psi-rho chain, so they are
 decided on G wherever the one stored audit of the chain, :func:`_chain_audit`, holds, and run in full on the family
-tables wherever it fails.  The Hermite check holds the Hermite table, summed on the chain, against the q-binomial
-closed form.  No series of polynomials is built.
+tables wherever it fails.  eq16 is decided as G_B = G_beta c where the stored audit of its lemma, :func:`_phi_audit`,
+holds too, and on the suslov_B table otherwise; so while both audits hold the registry reads no family table.  The
+Series products that two checks each read are taken once per s, by :func:`_product`.  The Hermite check holds the
+Hermite table, summed on the chain, against the q-binomial closed form.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -251,17 +253,18 @@ def _render_side(v):
     return str(v)
 
 
-def _series_report(ctx, name, n_max, lhs, rhs, sign=1):
+def _series_report(ctx, name, n_max, lhs, rhs, sign=1, note=""):
     """The report :func:`_report` gives on entries n <= n_max of the families lhs(w) E(x; w) and rhs(w) E(x; w),
-    for scalar series lhs and rhs, entry n taken as sign**n sum_j S_{n-j} psi_j rho_j.  The entries n agree exactly
-    when the series agree through w**n, so only the first entries that differ are summed, to be shown."""
+    for scalar series lhs and rhs (Series or coefficient lists), entry n taken as sign**n sum_j S_{n-j} psi_j rho_j.
+    The entries n agree exactly when the series agree through w**n, so only the first entries that differ are
+    summed, to be shown."""
     bad = next((m for m in range(n_max + 1) if lhs[m] != rhs[m]), n_max + 1)
 
     def entry(series):
-        return psi_rho_sum(ctx, [v * sign ** bad for v in series.coeffs[bad::-1]])
+        return psi_rho_sum(ctx, [v * sign ** bad for v in series[bad::-1]])
 
     first = None if bad > n_max else {"n": bad, "lhs": _render_side(entry(lhs)), "rhs": _render_side(entry(rhs))}
-    return IdentityReport(name, n_max, first is None, tuple((n, n < bad) for n in range(n_max + 1)), first)
+    return IdentityReport(name, n_max, first is None, tuple((n, n < bad) for n in range(n_max + 1)), first, note)
 
 
 def _binomial_series(a, base, z, order: int) -> Series:
@@ -276,6 +279,26 @@ def _binomial_series(a, base, z, order: int) -> Series:
     return Series(out)
 
 
+@table
+def _product(ctx: QContext, kind: str, order: int) -> List[Fraction]:
+    """Coefficients w**m, m < order, of a Series product that two checks each read, taken once per s and kind:
+    G_B E(-eta; w) for suslov_B (translation_B and numbers_agree_Eq10), G_sE E(-eta; w) for suslov_E (translation_E
+    and numbers_agree_Eq10), and G_beta c, c_k = (-p; q)_k / (q; q)_k, for new_beta (connection_F2 and eq16)."""
+    if not order:  # a Series has at least one coefficient
+        return []
+    other = _binomial_series(-ctx.sqrt_q, ctx.q, 1, order) if kind == "new_beta" else _eta_series(ctx, order, -1)
+    return list((_multiplier(ctx, kind, order) * other).coeffs)
+
+
+@table
+def _phi_audit(ctx: QContext, n: int) -> List[bool]:
+    """Verdict k < n holds when phi_k / (q; q)_k = sum_j c_{k-j} psi_j rho_j, the lemma of eq16, with the Askey-Wilson
+    factorial phi_k = (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k and c_k = (-p; q)_k / (q; q)_k; summed by psi_rho_sum."""
+    q, p = ctx.q, ctx.sqrt_q
+    phi, qq, c = _aw_factorials(-ctx.s, p, n), q_pochhammers(q, q, n), _binomial_series(-p, q, 1, n).coeffs
+    return [phi[k] / qq[k] == psi_rho_sum(ctx, c[k::-1]) for k in range(n)]
+
+
 def _check_connection_f1(ctx, n_max):
     # beta_n = sum_k B_{n-k} c_k, c_k = (-1/p; q)_k (-p)**k / (q; q)_k: G_beta = G_B c
     p, order = ctx.sqrt_q, n_max + 1
@@ -286,8 +309,8 @@ def _check_connection_f1(ctx, n_max):
 def _check_connection_f2(ctx, n_max):
     # B_n = sum_k beta_{n-k} c_k, c_k = (-p; q)_k / (q; q)_k: G_B = G_beta c
     order = n_max + 1
-    rhs = _multiplier(ctx, "new_beta", order) * _binomial_series(-ctx.sqrt_q, ctx.q, 1, order)
-    return _series_report(ctx, "connection_F2", n_max, _multiplier(ctx, "suslov_B", order), rhs)
+    return _series_report(ctx, "connection_F2", n_max, _multiplier(ctx, "suslov_B", order),
+                          _product(ctx, "new_beta", order))
 
 
 def _check_reflection_b(ctx, n_max):
@@ -310,14 +333,20 @@ def _check_reflection_beta(ctx, n_max):
 
 
 def _check_eq16(ctx, n_max):
-    # product factors (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k as SymPolys
+    # B_n = sum_k beta_{n-k} phi_k / (q; q)_k, phi_k = (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k.  Where both audits hold,
+    # phi_k / (q; q)_k = sum_j c_{k-j} P_j on a chain of independent P_j, so entry n holds exactly when G_B = G_beta c
+    # through w**n; otherwise the family table is checked against the convolution of the phi_k with the beta numbers
+    order = n_max + 1
+    note = ("stated with an extra (-1)**(n-k); the signless form is the one "
+            "consistent with the value beta_n at the reflected node (detected erratum)")
+    if all(_chain_audit(ctx, order)) and all(_phi_audit(ctx, order)):
+        g = _multiplier(ctx, "suslov_B", order)
+        return _series_report(ctx, "eq16", n_max, g, _product(ctx, "new_beta", order), note=note)
     big = build_family(ctx, "suslov_B", n_max)
     betaq = build_numbers(ctx, "beta_q", n_max)
     phi = _aw_factorials(-ctx.s, ctx.sqrt_q, n_max)
     qq = q_pochhammers(ctx.q, ctx.q, n_max)
     rhs = _convolve([f / qq[k] for k, f in enumerate(phi)], betaq)
-    note = ("stated with an extra (-1)**(n-k); the signless form is the one "
-            "consistent with the value beta_n at the reflected node (detected erratum)")
     return _report("eq16", n_max, zip(range(n_max + 1), big, rhs), note=note)
 
 
@@ -377,15 +406,15 @@ def _check_q_square(ctx, n_max):
 def _check_translation_b(ctx, n_max):
     # E_q^{-eta} multiplies G(w) E(x; w) by E(-eta; w): G_B(w) E(-eta; w) = G_beta(w)
     order = n_max + 1
-    lhs = _multiplier(ctx, "suslov_B", order) * _eta_series(ctx, order, -1)
-    return _series_report(ctx, "translation_B", n_max, lhs, _multiplier(ctx, "new_beta", order))
+    return _series_report(ctx, "translation_B", n_max, _product(ctx, "suslov_B", order),
+                          _multiplier(ctx, "new_beta", order))
 
 
 def _check_translation_e(ctx, n_max):
     # G_sE(w) E(-eta; w) = G_nE(w) / 2
     order = n_max + 1
-    lhs = _multiplier(ctx, "suslov_E", order) * _eta_series(ctx, order, -1)
-    return _series_report(ctx, "translation_E", n_max, lhs, _multiplier(ctx, "new_E", order) * Fraction(1, 2))
+    return _series_report(ctx, "translation_E", n_max, _product(ctx, "suslov_E", order),
+                          _multiplier(ctx, "new_E", order) * Fraction(1, 2))
 
 
 def _check_numbers_agree(ctx, n_max):
@@ -393,7 +422,7 @@ def _check_numbers_agree(ctx, n_max):
     # entry n is (G E(-eta; w))_n at -eta and G_n at 0; any other chain is evaluated on the family tables
     order, kinds = n_max + 1, ("suslov_B", "suslov_E", "new_E")
     if all(_chain_audit(ctx, order)):
-        big, se = ((_multiplier(ctx, k, order) * _eta_series(ctx, order, -1)).coeffs for k in kinds[:2])
+        big, se = (_product(ctx, kind, order) for kind in kinds[:2])
         ne = _multiplier(ctx, "new_E", order).coeffs
     else:
         big, se, ne = ([eval_at(ctx, p, "zero" if k == "new_E" else "minus_eta") for p in build_family(ctx, k, n_max)]

@@ -485,9 +485,11 @@ def family_division(ctx, kind, order):
 # the checks that the multipliers G decide on an audited psi-rho chain, their family tables read only where the
 # audit fails
 CHAIN_CHECKS = ("ladders", "eq17", "reflection_B", "eq18", "numbers_agree_Eq10")
-POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "translation_B", "translation_E",
-                     "eq4_decomposition", "euler_decomposition", "hermite_rep") + CHAIN_CHECKS
+POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "eq16", "translation_B",
+                     "translation_E", "eq4_decomposition", "euler_decomposition", "hermite_rep") + CHAIN_CHECKS
 NOTES = {  # the registry's notes on these checks
+    "eq16": ("stated with an extra (-1)**(n-k); the signless form is the one consistent with the value beta_n at "
+             "the reflected node (detected erratum)"),
     "eq4_decomposition": ("the product form of the B-quotient carries the denominator with the opposite sign "
                           "order to its exponential-quotient form (detected erratum)."),
     "hermite_rep": ("prefactor is (q t**2; q**2)_inf; the commonly misprinted (q**2 t**2; q**2)_inf fails at "
@@ -496,14 +498,16 @@ NOTES = {  # the registry's notes on these checks
 
 
 def polynomial_check(ctx, name, n_max):
-    """The report of registry check ``name``, one of :data:`POLYNOMIAL_CHECKS`, in its polynomial form:
-    the family tables of ``build_family`` convolved with the connection coefficients, reflected, or
-    translated by ``q_translate`` entry by entry; the decompositions as products of the basis quotient
-    series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the
-    q-Hermite closed form :func:`hermite_closed_fraction`; the :data:`CHAIN_CHECKS` on the families of
+    """The report of registry check ``name``, one of :data:`POLYNOMIAL_CHECKS`, in its polynomial form: the family
+    tables of ``build_family`` convolved with the connection coefficients, reflected, or translated by
+    ``q_translate`` entry by entry; eq16 as the Suslov Bernoulli table against the Askey-Wilson factorials phi_k =
+    (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k of ``qpolys._aw_factorials``, read through the module so that a patched one
+    is seen, over (q; q)_k and convolved with the beta numbers; the decompositions as products of the basis quotient
+    series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the q-Hermite
+    closed form :func:`hermite_closed_fraction`; the :data:`CHAIN_CHECKS` on the families of
     :func:`family_division`, eq17 against the product form :func:`rho_laurent_product` times the closed-form psi_k,
-    convolved with the family at 0, eq18 as the Hermite table against the Suslov Bernoulli family convolved
-    with W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and scaled by 2 q**(-n**2/4) (q;q)_n, and numbers_agree_Eq10 as the
+    convolved with the beta numbers, eq18 as the Hermite table against the Suslov Bernoulli family convolved with
+    W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and scaled by 2 q**(-n**2/4) (q;q)_n, and numbers_agree_Eq10 as the
     Suslov families evaluated at -eta and the new Euler family at 0, against the number tables."""
     q, p, ns, order = ctx.q, ctx.sqrt_q, range(n_max + 1), n_max + 1
 
@@ -520,6 +524,9 @@ def polynomial_check(ctx, name, n_max):
     elif name == "connection_F2":
         coefs = [q_pochhammer(-p, q, k) / q_pochhammer(q, q, k) for k in ns]
         pairs = zip(ns, big, convolve(beta, coefs))
+    elif name == "eq16":
+        phi = [f / q_pochhammer(q, q, k) for k, f in enumerate(qpolys._aw_factorials(-ctx.s, p, n_max))]
+        pairs = zip(ns, big, convolve(phi, qpolys.build_numbers(ctx, "beta_q", n_max)))
     elif name == "reflection_beta":
         conv = convolve(beta, [q_pochhammer(-1, p, k) / q_pochhammer(p, p, k) for k in ns])
         pairs = [(n, beta[n].reflect(), conv[n] * Fraction(-1) ** n) for n in ns]
@@ -542,7 +549,7 @@ def polynomial_check(ctx, name, n_max):
                  for f in map(family, FAMILY_KINDS) for n in range(1, order)]
     elif name == "eq17":
         products = [rho_laurent_product(ctx.s, k) * psi_weight(ctx, k) for k in ns]
-        pairs = zip(ns, beta, convolve(products, [eval_at(ctx, b, "zero") for b in beta]))
+        pairs = zip(ns, beta, convolve(products, qpolys.build_numbers(ctx, "beta_q", n_max)))
     elif name == "reflection_B":
         pairs = [(n, b.reflect(), b * Fraction(-1) ** n) for n, b in zip(ns, big)]
     elif name == "eq18":

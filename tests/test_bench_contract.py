@@ -58,14 +58,14 @@ def test_traced_name_is_a_public_function_of_its_module(name):
 def test_tracer_installs(tmp_path):
     # in a fresh interpreter, since install rebinds the program's functions; the benchmark
     # worker has imported the CLI by then.  Two traced jobs, the second a hit on the suslov_B
-    # table that the first built for eq16, then the metrics, which read the hits and misses of
+    # table that the first built, then the metrics, which read the hits and misses of
     # qpolys._family_series through its cache_info()
     code = ("import importlib.util, qlidstone.cli\n"
             f"spec = importlib.util.spec_from_file_location('t', {str(TRACER_PATH)!r})\n"
             "t = importlib.util.module_from_spec(spec); spec.loader.exec_module(t)\n"
             "tracer = t.Tracer(); tracer.install()\n"
-            "assert qlidstone.cli.main(['identities', '--all', '--s', '1/2', '--order', '4']) == 0\n"
             "assert qlidstone.cli.main(['polys', '--family', 'suslov-b', '--s', '1/2', '--order', '4']) == 0\n"
+            "assert qlidstone.cli.main(['polys', '--family', 'suslov-b', '--s', '1/2', '--order', '3']) == 0\n"
             "m = tracer.metrics()\n"
             "assert m['qpolys.calls'] > 0 and 0 < m['qpolys.family_cache_hit_ratio'] < 1, m\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,9 +1,10 @@
 """The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
 compare rho coordinates, and ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided on G where the
-stored audit of the psi-rho chain holds.  The Hermite table is summed on the chain, and hermite_rep compares it
-with the q-binomial closed form.  Their references are the division form (N E)/D, the polynomial form of each
-check and the Fraction closed form of the q-Hermite polynomials, in ``oracles``."""
+stored audit of the psi-rho chain holds, and eq16 where the stored audit of its phi lemma holds too.  The Hermite
+table is summed on the chain, and hermite_rep compares it with the q-binomial closed form.  Their references are the
+division form (N E)/D, the polynomial form of each check and the Fraction closed form of the q-Hermite polynomials,
+in ``oracles``."""
 
 from fractions import Fraction
 
@@ -54,8 +55,9 @@ def _assert_chain_reports(ctx):
 
 # the checks that a changed even coefficient of each multiplier fails (reflection_B reads the odd ones of G_B)
 READERS = {
-    "suslov_B": {"connection_F1", "connection_F2", "translation_B", "eq4_decomposition", "eq18", "numbers_agree_Eq10"},
-    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "translation_B", "eq4_decomposition",
+    "suslov_B": {"connection_F1", "connection_F2", "eq16", "translation_B", "eq4_decomposition", "eq18",
+                 "numbers_agree_Eq10"},
+    "new_beta": {"connection_F1", "connection_F2", "reflection_beta", "eq16", "translation_B", "eq4_decomposition",
                  "numbers_agree_Eq10"},
     "suslov_E": {"translation_E", "euler_decomposition", "numbers_agree_Eq10"},
     "new_E": {"translation_E", "euler_decomposition", "numbers_agree_Eq10"},
@@ -100,6 +102,7 @@ def test_a_basis_read_without_eta_fails_one_parity_of_entries(kind, monkeypatch,
 
 
 def test_a_wrong_connection_coefficient_fails_the_checks_that_read_it(monkeypatch, cleared):
+    # the phi audit reads c too, so it fails from k = 3 and eq16 passes on its full form
     binomial = qpolys._binomial_series
 
     def wrong(a, base, z, order):
@@ -200,12 +203,29 @@ def test_a_chain_off_by_a_constant_is_caught_by_the_product_form_alone(monkeypat
     ctx = QContext(Fraction(3, 5))
     assert qpolys._chain_audit(ctx, 4) == [True, True, False, False]
     assert [n for n, ok in check_identity(ctx, "eq17", 2).results if not ok] == [2]
+    for n in (2, 3, 5):  # the reference takes the beta numbers off G_beta too
+        assert repr(check_identity(ctx, "eq17", n)) == repr(polynomial_check(ctx, "eq17", n))
 
 
-# the checks that read each family table: the chain checks read none while the audit holds, so a wrong new_beta,
-# suslov_E or new_E table is caught by the division form alone (test_families_equal_the_division_form)
+def test_a_wrong_phi_factor_sends_eq16_to_its_full_form(monkeypatch, cleared):
+    # the factor taking phi_2 to phi_3 doubled: the phi audit fails from k = 3, and eq16 reads the suslov_B table and
+    # fails from entry 3, as its polynomial form, which reads the same factorials, does
+    factorials = qpolys._aw_factorials
+    monkeypatch.setattr(qpolys, "_aw_factorials",
+                        lambda a, base, n: [f * 2 if k >= 3 else f for k, f in enumerate(factorials(a, base, n))])
+    calls, build = [], qpolys.build_family
+    monkeypatch.setattr(qpolys, "build_family", lambda *args: calls.append(args) or build(*args))
+    ctx = QContext(Fraction(3, 5))
+    assert qpolys._phi_audit(ctx, 9) == [k < 3 for k in range(9)] and all(qpolys._chain_audit(ctx, 9))
+    report = check_identity(ctx, "eq16", 8)
+    assert calls == [(ctx, "suslov_B", 8)] and repr(report) == repr(polynomial_check(ctx, "eq16", 8))
+    assert [n for n, ok in report.results if not ok] == list(range(3, 9))
+
+
+# the checks that read each family table: none reads one while the audits hold, so a wrong table of any kind is
+# caught by the division form alone (test_families_equal_the_division_form)
 TABLE_READERS = {
-    "suslov_B": {"eq16"},
+    "suslov_B": set(),
     "new_beta": set(),
     "suslov_E": set(),
     "new_E": set(),
@@ -232,7 +252,7 @@ def test_a_dropped_psi_rho_term_fails_the_checks_that_sum_entries(monkeypatch, c
     monkeypatch.setattr(qpolys, "psi_rho_sum", lambda ctx, coeffs: psi_rho_sum(ctx, [0, *coeffs[1:]]))
     ctx = QContext(Fraction(3, 5))
     assert all(build_family(ctx, kind, 8) != family_quotient(ctx, kind, 9) for kind in FAMILY_KINDS)
-    assert _failing(ctx, registry_names()) == {"eq16"}  # the Hermite table sums in symlaurent
+    assert _failing(ctx, registry_names()) == {"eq16"}  # its phi audit fails; the Hermite table sums in symlaurent
     _assert_chain_reports(ctx)
 
 
@@ -284,6 +304,13 @@ BASES_DRAWN = st.one_of(st.integers(2, 40).flatmap(lambda d: st.integers(1, d - 
 def test_the_chain_audit_holds_on_a_correct_build(s, n):
     # so a correct build never leaves a chain check to its full form unseen
     assert all(qpolys._chain_audit(QContext(s), n + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(BASES_DRAWN, st.integers(0, 30))
+def test_the_phi_audit_holds_on_a_correct_build(s, n):
+    # so a correct build never leaves eq16 to its full form unseen
+    assert all(qpolys._phi_audit(QContext(s), n + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,10 +367,26 @@ def test_identities_build_each_multiplier_once(order, capsys, cleared):
     assert family_multiplier.cache_info().misses == 4
 
 
-def test_identities_build_one_family_table_and_one_audit(capsys, cleared):
-    # the suslov_B table, for eq16; every chain check reads the one audit
+def test_identities_build_no_family_table_and_each_audit_once(capsys, cleared):
+    # every chain check reads the one chain audit, eq16 the phi audit too, and the two checks that share each of the
+    # three Series products read it from the product table
     assert cli.main(["identities", "--all", "--s", "3/5", "--order", "10"]) == 0
     capsys.readouterr()
-    assert qpolys._family_series.cache_info().misses == qpolys._chain_audit.cache_info().misses == 1
-    slots = qcore._store[qcore._key(Fraction(3, 5))]
-    assert [slot for slot in slots if slot[0] == "_family_series"] == [("_family_series", "suslov_B")]
+    assert qpolys._family_series.cache_info().misses == 0
+    tables = qpolys._chain_audit, qpolys._phi_audit, qpolys._product
+    assert [table.cache_info().misses for table in tables] == [1, 1, 3]
+    assert not [slot for slot in qcore._store[qcore._key(Fraction(3, 5))] if slot[0] == "_family_series"]
+
+
+def test_identities_take_ten_series_products(monkeypatch, capsys, cleared):
+    # G_B E(-eta; w), G_sE E(-eta; w) and G_beta c are each read by two checks and taken once
+    mul, products = Series.__mul__, []
+
+    def counted(self, other):
+        products.extend([other] if isinstance(other, Series) else [])
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    assert cli.main(["identities", "--all", "--s", "3/5", "--order", "10"]) == 0
+    capsys.readouterr()
+    assert len(products) == 10

@@ -32,6 +32,9 @@ TABLES = {
     "im_bernoulli_quotients": lambda n: im_bernoulli_quotients(CTX.q, n),
     "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n),
     "chain_audit": lambda n: qpolys._chain_audit(CTX, n),
+    "phi_audit": lambda n: qpolys._phi_audit(CTX, n),
+    **{f"product_{k}": (lambda k: lambda n: qpolys._product(CTX, k, n))(k) for k in ("suslov_B", "suslov_E",
+                                                                                      "new_beta")},
     **{f"family_multiplier_{k}": (lambda k: lambda n: family_multiplier(CTX.s, k, n))(k) for k in FAMILY_KINDS},
     **{f"family_series_{k}": (lambda k: lambda n: _family_series(CTX, k, n))(k) for k in FAMILY_KINDS},
 }
@@ -42,15 +45,25 @@ def _cold(ask, n):
     return ask(n)
 
 
+def _assert_prefix_rule(ask, m, n):
+    short, long = _cold(ask, m), _cold(ask, n)
+    clear_tables()
+    assert ask(n) == long and ask(m) == short  # long, then a prefix of it
+    clear_tables()
+    assert ask(m) == short and ask(n) == long  # short, then extended or rebuilt
+    assert ask(m) == short and ask(n) == long  # both warm
+
+
 @pytest.mark.parametrize("name", TABLES)
 def test_prefix_rule(name):
-    ask = TABLES[name]
-    short, long = _cold(ask, 8), _cold(ask, 13)
-    clear_tables()
-    assert ask(13) == long and ask(8) == short  # long, then a prefix of it
-    clear_tables()
-    assert ask(8) == short and ask(13) == long  # short, then extended or rebuilt
-    assert ask(8) == short and ask(13) == long  # both warm
+    _assert_prefix_rule(TABLES[name], 8, 13)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("name", ["phi_audit", "product_suslov_B", "product_suslov_E", "product_new_beta"])
+def test_prefix_rule_from_the_shortest_prefixes(name, n):
+    # the registry asks these at n_max + 1 >= 1; the store answers the empty prefix too
+    _assert_prefix_rule(TABLES[name], n, 13)
 
 
 def test_every_table_has_a_prefix_case():
