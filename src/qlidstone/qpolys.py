@@ -14,13 +14,14 @@ power of w is cancelled before dividing, leaving the constant term
 G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_j:
 the family tables, the interpolation bases and the expansions are all summed so.
 The identity registry checks the cross-relations between the families exactly.  Five checks compare scalar series
-of the multipliers G, and the two decomposition checks compare rho coordinates read off G and E(eta; w).  ladders,
-eq17, reflection_B, eq18 and numbers_agree_Eq10 reduce to scalar identities on a sound psi-rho chain, so they are
-decided on G wherever the one stored audit of the chain, :func:`_chain_audit`, holds, and run in full on the family
-tables wherever it fails.  eq16 is decided as G_B = G_beta c where the stored audit of its lemma, :func:`_phi_audit`,
-holds too, and on the suslov_B table otherwise; so while both audits hold the registry reads no family table.  The
-Series products that two checks each read are taken once per s, by :func:`_product`.  The Hermite check holds the
-Hermite table, summed on the chain, against the q-binomial closed form.  No series of polynomials is built.
+of the multipliers G, and the two decomposition checks compare rho coordinates read off G and E(eta; w), one integer
+test each.  ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 reduce to scalar identities on a sound psi-rho
+chain, so they are decided on G wherever the one stored audit of the chain, :func:`_chain_audit`, holds, and run in
+full on the family tables wherever it fails.  eq16 is decided as G_B = G_beta c where the stored audit of its lemma,
+:func:`_phi_audit`, holds, and on the suslov_B table otherwise; so while the audits hold the registry reads no family
+table.  The Series products that several checks read are taken once per s, by :func:`_product`; the decompositions
+read G E(eta; w), for the even G_B and G_sE, as the stored G E(-eta; w) at -w.  The Hermite check holds the Hermite
+table, summed on the chain, against the q-binomial closed form.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -281,9 +282,10 @@ def _binomial_series(a, base, z, order: int) -> Series:
 
 @table
 def _product(ctx: QContext, kind: str, order: int) -> List[Fraction]:
-    """Coefficients w**m, m < order, of a Series product that two checks each read, taken once per s and kind:
-    G_B E(-eta; w) for suslov_B (translation_B and numbers_agree_Eq10), G_sE E(-eta; w) for suslov_E (translation_E
-    and numbers_agree_Eq10), and G_beta c, c_k = (-p; q)_k / (q; q)_k, for new_beta (connection_F2 and eq16)."""
+    """Coefficients w**m, m < order, of a Series product that several checks read, taken once per s and kind:
+    G_B E(-eta; w) for suslov_B (translation_B, numbers_agree_Eq10 and eq4_decomposition), G_sE E(-eta; w) for
+    suslov_E (translation_E, numbers_agree_Eq10 and euler_decomposition), and G_beta c, c_k = (-p; q)_k / (q; q)_k,
+    for new_beta (connection_F2 and eq16).  Each reader asks order n_max + 1, so one job builds each product once."""
     if not order:  # a Series has at least one coefficient
         return []
     other = _binomial_series(-ctx.sqrt_q, ctx.q, 1, order) if kind == "new_beta" else _eta_series(ctx, order, -1)
@@ -333,13 +335,14 @@ def _check_reflection_beta(ctx, n_max):
 
 
 def _check_eq16(ctx, n_max):
-    # B_n = sum_k beta_{n-k} phi_k / (q; q)_k, phi_k = (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k.  Where both audits hold,
-    # phi_k / (q; q)_k = sum_j c_{k-j} P_j on a chain of independent P_j, so entry n holds exactly when G_B = G_beta c
-    # through w**n; otherwise the family table is checked against the convolution of the phi_k with the beta numbers
+    # B_n = sum_k beta_{n-k} phi_k / (q; q)_k, phi_k = (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k.  Where the phi audit holds,
+    # phi_k / (q; q)_k = sum_j c_{k-j} P_j with c_0 = 1 and phi_k of degree k, so P_k is of degree k and the P_j are
+    # independent whatever the chain audit finds: entry n holds exactly when G_B = G_beta c through w**n; otherwise
+    # the family table is checked against the convolution of the phi_k with the beta numbers
     order = n_max + 1
     note = ("stated with an extra (-1)**(n-k); the signless form is the one "
             "consistent with the value beta_n at the reflected node (detected erratum)")
-    if all(_chain_audit(ctx, order)) and all(_phi_audit(ctx, order)):
+    if all(_phi_audit(ctx, order)):
         g = _multiplier(ctx, "suslov_B", order)
         return _series_report(ctx, "eq16", n_max, g, _product(ctx, "new_beta", order), note=note)
     big = build_family(ctx, "suslov_B", n_max)
@@ -443,6 +446,15 @@ def _check_ladders(ctx, n_max):
     return _report("ladders", n_max, pairs)
 
 
+def _dot_is(pairs, target: int) -> bool:
+    """Whether sum c v over the pairs (c, v), c an integer and v a Fraction or an integer, equals the integer target:
+    one exact integer test over the product of the denominators, with no gcd."""
+    num, den = 0, 1
+    for c, v in pairs:
+        num, den = num * v.denominator + c * v.numerator * den, den * v.denominator
+    return num == target * den
+
+
 def _decomposition_report(ctx, name, n_max, parts, note=""):
     """The report :func:`_report` gives on entries n <= n_max of sum a F(w) Q_X(w) over the parts (a, X, eta),
     F = E(eta; w) if eta else 1, against E(x; w); Q_X = sum_k c**(2k+e) X_k w**(2k+e) is basis X's quotient series.
@@ -451,30 +463,44 @@ def _decomposition_report(ctx, name, n_max, parts, note=""):
     weight w**(j-d) G^[shift+j](w), with d = shift - e and G^[p] the part of parity p of the family multiplier G.
     So coordinate j of the sum is w**(j-1) Y_{j%2}(w), Y_p = sum a F weight w**(1-d) G^[shift+p], and entry n,
     sum_j Y_{j%2}[n-j+1] psi_j rho_j, is psi_n rho_n when each Y_p[t] it reads is [t == 1].  A wrong Y_p[t] fails
-    the entries n = t-1+p, t+1+p, ..., so each parity of n fails from its first wrong entry on; only the first
-    failing entry is summed, to be shown."""
+    the entries n = t-1+p, t+1+p, ..., so each parity of n fails from its first wrong entry on.
+
+    An all-zero part adds nothing and is skipped.  Where G^[shift+p] is G itself through w**(size-1) (G has no odd
+    coefficient there, as G_B and G_sE have none), G(w) E(eta; w) is the stored :func:`_product` G E(-eta; w) at -w,
+    asked at the order n_max + 1 that the translations ask; any other part takes its own Series product.  Each
+    Y_p[t] is held as its terms (c, v) and decided by :func:`_dot_is`; the Fractions Y_p[t] are formed, and the
+    first failing entry summed, only to show a failure."""
     lo = min(0, *(1 - BASES[kind][1] + BASES[kind][3] for _, kind, _ in parts))  # the lowest t with a term
-    ys = [[Fraction(0)] * (n_max + 2 - p - lo) for p in (0, 1)]  # Y_p[t] at t - lo, for t <= n_max + 1 - p
+    terms = [[[] for _ in range(n_max + 2 - p - lo)] for p in (0, 1)]  # Y_p[t] = sum c v over terms[p][t - lo]
     for a, kind, eta in parts:
         family, shift, weight, e = BASES[kind]
         d, last = shift - e, 2 * ((n_max - e) // 2) + shift  # last: the family entry of the last basis entry read
         g = _multiplier(ctx, family, max(n_max, last) + 1).coeffs
-        for p, y in enumerate(ys):
+        for p, y in enumerate(terms):
             size = n_max + 1 - p + d  # Y_p[t] reads the terms w**i of F G^[shift+p] at i = t - 1 + d < size
-            if size > 0:
-                part = Series([g[i] if (i - shift - p) % 2 == 0 and i <= last else 0 for i in range(size)])
-                for i, v in enumerate((part * _eta_series(ctx, size) if eta else part).coeffs):
-                    y[i + 1 - d - lo] += a * weight * v
+            part = [g[i] if (i - shift - p) % 2 == 0 and i <= last else 0 for i in range(size)]
+            if not any(part):
+                continue
+            sign = 1
+            if eta and family != "new_beta" and tuple(part) == g[:size]:  # new_beta's product slot holds G_beta c
+                part, sign = _product(ctx, family, max(size, n_max + 1))[:size], -1
+            elif eta:
+                part = (Series(part) * _eta_series(ctx, size)).coeffs
+            for i, v in enumerate(part):
+                if v:
+                    y[i + 1 - d - lo].append((a * weight * sign ** i, v))
     first = [n_max + 1] * 2  # the first failing entry of each parity
-    for p, y in enumerate(ys):
-        for n, v in enumerate(y, lo - 1 + p):  # Y_p[t] is read first by entry n = t - 1 + p, and t == 1 is n == p
-            if v != (n == p):
+    for p, y in enumerate(terms):
+        for n, pairs in enumerate(y, lo - 1 + p):  # Y_p[t] is read first by entry n = t - 1 + p, and t == 1 is n == p
+            if not _dot_is(pairs, n == p):
                 first[n % 2] = min(first[n % 2], n)
     results = tuple((n, n < first[n % 2]) for n in range(n_max + 1))
     bad = next((n for n, ok in results if not ok), None)
-    shown = None if bad is None else {
-        "n": bad, "lhs": _render_side(psi_rho_sum(ctx, [ys[j % 2][bad - j + 1 - lo] for j in range(bad + 2 - lo)])),
-        "rhs": _render_side(psi_rho_poly(ctx, bad))}
+    shown = None
+    if bad is not None:
+        ys = [[sum((c * v for c, v in pairs), Fraction(0)) for pairs in y] for y in terms]
+        lhs = psi_rho_sum(ctx, [ys[j % 2][bad - j + 1 - lo] for j in range(bad + 2 - lo)])
+        shown = {"n": bad, "lhs": _render_side(lhs), "rhs": _render_side(psi_rho_poly(ctx, bad))}
     return IdentityReport(name, n_max, bad is None, results, shown, note)
 
 

@@ -570,6 +570,44 @@ def polynomial_check(ctx, name, n_max):
     return _report(name, n_max, pairs, note=NOTES.get(name, ""))
 
 
+DECOMPOSITION_PARTS = {  # the registry's parts (a, basis, eta) of each decomposition
+    "eq4_decomposition": ((1, "A", True), (-1, "B", False)),
+    "euler_decomposition": ((1, "M", False), (1, "Mtilde", True)),
+}
+
+
+def decomposition_by_products(ctx, name, n_max):
+    """The report of decomposition check ``name`` on rho coordinates, by the route the registry took before it read
+    the shared products: each part of parity p of each multiplier, zero or not, times E(eta; w) by its own Series
+    product where the part carries the eta factor, and each Y_p[t] accumulated as a reduced Fraction.  ``BASES``,
+    the multipliers and the eta series are read through ``qpolys``, so that a patched one is seen."""
+    parts, bases = DECOMPOSITION_PARTS[name], qpolys.BASES
+    lo = min(0, *(1 - bases[kind][1] + bases[kind][3] for _, kind, _ in parts))  # the lowest t with a term
+    ys = [[Fraction(0)] * (n_max + 2 - p - lo) for p in (0, 1)]  # Y_p[t] at t - lo, for t <= n_max + 1 - p
+    for a, kind, eta in parts:
+        family, shift, weight, e = bases[kind]
+        d, last = shift - e, 2 * ((n_max - e) // 2) + shift
+        g = qpolys._multiplier(ctx, family, max(n_max, last) + 1).coeffs
+        for p, y in enumerate(ys):
+            size = n_max + 1 - p + d
+            if size > 0:
+                part = Series([g[i] if (i - shift - p) % 2 == 0 and i <= last else 0 for i in range(size)])
+                for i, v in enumerate((part * qpolys._eta_series(ctx, size) if eta else part).coeffs):
+                    y[i + 1 - d - lo] += a * weight * v
+    first = [n_max + 1] * 2
+    for p, y in enumerate(ys):
+        for n, v in enumerate(y, lo - 1 + p):
+            if v != (n == p):
+                first[n % 2] = min(first[n % 2], n)
+    results = tuple((n, n < first[n % 2]) for n in range(n_max + 1))
+    bad = next((n for n, ok in results if not ok), None)
+    shown = None
+    if bad is not None:
+        lhs = qpolys.psi_rho_sum(ctx, [ys[j % 2][bad - j + 1 - lo] for j in range(bad + 2 - lo)])
+        shown = {"n": bad, "lhs": qpolys._render_side(lhs), "rhs": qpolys._render_side(qpolys.psi_rho_poly(ctx, bad))}
+    return qpolys.IdentityReport(name, n_max, bad is None, results, shown, NOTES.get(name, ""))
+
+
 def eta_exponential_series(ctx, order):
     """Scalar series of the q-exponential at the node eta, by its product form:
     (-w; sqrt q)_inf / (q w**2; q**2)_inf."""

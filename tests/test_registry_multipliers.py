@@ -1,15 +1,15 @@
 """The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
 compare rho coordinates, and ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided on G where the
-stored audit of the psi-rho chain holds, and eq16 where the stored audit of its phi lemma holds too.  The Hermite
-table is summed on the chain, and hermite_rep compares it with the q-binomial closed form.  Their references are the
-division form (N E)/D, the polynomial form of each check and the Fraction closed form of the q-Hermite polynomials,
-in ``oracles``."""
+stored audit of the psi-rho chain holds, and eq16 where the stored audit of its phi lemma holds.  The decompositions
+read the shared products G E(-eta; w).  The Hermite table is summed on the chain, and hermite_rep compares it with
+the q-binomial closed form.  Their references are the division form (N E)/D, the polynomial form of each check, the
+decompositions' own-product route and the Fraction closed form of the q-Hermite polynomials, in ``oracles``."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import CHAIN_CHECKS, POLYNOMIAL_CHECKS, family_quotient, hermite_closed_fraction, polynomial_check
@@ -130,20 +130,24 @@ def test_an_odd_multiplier_coefficient_fails_reflection_b_from_its_entry(monkeyp
 
 
 def test_a_flipped_eta_sign_fails_the_translations(monkeypatch, cleared):
-    # numbers_agree_Eq10 reads the families at -eta off G E(-eta; w) too, on the audited chain
+    # numbers_agree_Eq10 reads the families at -eta off G E(-eta; w) too, on the audited chain, and the
+    # decompositions read G E(eta; w) as that product at -w
     eta_series = qpolys._eta_series
     monkeypatch.setattr(qpolys, "_eta_series", lambda ctx, order, sign=1: eta_series(ctx, order))
-    assert _failing(QContext(Fraction(3, 5))) == {"translation_B", "translation_E", "numbers_agree_Eq10"}
+    assert _failing(QContext(Fraction(3, 5))) == {"translation_B", "translation_E", "numbers_agree_Eq10",
+                                                  "eq4_decomposition", "euler_decomposition"}
 
 
 def _assert_full_forms(ctx, monkeypatch):
-    # each chain check reads a family table, and reports as its polynomial form does
+    # each chain check reads a family table, and reports as its polynomial form does; eq16, decided on its phi audit
+    # alone, which a holding audit makes sound whatever the chain audit finds, reads none and reports so too
     calls, build = [], qpolys.build_family
     monkeypatch.setattr(qpolys, "build_family", lambda *args: calls.append(args) or build(*args))
-    for name in CHAIN_CHECKS:
+    assert all(qpolys._phi_audit(ctx, 9))
+    for name in CHAIN_CHECKS + ("eq16",):
         calls.clear()
         report = check_identity(ctx, name, 8)
-        assert calls and repr(report) == repr(polynomial_check(ctx, name, 8)), name
+        assert bool(calls) == (name != "eq16") and repr(report) == repr(polynomial_check(ctx, name, 8)), name
 
 
 def test_a_flipped_eta_value_sends_every_chain_check_to_its_full_form(monkeypatch, cleared):
@@ -378,8 +382,9 @@ def test_identities_build_no_family_table_and_each_audit_once(capsys, cleared):
     assert not [slot for slot in qcore._store[qcore._key(Fraction(3, 5))] if slot[0] == "_family_series"]
 
 
-def test_identities_take_ten_series_products(monkeypatch, capsys, cleared):
-    # G_B E(-eta; w), G_sE E(-eta; w) and G_beta c are each read by two checks and taken once
+def test_identities_take_six_series_products(monkeypatch, capsys, cleared):
+    # G_B E(-eta; w), G_sE E(-eta; w) and G_beta c are each taken once: the first two are read by the translations,
+    # numbers_agree_Eq10 and the decompositions, the third by connection_F2 and eq16; no all-zero part is multiplied
     mul, products = Series.__mul__, []
 
     def counted(self, other):
@@ -389,4 +394,90 @@ def test_identities_take_ten_series_products(monkeypatch, capsys, cleared):
     monkeypatch.setattr(Series, "__mul__", counted)
     assert cli.main(["identities", "--all", "--s", "3/5", "--order", "10"]) == 0
     capsys.readouterr()
-    assert len(products) == 10
+    assert len(products) == 6
+
+
+# -- the decompositions on the shared products, against the route that took its own --------------------------------
+
+DECOMPOSITIONS = tuple(oracles.DECOMPOSITION_PARTS)
+
+
+def _assert_product_route_reports(ctx, names=DECOMPOSITIONS, ns=(0, 1, 2, 3, 8, 9)):
+    # the failing reports too, first failure and all
+    for name in names:
+        for n in ns:
+            report = check_identity(ctx, name, n)
+            assert repr(report) == repr(oracles.decomposition_by_products(ctx, name, n)), (name, n)
+
+
+def _spy_products(monkeypatch):
+    kinds, product = [], qpolys._product
+    monkeypatch.setattr(qpolys, "_product", lambda ctx, kind, order: kinds.append(kind) or product(ctx, kind, order))
+    return kinds
+
+
+@settings(max_examples=30, deadline=None)
+@given(BASES_DRAWN, st.integers(0, 30))
+def test_the_decompositions_report_as_the_product_route(s, n):
+    ctx = QContext(s)
+    for name in DECOMPOSITIONS:
+        assert repr(check_identity(ctx, name, n)) == repr(oracles.decomposition_by_products(ctx, name, n))
+
+
+def test_an_odd_g_b_coefficient_sends_eq4_to_its_own_product(monkeypatch, cleared):
+    # G_B gains w**3: from order 3 on neither parity part of A is G_B itself, so neither reads the stored G_B E(-eta)
+    parts = qpolys._family_parts
+
+    def odd(s, k, order):
+        num, den = parts(s, k, order)
+        return (Series(num.coeffs[:3] + (num[3] + Fraction(1, 3),) + num.coeffs[4:]) if k == "suslov_B" else num), den
+
+    monkeypatch.setattr(qpolys, "_family_parts", odd)
+    ctx = QContext(Fraction(3, 5))
+    kinds = _spy_products(monkeypatch)
+    assert not check_identity(ctx, "eq4_decomposition", 8).passed and kinds == []
+    _assert_product_route_reports(ctx, ["eq4_decomposition"])
+
+
+@pytest.mark.parametrize("kind, row", [("A", ("suslov_B", 1, 3, 0)), ("A", ("suslov_B", 0, 2, 0)),
+                                       ("A", ("suslov_B", 3, 2, 0)), ("Mtilde", ("suslov_E", 0, -2, 0)),
+                                       ("Mtilde", ("suslov_E", 2, 2, 0)), ("Mtilde", ("suslov_E", 1, 2, 0))])
+def test_a_changed_row_of_an_eta_basis_reports_as_the_product_route(kind, row, monkeypatch, cleared):
+    monkeypatch.setitem(qpolys.BASES, kind, row)
+    ctx = QContext(Fraction(3, 5))
+    name = "eq4_decomposition" if kind == "A" else "euler_decomposition"
+    kinds = _spy_products(monkeypatch)
+    assert not check_identity(ctx, name, 8).passed and kinds  # G is even, so the stored product is read
+    _assert_product_route_reports(ctx, [name])
+
+
+@pytest.mark.parametrize("kind, factor", [("suslov_E", 3), ("new_beta", 2)])
+def test_a_changed_multiplier_coefficient_reports_as_the_product_route(kind, factor, monkeypatch, cleared):
+    # coefficient 2 of N: G_sE stays even and is read through the stored product; G_beta enters B with no eta factor
+    parts = qpolys._family_parts
+
+    def changed(s, k, order):
+        num, den = parts(s, k, order)
+        return (Series(num.coeffs[:2] + (factor * num[2],) + num.coeffs[3:]) if k == kind else num), den
+
+    monkeypatch.setattr(qpolys, "_family_parts", changed)
+    ctx = QContext(Fraction(3, 5))
+    name = "euler_decomposition" if kind == "suslov_E" else "eq4_decomposition"
+    assert not check_identity(ctx, name, 8).passed
+    _assert_product_route_reports(ctx, [name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.one_of(st.fractions(max_denominator=60), st.integers(-4, 4))),
+                max_size=4),
+       st.sampled_from([0, 1]), st.sampled_from([None, 1, -1]))
+@example([], 0, None)
+@example([], 1, None)
+@example([(0, Fraction(1, 3)), (0, Fraction(-2, 7))], 0, None)
+@example([(-1, Fraction(1, 2)), (3, Fraction(1, 2))], 1, None)
+@example([(2, Fraction(1, 6)), (-1, Fraction(1, 3))], 0, None)
+def test_the_integer_entry_test_agrees_with_fraction_sums(pairs, target, balance):
+    # balance appends the term (c, v) that brings the sum to the target, so that equality is drawn often
+    if balance:
+        pairs = pairs + [(balance, (target - sum((c * v for c, v in pairs), Fraction(0))) * balance)]
+    assert qpolys._dot_is(pairs, target) == (sum((c * v for c, v in pairs), Fraction(0)) == target)
