@@ -11,17 +11,13 @@ by combinations of the factors (+-w; sqrt(q))_inf:
 with p = sqrt(q).  The Bernoulli denominators vanish at w = 0; the shared
 power of w is cancelled before dividing, leaving the constant term
 2/(1 - sqrt(q)).  Each family is G(w) E(x; w) with the scalar series
-G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_j:
-the family tables, the interpolation bases and the expansions are all summed so.
-The identity registry checks the cross-relations between the families exactly.  Five checks compare scalar series
-of the multipliers G, and the two decomposition checks compare rho coordinates read off G and E(eta; w), one integer
-test each.  ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 reduce to scalar identities on a sound psi-rho
-chain, so they are decided on G wherever the one stored audit of the chain, :func:`_chain_audit`, holds, and run in
-full on the family tables wherever it fails.  eq16 is decided as G_B = G_beta c where the stored audit of its lemma,
-:func:`_phi_audit`, holds, and on the suslov_B table otherwise; so while the audits hold the registry reads no family
-table.  The Series products that several checks read are taken once per s, by :func:`_product`; the decompositions
-read G E(eta; w), for the even G_B and G_sE, as the stored G E(-eta; w) at -w.  The Hermite check holds the Hermite
-table, summed on the chain, against the q-binomial closed form.  No series of polynomials is built.
+G = N/D of :func:`family_multiplier`, so its entry n is sum_j G_{n-j} psi_j rho_j: the family tables, the
+interpolation bases and the expansions are all summed so.  The identity registry checks the cross-relations between
+the families exactly, on scalar series of G, on rho coordinates read off G and E(eta; w), or, for the Hermite check,
+on the Hermite table against its closed form.  ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided
+on G where the stored audit of the psi-rho chain, :func:`_chain_audit`, holds, and eq16 where the stored audit of its
+lemma, :func:`_phi_audit`, holds; a failed audit fails the check.  The Series products that several checks read are
+taken once per s, by :func:`_product`.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .qcore import QContext, _dot, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, pochhammer_series
-from .symlaurent import (SymPoly, _aw_factorials, _psi_rho_eta_values, aw_derivative, eval_at, lincomb, psi_rho_poly,
+from .symlaurent import (SymPoly, _aw_factorials, _psi_rho_eta_values, aw_derivative, eval_at, psi_rho_poly,
                          psi_rho_polys, psi_rho_sum, special_poly)
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
@@ -106,11 +102,6 @@ def _family_series(ctx: QContext, kind: str, order: int) -> List[SymPoly]:
 def build_family(ctx: QContext, kind: str, n_max: int) -> Tuple[SymPoly, ...]:
     """Family polynomials for indices 0..n_max."""
     return tuple(_family_series(ctx, kind, n_max + 1))
-
-
-def _convolve(entries, coefs) -> Tuple[SymPoly, ...]:
-    """Cauchy product sum_k entries[n-k] coefs[k] of polynomials and scalars for every n, one :func:`lincomb` each."""
-    return tuple(lincomb(zip(entries[:n + 1], coefs[n::-1])) for n in range(min(len(entries), len(coefs))))
 
 
 # -- numbers -------------------------------------------------------------------
@@ -229,12 +220,22 @@ def registry_names() -> Tuple[str, ...]:
 
 
 def check_identity(ctx: QContext, name: str, n_max: int) -> IdentityReport:
-    """Evaluate both sides of a registered identity exactly for n <= n_max."""
+    """Evaluate both sides of a registered identity exactly for n <= n_max.  A check of :data:`_AUDITS` holds on G
+    only where its stored audit does: if the audit fails first at j, every entry n >= j fails, and the first failure
+    is entry j, named with the audit, unless an entry below j already fails."""
     try:
         checker = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(_REGISTRY)}") from None
-    return checker(ctx, n_max)
+    audit = _AUDITS.get(name)
+    bad = next((j for j, ok in enumerate(audit(ctx, n_max + 1)) if not ok), None) if audit else None
+    report = checker(ctx, n_max)
+    if bad is None:
+        return report
+    if report.passed or report.first_failure["n"] >= bad:
+        report.first_failure = {"n": bad, "audit": audit.__name__[1:]}
+    report.passed, report.results = False, tuple((n, ok and n < bad) for n, ok in report.results)
+    return report
 
 
 def _report(name, n_max, pairs, note=""):
@@ -318,11 +319,8 @@ def _check_connection_f2(ctx, n_max):
 def _check_reflection_b(ctx, n_max):
     # on the audited chain P_j(-x) = (-1)**j P_j(x), and the P_j, of degree j, are independent: entry n = sum_j G_{n-j}
     # P_j has B_n(-x) = (-1)**n B_n(x) exactly when G_B(-w) = G_B(w) through w**n, on entries taken with sign (-1)**n
-    if all(_chain_audit(ctx, n_max + 1)):
-        g = _multiplier(ctx, "suslov_B", n_max + 1)
-        return _series_report(ctx, "reflection_B", n_max, _at_minus_w(g), g, sign=-1)
-    big = build_family(ctx, "suslov_B", n_max)
-    return _report("reflection_B", n_max, [(n, p.reflect(), p * Fraction(-1) ** n) for n, p in enumerate(big)])
+    g = _multiplier(ctx, "suslov_B", n_max + 1)
+    return _series_report(ctx, "reflection_B", n_max, _at_minus_w(g), g, sign=-1)
 
 
 def _check_reflection_beta(ctx, n_max):
@@ -335,31 +333,20 @@ def _check_reflection_beta(ctx, n_max):
 
 
 def _check_eq16(ctx, n_max):
-    # B_n = sum_k beta_{n-k} phi_k / (q; q)_k, phi_k = (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k.  Where the phi audit holds,
+    # B_n = sum_k beta_{n-k} phi_k / (q; q)_k, phi_k = (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k.  On the audited lemma
     # phi_k / (q; q)_k = sum_j c_{k-j} P_j with c_0 = 1 and phi_k of degree k, so P_k is of degree k and the P_j are
-    # independent whatever the chain audit finds: entry n holds exactly when G_B = G_beta c through w**n; otherwise
-    # the family table is checked against the convolution of the phi_k with the beta numbers
+    # independent whatever the chain audit finds: entry n holds exactly when G_B = G_beta c through w**n
     order = n_max + 1
     note = ("stated with an extra (-1)**(n-k); the signless form is the one "
             "consistent with the value beta_n at the reflected node (detected erratum)")
-    if all(_phi_audit(ctx, order)):
-        g = _multiplier(ctx, "suslov_B", order)
-        return _series_report(ctx, "eq16", n_max, g, _product(ctx, "new_beta", order), note=note)
-    big = build_family(ctx, "suslov_B", n_max)
-    betaq = build_numbers(ctx, "beta_q", n_max)
-    phi = _aw_factorials(-ctx.s, ctx.sqrt_q, n_max)
-    qq = q_pochhammers(ctx.q, ctx.q, n_max)
-    rhs = _convolve([f / qq[k] for k, f in enumerate(phi)], betaq)
-    return _report("eq16", n_max, zip(range(n_max + 1), big, rhs), note=note)
+    return _series_report(ctx, "eq16", n_max, _multiplier(ctx, "suslov_B", order), _product(ctx, "new_beta", order),
+                          note=note)
 
 
 def _check_eq17(ctx, n_max):
     # beta_n(x) = sum_k beta_{n-k} psi_k rho_k(x) with rho_k in its product form: both sides sum the beta numbers
-    # G_beta, the family over the chain, so they agree where the audit finds the chain equal to the product form
-    if all(_chain_audit(ctx, n_max + 1)):
-        return IdentityReport("eq17", n_max, True, tuple((n, True) for n in range(n_max + 1)))
-    rhs = _convolve(_rho_products(ctx, n_max + 1), build_numbers(ctx, "beta_q", n_max))
-    return _report("eq17", n_max, zip(range(n_max + 1), build_family(ctx, "new_beta", n_max), rhs))
+    # G_beta, the family over the chain, so they agree where the chain audit finds the chain equal to the product form
+    return IdentityReport("eq17", n_max, True, tuple((n, True) for n in range(n_max + 1)))
 
 
 def _eq18_weights(s: Fraction, order: int) -> List[Fraction]:
@@ -378,15 +365,14 @@ def _check_eq18(ctx, n_max):
     # H_n(x|q) = 2 q**(-n**2/4) (q;q)_n sum_k W_{2k} B_{n-2k}, W of :func:`_eq18_weights`.  Times psi_n, both sides are
     # sums over the chain P_j = psi_j rho_j: of Q = (q t**2; q**2)_inf on the left (the Hermite table is that sum over
     # psi_n), and of 2 W G_B on the right.  On the audited chain the P_j, of degree j, are independent, so entry n holds
-    # exactly when 2 W G_B = Q through w**n; otherwise it is checked on the family table, by one Cauchy product with W
-    order, w = n_max + 1, _eq18_weights(ctx.s, n_max + 1)
-    if (all(_chain_audit(ctx, order))
-            and Series(w) * _multiplier(ctx, "suslov_B", order) * 2 == _qw2_series(ctx.s, order)):
-        return IdentityReport("eq18", n_max, True, tuple((n, True) for n in range(order)))
-    s, qq = ctx.s, q_pochhammers(ctx.q, ctx.q, n_max)
-    conv = _convolve(build_family(ctx, "suslov_B", n_max), w)
-    rebuilt = [h * (2 * s ** (-n * n) * qq[n]) for n, h in enumerate(conv)]
-    return _report("eq18", n_max, [(n, special_poly(ctx, "hermite", n), rebuilt[n]) for n in range(order)])
+    # exactly when 2 W G_B = Q through w**n; the first entry that differs is shown as H_n against the right side
+    order = n_max + 1
+    rhs, q = Series(_eq18_weights(ctx.s, order)) * _multiplier(ctx, "suslov_B", order) * 2, _qw2_series(ctx.s, order)
+    bad = next((n for n in range(order) if rhs[n] != q[n]), order)
+    first = None if bad == order else {
+        "n": bad, "lhs": _render_side(special_poly(ctx, "hermite", bad)),
+        "rhs": _render_side(psi_rho_sum(ctx, rhs.coeffs[bad::-1]) / psi_weights(ctx, bad + 1)[bad])}
+    return IdentityReport("eq18", n_max, first is None, tuple((n, n < bad) for n in range(order)), first)
 
 
 def _check_q_square(ctx, n_max):
@@ -422,14 +408,10 @@ def _check_translation_e(ctx, n_max):
 
 def _check_numbers_agree(ctx, n_max):
     # B_n(-eta) = beta_n = suslov_Bq_n and E_n(-eta) = suslov_Eq_n = new E_n(0) / 2.  On the audited chain family
-    # entry n is (G E(-eta; w))_n at -eta and G_n at 0; any other chain is evaluated on the family tables
-    order, kinds = n_max + 1, ("suslov_B", "suslov_E", "new_E")
-    if all(_chain_audit(ctx, order)):
-        big, se = (_product(ctx, kind, order) for kind in kinds[:2])
-        ne = _multiplier(ctx, "new_E", order).coeffs
-    else:
-        big, se, ne = ([eval_at(ctx, p, "zero" if k == "new_E" else "minus_eta") for p in build_family(ctx, k, n_max)]
-                       for k in kinds)
+    # entry n is (G E(-eta; w))_n at -eta and G_n at 0
+    order = n_max + 1
+    big, se = (_product(ctx, kind, order) for kind in ("suslov_B", "suslov_E"))
+    ne = _multiplier(ctx, "new_E", order).coeffs
     beta, suslov, evals = (build_numbers(ctx, k, n_max) for k in ("beta_q", "suslov_Bq", "suslov_Eq"))
     sides = (big, beta), (big, suslov), (se, evals), (se, [v / 2 for v in ne])
     return _report("numbers_agree_Eq10", n_max, [(n, a[n], b[n]) for n in range(order) for a, b in sides])
@@ -437,13 +419,8 @@ def _check_numbers_agree(ctx, n_max):
 
 def _check_ladders(ctx, n_max):
     # entry n of each family is sum_j G_{n-j} P_j on the chain P_j = psi_j rho_j, so the audited D P_0 = 0 and
-    # D P_j = c P_{j-1} give D (entry n) = c (entry n-1) for every G; any other chain is checked on the family tables
-    ns = range(1, n_max + 1)
-    if all(_chain_audit(ctx, n_max + 1)):
-        return IdentityReport("ladders", n_max, True, tuple((n, True) for _ in FAMILY_KINDS for n in ns))
-    families = (build_family(ctx, kind, n_max) for kind in FAMILY_KINDS)
-    pairs = [(n, aw_derivative(ctx, f[n]), f[n - 1] * ctx.aw_scale) for f in families for n in ns]
-    return _report("ladders", n_max, pairs)
+    # D P_j = c P_{j-1} give D (entry n) = c (entry n-1) for every G
+    return IdentityReport("ladders", n_max, True, tuple((n, True) for _ in FAMILY_KINDS for n in range(1, n_max + 1)))
 
 
 def _dot_is(pairs, target: int) -> bool:
@@ -566,3 +543,6 @@ _REGISTRY = {
     "euler_decomposition": _check_euler_decomposition,
     "hermite_rep": _check_hermite_rep,
 }
+# the checks decided on G, each with the stored audit that makes G decide it
+_AUDITS = {"eq16": _phi_audit, **dict.fromkeys(("ladders", "eq17", "reflection_B", "eq18", "numbers_agree_Eq10"),
+                                               _chain_audit)}

@@ -482,8 +482,7 @@ def family_division(ctx, kind, order):
     return ((eq_exponential_series(ctx, order) * num) / den).coeffs
 
 
-# the checks that the multipliers G decide on an audited psi-rho chain, their family tables read only where the
-# audit fails
+# the checks that the multipliers G decide on an audited psi-rho chain, each failing where the audit fails
 CHAIN_CHECKS = ("ladders", "eq17", "reflection_B", "eq18", "numbers_agree_Eq10")
 POLYNOMIAL_CHECKS = ("connection_F1", "connection_F2", "reflection_beta", "eq16", "translation_B",
                      "translation_E", "eq4_decomposition", "euler_decomposition", "hermite_rep") + CHAIN_CHECKS

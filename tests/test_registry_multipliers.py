@@ -1,10 +1,11 @@
 """The registry on the family multipliers G: each family is G(w) E(x; w), its table is summed from G, the
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
 compare rho coordinates, and ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided on G where the
-stored audit of the psi-rho chain holds, and eq16 where the stored audit of its phi lemma holds.  The decompositions
-read the shared products G E(-eta; w).  The Hermite table is summed on the chain, and hermite_rep compares it with
-the q-binomial closed form.  Their references are the division form (N E)/D, the polynomial form of each check, the
-decompositions' own-product route and the Fraction closed form of the q-Hermite polynomials, in ``oracles``."""
+stored audit of the psi-rho chain holds, and eq16 where the stored audit of its phi lemma holds; a failed audit fails
+the checks that read it.  The decompositions read the shared products G E(-eta; w).  The Hermite table is summed on
+the chain, and hermite_rep compares it with the q-binomial closed form.  Their references are the division form
+(N E)/D, the polynomial form of each check, the decompositions' own-product route and the Fraction closed form of the
+q-Hermite polynomials, in ``oracles``."""
 
 from fractions import Fraction
 
@@ -102,7 +103,7 @@ def test_a_basis_read_without_eta_fails_one_parity_of_entries(kind, monkeypatch,
 
 
 def test_a_wrong_connection_coefficient_fails_the_checks_that_read_it(monkeypatch, cleared):
-    # the phi audit reads c too, so it fails from k = 3 and eq16 passes on its full form
+    # the phi audit reads c too, so it fails from k = 3, and eq16 with it
     binomial = qpolys._binomial_series
 
     def wrong(a, base, z, order):
@@ -110,7 +111,7 @@ def test_a_wrong_connection_coefficient_fails_the_checks_that_read_it(monkeypatc
         return Series(c[:3] + (c[3] + 1,) + c[4:]) if len(c) > 3 else Series(c)
 
     monkeypatch.setattr(qpolys, "_binomial_series", wrong)
-    assert _failing(QContext(Fraction(3, 5))) == {"connection_F1", "connection_F2", "reflection_beta"}
+    assert _failing(QContext(Fraction(3, 5))) == {"connection_F1", "connection_F2", "reflection_beta", "eq16"}
     _assert_chain_reports(QContext(Fraction(3, 5)))
 
 
@@ -138,31 +139,15 @@ def test_a_flipped_eta_sign_fails_the_translations(monkeypatch, cleared):
                                                   "eq4_decomposition", "euler_decomposition"}
 
 
-def _assert_full_forms(ctx, monkeypatch):
-    # each chain check reads a family table, and reports as its polynomial form does; eq16, decided on its phi audit
-    # alone, which a holding audit makes sound whatever the chain audit finds, reads none and reports so too
-    calls, build = [], qpolys.build_family
-    monkeypatch.setattr(qpolys, "build_family", lambda *args: calls.append(args) or build(*args))
-    assert all(qpolys._phi_audit(ctx, 9))
-    for name in CHAIN_CHECKS + ("eq16",):
-        calls.clear()
-        report = check_identity(ctx, name, 8)
-        assert bool(calls) == (name != "eq16") and repr(report) == repr(polynomial_check(ctx, name, 8)), name
-
-
-def test_a_flipped_eta_value_sends_every_chain_check_to_its_full_form(monkeypatch, cleared):
-    # psi_3 rho_3(eta) negated: the chain is sound, but the audit cannot vouch for E(-eta; w) past w**2, so
-    # numbers_agree_Eq10 evaluates its families, and passes as its polynomial form does
+def _flip_eta_value(monkeypatch):
+    # psi_3 rho_3(eta) negated: the chain is sound, but the audit cannot vouch for E(-eta; w) past w**2
     values = qpolys._psi_rho_eta_values
     monkeypatch.setattr(qpolys, "_psi_rho_eta_values",
                         lambda s, n: [-v if j == 3 else v for j, v in enumerate(values(s, n))])
-    ctx = QContext(Fraction(3, 5))
-    assert qpolys._chain_audit(ctx, 9) == [j != 3 for j in range(9)]
-    _assert_full_forms(ctx, monkeypatch)
 
 
-def test_a_wrong_divided_difference_sends_every_chain_check_to_its_full_form(monkeypatch, cleared):
-    # D doubled on degree 4, in the registry and in the polynomial forms alike: only ladders fails, from entry 4
+def _double_divided_difference(monkeypatch):
+    # D doubled on degree 4: D P_4 = c P_3 fails
     derivative = qpolys.aw_derivative
 
     def wrong(ctx, p, k=1):
@@ -170,74 +155,107 @@ def test_a_wrong_divided_difference_sends_every_chain_check_to_its_full_form(mon
         return d * 2 if p.degree == 4 else d
 
     monkeypatch.setattr(qpolys, "aw_derivative", wrong)
-    monkeypatch.setattr(oracles, "aw_derivative", wrong)
-    ctx = QContext(Fraction(3, 5))
-    assert qpolys._chain_audit(ctx, 9) == [j != 4 for j in range(9)]
-    _assert_full_forms(ctx, monkeypatch)
-    assert _failing(ctx, CHAIN_CHECKS) == {"ladders"}
-    assert check_identity(ctx, "ladders", 8).first_failure["n"] == 4
 
 
-def test_eq17_compares_the_chain_with_the_product_form_of_rho(monkeypatch, cleared):
-    # B_4 doubled changes psi_4 rho_4 but not its value at 0, so the beta numbers stand and only
-    # the families move; eq17's product-form rho_k do not
+def _step_chain(monkeypatch, j0, step):
     steps = symlaurent._psi_rho_steps
-
-    def wrong(s):
-        for j, (A, B, E) in enumerate(steps(s), 2):
-            yield A, 2 * B if j == 4 else B, E
-
-    monkeypatch.setattr(symlaurent, "_psi_rho_steps", wrong)
-    report = check_identity(QContext(Fraction(3, 5)), "eq17", 8)
-    assert not report.passed and report.first_failure["n"] == 4
-    _assert_chain_reports(QContext(Fraction(3, 5)))  # ladders and eq17 fail on their family tables
+    monkeypatch.setattr(symlaurent, "_psi_rho_steps",
+                        lambda s: (step(*abe) if j == j0 else abe for j, abe in enumerate(steps(s), 2)))
 
 
-def test_a_chain_off_by_a_constant_is_caught_by_the_product_form_alone(monkeypatch, cleared):
+def _double_b4(monkeypatch):
+    # B_4 doubled changes psi_4 rho_4 but not its value at 0, so the beta numbers stand; P_4 is no longer the product
+    # form, and the phi lemma, summed on the chain, fails with it
+    _step_chain(monkeypatch, 4, lambda A, B, E: (A, 2 * B, E))
+
+
+def _shift_p2(monkeypatch):
     # A_2 + E_2 shifts P_2 by 1: D P_2 = c P_1 still holds, and the eta stream, stepped alike, agrees with the chain,
-    # so through order 3 only the product form of rho_2 tells (D P_3 = c P_2 fails next); eq17, on its family table
-    # against the beta numbers G_beta, fails at entry 2
-    steps = symlaurent._psi_rho_steps
-
-    def shifted(s):
-        for j, (A, B, E) in enumerate(steps(s), 2):
-            yield A + E if j == 2 else A, B, E
-
-    monkeypatch.setattr(symlaurent, "_psi_rho_steps", shifted)
-    ctx = QContext(Fraction(3, 5))
-    assert qpolys._chain_audit(ctx, 4) == [True, True, False, False]
-    assert [n for n, ok in check_identity(ctx, "eq17", 2).results if not ok] == [2]
-    for n in (2, 3, 5):  # the reference takes the beta numbers off G_beta too
-        assert repr(check_identity(ctx, "eq17", n)) == repr(polynomial_check(ctx, "eq17", n))
+    # so only the product form of rho_2 tells; the phi lemma fails with it
+    _step_chain(monkeypatch, 2, lambda A, B, E: (A + E, B, E))
 
 
-def test_a_wrong_phi_factor_sends_eq16_to_its_full_form(monkeypatch, cleared):
-    # the factor taking phi_2 to phi_3 doubled: the phi audit fails from k = 3, and eq16 reads the suslov_B table and
-    # fails from entry 3, as its polynomial form, which reads the same factorials, does
+def _double_phi_factor(monkeypatch):
+    # the factor taking phi_2 to phi_3 doubled: only the phi lemma reads it
     factorials = qpolys._aw_factorials
     monkeypatch.setattr(qpolys, "_aw_factorials",
                         lambda a, base, n: [f * 2 if k >= 3 else f for k, f in enumerate(factorials(a, base, n))])
-    calls, build = [], qpolys.build_family
-    monkeypatch.setattr(qpolys, "build_family", lambda *args: calls.append(args) or build(*args))
-    ctx = QContext(Fraction(3, 5))
-    assert qpolys._phi_audit(ctx, 9) == [k < 3 for k in range(9)] and all(qpolys._chain_audit(ctx, 9))
-    report = check_identity(ctx, "eq16", 8)
-    assert calls == [(ctx, "suslov_B", 8)] and repr(report) == repr(polynomial_check(ctx, "eq16", 8))
-    assert [n for n, ok in report.results if not ok] == list(range(3, 9))
 
 
-# the checks that read each family table: none reads one while the audits hold, so a wrong table of any kind is
-# caught by the division form alone (test_families_equal_the_division_form)
-TABLE_READERS = {
-    "suslov_B": set(),
-    "new_beta": set(),
-    "suslov_E": set(),
-    "new_E": set(),
+def _shift_c3(monkeypatch):
+    # c_3 + 1 in every q-binomial series: the connections and reflection_beta read it on G, and the phi lemma too
+    binomial = qpolys._binomial_series
+
+    def wrong(a, base, z, order):
+        c = binomial(a, base, z, order).coeffs
+        return Series(c[:3] + (c[3] + 1,) + c[4:]) if len(c) > 3 else Series(c)
+
+    monkeypatch.setattr(qpolys, "_binomial_series", wrong)
+
+
+AUDIT_READERS = {"chain_audit": CHAIN_CHECKS, "phi_audit": ("eq16",)}
+# mutation -> ({audit: its first failing verdict}, the checks that fail at s = 3/5 through n = 8)
+AUDIT_FAULTS = {
+    "eta_value": (_flip_eta_value, {"chain_audit": 3},
+                  {"translation_B", "translation_E", "eq4_decomposition", "euler_decomposition", *CHAIN_CHECKS}),
+    "divided_difference": (_double_divided_difference, {"chain_audit": 4}, set(CHAIN_CHECKS)),
+    "b4_doubled": (_double_b4, {"chain_audit": 4, "phi_audit": 4},
+                   {"eq16", "translation_B", "translation_E", "eq4_decomposition", "euler_decomposition", "hermite_rep",
+                    *CHAIN_CHECKS}),
+    "p2_shifted": (_shift_p2, {"chain_audit": 2, "phi_audit": 2},
+                   {"eq16", "translation_B", "translation_E", "eq4_decomposition", "euler_decomposition", "hermite_rep",
+                    *CHAIN_CHECKS}),
+    "phi_factor": (_double_phi_factor, {"phi_audit": 3}, {"eq16"}),
+    "c3_shifted": (_shift_c3, {"phi_audit": 3}, {"connection_F1", "connection_F2", "reflection_beta", "eq16"}),
 }
 
 
+@pytest.mark.parametrize("fault", AUDIT_FAULTS)
+def test_a_failed_audit_fails_every_check_that_reads_it(fault, monkeypatch, cleared):
+    # each check reading the failed audit passes below its first failing verdict j, fails at every entry n >= j, and
+    # names the audit; no check reaches a family table
+    def refuse(*args):
+        raise AssertionError("a family table was reached")
+
+    mutate, first_bad, failing = AUDIT_FAULTS[fault]
+    mutate(monkeypatch)
+    for name in ("build_family", "_family_series"):
+        monkeypatch.setattr(qpolys, name, refuse)
+    ctx = QContext(Fraction(3, 5))
+    for audit in AUDIT_READERS:
+        verdicts = getattr(qpolys, "_" + audit)(ctx, 9)
+        assert (verdicts.index(False) == first_bad[audit]) if audit in first_bad else all(verdicts), audit
+    assert _failing(ctx, registry_names()) == failing
+    for audit, j in first_bad.items():
+        for name in AUDIT_READERS[audit]:
+            report = check_identity(ctx, name, 8)
+            assert report.first_failure == {"n": j, "audit": audit}, name
+            assert report.note == oracles.NOTES.get(name, ""), name
+            assert {n for n, ok in report.results if not ok} == set(range(j, 9)), name
+            assert check_identity(ctx, name, j - 1).passed, name
+
+
+def test_an_entry_failing_below_the_failed_verdict_is_shown_first(monkeypatch, cleared):
+    # G_B coefficient 2 doubled fails eq18 from entry 2, and the flipped eta value fails the chain audit at 3: entry 2
+    # is shown as the polynomial form shows it, and the entries from 2 on fail
+    parts = qpolys._family_parts
+
+    def doubled(s, k, order):
+        num, den = parts(s, k, order)
+        return (Series(num.coeffs[:2] + (2 * num[2],) + num.coeffs[3:]) if k == "suslov_B" else num), den
+
+    monkeypatch.setattr(qpolys, "_family_parts", doubled)
+    _flip_eta_value(monkeypatch)
+    ctx = QContext(Fraction(3, 5))
+    report = check_identity(ctx, "eq18", 8)
+    assert repr(report) == repr(polynomial_check(ctx, "eq18", 8))
+    assert report.first_failure["n"] == 2 and [n for n, ok in report.results if not ok] == list(range(2, 9))
+
+
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_a_family_table_with_g_reversed_fails_the_checks_that_read_it(kind, monkeypatch, cleared):
+def test_a_family_table_with_g_reversed_fails_no_check(kind, monkeypatch, cleared):
+    # no check reads a family table, so a wrong table of any kind is caught by the division form alone
+    # (test_families_equal_the_division_form)
     series = qpolys._family_series
 
     def reversed_g(ctx, k, order):  # entry n summed as sum_j G_j psi_j rho_j
@@ -247,7 +265,7 @@ def test_a_family_table_with_g_reversed_fails_the_checks_that_read_it(kind, monk
     monkeypatch.setattr(qpolys, "_family_series", reversed_g)
     ctx = QContext(Fraction(3, 5))
     assert build_family(ctx, kind, 8) != family_quotient(ctx, kind, 9)
-    assert _failing(ctx, registry_names()) == TABLE_READERS[kind]
+    assert _failing(ctx, registry_names()) == set()
     _assert_chain_reports(ctx)
 
 
@@ -264,9 +282,8 @@ def test_the_scalar_checks_build_no_polynomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("a polynomial route was taken")
 
-    for module, name in ((symlaurent, "q_translate"), (qpolys, "q_translate"), (qpolys, "_convolve"),
-                         (qpolys, "build_family"), (qpolys, "_family_series")):
-        monkeypatch.setattr(module, name, refuse, raising=False)  # qpolys imports no q_translate today
+    for module, name in ((symlaurent, "q_translate"), (qpolys, "build_family"), (qpolys, "_family_series")):
+        monkeypatch.setattr(module, name, refuse)
     for s in (Fraction(1, 2), Fraction(17, 29)):
         for name in POLYNOMIAL_CHECKS:
             assert all(check_identity(QContext(s), name, n).passed for n in (0, 1, 2, 9, 12)), (s, name)
@@ -277,7 +294,7 @@ def test_the_chain_checks_read_no_family_table_while_they_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("a family table or a sum of entries was reached")
 
-    for name in ("build_family", "_family_series", "_convolve", "psi_rho_sum", "lincomb"):
+    for name in ("build_family", "_family_series", "psi_rho_sum"):
         monkeypatch.setattr(qpolys, name, refuse)
     for s in (Fraction(1, 2), Fraction(17, 29)):
         for name in CHAIN_CHECKS:
@@ -290,7 +307,7 @@ def test_the_coordinate_checks_sum_no_passing_entry(monkeypatch):
     def refuse(*args):
         raise AssertionError("a polynomial route was taken")
 
-    for name in ("lidstone_basis", "_convolve", "build_family", "_family_series", "psi_rho_sum"):
+    for name in ("lidstone_basis", "build_family", "_family_series", "psi_rho_sum"):
         monkeypatch.setattr(qpolys, name, refuse)
     for s in (Fraction(1, 2), Fraction(17, 29)):
         for name in ("eq4_decomposition", "euler_decomposition", "hermite_rep"):
@@ -306,14 +323,14 @@ BASES_DRAWN = st.one_of(st.integers(2, 40).flatmap(lambda d: st.integers(1, d - 
 @settings(max_examples=30, deadline=None)
 @given(BASES_DRAWN, st.integers(0, 30))
 def test_the_chain_audit_holds_on_a_correct_build(s, n):
-    # so a correct build never leaves a chain check to its full form unseen
+    # so a correct build never fails a chain check on its audit
     assert all(qpolys._chain_audit(QContext(s), n + 1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(BASES_DRAWN, st.integers(0, 30))
 def test_the_phi_audit_holds_on_a_correct_build(s, n):
-    # so a correct build never leaves eq16 to its full form unseen
+    # so a correct build never fails eq16 on its audit
     assert all(qpolys._phi_audit(QContext(s), n + 1))
 
 
