@@ -16,8 +16,8 @@ interpolation bases and the expansions are all summed so.  The identity registry
 the families exactly, on scalar series of G, on rho coordinates read off G and E(eta; w), or, for the Hermite check,
 on the Hermite table against its closed form.  ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided
 on G where the stored audit of the psi-rho chain, :func:`_chain_audit`, holds, and eq16 where the stored audit of its
-lemma, :func:`_phi_audit`, holds; a failed audit fails the check.  The Series products that several checks read are
-taken once per s, by :func:`_product`.  No series of polynomials is built.
+lemma, :func:`_phi_audit`, holds; a failed audit fails the check.  The products that several checks read are taken
+once per s, by :func:`_product`, E(+-eta; w) off the boundary data's eta table.  No series of polynomials is built.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .qcore import QContext, _dot, psi_weights, q_factorials, q_pochhammers, table
+from .qcore import QContext, _dot, correlate, over_common_den, psi_weights, q_factorials, q_pochhammers, table
 from .fps import Series, pochhammer_series
-from .symlaurent import (SymPoly, _aw_factorials, _psi_rho_eta_values, aw_derivative, eval_at, psi_rho_poly,
-                         psi_rho_polys, psi_rho_sum, special_poly)
+from .symlaurent import (SymPoly, _aw_factorials, aw_derivative, eval_at, psi_rho_at_eta, psi_rho_poly, psi_rho_polys,
+                         psi_rho_sum, special_poly)
 
 FAMILY_KINDS = ("suslov_B", "new_beta", "suslov_E", "new_E")
 # basis -> (family, n - 2k, weight, e): entry k is weight c**(-2k-e) (family entry n), with c the
@@ -171,11 +171,13 @@ def lidstone_basis(ctx: QContext, kind: str, k_max: int) -> Tuple[SymPoly, ...]:
                  for k in range(k_max + 1))
 
 
-def _eta_series(ctx: QContext, order: int, sign: int = 1) -> Series:
-    """E(sign eta; w): the reduced psi_j rho_j(eta) of :func:`symlaurent._psi_rho_eta_values`, which the
-    boundary data's eta table puts over one denominator, each times sign**j."""
-    values = Series(_psi_rho_eta_values(ctx.s, order))
-    return values if sign > 0 else _at_minus_w(values)
+def _times_eta(ctx: QContext, coeffs, sign: int) -> Tuple[Fraction, ...]:
+    """The coefficients w**m, m < len(coeffs), of S(w) E(sign eta; w) for S(w) = sum_m coeffs[m] w**m: S over one
+    denominator and reversed, :func:`qcore.correlate`d with the boundary data's eta table
+    :func:`symlaurent.psi_rho_at_eta`, its entry j taken times sign**j."""
+    u, du = over_common_den(reversed(coeffs))
+    e, de = psi_rho_at_eta(ctx, len(u))
+    return correlate(u, [v * sign ** j for j, v in enumerate(e)], du * de, ((len(u) - 1 - m, 1) for m in range(len(u))))
 
 
 def _at_minus_w(series: Series) -> Series:
@@ -198,10 +200,11 @@ def _rho_products(ctx: QContext, n: int) -> List[SymPoly]:
 @table
 def _chain_audit(ctx: QContext, n: int) -> List[bool]:
     """Verdict j < n holds when P_j = psi_j rho_j is entry j of :func:`_rho_products` (so of degree j and parity j, and
-    P_j(0) = [j == 0]), D P_j = c P_{j-1} (D P_0 = 0) and P_j(-eta) = (-1)**j psi_j rho_j(eta) of the eta stream."""
-    chain, c, eta = psi_rho_polys(ctx, n), ctx.aw_scale, _psi_rho_eta_values(ctx.s, n)
+    P_j(0) = [j == 0]), D P_j = c P_{j-1} (D P_0 = 0) and P_j(-eta) D = (-1)**j e_j on the integers e_j / D of the eta
+    table :func:`symlaurent.psi_rho_at_eta`."""
+    chain, c, (e, d) = psi_rho_polys(ctx, n), ctx.aw_scale, psi_rho_at_eta(ctx, n)
     return [p == r and aw_derivative(ctx, p) == (chain[j - 1] * c if j else 0)
-            and eval_at(ctx, p, "minus_eta") == (-1) ** j * eta[j]
+            and eval_at(ctx, p, "minus_eta") * d == (-1) ** j * e[j]
             for j, (p, r) in enumerate(zip(chain, _rho_products(ctx, n)))]
 
 
@@ -283,14 +286,17 @@ def _binomial_series(a, base, z, order: int) -> Series:
 
 @table
 def _product(ctx: QContext, kind: str, order: int) -> List[Fraction]:
-    """Coefficients w**m, m < order, of a Series product that several checks read, taken once per s and kind:
-    G_B E(-eta; w) for suslov_B (translation_B, numbers_agree_Eq10 and eq4_decomposition), G_sE E(-eta; w) for
-    suslov_E (translation_E, numbers_agree_Eq10 and euler_decomposition), and G_beta c, c_k = (-p; q)_k / (q; q)_k,
-    for new_beta (connection_F2 and eq16).  Each reader asks order n_max + 1, so one job builds each product once."""
+    """Coefficients w**m, m < order, of a product that several checks read, taken once per s and kind:
+    G_B E(-eta; w) for suslov_B (translation_B, numbers_agree_Eq10 and eq4_decomposition) and G_sE E(-eta; w) for
+    suslov_E (translation_E, numbers_agree_Eq10 and euler_decomposition), each by :func:`_times_eta`, and the Series
+    product G_beta c, c_k = (-p; q)_k / (q; q)_k, for new_beta (connection_F2 and eq16).  Each reader asks order
+    n_max + 1, so one job builds each product once."""
     if not order:  # a Series has at least one coefficient
         return []
-    other = _binomial_series(-ctx.sqrt_q, ctx.q, 1, order) if kind == "new_beta" else _eta_series(ctx, order, -1)
-    return list((_multiplier(ctx, kind, order) * other).coeffs)
+    g = _multiplier(ctx, kind, order)
+    if kind == "new_beta":
+        return list((g * _binomial_series(-ctx.sqrt_q, ctx.q, 1, order)).coeffs)
+    return list(_times_eta(ctx, g.coeffs[:order], -1))
 
 
 @table
@@ -444,9 +450,9 @@ def _decomposition_report(ctx, name, n_max, parts, note=""):
 
     An all-zero part adds nothing and is skipped.  Where G^[shift+p] is G itself through w**(size-1) (G has no odd
     coefficient there, as G_B and G_sE have none), G(w) E(eta; w) is the stored :func:`_product` G E(-eta; w) at -w,
-    asked at the order n_max + 1 that the translations ask; any other part takes its own Series product.  Each
-    Y_p[t] is held as its terms (c, v) and decided by :func:`_dot_is`; the Fractions Y_p[t] are formed, and the
-    first failing entry summed, only to show a failure."""
+    asked at the order n_max + 1 that the translations ask; any other part is taken times E(eta; w) by
+    :func:`_times_eta`.  Each Y_p[t] is held as its terms (c, v) and decided by :func:`_dot_is`; the Fractions Y_p[t]
+    are formed, and the first failing entry summed, only to show a failure."""
     lo = min(0, *(1 - BASES[kind][1] + BASES[kind][3] for _, kind, _ in parts))  # the lowest t with a term
     terms = [[[] for _ in range(n_max + 2 - p - lo)] for p in (0, 1)]  # Y_p[t] = sum c v over terms[p][t - lo]
     for a, kind, eta in parts:
@@ -462,7 +468,7 @@ def _decomposition_report(ctx, name, n_max, parts, note=""):
             if eta and family != "new_beta" and tuple(part) == g[:size]:  # new_beta's product slot holds G_beta c
                 part, sign = _product(ctx, family, max(size, n_max + 1))[:size], -1
             elif eta:
-                part = (Series(part) * _eta_series(ctx, size)).coeffs
+                part = _times_eta(ctx, part, 1)
             for i, v in enumerate(part):
                 if v:
                     y[i + 1 - d - lo].append((a * weight * sign ** i, v))

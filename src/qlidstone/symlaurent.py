@@ -11,8 +11,8 @@ form (f(q**(1/2) z) - f(q**(-1/2) z)) / (e(q**(1/2) z) - e(q**(-1/2) z));
 on the basis element z**m + z**-m it multiplies by 2*q**((1-m)/2)*[m]_q and
 spreads onto z**(m-1-2j), j = 0..m-1.
 
-The coefficients psi_j rho_j of the q-exponential, as polynomials and as exact values at a
-rational point, step by the integers of ``qcore._psi_rho_steps``, as the float terms do.
+The coefficients psi_j rho_j of the q-exponential, as polynomials and as exact values at a rational point (held at
+eta in one integer table per s), step by the integers of ``qcore._psi_rho_steps``, as the float terms do.
 """
 
 from __future__ import annotations
@@ -339,8 +339,6 @@ def eval_at(ctx: QContext, p: SymPoly, pt: PointLike) -> Fraction:
     The sum runs on the integer numerators and is reduced once.
     """
     x = _point(ctx, pt)
-    if x == 0:  # the commonest point, z = i: a sum of slices, with no recurrence
-        return Fraction(_at_zero(p.nums), p.den)
     b, two_a = x.denominator, 2 * x.numerator
     # z + 1/z = 2a/b: z**k + z**-k = T_k / b**k with T_0 = 2, T_1 = 2a, T_k = 2a T_{k-1} - b**2 T_{k-2};
     # sum_k nums[k] T_k / b**k is summed over b**d by Horner
@@ -359,17 +357,10 @@ def _at_zero(nums: Sequence[int]) -> int:
 
 @table
 def psi_rho_at_eta(ctx: QContext, n: int) -> Tuple[List[int], int]:
-    """Integers e_j and one denominator D with psi_j rho_j(eta) = e_j / D for j < n.  They
-    are sliced from one table per s, kept over the least common denominator of the
-    longest prefix asked for so far; a longer prefix puts a longer prefix of
-    :func:`_psi_rho_eta_values` over one denominator."""
-    return over_common_den(_psi_rho_eta_values(ctx.s, n))
-
-
-@table
-def _psi_rho_eta_values(s: Fraction) -> Iterator[Fraction]:
-    """psi_j rho_j(eta), each a reduced Fraction, in one stream per s that extends in place."""
-    yield from _psi_rho_stream(s, QContext(s).eta)
+    """Integers e_j and one denominator D with psi_j rho_j(eta) = e_j / D for j < n: the one eta table, which the
+    boundary data and the registry read.  It is kept per s over the least common denominator of the longest prefix
+    asked for so far; a longer prefix steps :func:`_psi_rho_stream` afresh."""
+    return over_common_den(islice(_psi_rho_stream(ctx.s, ctx.eta), n))
 
 
 def _psi_rho_stream(s: Fraction, y: Fraction) -> Iterator[Fraction]:

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 from qlidstone.fps import Series, pochhammer_series
 from qlidstone.qcore import IntegrityError, LimitError, psi_weights, q_number, q_pochhammer_inf, translate_coeffs
 from qlidstone import qpolys
-from qlidstone.qpolys import BASES, FAMILY_KINDS, _eta_series, _report, build_family, family_rho, lidstone_basis
+from qlidstone.qpolys import BASES, FAMILY_KINDS, _report, build_family, family_rho, lidstone_basis
 from qlidstone.qspecial import (ZeroReport, ZeroSearchError, _bessel_body, _eta_series_value, _scan_and_bisect,
                                 _trig_eta_residual, hayman_zero_estimate, psi_rho_steps, psi_rho_terms, sq_lower_bound)
 from qlidstone.symlaurent import (SymPoly, _point, _psi_rho_stream, aw_derivative, eval_at, lincomb, psi_rho_polys,
@@ -440,6 +440,12 @@ def eq_exponential_series(ctx, order):
     return PolySeries(psi_rho_polys(ctx, order))
 
 
+def exponential_at(ctx, y, order):
+    """E(y; w) through w**(order-1) at a point ``y`` as in ``eval_at``: each coefficient psi_j rho_j(y) is the
+    chain polynomial of ``psi_rho_polys`` evaluated at y, with no stream or table of values."""
+    return Series([eval_at(ctx, p, y) for p in psi_rho_polys(ctx, order)])
+
+
 def basis_series(ctx, kind, order):
     """The quotient series of basis ``kind``, sum_k c**(2k+e) (entry k of ``lidstone_basis``) w**(2k+e), with
     c = ``ctx.aw_scale`` and e from the kind's ``BASES`` row."""
@@ -502,8 +508,8 @@ def polynomial_check(ctx, name, n_max):
     ``q_translate`` entry by entry; eq16 as the Suslov Bernoulli table against the Askey-Wilson factorials phi_k =
     (-q**(1/4) z, -q**(1/4)/z; sqrt q)_k of ``qpolys._aw_factorials``, read through the module so that a patched one
     is seen, over (q; q)_k and convolved with the beta numbers; the decompositions as products of the basis quotient
-    series of ``lidstone_basis`` with E(eta; w), against E(x; w); (q t**2; q**2)_inf E(x; t) against the q-Hermite
-    closed form :func:`hermite_closed_fraction`; the :data:`CHAIN_CHECKS` on the families of
+    series of ``lidstone_basis`` with E(eta; w) of :func:`exponential_at`, against E(x; w); (q t**2; q**2)_inf E(x; t)
+    against the q-Hermite closed form :func:`hermite_closed_fraction`; the :data:`CHAIN_CHECKS` on the families of
     :func:`family_division`, eq17 against the product form :func:`rho_laurent_product` times the closed-form psi_k,
     convolved with the beta numbers, eq18 as the Hermite table against the Suslov Bernoulli family convolved with
     W_{2k} = q**(k**2+k/2) / (p; p)_{2k+1} and scaled by 2 q**(-n**2/4) (q;q)_n, and numbers_agree_Eq10 as the
@@ -535,10 +541,10 @@ def polynomial_check(ctx, name, n_max):
         se, ne = family("suslov_E"), family("new_E")
         pairs = [(n, q_translate(ctx, e, "minus_eta"), e2 / 2) for n, e, e2 in zip(ns, se, ne)]
     elif name == "eq4_decomposition":
-        recon = basis_series(ctx, "A", order) * _eta_series(ctx, order) - basis_series(ctx, "B", order)
+        recon = basis_series(ctx, "A", order) * exponential_at(ctx, "eta", order) - basis_series(ctx, "B", order)
         pairs = zip(ns, recon.coeffs, psi_rho_polys(ctx, order))
     elif name == "euler_decomposition":
-        recon = basis_series(ctx, "M", order) + basis_series(ctx, "Mtilde", order) * _eta_series(ctx, order)
+        recon = basis_series(ctx, "M", order) + basis_series(ctx, "Mtilde", order) * exponential_at(ctx, "eta", order)
         pairs = zip(ns, recon.coeffs, psi_rho_polys(ctx, order))
     elif name == "hermite_rep":
         lhs, psi = eq_exponential_series(ctx, order) * _qw2_series(ctx.s, order), psi_weights(ctx, order)
@@ -578,8 +584,8 @@ DECOMPOSITION_PARTS = {  # the registry's parts (a, basis, eta) of each decompos
 def decomposition_by_products(ctx, name, n_max):
     """The report of decomposition check ``name`` on rho coordinates, by the route the registry took before it read
     the shared products: each part of parity p of each multiplier, zero or not, times E(eta; w) by its own Series
-    product where the part carries the eta factor, and each Y_p[t] accumulated as a reduced Fraction.  ``BASES``,
-    the multipliers and the eta series are read through ``qpolys``, so that a patched one is seen."""
+    product where the part carries the eta factor, E(eta; w) of :func:`exponential_at`, and each Y_p[t] accumulated as
+    a reduced Fraction.  ``BASES`` and the multipliers are read through ``qpolys``, so that a patched one is seen."""
     parts, bases = DECOMPOSITION_PARTS[name], qpolys.BASES
     lo = min(0, *(1 - bases[kind][1] + bases[kind][3] for _, kind, _ in parts))  # the lowest t with a term
     ys = [[Fraction(0)] * (n_max + 2 - p - lo) for p in (0, 1)]  # Y_p[t] at t - lo, for t <= n_max + 1 - p
@@ -591,7 +597,7 @@ def decomposition_by_products(ctx, name, n_max):
             size = n_max + 1 - p + d
             if size > 0:
                 part = Series([g[i] if (i - shift - p) % 2 == 0 and i <= last else 0 for i in range(size)])
-                for i, v in enumerate((part * qpolys._eta_series(ctx, size) if eta else part).coeffs):
+                for i, v in enumerate((part * exponential_at(ctx, "eta", size) if eta else part).coeffs):
                     y[i + 1 - d - lo] += a * weight * v
     first = [n_max + 1] * 2
     for p, y in enumerate(ys):

@@ -234,14 +234,16 @@ def test_decompositions_fail_on_a_wrong_basis(ctx_threefifths, monkeypatch, clea
     assert _fails(ctx, "euler_decomposition")
     monkeypatch.undo()
     clear_tables()
-    at_eta = qpolys._psi_rho_eta_values
+    at_eta = qpolys.psi_rho_at_eta
 
-    def perturbed(s, n):  # E_0(eta) moved off 1
-        values = at_eta(s, n)
-        return [values[0] + Fraction(1, 7)] + values[1:]
+    def perturbed(ctx, n):  # E_0(eta) moved off 1 in the integer table
+        e, d = at_eta(ctx, n)
+        return [e[0] + 1] + e[1:], d
 
-    monkeypatch.setattr(qpolys, "_psi_rho_eta_values", perturbed)
-    assert _fails(ctx, "eq4_decomposition") and _fails(ctx, "euler_decomposition")
+    monkeypatch.setattr(qpolys, "psi_rho_at_eta", perturbed)
+    # the polynomial form takes its own E(eta; w), off the chain, and holds
+    for name in ("eq4_decomposition", "euler_decomposition"):
+        assert _fails(ctx, name, reference=False) and polynomial_check(ctx, name, 8).passed
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,9 +2,10 @@
 connection, reflection and translation checks compare scalar series, and the decomposition and Hermite checks
 compare rho coordinates, and ladders, eq17, reflection_B, eq18 and numbers_agree_Eq10 are decided on G where the
 stored audit of the psi-rho chain holds, and eq16 where the stored audit of its phi lemma holds; a failed audit fails
-the checks that read it.  The decompositions read the shared products G E(-eta; w).  The Hermite table is summed on
-the chain, and hermite_rep compares it with the q-binomial closed form.  Their references are the division form
-(N E)/D, the polynomial form of each check, the decompositions' own-product route and the Fraction closed form of the
+the checks that read it.  The decompositions read the shared products G E(-eta; w), each one correlation with the
+integer eta table.  The Hermite table is summed on the chain, and hermite_rep compares it with the q-binomial closed
+form.  Their references are the division form (N E)/D, the polynomial form of each check, the decompositions'
+own-product route, a Series product with E(+-eta; w) evaluated off the chain and the Fraction closed form of the
 q-Hermite polynomials, in ``oracles``."""
 
 from fractions import Fraction
@@ -131,19 +132,24 @@ def test_an_odd_multiplier_coefficient_fails_reflection_b_from_its_entry(monkeyp
 
 
 def test_a_flipped_eta_sign_fails_the_translations(monkeypatch, cleared):
-    # numbers_agree_Eq10 reads the families at -eta off G E(-eta; w) too, on the audited chain, and the
-    # decompositions read G E(eta; w) as that product at -w
-    eta_series = qpolys._eta_series
-    monkeypatch.setattr(qpolys, "_eta_series", lambda ctx, order, sign=1: eta_series(ctx, order))
+    # G E(-eta; w) taken as G E(eta; w): numbers_agree_Eq10 reads the families at -eta off that product too, on the
+    # audited chain, and the decompositions read G E(eta; w) as that product at -w
+    times_eta = qpolys._times_eta
+    monkeypatch.setattr(qpolys, "_times_eta", lambda ctx, coeffs, sign: times_eta(ctx, coeffs, 1))
     assert _failing(QContext(Fraction(3, 5))) == {"translation_B", "translation_E", "numbers_agree_Eq10",
                                                   "eq4_decomposition", "euler_decomposition"}
 
 
 def _flip_eta_value(monkeypatch):
-    # psi_3 rho_3(eta) negated: the chain is sound, but the audit cannot vouch for E(-eta; w) past w**2
-    values = qpolys._psi_rho_eta_values
-    monkeypatch.setattr(qpolys, "_psi_rho_eta_values",
-                        lambda s, n: [-v if j == 3 else v for j, v in enumerate(values(s, n))])
+    # e_3 of the registry's eta table negated, so psi_3 rho_3(eta) is: the chain is sound, but the audit cannot vouch
+    # for E(-eta; w) past w**2
+    at_eta = qpolys.psi_rho_at_eta
+
+    def flipped(ctx, n):
+        e, d = at_eta(ctx, n)
+        return [-v if j == 3 else v for j, v in enumerate(e)], d
+
+    monkeypatch.setattr(qpolys, "psi_rho_at_eta", flipped)
 
 
 def _double_divided_difference(monkeypatch):
@@ -236,8 +242,8 @@ def test_a_failed_audit_fails_every_check_that_reads_it(fault, monkeypatch, clea
 
 
 def test_an_entry_failing_below_the_failed_verdict_is_shown_first(monkeypatch, cleared):
-    # G_B coefficient 2 doubled fails eq18 from entry 2, and the flipped eta value fails the chain audit at 3: entry 2
-    # is shown as the polynomial form shows it, and the entries from 2 on fail
+    # G_B coefficient 2 doubled fails eq18 from entry 2, and e_3 negated in the eta table fails the chain audit at 3:
+    # entry 2 is shown as the polynomial form shows it, and the entries from 2 on fail
     parts = qpolys._family_parts
 
     def doubled(s, k, order):
@@ -399,19 +405,23 @@ def test_identities_build_no_family_table_and_each_audit_once(capsys, cleared):
     assert not [slot for slot in qcore._store[qcore._key(Fraction(3, 5))] if slot[0] == "_family_series"]
 
 
-def test_identities_take_six_series_products(monkeypatch, capsys, cleared):
-    # G_B E(-eta; w), G_sE E(-eta; w) and G_beta c are each taken once: the first two are read by the translations,
-    # numbers_agree_Eq10 and the decompositions, the third by connection_F2 and eq16; no all-zero part is multiplied
-    mul, products = Series.__mul__, []
+def test_identities_take_four_series_products_and_two_eta_correlations(monkeypatch, capsys, cleared):
+    # G_B E(-eta; w), G_sE E(-eta; w) and G_beta c are each taken once: the first two, correlations with the eta
+    # table, are read by the translations, numbers_agree_Eq10 and the decompositions, the third, a Series product, by
+    # connection_F2 and eq16; connection_F1, reflection_beta and eq18 take one Series product each, and no all-zero
+    # part is multiplied
+    mul, times_eta, products, signs = Series.__mul__, qpolys._times_eta, [], []
 
     def counted(self, other):
         products.extend([other] if isinstance(other, Series) else [])
         return mul(self, other)
 
     monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(qpolys, "_times_eta",
+                        lambda ctx, coeffs, sign: signs.append(sign) or times_eta(ctx, coeffs, sign))
     assert cli.main(["identities", "--all", "--s", "3/5", "--order", "10"]) == 0
     capsys.readouterr()
-    assert len(products) == 6
+    assert len(products) == 4 and signs == [-1, -1]
 
 
 # -- the decompositions on the shared products, against the route that took its own --------------------------------
@@ -431,6 +441,24 @@ def _spy_products(monkeypatch):
     kinds, product = [], qpolys._product
     monkeypatch.setattr(qpolys, "_product", lambda ctx, kind, order: kinds.append(kind) or product(ctx, kind, order))
     return kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(2, 30).flatmap(lambda d: st.integers(1, d - 1).map(lambda p: Fraction(p, d))),
+                 st.sampled_from([Fraction(20, 21), Fraction(29, 30)])),
+       st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.fractions(max_denominator=50)), max_size=40),
+       st.sampled_from([1, -1]))
+@example(Fraction(20, 21), [], 1)
+@example(Fraction(20, 21), [], -1)
+@example(Fraction(20, 21), [0, -3, 0, Fraction(-5, 7)] * 10, -1)
+@example(Fraction(20, 21), [Fraction(2, 3), 0, 0, -1, 7] * 8, 1)
+@example(Fraction(3, 5), [0] * 40, -1)
+def test_times_eta_is_the_series_product_with_e_at_plus_or_minus_eta(s, coeffs, sign):
+    # the correlation with the integer eta table, against a Series product with E(sign eta; w) evaluated off the chain
+    ctx = QContext(s)
+    point = "eta" if sign > 0 else "minus_eta"
+    want = (Series(coeffs) * oracles.exponential_at(ctx, point, len(coeffs))).coeffs if coeffs else ()
+    assert repr(qpolys._times_eta(ctx, coeffs, sign)) == repr(want)
 
 
 @settings(max_examples=30, deadline=None)

@@ -386,9 +386,8 @@ def test_psi_rho_tables_are_keyed_on_s_alone():
         psi_rho_polys(ctx, n)
         psi_rho_polys(ctx, n + 1)
         psi_rho_at_eta(ctx, n + 3)
-    # one table per chain, and at eta one stream and one table over its denominator, whatever the orders asked
-    assert _held(ctx.s) == {("_psi_rho_chain", 0), ("_psi_rho_chain", 1), ("psi_rho_at_eta",),
-                            ("_psi_rho_eta_values",)}
+    # one table per chain, and at eta one table over its denominator, whatever the orders asked
+    assert _held(ctx.s) == {("_psi_rho_chain", 0), ("_psi_rho_chain", 1), ("psi_rho_at_eta",)}
 
 
 def test_psi_rho_poly_negative_index_raises(ctx_half):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlidstone import cli, qcore, qpolys, qspecial, symlaurent  # cli imports every module, so every table is registered
+from qlidstone import cli, qcore, qpolys, qspecial  # cli imports every module, so every table is registered
 from qlidstone.qcore import MAX_TABLES, QContext, clear_tables, psi_weights
 from qlidstone.qpolys import FAMILY_KINDS, _family_series, build_numbers, family_multiplier, im_bernoulli_quotients
 from qlidstone.symlaurent import SymPoly, psi_rho_at_eta, psi_rho_poly, psi_rho_polys, special_poly
@@ -28,7 +28,6 @@ TABLES = {
     "psi_rho_poly": lambda n: psi_rho_poly(CTX, n),
     "psi_rho_polys": lambda n: psi_rho_polys(CTX, n),
     "psi_rho_at_eta": _eta_values,
-    "psi_rho_eta_values": lambda n: symlaurent._psi_rho_eta_values(CTX.s, n),
     "im_bernoulli_quotients": lambda n: im_bernoulli_quotients(CTX.q, n),
     "suslov_Eq": lambda n: build_numbers(CTX, "suslov_Eq", n),
     "chain_audit": lambda n: qpolys._chain_audit(CTX, n),
